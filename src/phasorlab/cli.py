@@ -14,8 +14,8 @@ Exit codes: 0 success, 1 engine or I/O failure, 2 usage/config errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
-import math
 import sys
 
 import numpy as np
@@ -32,8 +32,16 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # option schemas: key -> (converter name, default string, help)
 
+def _float(s: str, parse=float):
+    """Parse one number (``parse=complex`` for complex); nan and inf are rejected."""
+    x = parse(s)
+    if not cmath.isfinite(x):
+        raise ValueError(f"must be finite, got {s}")
+    return x
+
+
 def _floats(s: str) -> list[float]:
-    return [float(x) for x in s.split(",") if x.strip() != ""]
+    return [_float(x) for x in s.split(",") if x.strip() != ""]
 
 
 def _ints(s: str) -> list[int]:
@@ -41,7 +49,7 @@ def _ints(s: str) -> list[int]:
 
 
 def _complexes(s: str) -> list[complex]:
-    return [complex(x.replace(" ", "")) for x in s.split(",") if x.strip() != ""]
+    return [_float(x.replace(" ", ""), complex) for x in s.split(",") if x.strip() != ""]
 
 
 def _sweep(s: str) -> list[float]:
@@ -51,13 +59,14 @@ def _sweep(s: str) -> list[float]:
         n = int(count)
         if n < 1:
             raise ValueError("sweep count must be >= 1")
-        return list(np.linspace(float(start), float(stop), n))
-    return [float(s)]
+        with np.errstate(all="ignore"):  # an overflowing span is rejected below
+            return [_float(x) for x in np.linspace(_float(start), _float(stop), n)]
+    return [_float(s)]
 
 
 def _interval(s: str) -> tuple[float, float]:
     lo, hi = s.split(":")
-    return float(lo), float(hi)
+    return _float(lo), _float(hi)
 
 
 def _choice(*options: str):
@@ -86,47 +95,47 @@ SUBCOMMAND_OPTIONS = {
         "theta1": (_sweep, "0", "detector-1 analyzer angle(s), degrees; N or start:stop:count"),
         "theta2": (_sweep, "0", "detector-2 analyzer angle(s), degrees; N or start:stop:count"),
         "parity": (_choice("plus", "minus"), "plus", "pair parity"),
-        "field-scale": (float, "1.0", "per-photon field amplitude E"),
+        "field-scale": (_float, "1.0", "per-photon field amplitude E"),
         "convention": (_choice("sum", "difference"), "sum",
                        "correlation angle convention (detector-2 handedness)"),
         "mode": (_choice("symbolic", "numeric"), "symbolic", "amplitude evaluation path"),
     },
     "holo": {
-        "base-wavelength": (float, "1.0", "wavelength of harmonic channel 1"),
+        "base-wavelength": (_float, "1.0", "wavelength of harmonic channel 1"),
         "channels": (_ints, "1", "harmonic channel indices, comma separated"),
         "detectors": (_floats, "0.0", "detector positions, comma separated"),
-        "source": (float, "2.3", "true source position"),
+        "source": (_float, "2.3", "true source position"),
         "sources": (_floats, None, "per-channel source override (bit generation)"),
-        "alpha": (float, "0.0", "shared phase offset, radians"),
+        "alpha": (_float, "0.0", "shared phase offset, radians"),
         "domain": (_interval, "0:10", "search domain lo:hi"),
     },
     "cavity": {
         "hf-over-kt": (_floats, None, "dimensionless lobe energies (h=k_B=T=1)"),
         "frequencies": (_floats, None, "mode family base frequencies, Hz"),
-        "temperature": (float, "1.0", "bath temperature"),
-        "planck-h": (float, "1.0", "Planck constant"),
-        "boltzmann-k": (float, "1.0", "Boltzmann constant"),
+        "temperature": (_float, "1.0", "bath temperature"),
+        "planck-h": (_float, "1.0", "Planck constant"),
+        "boltzmann-k": (_float, "1.0", "Boltzmann constant"),
         "steps": (int, "100000", "Metropolis steps per chain"),
         "burn-in": (int, "10000", "discarded leading steps"),
     },
     "evolve": {
         "coefficients": (_complexes, "1,0,1", "a_0..a_n, ascending"),
         "initial": (_complexes, "1,0", "psi, psi', ... at t=0"),
-        "t-final": (float, "6.283185307179586", "integration end time"),
-        "step": (float, "0.001", "fixed RK4 step"),
+        "t-final": (_float, "6.283185307179586", "integration end time"),
+        "step": (_float, "0.001", "fixed RK4 step"),
         "every": (int, "1", "emit every Nth sample"),
     },
     "hj": {
         "system": (_choice("free", "linear"), "free", "principal-function family"),
-        "momentum": (float, "1.0", "free-particle momentum"),
-        "mass": (float, "1.0", "particle mass"),
-        "hbar": (float, "1.0", "action scale"),
-        "alpha": (float, "0.5", "linear potential slope"),
-        "energy": (float, "10.0", "total energy (linear system)"),
-        "q-min": (float, "0.0", "grid start"),
-        "q-max": (float, "1.0", "grid end"),
+        "momentum": (_float, "1.0", "free-particle momentum"),
+        "mass": (_float, "1.0", "particle mass"),
+        "hbar": (_float, "1.0", "action scale"),
+        "alpha": (_float, "0.5", "linear potential slope"),
+        "energy": (_float, "10.0", "total energy (linear system)"),
+        "q-min": (_float, "0.0", "grid start"),
+        "q-max": (_float, "1.0", "grid end"),
         "points": (int, "201", "grid size"),
-        "time": (float, "0.0", "evaluation time"),
+        "time": (_float, "0.0", "evaluation time"),
     },
 }
 
@@ -239,17 +248,13 @@ def write_output(text: str, path: str | None) -> int:
 def run_epr(opts: dict) -> tuple[list[str], list[list]]:
     pair = epr.PhotonPairState(opts["parity"], opts["field-scale"])
     header = ["theta1_deg", "theta2_deg", "E", "P_xx", "P_xy", "P_yx", "P_yy"]
-    rows = []
-    for t1_deg in opts["theta1"]:
-        for t2_deg in opts["theta2"]:
-            t1, t2 = math.radians(t1_deg), math.radians(t2_deg)
-            probs = epr.joint_probabilities(t1, t2, pair, mode=opts["mode"],
-                                            convention=opts["convention"])
-            corr = float(probs[0, 0] + probs[1, 1] - probs[0, 1] - probs[1, 0])
-            rows.append([t1_deg, t2_deg, corr,
-                         float(probs[0, 0]), float(probs[0, 1]),
-                         float(probs[1, 0]), float(probs[1, 1])])
-    return header, rows
+    t1_deg, t2_deg = np.meshgrid(opts["theta1"], opts["theta2"], indexing="ij")
+    p = epr.joint_probabilities(np.radians(opts["theta1"]), np.radians(opts["theta2"]),
+                                pair, mode=opts["mode"], convention=opts["convention"])
+    corr = p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
+    table = np.stack([t1_deg, t2_deg, corr, p[..., 0, 0], p[..., 0, 1],
+                      p[..., 1, 0], p[..., 1, 1]], axis=-1)
+    return header, table.reshape(-1, len(header)).tolist()
 
 
 def _holo_setup(opts: dict):
@@ -267,20 +272,16 @@ def _holo_setup(opts: dict):
 
 
 def run_holo_csv(opts: dict) -> tuple[list[str], list[list]]:
-    channels, _ = _holo_setup(opts)
-    domain = opts["domain"]
+    channels, bits = _holo_setup(opts)
+    length = opts["domain"][1] - opts["domain"][0]
     header = ["n_channels", "alias_measure", "density"]
-    rows = []
-    for k in range(1, len(channels) + 1):
-        subset = channels[:k]
-        sub_opts = dict(opts, channels=[c.index for c in subset])
-        if opts["sources"] is not None:
-            sub_opts["sources"] = opts["sources"][:k]
-        _, bits = _holo_setup(sub_opts)
-        result = holography.localize(bits, subset, opts["alpha"], domain)
-        length = domain[1] - domain[0]
-        rows.append([k, result.measure, result.measure / length])
-    return header, rows
+    if not channels:
+        return header, []
+    # one row per channel prefix; bits are ordered channel by channel
+    prefixes = holography.localize_prefixes(bits, channels, opts["alpha"], opts["domain"],
+                                            len(opts["detectors"]))
+    return header, [[k, s.measure, s.measure / length]
+                    for k, s in enumerate(prefixes, start=1)]
 
 
 def run_holo_json(opts: dict) -> str:
@@ -327,20 +328,13 @@ def run_evolve(opts: dict) -> tuple[list[str], list[list]]:
     spec = statespace.EvolutionSpec(tuple(opts["coefficients"]))
     initial = np.asarray(opts["initial"], dtype=complex)
     traj = statespace.evolve_linear(spec, initial, opts["t-final"], opts["step"])
-    n = spec.order
-    header = ["t"]
-    for k in range(n):
-        header += [f"re_{k}", f"im_{k}"]
-    header.append("norm")
-    rows = []
-    for i in range(0, traj.times.size, max(1, opts["every"])):
-        state = traj.states[i]
-        row = [float(traj.times[i])]
-        for k in range(n):
-            row += [float(state[k].real), float(state[k].imag)]
-        row.append(float(np.linalg.norm(state)))
-        rows.append(row)
-    return header, rows
+    every = max(1, opts["every"])
+    states = traj.states[::every]
+    header = ["t"] + [f"{part}_{k}" for k in range(spec.order) for part in ("re", "im")]
+    columns = [traj.times[::every]] + [f(states[:, k]) for k in range(spec.order)
+                                       for f in (np.real, np.imag)]
+    columns.append([np.linalg.norm(state) for state in states])
+    return header + ["norm"], np.column_stack(columns).tolist()
 
 
 def run_hj(opts: dict) -> tuple[list[str], list[list]]:

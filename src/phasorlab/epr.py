@@ -92,33 +92,18 @@ def analyzer_phasor(angle: float) -> PolarizationPhasor:
     return PolarizationPhasor(math.cos(angle), math.sin(angle))
 
 
-def detector_amplitude(angle: float, ket: CircularKet, field_scale: float = 1.0,
-                       ket_phase: complex = 1.0) -> complex:
-    """Single-detector projection <theta|handedness> in symbolic mode.
-
-    Equals (E/sqrt 2) e^{+i theta} for a right ket and (E/sqrt 2) e^{-i theta}
-    for a left one; ``ket_phase`` applies an overall unit factor to the ket.
-    """
-    return analyzer_phasor(angle).dot(ket.phasor) * field_scale * ket_phase
-
-
-def _numeric_detector_amplitude(angle: float, ket: CircularKet, field_scale: float,
-                                ket_phase: complex, position: float, wavenumber: float,
-                                window_wavelengths: float,
-                                samples_per_wavelength: int) -> complex:
-    """Same projection via Cesaro integration of sampled traveling fields."""
+def _numeric_projection(bra: PolarizationPhasor, ket: PolarizationPhasor, position: float,
+                        wavenumber: float, window_wavelengths: float,
+                        samples_per_wavelength: int) -> complex:
+    """<bra|ket> by Cesaro integration of both traveling fields sampled from ``position``."""
     if window_wavelengths <= 0.0:
         raise ValueError("numeric mode needs a positive window")
-    lam = TWO_PI / wavenumber
-    window = window_wavelengths * lam
+    window = window_wavelengths * (TWO_PI / wavenumber)
     n = max(int(window_wavelengths * samples_per_wavelength), 16)
     z = np.linspace(position, position + window, n + 1)
-    bra_mode = TravelingMode(wavenumber, 0.0, analyzer_phasor(angle))
-    ket_mode = TravelingMode(wavenumber, 0.0,
-                             ket.phasor.scaled(field_scale * ket_phase))
-    bra = SampledField(z, bra_mode.sample(z))
-    ket_field = SampledField(z, ket_mode.sample(z))
-    return cesaro_inner_product(bra, ket_field, window)
+    bra_field = SampledField(z, TravelingMode(wavenumber, 0.0, bra).sample(z))
+    ket_field = SampledField(z, TravelingMode(wavenumber, 0.0, ket).sample(z))
+    return cesaro_inner_product(bra_field, ket_field, window)
 
 
 def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
@@ -139,67 +124,67 @@ def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
 
     total = 0.0 + 0.0j
     for handedness, weight in (("right", 1.0), ("left", pair.parity_sign)):
-        ket = CircularKet(handedness)
-        if mode == "symbolic":
-            a1 = detector_amplitude(outcome1.angle, ket, pair.field_scale, ket_phase)
-            a2 = detector_amplitude(outcome2.angle, ket, pair.field_scale, ket_phase)
-        else:
-            a1 = _numeric_detector_amplitude(
-                outcome1.angle, ket, pair.field_scale, ket_phase, outcome1.position,
-                wavenumber, window_wavelengths, samples_per_wavelength)
-            a2 = _numeric_detector_amplitude(
-                outcome2.angle, ket, pair.field_scale, ket_phase, outcome2.position,
-                wavenumber, window_wavelengths, samples_per_wavelength)
+        ket = CircularKet(handedness).phasor.scaled(pair.field_scale * ket_phase)
+        a1, a2 = (analyzer_phasor(o.angle).dot(ket) if mode == "symbolic" else
+                  _numeric_projection(analyzer_phasor(o.angle), ket, o.position,
+                                      wavenumber, window_wavelengths, samples_per_wavelength)
+                  for o in (outcome1, outcome2))
         total += weight * a1 * a2
     return total
 
 
-def joint_amplitudes(theta1: float, theta2: float, pair: PhotonPairState,
-                     mode: str = "symbolic", convention: str = "sum",
-                     **numeric_options) -> np.ndarray:
-    """2x2 amplitude table over (along, perpendicular) outcomes per detector.
+def joint_amplitudes(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
+                     convention: str = "sum", *, wavenumber: float = 1.0,
+                     window_wavelengths: float = 1e4, samples_per_wavelength: int = 8,
+                     ket_phase: complex = 1.0) -> np.ndarray:
+    """Amplitude tables over (along, perpendicular) outcomes per detector.
 
-    Entry [i, j] is the amplitude for detector 1 firing along
-    theta1 + i*pi/2 and detector 2 along theta2 + j*pi/2.  The
-    ``difference`` convention mirrors detector 2 (theta2 -> -theta2),
-    which is the handedness choice left open by the correlation sign.
+    Each angle may be a number or an array; the result has shape
+    shape(theta1) + shape(theta2) + (2, 2), one table per grid point.  Entry
+    [..., i, j] is the amplitude for detector 1 firing along theta1 + i*pi/2
+    and detector 2 along theta2 + j*pi/2.  With the angles a, b reduced mod
+    pi, :func:`pair_amplitude` is the closed form (E^2/2)(e^{i(a+b)} +
+    s e^{-i(a+b)}).  The ``difference`` convention mirrors detector 2
+    (theta2 -> -theta2), the handedness choice left open by the
+    correlation sign.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    t2 = theta2 if convention == "sum" else -theta2
-    table = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            o1 = AnalyzerSetting(1, theta1 + i * math.pi / 2)
-            o2 = AnalyzerSetting(2, t2 + j * math.pi / 2)
-            table[i, j] = pair_amplitude(o1, o2, pair, mode, **numeric_options)
-    return table
+    if mode not in ("symbolic", "numeric"):
+        raise ValueError("mode must be 'symbolic' or 'numeric'")
+    t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
+    quarter = np.array([0.0, math.pi / 2])
+    a = np.mod(t1.reshape(-1, 1) + quarter, math.pi)
+    b = np.mod((t2 if convention == "sum" else -t2).reshape(-1, 1) + quarter, math.pi)
+    phase = (a[:, None, :, None] + b[None, :, None, :]).reshape(t1.shape + t2.shape + (2, 2))
+    scale = pair.field_scale * ket_phase
+    if mode == "numeric":
+        # the projection is linear in the phasor components: each numeric detector
+        # amplitude is the symbolic one times the unit carrier's self-overlap at z = 0
+        unit = analyzer_phasor(0.0)
+        scale *= _numeric_projection(unit, unit, 0.0, wavenumber, window_wavelengths,
+                                     samples_per_wavelength)
+    table = np.cos(phase) if pair.parity == "plus" else 1j * np.sin(phase)
+    return scale * scale * table
+
+
+def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
+                        convention: str = "sum", **numeric_options) -> np.ndarray:
+    """Normalized probability tables matching :func:`joint_amplitudes`."""
+    weights = np.abs(joint_amplitudes(theta1, theta2, pair, mode, convention,
+                                      **numeric_options)) ** 2
+    total = weights.sum(axis=(-2, -1), keepdims=True)
+    if np.any(total <= 0.0):
+        raise DegenerateStateError("zero total outcome weight at these settings")
+    return weights / total
 
 
 def coincidence_probability(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
                             pair: PhotonPairState, mode: str = "symbolic",
                             **numeric_options) -> float:
     """Joint probability, normalized over the four outcomes at these settings."""
-    table = joint_amplitudes(outcome1.angle, outcome2.angle, pair, mode,
-                             **numeric_options)
-    weights = np.abs(table) ** 2
-    total = weights.sum()
-    if total <= 0.0:
-        raise DegenerateStateError("zero total outcome weight at these settings")
-    return float(weights[0, 0] / total)
-
-
-def joint_probabilities(theta1: float, theta2: float, pair: PhotonPairState,
-                        mode: str = "symbolic", convention: str = "sum",
-                        **numeric_options) -> np.ndarray:
-    """Normalized 2x2 probability table matching ``joint_amplitudes``."""
-    table = joint_amplitudes(theta1, theta2, pair, mode, convention,
-                             **numeric_options)
-    weights = np.abs(table) ** 2
-    total = weights.sum()
-    if total <= 0.0:
-        raise DegenerateStateError("zero total outcome weight at these settings")
-    return weights / total
+    return float(joint_probabilities(outcome1.angle, outcome2.angle, pair, mode,
+                                     **numeric_options)[0, 0])
 
 
 def correlation_E(theta1: float, theta2: float, pair: PhotonPairState,

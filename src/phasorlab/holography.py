@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 from .phasor import TWO_PI
@@ -155,6 +155,31 @@ def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
     return AliasSet(tuple(out), domain, tol, lam / 2.0)
 
 
+def localize_prefixes(bits: Sequence[DetectionBit], channels: Iterable[FrequencyChannel],
+                      alpha: float, domain: tuple[float, float],
+                      group: int) -> Iterator[AliasSet]:
+    """Yield ``localize(bits[:k * group], ...)`` for every k with k * group <= len(bits).
+
+    One running intersection builds each bit's alias set once; the first
+    empty yield point raises :class:`InconsistentBitsError`.
+    """
+    by_index = {c.index: c for c in channels}
+    if not bits:
+        raise ValueError("need at least one detection bit")
+    result = None
+    for count, bit in enumerate(bits, start=1):
+        try:
+            channel = by_index[bit.channel_index]
+        except KeyError:
+            raise ValueError(f"no channel with index {bit.channel_index}") from None
+        cell = alias_intervals(bit, channel, alpha, domain)
+        result = cell if result is None else result.intersect(cell)
+        if count % group == 0:
+            if not result.intervals:
+                raise InconsistentBitsError("inconsistent bits: no common source position")
+            yield result
+
+
 def localize(bits: Sequence[DetectionBit], channels: Iterable[FrequencyChannel],
              alpha: float, domain: tuple[float, float]) -> AliasSet:
     """Intersect the alias sets of every bit across channels and detectors.
@@ -164,19 +189,7 @@ def localize(bits: Sequence[DetectionBit], channels: Iterable[FrequencyChannel],
     :class:`InconsistentBitsError` when the intersection is empty, which
     signals bits that cannot share a source.
     """
-    by_index = {c.index: c for c in channels}
-    if not bits:
-        raise ValueError("need at least one detection bit")
-    result = None
-    for bit in bits:
-        try:
-            channel = by_index[bit.channel_index]
-        except KeyError:
-            raise ValueError(f"no channel with index {bit.channel_index}") from None
-        cell = alias_intervals(bit, channel, alpha, domain)
-        result = cell if result is None else result.intersect(cell)
-    if not result.intervals:
-        raise InconsistentBitsError("inconsistent bits: no common source position")
+    *_, result = localize_prefixes(bits, channels, alpha, domain, len(bits))
     return result
 
 

@@ -18,9 +18,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Complex field amplitude in dimensionless field units.
-ComplexAmplitude = complex
-
 
 class ConvergenceError(RuntimeError):
     """Adaptive quadrature ran out of refinement levels.

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from phasorlab import cli
+from phasorlab import cli, holography
 from phasorlab.seeding import derive_rng, philox_key
 
 
@@ -151,6 +151,53 @@ def test_holo_inconsistent_bits_exit_code(tmp_path, capsys):
     assert "inconsistent bits" in err
 
 
+def holo_opts(*argv):
+    return cli.resolve_options("holo", cli.build_parser().parse_args(["holo", *argv]))
+
+
+def per_prefix_rows(opts):
+    """Reference: localize every channel prefix from scratch."""
+    channels, bits = cli._holo_setup(opts)
+    per_channel = len(opts["detectors"])
+    length = opts["domain"][1] - opts["domain"][0]
+    rows = []
+    for k in range(1, len(channels) + 1):
+        result = holography.localize(bits[:k * per_channel], channels[:k],
+                                     opts["alpha"], opts["domain"])
+        rows.append([k, result.measure, result.measure / length])
+    return rows
+
+
+@pytest.mark.parametrize("argv", [
+    ("--channels", "1,2,3", "--source", "4.1"),
+    ("--channels", "1,2,3,5,8", "--detectors", "0,0.3,0.7", "--source", "37.7",
+     "--domain", "0:100", "--alpha", "0.4"),
+    ("--channels", "3,1,2", "--detectors=0.1,-2", "--sources", "2.3,3.3,1.3",
+     "--domain=-5:5"),
+])
+def test_holo_running_intersection_matches_per_prefix_localize(argv):
+    opts = holo_opts(*argv)
+    assert cli.run_holo_csv(opts)[1] == per_prefix_rows(opts)
+
+
+def test_holo_running_intersection_fails_at_same_prefix():
+    opts = holo_opts("--channels", "1,2,1,3", "--detectors", "0",
+                     "--sources", "2.3,2.3,2.55,2.3")
+    channels, bits = cli._holo_setup(opts)
+    kept = []
+    with pytest.raises(holography.InconsistentBitsError):
+        for alias_set in holography.localize_prefixes(bits, channels, 0.0,
+                                                      opts["domain"], 1):
+            kept.append(alias_set)
+    assert len(kept) == 2
+    assert kept == [holography.localize(bits[:k], channels[:k], 0.0, opts["domain"])
+                    for k in (1, 2)]
+    with pytest.raises(holography.InconsistentBitsError):
+        holography.localize(bits[:3], channels[:3], 0.0, opts["domain"])
+    with pytest.raises(holography.InconsistentBitsError):
+        cli.run_holo_csv(opts)
+
+
 # --- evolve subcommand ---------------------------------------------------------------
 
 def test_evolve_trajectory_columns(tmp_path):
@@ -285,6 +332,49 @@ def test_help_lists_every_key(capsys):
         assert f"--{key}" in text
     for key in cli.COMMON_OPTIONS:
         assert f"--{key}" in text
+
+
+# --- non-finite inputs ----------------------------------------------------------------
+
+def assert_rejected_non_finite(argv, key, capsys):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"'{key}'" in captured.err and "finite" in captured.err
+
+
+def test_epr_nan_theta1_exit_2(capsys):
+    assert_rejected_non_finite(["epr", "--theta1", "nan"], "theta1", capsys)
+
+
+def test_cavity_nan_hf_over_kt_exit_2(capsys):
+    assert_rejected_non_finite(["cavity", "--hf-over-kt", "nan"], "hf-over-kt", capsys)
+
+
+def test_hj_nan_mass_exit_2(capsys):
+    assert_rejected_non_finite(["hj", "--mass", "nan"], "mass", capsys)
+
+
+def test_holo_inf_source_exit_2(capsys):
+    assert_rejected_non_finite(["holo", "--source", "inf"], "source", capsys)
+
+
+def test_evolve_inf_t_final_exit_2(capsys):
+    assert_rejected_non_finite(["evolve", "--t-final", "inf"], "t-final", capsys)
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["epr", "--theta1", "0:nan:3"], "theta1"),
+    (["epr", "--theta2", "1e308:-1e308:3"], "theta2"),
+    (["holo", "--domain", "0:inf"], "domain"),
+    (["holo", "--detectors", "0,-inf"], "detectors"),
+    (["evolve", "--coefficients", "1,nan"], "coefficients"),
+    (["evolve", "--initial", "inf+1j,0"], "initial"),
+])
+def test_non_finite_sweeps_intervals_lists_exit_2(argv, key, capsys):
+    assert_rejected_non_finite(argv, key, capsys)
 
 
 # --- emission helpers ---------------------------------------------------------------

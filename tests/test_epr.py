@@ -199,3 +199,58 @@ def test_pair_state_validation():
         epr.PhotonPairState("sideways")
     with pytest.raises(ValueError):
         epr.PhotonPairState("plus", field_scale=0.0)
+
+
+# --- grid kernel against the scalar oracle -------------------------------------
+
+def oracle_tables(theta1, theta2, pair, mode, convention, **numeric_options):
+    """Amplitude tables from four scalar pair_amplitude calls per grid point."""
+    sign = 1.0 if convention == "sum" else -1.0
+    out = np.empty((len(theta1), len(theta2), 2, 2), dtype=complex)
+    for p, t1 in enumerate(theta1):
+        for q, t2 in enumerate(theta2):
+            for i in range(2):
+                for j in range(2):
+                    o1 = epr.AnalyzerSetting(1, t1 + i * math.pi / 2)
+                    o2 = epr.AnalyzerSetting(2, sign * t2 + j * math.pi / 2)
+                    out[p, q, i, j] = epr.pair_amplitude(o1, o2, pair, mode,
+                                                         **numeric_options)
+    return out
+
+
+@pytest.mark.parametrize("mode, numeric_options",
+                         [("symbolic", {}), ("numeric", {"window_wavelengths": 200})])
+@pytest.mark.parametrize("parity", epr.PARITIES)
+@pytest.mark.parametrize("convention", epr.CONVENTIONS)
+@pytest.mark.parametrize("field_scale", [1e-3, 1.0, 7.5, 1e20])
+def test_grid_kernel_matches_scalar_oracle(mode, numeric_options, parity, convention,
+                                           field_scale):
+    rng = np.random.default_rng(len(parity) + 10 * len(convention))
+    theta1 = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
+    theta2 = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
+    pair = epr.PhotonPairState(parity, field_scale)
+    want = oracle_tables(theta1, theta2, pair, mode, convention, **numeric_options)
+    got = epr.joint_amplitudes(theta1, theta2, pair, mode, convention, **numeric_options)
+    assert np.max(np.abs(got - want)) <= 1e-12 * field_scale ** 2
+    weights = np.abs(want) ** 2
+    probs = epr.joint_probabilities(theta1, theta2, pair, mode, convention,
+                                    **numeric_options)
+    assert np.max(np.abs(probs - weights / weights.sum(axis=(2, 3), keepdims=True))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_grid_kernel_degenerate_state_rejected(mode):
+    tiny = epr.PhotonPairState("plus", field_scale=1e-200)
+    with pytest.raises(epr.DegenerateStateError):
+        epr.joint_probabilities([0.0, 0.3], [0.1], tiny, mode, window_wavelengths=200)
+
+
+def test_numeric_grid_integrates_one_carrier(monkeypatch):
+    calls = []
+    cesaro = epr.cesaro_inner_product
+    monkeypatch.setattr(epr, "cesaro_inner_product",
+                        lambda *args: calls.append(args) or cesaro(*args))
+    probs = epr.joint_probabilities(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3),
+                                    PLUS, "numeric", window_wavelengths=200)
+    assert probs.shape == (5, 3, 2, 2)
+    assert len(calls) == 1

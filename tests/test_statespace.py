@@ -218,3 +218,37 @@ def test_vortex_circular_polarization_flagged():
 def test_vortex_empty_grid_rejected():
     with pytest.raises(ValueError):
         ss.spin_vortex_field(np.array([]), 1.0, 1.0, 0.0)
+
+
+def rk4_reference(spec, initial, t_final, step):
+    """Step-by-step classical RK4 on the companion form, one row per step."""
+    n_steps = max(1, round(t_final / step))
+    h = t_final / n_steps
+    m = ss.companion_matrix(spec)
+    y = np.asarray(initial, dtype=complex)
+    rows = [y]
+    for _ in range(n_steps):
+        k1 = m @ y
+        k2 = m @ (y + h / 2 * k1)
+        k3 = m @ (y + h / 2 * k2)
+        k4 = m @ (y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        rows.append(y)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_steps", [1, 2, 10, 4001])
+def test_blocked_evolve_matches_stepwise_rk4(order, n_steps):
+    rng = np.random.default_rng(order)
+    roots = rng.uniform(-1.0, 0.2, order) + 1j * rng.uniform(-3.0, 3.0, order)
+    lead = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+    spec = ss.EvolutionSpec(tuple(lead * np.poly(roots)[::-1]))
+    initial = rng.normal(size=order) + 1j * rng.normal(size=order)
+    t_final = 0.01 * n_steps
+    traj = ss.evolve_linear(spec, initial, t_final, 0.01)
+    want = rk4_reference(spec, initial, t_final, 0.01)
+    assert traj.states.shape == want.shape
+    assert np.array_equal(traj.times, np.arange(n_steps + 1) * (t_final / n_steps))
+    rel = np.linalg.norm(traj.states - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert np.max(rel) <= 1e-9
