@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .seeding import derive_rng
 
@@ -280,7 +279,8 @@ def geometric_chi_square(histogram: np.ndarray, q: float,
         raise ValueError("too few occupancy levels for a chi-square test")
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
-    return statistic, float(stats.chi2.sf(statistic, dof)), dof
+    from scipy.special import chdtrc  # here, not at the top: no CLI path needs scipy
+    return statistic, float(chdtrc(dof, statistic)), dof
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,7 @@ def resolve_options(command: str, namespace: argparse.Namespace) -> dict:
             resolved[key] = None
             continue
         try:
-            resolved[key] = convert(raw) if isinstance(raw, str) else raw
+            resolved[key] = convert(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for key '{key}': {exc}") from exc
     return resolved
@@ -212,22 +212,31 @@ def format_real(x: float) -> str:
     return "%.17g" % x
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format_real(float(v))
+def _cell(key: str, v) -> int | float:
+    """Bools and integers as int, the rest as float; a NaN cell fails the run."""
+    if isinstance(v, (bool, int, np.integer)):
+        return int(v)
+    x = float(v)
+    if x != x:
+        raise ValueError(f"result column '{key}' is NaN")
+    return x
+
+
+def _format_cell(key: str, v) -> str:
+    v = _cell(key, v)
+    return str(v) if isinstance(v, int) else format_real(v)
 
 
 def render_table(header: list[str], rows: list[list], fmt: str) -> str:
-    """CSV (17-significant-digit reals, '\\n' newlines) or mirrored JSON."""
+    """CSV (17-significant-digit reals, '\\n' newlines) or mirrored JSON.
+
+    Infinities are printed; a NaN cell raises ValueError (exit 1).
+    """
     if fmt == "csv":
         lines = [",".join(header)]
-        lines += [",".join(_format_cell(v) for v in row) for row in rows]
+        lines += [",".join(_format_cell(k, v) for k, v in zip(header, row)) for row in rows]
         return "\n".join(lines) + "\n"
-    payload = [{k: (int(v) if isinstance(v, (bool, int, np.integer)) else float(v))
-                for k, v in zip(header, row)} for row in rows]
+    payload = [{k: _cell(k, v) for k, v in zip(header, row)} for row in rows]
     return json.dumps(payload, indent=1) + "\n"
 
 
@@ -384,13 +393,15 @@ def run(argv=None) -> int:
         return 2
 
     try:
-        if namespace.command == "holo" and opts["format"] == "json":
-            text = run_holo_json(opts)
-        else:
-            runner = {"epr": run_epr, "holo": run_holo_csv, "cavity": run_cavity,
-                      "evolve": run_evolve, "hj": run_hj}[namespace.command]
-            header, rows = runner(opts)
-            text = render_table(header, rows, opts["format"])
+        # float warnings would add stderr lines; a NaN result is caught by render_table
+        with np.errstate(all="ignore"):
+            if namespace.command == "holo" and opts["format"] == "json":
+                text = run_holo_json(opts)
+            else:
+                runner = {"epr": run_epr, "holo": run_holo_csv, "cavity": run_cavity,
+                          "evolve": run_evolve, "hj": run_hj}[namespace.command]
+                header, rows = runner(opts)
+                text = render_table(header, rows, opts["format"])
     except ConfigError as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2

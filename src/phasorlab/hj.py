@@ -40,9 +40,10 @@ class TurningPointError(RuntimeError):
 class PrincipalFunctionGrid:
     """Sampled characteristic function W with S = W - E t.
 
-    The grid must be uniform (within 1e-12 relative spacing); the time
-    dependence is carried analytically, so S(q, t2) - S(q, t1) is exactly
-    -E (t2 - t1) by construction.
+    The grid must be uniform up to float64 round-off of its coordinates
+    (spacing spread at most 4 eps max|q|); the time dependence is carried
+    analytically, so S(q, t2) - S(q, t1) is exactly -E (t2 - t1) by
+    construction.
     """
 
     q: np.ndarray
@@ -58,8 +59,9 @@ class PrincipalFunctionGrid:
         d = np.diff(q)
         if np.any(d <= 0):
             raise ValueError("grid must be strictly increasing")
-        if np.max(d) - np.min(d) > 1e-12 * np.max(d):
-            raise ValueError("grid spacing must be uniform within 1e-12")
+        # linspace round-off spreads the spacing by up to ~2.3 eps max|q| at any size
+        if np.max(d) - np.min(d) > 4.0 * np.finfo(float).eps * max(abs(q[0]), abs(q[-1])):
+            raise ValueError("grid spacing must be uniform")
         if w.shape != q.shape:
             raise ValueError("W values must match the grid")
         object.__setattr__(self, "q", q)
@@ -100,40 +102,13 @@ def free_particle_S(p: float, m: float, q: np.ndarray,
                     t: float = 0.0) -> PrincipalFunctionGrid:
     """W = p q with E = p^2 / 2m; wavefronts move at u = E/p.
 
-    The constant-S front speed is re-derived numerically from the sampled
-    arrays as a consistency check (half the particle velocity p/m).
+    S = p q - E t is constant along q = (S + E t) / p, so the front speed is
+    E/p = p/2m exactly: half the particle velocity p/m.
     """
     if m <= 0.0:
         raise ValueError("mass must be positive")
     q = np.asarray(q, dtype=float)
-    energy = p * p / (2.0 * m)
-    grid = PrincipalFunctionGrid(q, p * q, energy, t)
-    if p != 0.0:
-        _verify_front_speed(grid, p)
-    return grid
-
-
-def _verify_front_speed(grid: PrincipalFunctionGrid, p: float):
-    """Track one constant-S front across a small time step numerically."""
-    dt = grid.spacing / (8.0 * max(abs(grid.energy / p), 1e-30))
-    s0 = float(grid.s_values[grid.q.size // 2])
-    q_now = _front_position(grid, s0)
-    q_next = _front_position(grid.at_time(grid.time + dt), s0)
-    if q_next is None or q_now is None:
-        return  # front left the grid; nothing to check against
-    speed = (q_next - q_now) / dt
-    expected = grid.energy / p
-    if abs(speed - expected) > 1e-9 * max(1.0, abs(expected)):
-        raise RuntimeError("constant-S front speed disagrees with E/p")
-
-
-def _front_position(grid: PrincipalFunctionGrid, s0: float) -> float | None:
-    s = grid.s_values
-    order = np.argsort(s)
-    s_sorted, q_sorted = s[order], grid.q[order]
-    if not (s_sorted[0] <= s0 <= s_sorted[-1]):
-        return None
-    return float(np.interp(s0, s_sorted, q_sorted))
+    return PrincipalFunctionGrid(q, p * q, p * p / (2.0 * m), t)
 
 
 def linear_potential_S(alpha: float, energy: float, m: float, q: np.ndarray,

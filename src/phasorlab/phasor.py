@@ -11,25 +11,11 @@ which is the orthogonality rule every engine above this module relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-class ConvergenceError(RuntimeError):
-    """Adaptive quadrature ran out of refinement levels.
-
-    Carries the last two level values so the caller can judge how far
-    from convergence the refinement stalled.
-    """
-
-    def __init__(self, message: str, last: float, previous: float):
-        super().__init__(message)
-        self.last = last
-        self.previous = previous
 
 
 @dataclass(frozen=True)
@@ -194,78 +180,3 @@ def cesaro_inner_product(f: SampledField, g: SampledField, window: float,
         actual = zs[-1] - z0
         partials.append(np.trapezoid(integrand[:stop], zs) / actual)
     return complex(np.mean(partials))
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Converged integral value with its refinement history."""
-
-    value: float
-    level: int
-    samples_per_level: tuple[int, ...] = field(default=())
-
-    @property
-    def evaluations(self) -> int:
-        return sum(self.samples_per_level)
-
-
-def _simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-             intervals: int) -> float:
-    x = np.linspace(a, b, intervals + 1)
-    y = np.asarray(f(x), dtype=float)
-    h = (b - a) / intervals
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-
-
-def refinable_quadrature(f: Callable[[np.ndarray], np.ndarray],
-                         domain: tuple[float, float], tol: float,
-                         max_depth: int = 22) -> QuadratureResult:
-    """Integrate on a finite domain by level-doubling Simpson refinement.
-
-    Level L uses 2**(L+1) intervals; refinement stops at the first level
-    whose value moves by less than ``tol`` from the previous one, which is
-    the finite-stage reading of the limit: only finitely many points are
-    ever consulted, and one more refinement no longer changes the answer.
-
-    Dyadic grids alone cannot tell an oscillation that straddles them
-    from a constant, so each level is cross-checked against Simpson on an
-    incommensurate 3 * 2**L-interval grid and agreement is only trusted
-    when both grids concur; the work counter includes the check grid.
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand, called with an ndarray of abscissae.
-    domain : (float, float)
-        Integration limits (a, b).
-    tol : float
-        Refinement stopping tolerance; must be positive.
-    max_depth : int
-        Last level tried before giving up.
-
-    Raises
-    ------
-    ConvergenceError
-        If the last two levels still differ by ``tol`` or more; carries
-        both values.
-    """
-    a, b = domain
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    if not (b > a):
-        raise ValueError("domain must have positive length")
-
-    samples = [2 ** 1 + 1]
-    history = [_simpson(f, a, b, 2)]
-    for level in range(1, max_depth + 1):
-        intervals = 2 ** (level + 1)
-        samples.append(intervals + 1 + 3 * 2 ** level + 1)
-        history.append(_simpson(f, a, b, intervals))
-        check = _simpson(f, a, b, 3 * 2 ** level)
-        if (abs(history[-1] - history[-2]) < tol
-                and abs(history[-1] - check) < 4.0 * tol):
-            return QuadratureResult(history[-1], level, tuple(samples))
-    raise ConvergenceError(
-        f"no convergence to {tol:g} within {max_depth} refinement levels",
-        last=history[-1], previous=history[-2],
-    )

@@ -102,7 +102,10 @@ def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
     if y.shape != (spec.order,):
         raise ValueError(f"initial data must have length {spec.order}")
 
-    n_steps = max(1, round(t_final / step))
+    count = t_final / step
+    if not math.isfinite(count):
+        raise ValueError(f"t_final / step = {count:g} is not a finite step count")
+    n_steps = max(1, round(count))
     step = t_final / n_steps
 
     m = companion_matrix(spec)

@@ -259,6 +259,18 @@ def test_geometric_chi_square_rejects_wrong_law():
     assert p_value < 1e-6
 
 
+@pytest.mark.parametrize("hist, q", [
+    ([620, 240, 90, 33, 12, 5], math.exp(-1.0)),
+    ([5000, 1800, 700, 250, 90, 30, 11, 6], math.exp(-1.0)),
+    ([400, 300, 200, 100, 50, 25, 10], math.exp(-2.0)),
+    ([90, 10, 6, 5], 0.1),
+])
+def test_geometric_chi_square_p_value_matches_scipy_stats(hist, q):
+    from scipy import stats
+    statistic, p_value, dof = geometric_chi_square(np.array(hist), q)
+    assert p_value == pytest.approx(stats.chi2.sf(statistic, dof), rel=1e-12, abs=0.0)
+
+
 # --- commutator transitivity ----------------------------------------------------------
 
 def test_commutator_scales_agree_at_dim_16():

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,20 @@ def test_hj_linear_system(tmp_path):
     assert all(r < 0 for r in ratios)
 
 
+@pytest.mark.parametrize("argv, n_rows", [
+    (["hj", "--time", "1e7"], 199),
+    (["hj", "--points", "10001"], 9999),
+    (["hj", "--q-min", "1000", "--q-max", "1001"], 199),
+])
+def test_hj_late_time_and_large_grids_exit_0(argv, n_rows, capsys):
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, *rows = captured.out.strip().split("\n")
+    assert len(rows) == n_rows
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
 # --- config handling -------------------------------------------------------------------
 
 def test_config_file_and_flag_override(tmp_path):
@@ -375,6 +393,45 @@ def test_evolve_inf_t_final_exit_2(capsys):
 ])
 def test_non_finite_sweeps_intervals_lists_exit_2(argv, key, capsys):
     assert_rejected_non_finite(argv, key, capsys)
+
+
+def assert_engine_failure(argv, fragment, capsys):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert fragment in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["epr", "--field-scale", "1e200"],
+    ["hj", "--momentum", "1e160"],
+    ["hj", "--system", "linear", "--energy", "1e307"],
+])
+def test_nan_result_exit_1(argv, capsys):
+    assert_engine_failure(argv, "is NaN", capsys)
+
+
+def test_evolve_step_count_overflow_exit_1(capsys):
+    assert_engine_failure(["evolve", "--t-final", "1e300", "--step", "1e-300"],
+                          "finite step count", capsys)
+
+
+def test_cavity_single_kept_sample_prints_inf_stderr(capsys):
+    # an infinite cell is a meaningful result and still prints under exit 0
+    assert cli.run(["cavity", "--hf-over-kt", "1", "--steps", "11", "--burn-in", "10"]) == 0
+    row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert row[3] == "inf"
+
+
+# --- import hygiene -------------------------------------------------------------------
+
+def test_cli_import_does_not_load_scipy_stats():
+    code = "import phasorlab.cli, sys; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # --- emission helpers ---------------------------------------------------------------

@@ -22,13 +22,21 @@ def test_free_particle_at_rest():
     np.testing.assert_array_equal(grid.s_values, np.zeros_like(Q))
 
 
+def front_position(grid, s0):
+    order = np.argsort(grid.s_values)
+    return float(np.interp(s0, grid.s_values[order], grid.q[order]))
+
+
 def test_free_particle_wavefront_speed():
-    # u = E/p = p/2m: half the particle velocity p/m
-    grid = hj.free_particle_S(1.0, 1.0, Q)
-    assert grid.energy == pytest.approx(0.5)
-    assert grid.energy / 1.0 == pytest.approx(0.5 * (1.0 / 1.0))
-    # the numeric front-tracking check runs inside the constructor
-    hj.free_particle_S(-2.0, 1.5, Q)
+    # u = E/p = p/2m, half the particle velocity p/m: track one constant-S front
+    for p, m in [(1.0, 1.0), (-2.0, 1.5)]:
+        grid = hj.free_particle_S(p, m, Q)
+        assert grid.energy == pytest.approx(p * p / (2.0 * m))
+        u = p / (2.0 * m)
+        dt = grid.spacing / (8.0 * abs(u))
+        s0 = grid.s_values[Q.size // 2]
+        speed = (front_position(grid.at_time(dt), s0) - front_position(grid, s0)) / dt
+        assert speed == pytest.approx(u, rel=1e-9)
 
 
 def test_time_shift_is_exactly_minus_E_dt():
@@ -42,7 +50,18 @@ def test_grid_must_be_uniform_and_increasing():
     with pytest.raises(ValueError):
         hj.PrincipalFunctionGrid(np.array([0.0, 1.0, 1.5]), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
+        hj.PrincipalFunctionGrid(np.array([1e9, 1e9 + 1.0, 1e9 + 1.5]), np.zeros(3), 1.0)
+    with pytest.raises(ValueError):
         hj.PrincipalFunctionGrid(np.array([0.0, -1.0, -2.0]), np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, 10 ** 5), (1000.0, 1001.0, 201),
+                                       (-1e9, 1e9 + 7.0, 10 ** 4)])
+def test_linspace_grids_pass_uniformity(lo, hi, n):
+    # the spacing tolerance scales with max|q|, so large and offset grids pass
+    q = np.linspace(lo, hi, n)
+    grid = hj.PrincipalFunctionGrid(q, np.zeros(n), 1.0)
+    assert grid.spacing == q[1] - q[0]
 
 
 def test_linear_potential_requires_positive_gap():

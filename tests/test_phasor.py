@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasorlab.phasor import (
-    ConvergenceError,
     PolarizationPhasor,
     SampledField,
     TravelingMode,
     cesaro_inner_product,
     plane_wave,
     plane_wave_overlap,
-    refinable_quadrature,
 )
 
 finite_complex = st.builds(
@@ -192,49 +190,3 @@ def test_cesaro_vector_fields():
     g = SampledField(z, np.stack([2.0 * carrier, 0.0 * carrier], axis=-1))
     # conj(f) . g = 2 per sample
     assert cesaro_inner_product(f, g, 40.0) == pytest.approx(2.0)
-
-
-# --- refinable_quadrature --------------------------------------------------
-
-def test_quadrature_constant_converges_at_level_one():
-    result = refinable_quadrature(lambda x: np.ones_like(x), (0.0, 1.0), 1e-9)
-    assert result.value == 1.0
-    assert result.level == 1
-
-
-def test_quadrature_sine_matches_antiderivative():
-    # oracle: closed-form antiderivative, -cos(pi) + cos(0) = 2
-    result = refinable_quadrature(np.sin, (0.0, math.pi), 1e-8)
-    assert result.value == pytest.approx(2.0, abs=1e-8)
-
-
-def test_quadrature_whole_periods_vanish():
-    result = refinable_quadrature(lambda x: np.cos(40.0 * x), (0.0, 2 * math.pi), 1e-8)
-    assert result.value == pytest.approx(0.0, abs=1e-8)
-
-
-def test_quadrature_work_is_monotone():
-    result = refinable_quadrature(np.sin, (0.0, math.pi), 1e-10)
-    samples = result.samples_per_level
-    assert len(samples) == result.level + 1
-    assert all(b > a for a, b in zip(samples, samples[1:]))
-
-
-def test_quadrature_convergence_failure_carries_last_values():
-    rng = np.random.default_rng(0)
-
-    def noisy(x):
-        return np.sin(x) + 0.5 * rng.standard_normal(x.shape)
-
-    with pytest.raises(ConvergenceError) as err:
-        refinable_quadrature(noisy, (0.0, math.pi), 1e-12, max_depth=6)
-    assert math.isfinite(err.value.last)
-    assert math.isfinite(err.value.previous)
-    assert err.value.last != err.value.previous
-
-
-def test_quadrature_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        refinable_quadrature(np.sin, (0.0, 1.0), 0.0)
-    with pytest.raises(ValueError):
-        refinable_quadrature(np.sin, (1.0, 1.0), 1e-8)
