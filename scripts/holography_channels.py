@@ -22,15 +22,15 @@ def main():
     indices = [int(j) for j in args.channels.split(",")]
     channels = [holography.FrequencyChannel.harmonic(j, 1.0) for j in indices]
 
+    bits = [holography.forward_bit(args.source, args.detector, c, args.alpha)
+            for c in channels]
+    length = domain[1] - domain[0]
+
     print("n_channels,highest_harmonic,measure,density,granularity")
-    result = None
-    for k in range(1, len(channels) + 1):
-        subset = channels[:k]
-        bits = [holography.forward_bit(args.source, args.detector, c, args.alpha)
-                for c in subset]
-        result = holography.localize(bits, subset, args.alpha, domain)
-        length = domain[1] - domain[0]
-        print(f"{k},{subset[-1].index},{result.measure:.6f},"
+    # one bit per channel: the k-th running intersection uses the first k channels
+    prefixes = holography.localize_prefixes(bits, channels, args.alpha, domain, 1)
+    for k, result in enumerate(prefixes, start=1):
+        print(f"{k},{channels[k - 1].index},{result.measure:.6f},"
               f"{result.measure / length:.6f},{result.granularity:.6f}")
 
     print()

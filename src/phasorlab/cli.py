@@ -305,7 +305,7 @@ def run_holo_json(opts: dict) -> str:
         "source": opts["source"],
         "bits": [{"detector": b.detector_position, "channel": b.channel_index,
                   "parity": b.parity} for b in bits],
-        "intervals": [[lo, hi] for lo, hi in result.intervals],
+        "intervals": result.intervals.tolist(),
         "measure": result.measure,
         "density": result.measure / (domain[1] - domain[0]),
         "granularity": result.granularity,
@@ -376,6 +376,8 @@ ENGINE_ERRORS = (
     hj.GridTooCoarseError,
     hj.TurningPointError,
     ValueError,
+    OverflowError,
+    MemoryError,
 )
 
 

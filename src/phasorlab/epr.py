@@ -187,15 +187,15 @@ def coincidence_probability(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting
                                      **numeric_options)[0, 0])
 
 
-def correlation_E(theta1: float, theta2: float, pair: PhotonPairState,
-                  convention: str = "sum") -> float:
+def correlation_E(theta1, theta2, pair: PhotonPairState, convention: str = "sum"):
     """Coincidence correlation P(same outcome) - P(different outcome).
 
+    Broadcasts like :func:`joint_probabilities`: shape(theta1) + shape(theta2).
     For the plus-parity pair this equals cos(2(theta1 + theta2)) under the
     sum convention and cos(2(theta1 - theta2)) under the difference one.
     """
     p = joint_probabilities(theta1, theta2, pair, convention=convention)
-    return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
+    return p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
 
 
 def detector1_marginal(theta1: float, theta2: float, pair: PhotonPairState,
@@ -206,17 +206,10 @@ def detector1_marginal(theta1: float, theta2: float, pair: PhotonPairState,
 
 
 def chsh_S(a: float, a_prime: float, b: float, b_prime: float,
-           pair: PhotonPairState, correlation=None, convention: str = "sum") -> float:
-    """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b').
-
-    ``correlation`` may replace :func:`correlation_E` (e.g. for degenerate
-    zero-field checks); it is called as correlation(theta1, theta2, pair).
-    """
-    if correlation is None:
-        def correlation(t1, t2, p):
-            return correlation_E(t1, t2, p, convention=convention)
-    return (correlation(a, b, pair) - correlation(a, b_prime, pair)
-            + correlation(a_prime, b, pair) + correlation(a_prime, b_prime, pair))
+           pair: PhotonPairState, convention: str = "sum") -> float:
+    """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b'), from one 2x2 grid."""
+    e = correlation_E([a, a_prime], [b, b_prime], pair, convention)
+    return float(e[0, 0] - e[0, 1] + e[1, 0] + e[1, 1])
 
 
 # Angles maximizing chsh_S for the plus pair under the sum convention,

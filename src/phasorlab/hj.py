@@ -131,8 +131,12 @@ def linear_potential_S(alpha: float, energy: float, m: float, q: np.ndarray,
 
 
 def _central_diffs(grid: PrincipalFunctionGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(dS/dq, d2S/dq2) on the interior points, central stencils only."""
-    s = grid.s_values
+    """(dS/dq, d2S/dq2) on the interior points, central stencils only.
+
+    S = W - E t differs from W by a constant in q, so W is differenced: at
+    large E t the constant would swamp W's digits.
+    """
+    s = grid.w
     h = grid.spacing
     ds = (s[2:] - s[:-2]) / (2.0 * h)
     d2s = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / (h * h)
@@ -193,15 +197,14 @@ class CorrespondenceField:
 def bcp_ratio(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> CorrespondenceField:
     """Bohr-correspondence ratio (lambda/p)(dp/dq) with lambda = 2 pi hbar / p.
 
-    p = dS/dq by central differences; a vanishing interior momentum is a
-    hard turning-point error naming the grid location.  Points where
-    |ratio| < 0.01 * 2 pi are flagged as classical.
+    p = dS/dq by central differences; an interior |p| at most 1e-12 of the
+    grid's largest is a hard turning-point error naming the grid location.
+    Points where |ratio| < 0.01 * 2 pi are flagged as classical.
     """
     if grid.q.size < 5:
         raise GridTooSmallError("need at least 5 grid points")
     p, dpdq = _central_diffs(grid)
-    scale = float(np.max(np.abs(p))) if p.size else 0.0
-    dead = np.abs(p) <= 1e-12 * max(scale, 1.0)
+    dead = np.abs(p) <= 1e-12 * np.max(np.abs(p))
     if np.any(dead):
         i = int(np.argmax(dead))
         raise TurningPointError(

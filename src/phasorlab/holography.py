@@ -18,10 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
 
 from .phasor import TWO_PI
 
 EDGE_TOL_FACTOR = 1e-9
+# one bit's alias set may hold at most this many intervals (~1 s and 0.7 GB at the limit)
+MAX_ALIAS_INTERVALS = 10 ** 7
 
 
 class EmptyDomainError(ValueError):
@@ -74,42 +77,39 @@ class DetectionBit:
             raise ValueError("parity must be 0 (even) or 1 (odd)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AliasSet:
-    """Disjoint sorted half-open intervals of candidate source positions."""
+    """Disjoint ascending half-open intervals, one (lo, hi) row each."""
 
-    intervals: tuple[tuple[float, float], ...]
+    intervals: np.ndarray
     domain: tuple[float, float]
-    edge_tol: float = 0.0
-    granularity: float | None = None
+    edge_tol: float
+    granularity: float
 
     @property
     def measure(self) -> float:
-        return math.fsum(hi - lo for lo, hi in self.intervals)
+        return math.fsum(self.intervals[:, 1] - self.intervals[:, 0])
 
     def contains(self, z: float) -> bool:
-        return any(lo - self.edge_tol <= z <= hi + self.edge_tol
-                   for lo, hi in self.intervals)
+        lo, hi = self.intervals.T
+        return bool(np.any((lo - self.edge_tol <= z) & (z <= hi + self.edge_tol)))
 
     def intersect(self, other: "AliasSet") -> "AliasSet":
         if self.domain != other.domain:
             raise ValueError("alias sets cover different domains")
         tol = max(self.edge_tol, other.edge_tol)
-        out = []
-        i = j = 0
         a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if hi - lo > tol:
-                out.append((lo, hi))
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        grains = [g for g in (self.granularity, other.granularity) if g is not None]
-        return AliasSet(tuple(out), self.domain, tol,
-                        min(grains) if grains else None)
+        # both sets ascend, so row i of a overlaps the counts[i] rows of b from first[i]
+        first = np.searchsorted(b[:, 1], a[:, 0], side="right")
+        counts = np.maximum(np.searchsorted(b[:, 0], a[:, 1]) - first, 0)
+        i = np.repeat(np.arange(len(a)), counts)
+        j = np.arange(counts.sum()) + np.repeat(first + counts - np.cumsum(counts), counts)
+        x, y = a[i], b[j]
+        # where() fixes which of two equal zeros of opposite sign is kept; maximum() does not
+        lo = np.where(y[:, 0] > x[:, 0], y[:, 0], x[:, 0])
+        hi = np.where(y[:, 1] < x[:, 1], y[:, 1], x[:, 1])
+        return AliasSet(np.column_stack([lo, hi])[hi - lo > tol], self.domain, tol,
+                        min(self.granularity, other.granularity))
 
 
 def forward_bit(z_source: float, z_detector: float, channel: FrequencyChannel,
@@ -140,19 +140,21 @@ def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
     z_d = bit.detector_position
 
     # source z = z_d + (alpha - u)/k with u in [m*pi, (m+1)*pi), m parity-matched
-    m_lo = math.floor((alpha - k * (hi_d - z_d)) / math.pi) - 2
-    m_hi = math.ceil((alpha - k * (lo_d - z_d)) / math.pi) + 2
-    out = []
-    for m in range(m_lo, m_hi + 1):
-        if m % 2 != bit.parity:
-            continue
-        lo = z_d + (alpha - (m + 1) * math.pi) / k
-        hi = z_d + (alpha - m * math.pi) / k
-        lo, hi = max(lo, lo_d), min(hi, hi_d)
-        if hi - lo > tol:
-            out.append((lo, hi))
-    out.sort()
-    return AliasSet(tuple(out), domain, tol, lam / 2.0)
+    u_lo = (alpha - k * (hi_d - z_d)) / math.pi
+    u_hi = (alpha - k * (lo_d - z_d)) / math.pi
+    count = (u_hi - u_lo) / 2.0
+    if not count <= MAX_ALIAS_INTERVALS:
+        raise ValueError(f"channel {channel.index} has about {count:.3g} alias intervals"
+                         f" in the domain, above the limit of {MAX_ALIAS_INTERVALS:.0e}")
+    m_lo = math.floor(u_lo) - 2
+    m_hi = math.ceil(u_hi) + 2
+    # descending m gives ascending intervals
+    m = np.arange(m_hi - (m_hi - bit.parity) % 2, m_lo - 1, -2, dtype=float)
+    lo = z_d + (alpha - (m + 1) * math.pi) / k
+    hi = z_d + (alpha - m * math.pi) / k
+    lo = np.where(lo_d > lo, lo_d, lo)
+    hi = np.where(hi_d < hi, hi_d, hi)
+    return AliasSet(np.column_stack([lo, hi])[hi - lo > tol], domain, tol, lam / 2.0)
 
 
 def localize_prefixes(bits: Sequence[DetectionBit], channels: Iterable[FrequencyChannel],
@@ -175,7 +177,7 @@ def localize_prefixes(bits: Sequence[DetectionBit], channels: Iterable[Frequency
         cell = alias_intervals(bit, channel, alpha, domain)
         result = cell if result is None else result.intersect(cell)
         if count % group == 0:
-            if not result.intervals:
+            if not len(result.intervals):
                 raise InconsistentBitsError("inconsistent bits: no common source position")
             yield result
 

@@ -1,6 +1,6 @@
 """General linear evolution, characteristic roots, and unitary propagation.
 
-An order-n linear evolution sum(a_k d^k/dt^k) psi = f(t) is represented by
+An order-n linear evolution sum(a_k d^k/dt^k) psi = 0 is represented by
 its coefficient sequence; its characteristic polynomial sum(a_k s^k) has
 exactly n complex roots (eigenvalues of the companion matrix), which is
 why the complex plane suffices to represent every evolution pattern.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,10 +30,9 @@ class StabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionSpec:
-    """Coefficients a_0..a_n (ascending) plus an optional forcing term."""
+    """Coefficients a_0..a_n (ascending) of the unforced evolution."""
 
     coefficients: tuple[complex, ...]
-    forcing: Callable[[float], complex] | None = None
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coefficients)
@@ -109,7 +107,7 @@ def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
     step = t_final / n_steps
 
     m = companion_matrix(spec)
-    rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if spec.order else 0.0
+    rho = float(np.max(np.abs(np.linalg.eigvals(m))))
     if rho * step > RK4_STABILITY_LIMIT:
         raise StabilityError(
             f"step {step:g} exceeds stability bound {RK4_STABILITY_LIMIT:g}/rho"
@@ -118,33 +116,17 @@ def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
     times = np.arange(n_steps + 1) * step
     states = np.empty((n_steps + 1, spec.order), dtype=complex)
     states[0] = y
-    if spec.forcing is None:
-        # RK4 on y' = My is y_{i+1} = P y_i, P = sum_{k<=4} (hM)^k / k! (the stability
-        # polynomial); a block of ~sqrt(N) steps is one batched product with P^1..P^B
-        eye, hm = np.eye(spec.order), step * m
-        p = eye + hm @ (eye + hm / 2 @ (eye + hm / 3 @ (eye + hm / 4)))
-        powers = [p]
-        for _ in range(math.isqrt(n_steps) - 1):
-            powers.append(p @ powers[-1])
-        powers = np.array(powers)
-        for start in range(0, n_steps, len(powers)):
-            stop = min(start + len(powers), n_steps)
-            np.matmul(powers[:stop - start], states[start], out=states[start + 1:stop + 1])
-        return Trajectory(times, states)
-
-    def rhs(t, state):
-        out = m @ state
-        out[-1] += spec.forcing(t) / spec.coefficients[-1]
-        return out
-
-    for i in range(n_steps):
-        t = times[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t + step / 2, y + step / 2 * k1)
-        k3 = rhs(t + step / 2, y + step / 2 * k2)
-        k4 = rhs(t + step, y + step * k3)
-        y = y + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[i + 1] = y
+    # RK4 on y' = My is y_{i+1} = P y_i, P = sum_{k<=4} (hM)^k / k! (the stability
+    # polynomial); a block of ~sqrt(N) steps is one batched product with P^1..P^B
+    eye, hm = np.eye(spec.order), step * m
+    p = eye + hm @ (eye + hm / 2 @ (eye + hm / 3 @ (eye + hm / 4)))
+    powers = [p]
+    for _ in range(math.isqrt(n_steps) - 1):
+        powers.append(p @ powers[-1])
+    powers = np.array(powers)
+    for start in range(0, n_steps, len(powers)):
+        stop = min(start + len(powers), n_steps)
+        np.matmul(powers[:stop - start], states[start], out=states[start + 1:stop + 1])
     return Trajectory(times, states)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -194,8 +195,11 @@ def test_holo_running_intersection_fails_at_same_prefix():
                                                       opts["domain"], 1):
             kept.append(alias_set)
     assert len(kept) == 2
-    assert kept == [holography.localize(bits[:k], channels[:k], 0.0, opts["domain"])
-                    for k in (1, 2)]
+    for k, alias_set in enumerate(kept, start=1):
+        reference = holography.localize(bits[:k], channels[:k], 0.0, opts["domain"])
+        assert np.array_equal(alias_set.intervals, reference.intervals)
+        assert alias_set.measure == reference.measure
+        assert alias_set.granularity == reference.granularity
     with pytest.raises(holography.InconsistentBitsError):
         holography.localize(bits[:3], channels[:3], 0.0, opts["domain"])
     with pytest.raises(holography.InconsistentBitsError):
@@ -264,6 +268,9 @@ def test_hj_linear_system(tmp_path):
     (["hj", "--time", "1e7"], 199),
     (["hj", "--points", "10001"], 9999),
     (["hj", "--q-min", "1000", "--q-max", "1001"], 199),
+    (["hj", "--momentum", "1e150", "--time", "1"], 199),
+    (["hj", "--momentum", "1e-12"], 199),
+    (["hj", "--momentum", "1e-100"], 199),
 ])
 def test_hj_late_time_and_large_grids_exit_0(argv, n_rows, capsys):
     assert cli.run(argv) == 0
@@ -272,6 +279,19 @@ def test_hj_late_time_and_large_grids_exit_0(argv, n_rows, capsys):
     header, *rows = captured.out.strip().split("\n")
     assert len(rows) == n_rows
     assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
+@pytest.mark.parametrize("extra", [[], ["--system", "linear"]])
+def test_hj_time_leaves_residual_and_ratio_unchanged(extra, capsys):
+    # S = W - E t shifts by a constant in q: no output column depends on t
+    assert cli.run(["hj", *extra]) == 0
+    at_zero = capsys.readouterr().out
+    assert cli.run(["hj", *extra, "--time", "1e7"]) == 0
+    assert capsys.readouterr().out == at_zero
+
+
+def test_hj_zero_momentum_is_a_turning_point(capsys):
+    assert_engine_failure(["hj", "--momentum", "0"], "momentum vanishes", capsys)
 
 
 # --- config handling -------------------------------------------------------------------
@@ -416,6 +436,25 @@ def test_nan_result_exit_1(argv, capsys):
 def test_evolve_step_count_overflow_exit_1(capsys):
     assert_engine_failure(["evolve", "--t-final", "1e300", "--step", "1e-300"],
                           "finite step count", capsys)
+
+
+def test_evolve_unallocatable_grid_exit_1(capsys):
+    # 1e15 steps need a 7 PiB time grid, beyond the address space: fails at once
+    assert_engine_failure(["evolve", "--t-final", "1e15", "--step", "1"],
+                          "allocate", capsys)
+
+
+def test_holo_alias_budget_exit_1(capsys):
+    # about 1e13 alias intervals per bit: refused before any is enumerated
+    start = time.monotonic()
+    assert_engine_failure(["holo", "--base-wavelength", "1e-12", "--domain", "0:10"],
+                          "alias intervals", capsys)
+    assert time.monotonic() - start < 5.0
+
+
+def test_holo_overflowing_phase_exit_1(capsys):
+    assert_engine_failure(["holo", "--domain=-1e308:1e308", "--detectors", "1e308"],
+                          "infinity", capsys)
 
 
 def test_cavity_single_kept_sample_prints_inf_stderr(capsys):

@@ -172,9 +172,16 @@ def test_chsh_all_angles_zero():
     assert epr.chsh_S(0.0, 0.0, 0.0, 0.0, PLUS) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_chsh_zero_correlation_field():
-    s = epr.chsh_S(0.1, 0.2, 0.3, 0.4, PLUS, correlation=lambda *_: 0.0)
-    assert s == 0.0
+def test_correlation_grid_and_chsh_match_scalar_calls():
+    a, a_prime, b, b_prime = 0.1, 0.7, -0.3, 1.9
+    for pair, convention in [(PLUS, "sum"), (epr.PhotonPairState("minus"), "difference")]:
+        grid = epr.correlation_E([a, a_prime], [b, b_prime], pair, convention)
+        scalar = [[epr.correlation_E(t1, t2, pair, convention) for t2 in (b, b_prime)]
+                  for t1 in (a, a_prime)]
+        np.testing.assert_allclose(grid, scalar, rtol=0, atol=1e-15)
+        s = epr.chsh_S(a, a_prime, b, b_prime, pair, convention)
+        assert s == pytest.approx(scalar[0][0] - scalar[0][1] + scalar[1][0]
+                                  + scalar[1][1], abs=1e-14)
 
 
 def test_circular_ket_phasors():

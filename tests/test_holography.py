@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -25,6 +26,55 @@ def bruteforce_mask(bits, channels, alpha, domain, resolution):
         parity = np.floor((k * (bit.detector_position - z) + alpha) / math.pi)
         ok &= (parity.astype(np.int64) % 2) == bit.parity
     return z, ok
+
+
+def tuple_alias_intervals(bit, channel, alpha, domain):
+    """Oracle: the per-m loop over parity-matched intervals, as (lo, hi) tuples."""
+    lo_d, hi_d = domain
+    k = channel.wavenumber
+    tol = holo.EDGE_TOL_FACTOR * channel.wavelength
+    z_d = bit.detector_position
+    m_lo = math.floor((alpha - k * (hi_d - z_d)) / math.pi) - 2
+    m_hi = math.ceil((alpha - k * (lo_d - z_d)) / math.pi) + 2
+    out = []
+    for m in range(m_lo, m_hi + 1):
+        if m % 2 != bit.parity:
+            continue
+        lo = z_d + (alpha - (m + 1) * math.pi) / k
+        hi = z_d + (alpha - m * math.pi) / k
+        lo, hi = max(lo, lo_d), min(hi, hi_d)
+        if hi - lo > tol:
+            out.append((lo, hi))
+    out.sort()
+    return out, tol
+
+
+def tuple_intersect(a, b, tol):
+    """Oracle: two-pointer merge of sorted disjoint (lo, hi) lists."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if hi - lo > tol:
+            out.append((lo, hi))
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def tuple_prefixes(bits, channels, alpha, domain):
+    """Oracle running intersection after every bit; None once it is empty."""
+    by_index = {c.index: c for c in channels}
+    result, tol = None, 0.0
+    for bit in bits:
+        cell, cell_tol = tuple_alias_intervals(bit, by_index[bit.channel_index],
+                                               alpha, domain)
+        tol = max(tol, cell_tol)
+        result = cell if result is None else tuple_intersect(result, cell, tol)
+        yield result or None
 
 
 # --- channels and bits -------------------------------------------------------
@@ -97,6 +147,47 @@ def test_component_lengths_are_half_wavelength():
     for length in lengths[1:-1]:
         assert length == pytest.approx(CH2.wavelength / 2, abs=1e-12)
     assert all(length <= CH2.wavelength / 2 + 1e-12 for length in lengths)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prefixes_match_tuple_oracle(seed):
+    # exact agreement, signed zeros included, on random channels, detectors and domains
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        base = rng.choice([1.0, 0.37, rng.uniform(0.05, 5.0)])
+        channels = [holo.FrequencyChannel.harmonic(int(j), base)
+                    for j in rng.integers(1, 14, rng.integers(1, 6))]
+        detectors = rng.choice([0.0, -0.0, rng.uniform(-20, 20), 1.5], rng.integers(1, 4))
+        alpha = rng.choice([0.0, -0.0, math.pi, rng.uniform(0, 2 * math.pi)])
+        lo = rng.choice([0.0, -0.0, rng.uniform(-50, 50)])
+        domain = (lo, lo + rng.choice([10.0, rng.uniform(0.01, 100)]))
+        sources = rng.uniform(domain[0], domain[1], len(channels))
+        bits = [holo.forward_bit(z_s, d, c, alpha)
+                for c, z_s in zip(channels, sources) for d in detectors]
+        expected = list(tuple_prefixes(bits, channels, alpha, domain))
+        got = []
+        with pytest.raises(holo.InconsistentBitsError) if None in expected else nullcontext():
+            for alias_set in holo.localize_prefixes(bits, channels, alpha, domain, 1):
+                got.append(alias_set)
+        assert len(got) == (expected + [None]).index(None)
+        for alias_set, want in zip(got, expected):
+            want = np.array(want, dtype=float)
+            assert alias_set.intervals.shape == want.shape
+            assert alias_set.intervals.tobytes() == want.tobytes()
+            assert alias_set.measure == math.fsum(hi - lo for lo, hi in want)
+            assert type(alias_set.measure) is float
+            assert type(alias_set.contains(float(sources[0]))) is bool
+
+
+def test_alias_budget_refuses_before_enumerating():
+    bit = holo.DetectionBit(0.0, 1, 0)
+    fine = holo.FrequencyChannel.harmonic(1, 1e-12)
+    with pytest.raises(ValueError, match="alias intervals"):
+        holo.alias_intervals(bit, fine, 0.0, (0.0, holo.MAX_ALIAS_INTERVALS * 1.01e-12))
+    # an overflowing phase span is refused too, not passed to floor()
+    with pytest.raises(ValueError, match="alias intervals"):
+        holo.alias_intervals(bit, holo.FrequencyChannel.harmonic(1, 1e-300), 0.0,
+                             (0.0, 1e300))
 
 
 def test_empty_domain_rejected():

@@ -82,13 +82,6 @@ def test_evolve_zero_everything_stays_zero():
     assert np.max(np.abs(traj.states)) == 0.0
 
 
-def test_evolve_forcing_term():
-    # psi' + psi = 1 from rest: psi(t) = 1 - e^{-t}
-    spec = ss.EvolutionSpec((1.0, 1.0), forcing=lambda t: 1.0)
-    traj = ss.evolve_linear(spec, [0.0], 2.0, 1e-3)
-    assert abs(traj.values[-1] - (1.0 - math.exp(-2.0))) < 1e-8
-
-
 def test_evolve_stability_guard():
     with pytest.raises(ss.StabilityError):
         ss.evolve_linear(ss.EvolutionSpec((100.0 ** 2, 0.0, 1.0)), [1.0, 0.0],
