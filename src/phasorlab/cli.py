@@ -208,36 +208,30 @@ def resolve_options(command: str, namespace: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # emission
 
-def format_real(x: float) -> str:
-    return "%.17g" % x
+# the only columns that may print inf: cavity stderr from a single kept
+# sample, and the relative error against an underflowed closed form
+MAY_BE_INFINITE = frozenset({"mc_stderr", "rel_error"})
 
 
-def _cell(key: str, v) -> int | float:
-    """Bools and integers as int, the rest as float; a NaN cell fails the run."""
-    if isinstance(v, (bool, int, np.integer)):
-        return int(v)
-    x = float(v)
-    if x != x:
-        raise ValueError(f"result column '{key}' is NaN")
-    return x
-
-
-def _format_cell(key: str, v) -> str:
-    v = _cell(key, v)
-    return str(v) if isinstance(v, int) else format_real(v)
-
-
-def render_table(header: list[str], rows: list[list], fmt: str) -> str:
+def render_table(header: list[str], columns: list[np.ndarray], fmt: str) -> str:
     """CSV (17-significant-digit reals, '\\n' newlines) or mirrored JSON.
 
-    Infinities are printed; a NaN cell raises ValueError (exit 1).
+    ``columns`` holds one 1-D array per header key; the kind and the finite
+    check are decided once per column.  Float columns print as reals, bool
+    and integer columns as integers.  A NaN, or an infinity outside
+    ``MAY_BE_INFINITE``, raises ValueError (exit 1).
     """
+    for key, col in zip(header, columns):
+        if col.dtype.kind == "f" and not np.isfinite(col).all():
+            if np.isnan(col).any():
+                raise ValueError(f"result column '{key}' is NaN")
+            if key not in MAY_BE_INFINITE:
+                raise ValueError(f"result column '{key}' is not finite")
+    rows = zip(*[(c.astype(np.uint8) if c.dtype.kind == "b" else c).tolist() for c in columns])
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_format_cell(k, v) for k, v in zip(header, row)) for row in rows]
-        return "\n".join(lines) + "\n"
-    payload = [{k: _cell(k, v) for k, v in zip(header, row)} for row in rows]
-    return json.dumps(payload, indent=1) + "\n"
+        row = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
+        return ",".join(header) + "\n" + "".join(row % r for r in rows)
+    return json.dumps([dict(zip(header, r)) for r in rows], indent=1) + "\n"
 
 
 def write_output(text: str, path: str | None) -> int:
@@ -254,19 +248,20 @@ def write_output(text: str, path: str | None) -> int:
 # ---------------------------------------------------------------------------
 # engine glue
 
-def run_epr(opts: dict) -> tuple[list[str], list[list]]:
+def run_epr(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     pair = epr.PhotonPairState(opts["parity"], opts["field-scale"])
     header = ["theta1_deg", "theta2_deg", "E", "P_xx", "P_xy", "P_yx", "P_yy"]
     t1_deg, t2_deg = np.meshgrid(opts["theta1"], opts["theta2"], indexing="ij")
     p = epr.joint_probabilities(np.radians(opts["theta1"]), np.radians(opts["theta2"]),
                                 pair, mode=opts["mode"], convention=opts["convention"])
     corr = p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
-    table = np.stack([t1_deg, t2_deg, corr, p[..., 0, 0], p[..., 0, 1],
-                      p[..., 1, 0], p[..., 1, 1]], axis=-1)
-    return header, table.reshape(-1, len(header)).tolist()
+    grids = [t1_deg, t2_deg, corr, p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]]
+    return header, [g.ravel() for g in grids]
 
 
 def _holo_setup(opts: dict):
+    if opts["base-wavelength"] <= 0.0:
+        raise ConfigError("key 'base-wavelength' must be positive")
     channels = [holography.FrequencyChannel.harmonic(j, opts["base-wavelength"])
                 for j in opts["channels"]]
     sources = opts["sources"]
@@ -280,17 +275,15 @@ def _holo_setup(opts: dict):
     return channels, bits
 
 
-def run_holo_csv(opts: dict) -> tuple[list[str], list[list]]:
+def run_holo_csv(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     channels, bits = _holo_setup(opts)
     length = opts["domain"][1] - opts["domain"][0]
-    header = ["n_channels", "alias_measure", "density"]
-    if not channels:
-        return header, []
     # one row per channel prefix; bits are ordered channel by channel
     prefixes = holography.localize_prefixes(bits, channels, opts["alpha"], opts["domain"],
-                                            len(opts["detectors"]))
-    return header, [[k, s.measure, s.measure / length]
-                    for k, s in enumerate(prefixes, start=1)]
+                                            len(opts["detectors"])) if channels else ()
+    measure = np.fromiter((s.measure for s in prefixes), float)
+    return (["n_channels", "alias_measure", "density"],
+            [np.arange(1, measure.size + 1), measure, measure / length])
 
 
 def run_holo_json(opts: dict) -> str:
@@ -314,7 +307,7 @@ def run_holo_json(opts: dict) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
-def run_cavity(opts: dict) -> tuple[list[str], list[list]]:
+def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     ratios, freqs = opts["hf-over-kt"], opts["frequencies"]
     if (ratios is None) == (freqs is None):
         raise ConfigError("provide exactly one of keys 'hf-over-kt' and 'frequencies'")
@@ -328,25 +321,29 @@ def run_cavity(opts: dict) -> tuple[list[str], list[list]]:
                                      opts["seed"])
     header = ["f", "T", "mc_mean_energy", "mc_stderr", "closed_form",
               "rel_error", "acceptance_rate", "steps", "seed"]
-    return header, [[r.frequency, bath.temperature, r.mc_mean_energy, r.mc_stderr,
-                     r.closed_form, r.relative_error, r.acceptance_rate,
-                     r.steps, opts["seed"]] for r in rows_out]
+    n = len(rows_out)
+    f, mean, stderr, closed, rel, acc, _, _ = np.array(
+        rows_out, dtype=float).reshape(n, len(cavity.SweepRow._fields)).T
+    return header, [f, np.full(n, bath.temperature), mean, stderr, closed, rel, acc,
+                    np.full(n, opts["steps"]), np.full(n, opts["seed"], dtype=np.uint64)]
 
 
-def run_evolve(opts: dict) -> tuple[list[str], list[list]]:
+def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     spec = statespace.EvolutionSpec(tuple(opts["coefficients"]))
     initial = np.asarray(opts["initial"], dtype=complex)
     traj = statespace.evolve_linear(spec, initial, opts["t-final"], opts["step"])
     every = max(1, opts["every"])
     states = traj.states[::every]
+    re, im = states.real, states.imag
     header = ["t"] + [f"{part}_{k}" for k in range(spec.order) for part in ("re", "im")]
-    columns = [traj.times[::every]] + [f(states[:, k]) for k in range(spec.order)
-                                       for f in (np.real, np.imag)]
-    columns.append([np.linalg.norm(state) for state in states])
-    return header + ["norm"], np.column_stack(columns).tolist()
+    columns = [traj.times[::every]] + [part[:, k] for k in range(spec.order)
+                                       for part in (re, im)]
+    # the sums np.linalg.norm takes of one complex state, for every row at once
+    columns.append(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)))
+    return header + ["norm"], columns
 
 
-def run_hj(opts: dict) -> tuple[list[str], list[list]]:
+def run_hj(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     q = np.linspace(opts["q-min"], opts["q-max"], opts["points"])
     m, hbar = opts["mass"], opts["hbar"]
     if opts["system"] == "free":
@@ -359,10 +356,7 @@ def run_hj(opts: dict) -> tuple[list[str], list[list]]:
     res = hj.hjs_residual(grid, system)
     bcp = hj.bcp_ratio(grid, system)
     header = ["q", "lhs_re", "rhs_re", "rhs_im", "bcp_ratio", "regime_flag"]
-    rows = [[float(res.q[i]), float(res.lhs[i]), float(res.rhs[i].real),
-             float(res.rhs[i].imag), float(bcp.ratio[i]), bool(bcp.classical[i])]
-            for i in range(res.q.size)]
-    return header, rows
+    return header, [res.q, res.lhs, res.rhs.real, res.rhs.imag, bcp.ratio, bcp.classical]
 
 
 ENGINE_ERRORS = (
@@ -402,8 +396,8 @@ def run(argv=None) -> int:
             else:
                 runner = {"epr": run_epr, "holo": run_holo_csv, "cavity": run_cavity,
                           "evolve": run_evolve, "hj": run_hj}[namespace.command]
-                header, rows = runner(opts)
-                text = render_table(header, rows, opts["format"])
+                header, columns = runner(opts)
+                text = render_table(header, columns, opts["format"])
     except ConfigError as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2

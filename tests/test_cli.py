@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasorlab import cli, holography
 from phasorlab.seeding import derive_rng, philox_key
@@ -160,7 +162,7 @@ def holo_opts(*argv):
     return cli.resolve_options("holo", cli.build_parser().parse_args(["holo", *argv]))
 
 
-def per_prefix_rows(opts):
+def per_prefix_columns(opts):
     """Reference: localize every channel prefix from scratch."""
     channels, bits = cli._holo_setup(opts)
     per_channel = len(opts["detectors"])
@@ -170,7 +172,7 @@ def per_prefix_rows(opts):
         result = holography.localize(bits[:k * per_channel], channels[:k],
                                      opts["alpha"], opts["domain"])
         rows.append([k, result.measure, result.measure / length])
-    return rows
+    return [np.array(column) for column in zip(*rows)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -182,7 +184,11 @@ def per_prefix_rows(opts):
 ])
 def test_holo_running_intersection_matches_per_prefix_localize(argv):
     opts = holo_opts(*argv)
-    assert cli.run_holo_csv(opts)[1] == per_prefix_rows(opts)
+    header, columns = cli.run_holo_csv(opts)
+    reference = per_prefix_columns(opts)
+    assert len(columns) == len(reference) == len(header)
+    for column, expected in zip(columns, reference):
+        assert np.array_equal(column, expected)
 
 
 def test_holo_running_intersection_fails_at_same_prefix():
@@ -457,6 +463,26 @@ def test_holo_overflowing_phase_exit_1(capsys):
                           "infinity", capsys)
 
 
+def test_evolve_overflowing_norm_exit_1(capsys):
+    assert_engine_failure(["evolve", "--initial", "1,1e308", "--step", "0.5",
+                           "--t-final", "1"], "'norm' is not finite", capsys)
+
+
+def test_hj_overflowing_bcp_ratio_exit_1(capsys):
+    assert_engine_failure(["hj", "--system", "linear", "--hbar", "1e308", "--points", "5"],
+                          "'bcp_ratio' is not finite", capsys)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_holo_non_positive_base_wavelength_exit_2(value, capsys):
+    code = cli.run(["holo", f"--base-wavelength={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "'base-wavelength' must be positive" in captured.err
+
+
 def test_cavity_single_kept_sample_prints_inf_stderr(capsys):
     # an infinite cell is a meaningful result and still prints under exit 0
     assert cli.run(["cavity", "--hf-over-kt", "1", "--steps", "11", "--burn-in", "10"]) == 0
@@ -481,8 +507,75 @@ def test_empty_table_renders_header_only():
 
 
 def test_real_formatting_round_trips():
-    for x in (1.0, math.pi, 1e-17, -0.0, 2.0 / 3.0):
-        assert float(cli.format_real(x)) == x
+    values = [1.0, math.pi, 1e-17, -0.0, 2.0 / 3.0]
+    cells = cli.render_table(["x"], [np.array(values)], "csv").splitlines()[1:]
+    assert len(cells) == len(values)
+    for cell, x in zip(cells, values):
+        assert float(cell) == x
+
+
+def reference_cell(key, v):
+    """The per-cell renderer that the columnar one replaced, kept as its oracle."""
+    if isinstance(v, (bool, int, np.integer)):
+        return int(v)
+    x = float(v)
+    if x != x:
+        raise ValueError(f"result column '{key}' is NaN")
+    return x
+
+
+def reference_format_cell(key, v):
+    v = reference_cell(key, v)
+    return str(v) if isinstance(v, int) else "%.17g" % v
+
+
+def reference_render_table(header, rows, fmt):
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(reference_format_cell(k, v) for k, v in zip(header, row))
+                  for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = [{k: reference_cell(k, v) for k, v in zip(header, row)} for row in rows]
+    return json.dumps(payload, indent=1) + "\n"
+
+
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf]
+
+
+@st.composite
+def result_tables(draw):
+    """Header plus 1-D columns of float, int64, bool and uint64 kind, 0-6 rows."""
+    n_rows = draw(st.integers(0, 6))
+    header = draw(st.lists(st.sampled_from(["a", "b", "c", "mc_stderr", "rel_error"]),
+                           max_size=5, unique=True))
+    cells = {
+        "f": st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(allow_nan=False)),
+        "i": st.integers(-2 ** 63, 2 ** 63 - 1),
+        "b": st.booleans(),
+        "u": st.integers(0, 2 ** 64 - 1),
+    }
+    dtypes = {"f": np.float64, "i": np.int64, "b": np.bool_, "u": np.uint64}
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from("fibu"))
+        values = draw(st.lists(cells[kind], min_size=n_rows, max_size=n_rows))
+        columns.append(np.array(values, dtype=dtypes[kind]))
+    return header, columns
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(result_tables(), st.sampled_from(["csv", "json"]))
+def test_columnar_render_matches_per_cell_reference(table, fmt):
+    header, columns = table
+    refused = [k for k, c in zip(header, columns)
+               if c.dtype.kind == "f" and np.isinf(c).any() and k not in cli.MAY_BE_INFINITE]
+    if refused:
+        with pytest.raises(ValueError, match=f"'{refused[0]}' is not finite"):
+            cli.render_table(header, columns, fmt)
+        return
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
+    assert cli.render_table(header, columns, fmt) == reference_render_table(header, rows, fmt)
 
 
 def test_all_subcommands_double_run_identical(tmp_path):

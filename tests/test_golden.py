@@ -32,6 +32,9 @@ GOLDEN = [
     (["cavity", "--hf-over-kt", "1", "--steps", "20000", "--burn-in", "2000",
       "--seed", "7", "--format", "json"],
      "3a5cad3af2c671ef0c304fb98a36ed1f1710fdedd14e2ea405a5ea1ff1b05566"),
+    (["cavity", "--hf-over-kt", "1", "--steps", "20000", "--burn-in", "2000",
+      "--seed", "18446744073709551615"],
+     "231c9d7cd8735e84a63140eef0c892aa1e012c6af0867baf35fa1c887ab721a1"),
     (["evolve", "--coefficients", "1,0,1", "--initial", "1,0", "--step", "0.01",
       "--every", "10"],
      "444d5deede69c3b77799bb75f21cf7ada19252b7e00b3acd22fbb4da9b1bbc04"),
