@@ -22,6 +22,9 @@ import numpy as np
 from .phasor import TWO_PI
 
 CLASSICAL_FRACTION = 0.01  # |ratio| below this fraction of 2*pi is classical
+# |d2W| h^2 within this times max|W| is round-off: each W sample carries up to ~2 eps
+# and the stencil weights sum to 4 (free-particle linspace grids measured <= 4.4 eps)
+CURVATURE_ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
 class GridTooSmallError(ValueError):
@@ -199,6 +202,7 @@ def bcp_ratio(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> Correspo
 
     p = dS/dq by central differences; an interior |p| at most 1e-12 of the
     grid's largest is a hard turning-point error naming the grid location.
+    Where d2W is within round-off (``CURVATURE_ROUNDOFF``) the ratio is 0.
     Points where |ratio| < 0.01 * 2 pi are flagged as classical.
     """
     if grid.q.size < 5:
@@ -209,6 +213,7 @@ def bcp_ratio(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> Correspo
         i = int(np.argmax(dead))
         raise TurningPointError(
             f"momentum vanishes at q = {grid.q[1:-1][i]:.9g} (interior index {i})")
-    ratio = TWO_PI * system.hbar * dpdq / (p * p)
+    flat = np.abs(dpdq) <= CURVATURE_ROUNDOFF * np.max(np.abs(grid.w)) / grid.spacing ** 2
+    ratio = np.where(flat, 0.0, TWO_PI * system.hbar * dpdq / np.where(flat, 1.0, p * p))
     classical = np.abs(ratio) < CLASSICAL_FRACTION * TWO_PI
     return CorrespondenceField(grid.q[1:-1], ratio, classical)

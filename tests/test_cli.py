@@ -296,6 +296,15 @@ def test_hj_time_leaves_residual_and_ratio_unchanged(extra, capsys):
     assert capsys.readouterr().out == at_zero
 
 
+@pytest.mark.parametrize("momentum", ["1e-12", "1e-100", "1e-200"])
+def test_hj_tiny_momentum_prints_zero_ratio(momentum, capsys):
+    # a free particle's ratio is exactly 0; round-off over a tiny p^2 is not physics
+    assert cli.run(["hj", "--momentum", momentum]) == 0
+    header, *rows = capsys.readouterr().out.strip().split("\n")
+    assert len(rows) == 199
+    assert all(row.split(",")[4:] == ["0", "1"] for row in rows)
+
+
 def test_hj_zero_momentum_is_a_turning_point(capsys):
     assert_engine_failure(["hj", "--momentum", "0"], "momentum vanishes", capsys)
 

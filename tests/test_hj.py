@@ -155,11 +155,13 @@ def test_potential_shape_checked():
 # --- correspondence ratio --------------------------------------------------------
 
 def test_bcp_ratio_free_particle_is_zero():
-    grid = hj.free_particle_S(1.0, 1.0, Q)
+    # the second difference of p q is pure round-off: the ratio is exactly 0,
+    # also where p^2 underflows
     system = hj.MechanicalSystem(1.0, np.zeros_like(Q), 1.0)
-    field = hj.bcp_ratio(grid, system)
-    np.testing.assert_allclose(field.ratio, 0.0, atol=1e-10)
-    assert np.all(field.classical)
+    for p in (1.0, 1e-12, 1e-100, 1e-200):
+        field = hj.bcp_ratio(hj.free_particle_S(p, 1.0, Q), system)
+        assert np.array_equal(field.ratio, np.zeros_like(field.q))
+        assert np.all(field.classical)
 
 
 def test_bcp_ratio_linear_potential_closed_form():
