@@ -338,7 +338,7 @@ def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     header = ["t"] + [f"{part}_{k}" for k in range(spec.order) for part in ("re", "im")]
     columns = [traj.times[::every]] + [part[:, k] for k in range(spec.order)
                                        for part in (re, im)]
-    # the sums np.linalg.norm takes of one complex state, for every row at once
+    # per row, the sums np.linalg.norm takes of one state; norm(axis=1) rounds differently
     columns.append(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)))
     return header + ["norm"], columns
 
