@@ -10,7 +10,10 @@ of the wavelength.
 
 ``equilibrate`` runs the walk vectorized through the reflected-walk
 (Lindley) recursion, which is step-for-step identical to looping
-``jitter_step`` over the same pre-drawn randomness.
+``jitter_step`` over the same pre-drawn randomness.  ``spectrum_sweep``
+runs the same recursion in chunks of ``CHUNK`` steps, carrying the last
+occupancy, and keeps only exact integer sums, so its statistics equal
+``equilibrate``'s bit for bit in O(CHUNK) memory.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .seeding import derive_rng
+from .seeding import philox_key
 
 # e^{-x} underflows past this point; the closed form is reported as 0.
 PLANCK_UNDERFLOW_X = 700.0
+# steps per streamed chunk: a sweep's work memory is O(CHUNK), not O(steps)
+CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,11 @@ def jitter_step(family: ModeFamily, bath: ThermalBath,
 
 @dataclass
 class ChainStatistics:
-    """Post-burn-in summary of one occupancy chain."""
+    """Post-burn-in summary of one occupancy chain.
+
+    ``occupancies`` holds the kept chain when ``equilibrate`` made it and
+    is None from the streamed chains of ``spectrum_sweep``.
+    """
 
     steps: int
     burn_in: int
@@ -132,26 +141,100 @@ class ChainStatistics:
     mean_energy: float
     mean_energy_stderr: float
     acceptance_rate: float
-    occupancies: np.ndarray
+    occupancies: np.ndarray | None
 
 
-def _run_occupancies(n0: int, q: float, steps: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Vectorized +-1 Metropolis walk floored at 0.
+class _ChainBuffers:
+    """Work arrays for up to ``size`` steps, written in place by every chunk."""
 
-    Increments: +1 with probability q/2 (uphill accepted), -1 with
-    probability 1/2 (downhill proposal), else 0; flooring at zero is the
-    reflected-walk recursion n_t = max(n0 + S_t, S_t - min_{j<=t} S_j).
-    A move is accepted exactly when the occupancy changes.
+    def __init__(self, size: int):
+        self.uniforms = np.empty(size)
+        self.uphill = np.empty(size, dtype=bool)
+        self.walk = np.empty(size, dtype=np.int64)
+        self.low = np.empty(size, dtype=np.int64)
+
+
+def _run_occupancies(n0: int, q: float, steps: int, uniforms: np.random.Generator,
+                     directions: np.random.Generator,
+                     buf: _ChainBuffers) -> tuple[np.ndarray, int]:
+    """Vectorized +-1 Metropolis walk floored at 0, started from ``n0``.
+
+    Draws ``steps`` uniforms, then ``steps`` directions (one generator may
+    serve both).  Increments: +1 with probability q/2 (uphill accepted),
+    -1 with probability 1/2 (downhill proposal), else 0; flooring at zero
+    is the reflected-walk recursion n_t = max(n0 + S_t, S_t - min_{j<=t} S_j).
+    Returns the occupancies (a view into ``buf``) and the number of
+    accepted moves, the steps at which the occupancy changes.
     """
-    u = rng.random(steps)
-    direction = rng.integers(0, 2, size=steps)
-    x = np.where(direction == 1, (u < q).astype(np.int64), -1)
-    s = np.cumsum(x)
-    occ = np.maximum(n0 + s, s - np.minimum.accumulate(s))
-    prev = np.concatenate(([n0], occ[:-1]))
-    acceptance = float(np.mean(occ != prev))
-    return occ, acceptance
+    up = np.less(uniforms.random(out=buf.uniforms[:steps]), q, out=buf.uphill[:steps])
+    direction = directions.integers(0, 2, size=steps)
+    s = np.multiply(direction, up, out=buf.walk[:steps])
+    s += direction
+    s -= 1
+    moves = np.count_nonzero(s)
+    np.cumsum(s, out=s)
+    free_end = n0 + int(s[-1])
+    low = np.minimum.accumulate(s, out=buf.low[:steps])
+    np.subtract(s, low, out=low)
+    s += n0
+    occ = np.maximum(s, low, out=s)
+    # each -1 refused at the floor leaves the walk one above n0 + S_t
+    return occ, moves - (int(occ[-1]) - free_end)
+
+
+class _ChainTally:
+    """Exact integer sums over a chain's kept occupancies, fed in order.
+
+    The mean, the 32 batch means and the acceptance rate are quotients of
+    these sums, so they do not depend on how the chain was cut up.
+    """
+
+    def __init__(self, steps: int, burn_in: int):
+        if burn_in < 0 or steps <= burn_in:
+            raise ValueError("need steps > burn_in >= 0")
+        self.steps, self.burn_in = steps, burn_in
+        kept = steps - burn_in
+        self.n_batches = min(32, kept)
+        self.batch_len = kept // self.n_batches
+        self.batch_sums = np.zeros(self.n_batches, dtype=np.int64)
+        self.histogram = np.zeros(0, dtype=np.int64)
+        self.total = 0
+        self.moves = 0
+        self.seen = 0
+
+    def add(self, occ: np.ndarray, moves: int) -> None:
+        self.moves += moves
+        start = self.seen - self.burn_in  # kept index of occ[0]
+        self.seen += occ.size
+        if start < 0:
+            occ, start = occ[-start:], 0
+        if occ.size == 0:
+            return
+        self.total += int(occ.sum())
+        hist = np.bincount(occ)
+        if hist.size < self.histogram.size:
+            hist, self.histogram = self.histogram, hist
+        hist[:self.histogram.size] += self.histogram
+        self.histogram = hist
+
+        b = self.batch_len
+        in_batches = occ[:max(0, b * self.n_batches - start)]
+        if in_batches.size:
+            cuts = np.arange(-start % b, in_batches.size, b)
+            sums = np.add.reduceat(in_batches, np.concatenate(([0], cuts[cuts > 0])))
+            self.batch_sums[start // b:start // b + sums.size] += sums
+
+    def statistics(self, lobe: float, occupancies: np.ndarray | None = None) -> ChainStatistics:
+        mean_occ = self.total / (self.steps - self.burn_in)
+        batches = self.batch_sums / self.batch_len
+        stderr = (float(batches.std(ddof=1) / math.sqrt(self.n_batches))
+                  if self.n_batches > 1 else math.inf)
+        return ChainStatistics(
+            steps=self.steps, burn_in=self.burn_in, occupancy_histogram=self.histogram,
+            mean_occupancy=mean_occ, mean_energy=mean_occ * lobe,
+            mean_energy_stderr=stderr * lobe, acceptance_rate=self.moves / self.steps,
+            occupancies=occupancies,
+        )
 
 
 def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
@@ -160,28 +243,40 @@ def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
 
     The occupancy histogram converges to the geometric law
     P(n) = (1 - q) q^n with q = e^{-hf/k_B T}; the standard error of the
-    mean energy comes from 32 batch means.
+    mean energy comes from 32 batch means.  The whole chain is kept.
     """
-    if burn_in < 0 or steps <= burn_in:
-        raise ValueError("need steps > burn_in >= 0")
+    tally = _ChainTally(steps, burn_in)
     q = math.exp(-bath.beta_hf(family.base_frequency))
-    occ, acceptance = _run_occupancies(family.occupancy, q, steps, rng)
-    kept = occ[burn_in:]
-    histogram = np.bincount(kept)
-    mean_occ = float(kept.mean())
-    lobe = family.lobe_energy
+    occ, moves = _run_occupancies(family.occupancy, q, steps, rng, rng,
+                                  _ChainBuffers(steps))
+    tally.add(occ, moves)
+    return tally.statistics(family.lobe_energy, occ[burn_in:])
 
-    n_batches = min(32, kept.size)
-    usable = kept.size - kept.size % n_batches
-    batches = kept[:usable].reshape(n_batches, -1).mean(axis=1)
-    stderr = float(batches.std(ddof=1) / math.sqrt(n_batches)) if n_batches > 1 else math.inf
 
-    return ChainStatistics(
-        steps=steps, burn_in=burn_in, occupancy_histogram=histogram,
-        mean_occupancy=mean_occ, mean_energy=mean_occ * lobe,
-        mean_energy_stderr=stderr * lobe, acceptance_rate=acceptance,
-        occupancies=kept,
-    )
+def _stream_chain(family: ModeFamily, bath: ThermalBath, steps: int, burn_in: int,
+                  key: np.ndarray, buf: _ChainBuffers) -> ChainStatistics:
+    """``equilibrate`` on ``Generator(Philox(key))``, in chunks of ``buf``'s size.
+
+    Returns the same statistics, bit for bit, without the occupancies.
+    The uniforms are the stream's first ``steps`` words.  The directions
+    come from a second Philox on the same key, placed just past them:
+    each counter value yields 4 words, hence the advance by steps // 4
+    and the steps % 4 words discarded.
+    """
+    tally = _ChainTally(steps, burn_in)
+    q = math.exp(-bath.beta_hf(family.base_frequency))
+    uniforms = np.random.Generator(np.random.Philox(key=key))
+    direction_bits = np.random.Philox(key=key)
+    direction_bits.advance(steps // 4)
+    direction_bits.random_raw(steps % 4)
+    directions = np.random.Generator(direction_bits)
+    occupancy, chunk = family.occupancy, buf.walk.size
+    for start in range(0, steps, chunk):
+        occ, moves = _run_occupancies(occupancy, q, min(chunk, steps - start),
+                                      uniforms, directions, buf)
+        tally.add(occ, moves)
+        occupancy = int(occ[-1])
+    return tally.statistics(family.lobe_energy)
 
 
 class SweepRow(NamedTuple):
@@ -199,17 +294,20 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
                    burn_in: int, master_seed: int) -> list[SweepRow]:
     """One equilibrated chain per frequency, compared to the closed form.
 
-    Chains are independent: replica i draws from the stream derived from
+    Chains are independent: replica i draws from the stream keyed by
     (master seed, "cavity", i), so duplicated frequencies give
-    independent estimates of the same mean.
+    independent estimates of the same mean.  Each chain is streamed in
+    chunks of ``CHUNK`` steps through one set of work buffers, so memory
+    does not grow with ``steps``.
     """
+    buf = _ChainBuffers(CHUNK)
     rows = []
     for i, f in enumerate(frequencies):
         if f <= 0.0:
             raise ValueError("frequencies must be positive")
         family = ModeFamily.in_bath(f, bath)
-        chain = equilibrate(family, bath, steps, burn_in,
-                            derive_rng(master_seed, "cavity", i))
+        chain = _stream_chain(family, bath, steps, burn_in,
+                              philox_key(master_seed, "cavity", i), buf)
         closed = planck_expectation(f, bath).energy
         rel = abs(chain.mean_energy - closed) / closed if closed > 0.0 else math.inf
         rows.append(SweepRow(f, chain.mean_energy, chain.mean_energy_stderr,
@@ -235,16 +333,19 @@ def transition_flow_ratios(occupancies: np.ndarray, min_count: int = 25) -> list
     """
     occ = np.asarray(occupancies)
     prev, nxt = occ[:-1], occ[1:]
+    levels = int(occ.max()) + 1
+    # one pass: per level, the transitions by jump clipped to -2..2, so the
+    # table is 5 columns wide however many levels there are
+    jumps = np.bincount(5 * prev + np.clip(nxt - prev, -2, 2) + 2,
+                        minlength=5 * levels).reshape(levels, 5)
+    visits = jumps.sum(axis=1)
     out = []
-    for n in range(int(occ.max())):
-        visits_n = int(np.sum(prev == n))
-        visits_n1 = int(np.sum(prev == n + 1))
-        ups = int(np.sum((prev == n) & (nxt == n + 1)))
-        downs = int(np.sum((prev == n + 1) & (nxt == n)))
+    for n in range(levels - 1):
+        ups, downs = int(jumps[n, 3]), int(jumps[n + 1, 1])
         if min(ups, downs) < min_count:
             continue
-        p_up = ups / visits_n
-        p_down = downs / visits_n1
+        p_up = ups / int(visits[n])
+        p_down = downs / int(visits[n + 1])
         sigma = math.sqrt((1.0 - p_up) / ups + (1.0 - p_down) / downs)
         out.append(FlowRatio(n, p_up / p_down, sigma, ups, downs))
     return out

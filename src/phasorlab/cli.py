@@ -184,7 +184,7 @@ def resolve_options(command: str, namespace: argparse.Namespace) -> dict:
         try:
             with open(namespace.config, "r", encoding="utf-8") as fh:
                 file_values = parse_config_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         for key in file_values:
             if key not in schema:

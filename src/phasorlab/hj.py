@@ -137,12 +137,14 @@ def _central_diffs(grid: PrincipalFunctionGrid) -> tuple[np.ndarray, np.ndarray]
     """(dS/dq, d2S/dq2) on the interior points, central stencils only.
 
     S = W - E t differs from W by a constant in q, so W is differenced: at
-    large E t the constant would swamp W's digits.
+    large E t the constant would swamp W's digits.  d2S/dq2 is exactly 0
+    where it is within round-off (``CURVATURE_ROUNDOFF``).
     """
     s = grid.w
     h = grid.spacing
     ds = (s[2:] - s[:-2]) / (2.0 * h)
     d2s = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / (h * h)
+    d2s[np.abs(d2s) <= CURVATURE_ROUNDOFF * np.max(np.abs(s)) / h ** 2] = 0.0
     return ds, d2s
 
 
@@ -213,7 +215,7 @@ def bcp_ratio(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> Correspo
         i = int(np.argmax(dead))
         raise TurningPointError(
             f"momentum vanishes at q = {grid.q[1:-1][i]:.9g} (interior index {i})")
-    flat = np.abs(dpdq) <= CURVATURE_ROUNDOFF * np.max(np.abs(grid.w)) / grid.spacing ** 2
+    flat = dpdq == 0.0  # no curvature: 0 even where p * p underflows
     ratio = np.where(flat, 0.0, TWO_PI * system.hbar * dpdq / np.where(flat, 1.0, p * p))
     classical = np.abs(ratio) < CLASSICAL_FRACTION * TWO_PI
     return CorrespondenceField(grid.q[1:-1], ratio, classical)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from phasorlab.cavity import (
     spectrum_sweep,
     transition_flow_ratios,
 )
-from phasorlab.seeding import derive_rng
+from phasorlab.seeding import derive_rng, philox_key
 
 BATH = ThermalBath(1.0)  # natural units: hf/k_B T = f
 
@@ -98,7 +99,8 @@ def test_vectorized_chain_matches_stepwise_loop():
     q = math.exp(-0.8)
     steps = 5000
     rng = derive_rng(11, "cavity", 0)
-    occ_vec, acc_vec = cavity._run_occupancies(2, q, steps, rng)
+    occ_vec, moves = cavity._run_occupancies(2, q, steps, rng, rng,
+                                             cavity._ChainBuffers(steps))
 
     rng2 = derive_rng(11, "cavity", 0)
     u = rng2.random(steps)
@@ -116,7 +118,7 @@ def test_vectorized_chain_matches_stepwise_loop():
             accepted += 1
         occ_loop[t] = n
     assert np.array_equal(occ_vec, occ_loop)
-    assert acc_vec == pytest.approx(accepted / steps)
+    assert moves == accepted
 
 
 # --- equilibrate ------------------------------------------------------------------
@@ -170,9 +172,10 @@ def test_classical_limit_chain_ensemble():
     chains = 30_000
     length = 300
     n0 = rng.geometric(1.0 - q, size=chains) - 1
+    buf = cavity._ChainBuffers(length)
     total = 0.0
     for c in range(chains):
-        occ, _ = cavity._run_occupancies(int(n0[c]), q, length, rng)
+        occ, _ = cavity._run_occupancies(int(n0[c]), q, length, rng, rng, buf)
         total += occ[-1]
     mean_energy = x * total / chains  # lobe energy x per occupancy unit
     assert abs(mean_energy - 1.0) < 0.03
@@ -229,7 +232,97 @@ def test_spectrum_sweep_rejects_empty_sampling_window():
         spectrum_sweep([1.0], BATH, 500, 500, master_seed=0)
 
 
+# --- streamed chains --------------------------------------------------------------------
+
+CHUNK = cavity.CHUNK
+
+
+@pytest.mark.parametrize("steps, burn_in, n0", [
+    (CHUNK - 1, 0, 0),                  # steps % 4 == 3, one partial chunk
+    (CHUNK, 1000, 0),                   # % 4 == 0, burn-in inside the first chunk
+    (CHUNK + 1, CHUNK, 0),              # % 4 == 1, burn-in on a chunk edge
+    (CHUNK + 1, CHUNK - 20, 0),         # 21 kept steps across the edge
+    (3 * CHUNK + 2, 0, 3),              # % 4 == 2, batches straddle chunk edges
+    (3 * CHUNK + 2, 1000, 0),
+    (3 * CHUNK + 2, 2 * CHUNK, 5),
+    (3 * CHUNK + 2, 3 * CHUNK + 1, 0),  # burn-in inside the last chunk, one kept step
+])
+@pytest.mark.parametrize("frequency", [0.4, 2.0])
+def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
+    family = ModeFamily.in_bath(frequency, BATH, occupancy=n0)
+    whole = equilibrate(family, BATH, steps, burn_in, derive_rng(21, "cavity", 4))
+    streamed = cavity._stream_chain(family, BATH, steps, burn_in,
+                                    philox_key(21, "cavity", 4),
+                                    cavity._ChainBuffers(CHUNK))
+    assert streamed.mean_energy == whole.mean_energy
+    assert streamed.mean_energy_stderr == whole.mean_energy_stderr
+    assert streamed.acceptance_rate == whole.acceptance_rate
+    assert np.array_equal(streamed.occupancy_histogram, whole.occupancy_histogram)
+    assert streamed.occupancy_histogram.dtype == whole.occupancy_histogram.dtype
+    assert streamed.occupancies is None
+
+
+def test_spectrum_sweep_equals_equilibrate_per_replica():
+    steps, burn_in = 2 * CHUNK + 3, 500
+    rows = spectrum_sweep([0.7, 0.7, 3.0], BATH, steps, burn_in, master_seed=9)
+    for i, row in enumerate(rows):
+        family = ModeFamily.in_bath(row.frequency, BATH)
+        chain = equilibrate(family, BATH, steps, burn_in, derive_rng(9, "cavity", i))
+        assert (row.mc_mean_energy, row.mc_stderr, row.acceptance_rate) == (
+            chain.mean_energy, chain.mean_energy_stderr, chain.acceptance_rate)
+
+
+@pytest.mark.parametrize("steps", [4_000_000, 16_000_000])
+def test_spectrum_sweep_memory_does_not_grow_with_steps(steps):
+    tracemalloc.start()
+    try:
+        spectrum_sweep([1.0], BATH, steps, 10_000, master_seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 # --- stationary-law checks ----------------------------------------------------------
+
+
+def _flow_ratios_per_level(occupancies, min_count=25):
+    """Reference: rescan the chain once per level."""
+    occ = np.asarray(occupancies)
+    prev, nxt = occ[:-1], occ[1:]
+    out = []
+    for n in range(int(occ.max())):
+        visits_n = int(np.sum(prev == n))
+        visits_n1 = int(np.sum(prev == n + 1))
+        ups = int(np.sum((prev == n) & (nxt == n + 1)))
+        downs = int(np.sum((prev == n + 1) & (nxt == n)))
+        if min(ups, downs) < min_count:
+            continue
+        p_up = ups / visits_n
+        p_down = downs / visits_n1
+        sigma = math.sqrt((1.0 - p_up) / ups + (1.0 - p_down) / downs)
+        out.append(cavity.FlowRatio(n, p_up / p_down, sigma, ups, downs))
+    return out
+
+
+def test_flow_ratios_match_per_level_reference():
+    rng = np.random.default_rng(8)
+    walk = equilibrate(ModeFamily.in_bath(0.5, BATH), BATH, 200_000, 0,
+                       derive_rng(8, "cavity", 0)).occupancies
+    chains = [
+        walk,
+        rng.integers(0, 7, size=20_000),              # jumps of any size
+        np.cumsum(rng.integers(0, 2, size=5_000)) % 9,
+        np.zeros(1000, dtype=np.int64),               # stuck at 0: no levels
+    ]
+    for occ in chains:
+        for min_count in (1, 25, 400):
+            assert transition_flow_ratios(occ, min_count) == _flow_ratios_per_level(occ, min_count)
+    # the walk's rare top levels fall under min_count and are skipped
+    kept = {r.level for r in transition_flow_ratios(walk)}
+    assert kept and kept != set(range(int(walk.max())))
+    assert transition_flow_ratios(chains[-1]) == []
+
 
 def test_detailed_balance_flow_ratios():
     family = ModeFamily.in_bath(1.0, BATH)

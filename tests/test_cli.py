@@ -351,6 +351,16 @@ def test_malformed_config_line_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_utf8_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"theta1 = \xff\n")
+    code = cli.run(["epr", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_config_round_trip():
     text = "b = 2\na = 1\n# comment\nc = x y\n"
     parsed = cli.parse_config_text(text)

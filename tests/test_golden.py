@@ -42,7 +42,7 @@ GOLDEN = [
       "--step", "0.001", "--every", "50", "--format", "json"],
      "7570c92b3ac96d5e6e33187bea46170cba8ccb11c17860777630110ed48bab1d"),
     (["hj", "--points", "21"],
-     "b6c28ee5fc58be05bdc686ffe441c618fbdf77b1afc6f833045d9f454436e14c"),
+     "e5b39b88e9246de452d9cbc383df9da94b9f98cbb04d4f48c8e177d1de923e70"),
     (["hj", "--system", "linear", "--points", "21", "--format", "json"],
      "44cbb0764fc8d2f381c213a66af18f663e1b80cd03713a582a460e4988491b8b"),
 ]

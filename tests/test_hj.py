@@ -89,6 +89,15 @@ def test_free_particle_residual_vanishes():
     assert np.max(np.abs(res.rhs)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [21, 10001, 100001])
+@pytest.mark.parametrize("p", [1.0, -3.7, 1e-12, 1e150])
+def test_free_particle_rhs_is_exactly_zero(n, p):
+    # W = p q has no curvature: every second difference is W's round-off
+    q = np.linspace(0.0, 1.0, n)
+    res = hj.hjs_residual(hj.free_particle_S(p, 1.0, q), hj.MechanicalSystem(1.0, np.zeros(n)))
+    assert np.count_nonzero(res.rhs) == 0
+
+
 def test_linear_potential_rhs_matches_analytic_curvature():
     # oracle: d2S/dq2 = dp/dq = -m alpha / p differentiated in closed form
     grid, system = linear_case()
