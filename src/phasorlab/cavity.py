@@ -30,6 +30,10 @@ from .seeding import philox_key
 PLANCK_UNDERFLOW_X = 700.0
 # steps per streamed chunk: a sweep's work memory is O(CHUNK), not O(steps)
 CHUNK = 2 ** 16
+# a sweep runs at most this many steps over all its chains (about 33 s at 33 ns/step)
+MAX_SWEEP_STEPS = 10 ** 9
+# geometric_chi_square merges the bins whose expected count is below this into one tail
+CHI_SQUARE_MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -69,14 +73,6 @@ class ModeFamily:
     def in_bath(cls, frequency: float, bath: ThermalBath,
                 occupancy: int = 0) -> "ModeFamily":
         return cls(frequency, occupancy, bath.planck_h * frequency)
-
-    @property
-    def energy(self) -> float:
-        return self.occupancy * self.lobe_energy
-
-    def member_frequency(self, member: int) -> float:
-        """Frequency of ladder member m, exactly m * f."""
-        return member * self.base_frequency
 
 
 class PlanckEnergy(NamedTuple):
@@ -135,7 +131,6 @@ class ChainStatistics:
     """
 
     steps: int
-    burn_in: int
     occupancy_histogram: np.ndarray
     mean_occupancy: float
     mean_energy: float
@@ -230,7 +225,7 @@ class _ChainTally:
         stderr = (float(batches.std(ddof=1) / math.sqrt(self.n_batches))
                   if self.n_batches > 1 else math.inf)
         return ChainStatistics(
-            steps=self.steps, burn_in=self.burn_in, occupancy_histogram=self.histogram,
+            steps=self.steps, occupancy_histogram=self.histogram,
             mean_occupancy=mean_occ, mean_energy=mean_occ * lobe,
             mean_energy_stderr=stderr * lobe, acceptance_rate=self.moves / self.steps,
             occupancies=occupancies,
@@ -286,8 +281,6 @@ class SweepRow(NamedTuple):
     closed_form: float
     relative_error: float
     acceptance_rate: float
-    steps: int
-    replica: int
 
 
 def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
@@ -298,8 +291,12 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     (master seed, "cavity", i), so duplicated frequencies give
     independent estimates of the same mean.  Each chain is streamed in
     chunks of ``CHUNK`` steps through one set of work buffers, so memory
-    does not grow with ``steps``.
+    does not grow with ``steps``.  A sweep of more than ``MAX_SWEEP_STEPS``
+    steps in all is refused before any chain starts.
     """
+    if len(frequencies) * steps > MAX_SWEEP_STEPS:
+        raise ValueError(f"a sweep of {len(frequencies)} x {steps} steps exceeds the budget"
+                         f" of {MAX_SWEEP_STEPS:.0e} steps")
     buf = _ChainBuffers(CHUNK)
     rows = []
     for i, f in enumerate(frequencies):
@@ -311,7 +308,7 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
         closed = planck_expectation(f, bath).energy
         rel = abs(chain.mean_energy - closed) / closed if closed > 0.0 else math.inf
         rows.append(SweepRow(f, chain.mean_energy, chain.mean_energy_stderr,
-                             closed, rel, chain.acceptance_rate, steps, i))
+                             closed, rel, chain.acceptance_rate))
     return rows
 
 
@@ -351,16 +348,15 @@ def transition_flow_ratios(occupancies: np.ndarray, min_count: int = 25) -> list
     return out
 
 
-def geometric_chi_square(histogram: np.ndarray, q: float,
-                         min_expected: float = 5.0) -> tuple[float, float, int]:
+def geometric_chi_square(histogram: np.ndarray, q: float) -> tuple[float, float, int]:
     """Chi-square goodness of fit of occupancy counts vs (1-q) q^n.
 
     Pearson's statistic presumes independent draws, so counts taken from
     a Metropolis chain must be thinned by a few autocorrelation times
     before binning or the statistic is inflated.  Bins past the point
-    where the expected count drops under ``min_expected`` are merged into
-    one tail bin.  Returns (statistic, p-value, degrees of freedom); q is
-    fixed a priori, so dof = bins - 1.
+    where the expected count drops under ``CHI_SQUARE_MIN_EXPECTED`` are
+    merged into one tail bin.  Returns (statistic, p-value, degrees of
+    freedom); q is fixed a priori, so dof = bins - 1.
     """
     counts = np.asarray(histogram, dtype=float)
     total = counts.sum()
@@ -371,8 +367,8 @@ def geometric_chi_square(histogram: np.ndarray, q: float,
     expected = total * np.array(probs)
 
     cut = n_max + 1
-    while cut > 1 and (expected[cut - 1] < min_expected
-                       or total * q ** cut < min_expected):
+    while cut > 1 and (expected[cut - 1] < CHI_SQUARE_MIN_EXPECTED
+                       or total * q ** cut < CHI_SQUARE_MIN_EXPECTED):
         cut -= 1
     obs = np.concatenate([counts[:cut], [counts[cut:].sum()]])
     exp = np.concatenate([expected[:cut], [total * q ** cut]])

@@ -40,16 +40,13 @@ def _float(s: str, parse=float):
     return x
 
 
-def _floats(s: str) -> list[float]:
-    return [_float(x) for x in s.split(",") if x.strip() != ""]
+def _list(convert):
+    """Comma-separated values, each parsed by ``convert``; blank items are skipped."""
+    return lambda s: [convert(x) for x in s.split(",") if x.strip() != ""]
 
 
-def _ints(s: str) -> list[int]:
-    return [int(x) for x in s.split(",") if x.strip() != ""]
-
-
-def _complexes(s: str) -> list[complex]:
-    return [_float(x.replace(" ", ""), complex) for x in s.split(",") if x.strip() != ""]
+_floats, _ints = _list(_float), _list(int)
+_complexes = _list(lambda x: _float(x.replace(" ", ""), complex))
 
 
 def _sweep(s: str) -> list[float]:
@@ -94,11 +91,11 @@ SUBCOMMAND_OPTIONS = {
     "epr": {
         "theta1": (_sweep, "0", "detector-1 analyzer angle(s), degrees; N or start:stop:count"),
         "theta2": (_sweep, "0", "detector-2 analyzer angle(s), degrees; N or start:stop:count"),
-        "parity": (_choice("plus", "minus"), "plus", "pair parity"),
+        "parity": (_choice(*epr.PARITIES), "plus", "pair parity"),
         "field-scale": (_float, "1.0", "per-photon field amplitude E"),
-        "convention": (_choice("sum", "difference"), "sum",
+        "convention": (_choice(*epr.CONVENTIONS), "sum",
                        "correlation angle convention (detector-2 handedness)"),
-        "mode": (_choice("symbolic", "numeric"), "symbolic", "amplitude evaluation path"),
+        "mode": (_choice(*epr.MODES), "symbolic", "amplitude evaluation path"),
     },
     "holo": {
         "base-wavelength": (_float, "1.0", "wavelength of harmonic channel 1"),
@@ -239,9 +236,9 @@ def write_output(text: str, path: str | None) -> int:
     data = text.encode("utf-8")
     if path is None:
         sys.stdout.write(text)
-        return len(data)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(data)
     return len(data)
 
 
@@ -262,6 +259,9 @@ def run_epr(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 def _holo_setup(opts: dict):
     if opts["base-wavelength"] <= 0.0:
         raise ConfigError("key 'base-wavelength' must be positive")
+    for key in ("channels", "detectors"):
+        if not opts[key]:
+            raise ConfigError(f"key '{key}' must list at least one value")
     channels = [holography.FrequencyChannel.harmonic(j, opts["base-wavelength"])
                 for j in opts["channels"]]
     sources = opts["sources"]
@@ -280,7 +280,7 @@ def run_holo_csv(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     length = opts["domain"][1] - opts["domain"][0]
     # one row per channel prefix; bits are ordered channel by channel
     prefixes = holography.localize_prefixes(bits, channels, opts["alpha"], opts["domain"],
-                                            len(opts["detectors"])) if channels else ()
+                                            len(opts["detectors"]))
     measure = np.fromiter((s.measure for s in prefixes), float)
     return (["n_channels", "alias_measure", "density"],
             [np.arange(1, measure.size + 1), measure, measure / length])
@@ -322,7 +322,7 @@ def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     header = ["f", "T", "mc_mean_energy", "mc_stderr", "closed_form",
               "rel_error", "acceptance_rate", "steps", "seed"]
     n = len(rows_out)
-    f, mean, stderr, closed, rel, acc, _, _ = np.array(
+    f, mean, stderr, closed, rel, acc = np.array(
         rows_out, dtype=float).reshape(n, len(cavity.SweepRow._fields)).T
     return header, [f, np.full(n, bath.temperature), mean, stderr, closed, rel, acc,
                     np.full(n, opts["steps"]), np.full(n, opts["seed"], dtype=np.uint64)]
@@ -331,8 +331,10 @@ def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     spec = statespace.EvolutionSpec(tuple(opts["coefficients"]))
     initial = np.asarray(opts["initial"], dtype=complex)
+    every = opts["every"]
+    if every < 1:
+        raise ConfigError("key 'every' must be at least 1")
     traj = statespace.evolve_linear(spec, initial, opts["t-final"], opts["step"])
-    every = max(1, opts["every"])
     states = traj.states[::every]
     re, im = states.real, states.imag
     header = ["t"] + [f"{part}_{k}" for k in range(spec.order) for part in ("re", "im")]
@@ -359,20 +361,8 @@ def run_hj(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     return header, [res.q, res.lhs, res.rhs.real, res.rhs.imag, bcp.ratio, bcp.classical]
 
 
-ENGINE_ERRORS = (
-    holography.InconsistentBitsError,
-    holography.EmptyDomainError,
-    epr.DegenerateStateError,
-    epr.DetectorUsageError,
-    statespace.StabilityError,
-    statespace.DegenerateOrderError,
-    hj.GridTooSmallError,
-    hj.GridTooCoarseError,
-    hj.TurningPointError,
-    ValueError,
-    OverflowError,
-    MemoryError,
-)
+# every engine exception derives from ValueError; OverflowError is an ArithmeticError
+ENGINE_ERRORS = (ValueError, ArithmeticError, MemoryError)
 
 
 def run(argv=None) -> int:
@@ -384,11 +374,6 @@ def run(argv=None) -> int:
 
     try:
         opts = resolve_options(namespace.command, namespace)
-    except ConfigError as exc:
-        print(f"{PROG}: config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         # float warnings would add stderr lines; a NaN result is caught by render_table
         with np.errstate(all="ignore"):
             if namespace.command == "holo" and opts["format"] == "json":

@@ -5,7 +5,7 @@ polarization phasors; a detection at analyzer angle theta projects each
 photon onto the unit linear phasor (cos theta, sin theta).  The joint
 amplitude factorizes into per-detector inner products, evaluated either
 symbolically (plane-wave orthogonality) or numerically as Cesaro-averaged
-integrals of sampled traveling fields.  With unit analyzers the joint
+integrals of sampled plane-wave fields.  With unit analyzers the joint
 table over x/y outcomes is {0, i E^2, E^2, 0} across the two parities.
 """
 
@@ -16,26 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasor import (
-    TWO_PI,
-    PolarizationPhasor,
-    SampledField,
-    TravelingMode,
-    cesaro_inner_product,
-)
+from .phasor import TWO_PI, PolarizationPhasor, cesaro_inner_product, plane_wave
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 PARITIES = ("plus", "minus")
 HANDEDNESSES = ("right", "left")
 CONVENTIONS = ("sum", "difference")
+MODES = ("symbolic", "numeric")
+# grid density of the numeric path's sampled fields
+SAMPLES_PER_WAVELENGTH = 8
 
 
 class DetectorUsageError(ValueError):
     """Both outcomes refer to the same detector."""
 
 
-class DegenerateStateError(RuntimeError):
+class DegenerateStateError(ValueError):
     """All four joint outcomes carry zero weight; cannot normalize."""
 
 
@@ -79,7 +76,6 @@ class AnalyzerSetting:
 
     detector_index: int
     angle: float
-    position: float = 0.0
 
     def __post_init__(self):
         if self.detector_index not in (1, 2):
@@ -92,25 +88,21 @@ def analyzer_phasor(angle: float) -> PolarizationPhasor:
     return PolarizationPhasor(math.cos(angle), math.sin(angle))
 
 
-def _numeric_projection(bra: PolarizationPhasor, ket: PolarizationPhasor, position: float,
-                        wavenumber: float, window_wavelengths: float,
-                        samples_per_wavelength: int) -> complex:
-    """<bra|ket> by Cesaro integration of both traveling fields sampled from ``position``."""
+def _numeric_projection(bra: PolarizationPhasor, ket: PolarizationPhasor, wavenumber: float,
+                        window_wavelengths: float) -> complex:
+    """<bra|ket> by Cesaro integration of both plane-wave fields sampled from z = 0."""
     if window_wavelengths <= 0.0:
         raise ValueError("numeric mode needs a positive window")
     window = window_wavelengths * (TWO_PI / wavenumber)
-    n = max(int(window_wavelengths * samples_per_wavelength), 16)
-    z = np.linspace(position, position + window, n + 1)
-    bra_field = SampledField(z, TravelingMode(wavenumber, 0.0, bra).sample(z))
-    ket_field = SampledField(z, TravelingMode(wavenumber, 0.0, ket).sample(z))
-    return cesaro_inner_product(bra_field, ket_field, window)
+    n = max(int(window_wavelengths * SAMPLES_PER_WAVELENGTH), 16)
+    z = np.linspace(0.0, window, n + 1)
+    return cesaro_inner_product(plane_wave(wavenumber, z, bra),
+                                plane_wave(wavenumber, z, ket), window)
 
 
 def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
                    pair: PhotonPairState, mode: str = "symbolic", *,
-                   wavenumber: float = 1.0, window_wavelengths: float = 1e4,
-                   samples_per_wavelength: int = 8,
-                   ket_phase: complex = 1.0) -> complex:
+                   wavenumber: float = 1.0, window_wavelengths: float = 1e4) -> complex:
     """Joint amplitude <theta1 theta2 | pair> for one analyzer outcome each.
 
     ``mode`` selects symbolic plane-wave orthogonality or the numeric
@@ -119,15 +111,15 @@ def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
     """
     if outcome1.detector_index == outcome2.detector_index:
         raise DetectorUsageError("outcomes must come from two distinct detectors")
-    if mode not in ("symbolic", "numeric"):
-        raise ValueError("mode must be 'symbolic' or 'numeric'")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
 
     total = 0.0 + 0.0j
     for handedness, weight in (("right", 1.0), ("left", pair.parity_sign)):
-        ket = CircularKet(handedness).phasor.scaled(pair.field_scale * ket_phase)
+        ket = CircularKet(handedness).phasor.scaled(pair.field_scale)
         a1, a2 = (analyzer_phasor(o.angle).dot(ket) if mode == "symbolic" else
-                  _numeric_projection(analyzer_phasor(o.angle), ket, o.position,
-                                      wavenumber, window_wavelengths, samples_per_wavelength)
+                  _numeric_projection(analyzer_phasor(o.angle), ket, wavenumber,
+                                      window_wavelengths)
                   for o in (outcome1, outcome2))
         total += weight * a1 * a2
     return total
@@ -135,8 +127,7 @@ def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
 
 def joint_amplitudes(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
                      convention: str = "sum", *, wavenumber: float = 1.0,
-                     window_wavelengths: float = 1e4, samples_per_wavelength: int = 8,
-                     ket_phase: complex = 1.0) -> np.ndarray:
+                     window_wavelengths: float = 1e4) -> np.ndarray:
     """Amplitude tables over (along, perpendicular) outcomes per detector.
 
     Each angle may be a number or an array; the result has shape
@@ -150,20 +141,19 @@ def joint_amplitudes(theta1, theta2, pair: PhotonPairState, mode: str = "symboli
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    if mode not in ("symbolic", "numeric"):
-        raise ValueError("mode must be 'symbolic' or 'numeric'")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
     quarter = np.array([0.0, math.pi / 2])
     a = np.mod(t1.reshape(-1, 1) + quarter, math.pi)
     b = np.mod((t2 if convention == "sum" else -t2).reshape(-1, 1) + quarter, math.pi)
     phase = (a[:, None, :, None] + b[None, :, None, :]).reshape(t1.shape + t2.shape + (2, 2))
-    scale = pair.field_scale * ket_phase
+    scale = pair.field_scale
     if mode == "numeric":
         # the projection is linear in the phasor components: each numeric detector
         # amplitude is the symbolic one times the unit carrier's self-overlap at z = 0
         unit = analyzer_phasor(0.0)
-        scale *= _numeric_projection(unit, unit, 0.0, wavenumber, window_wavelengths,
-                                     samples_per_wavelength)
+        scale *= _numeric_projection(unit, unit, wavenumber, window_wavelengths)
     table = np.cos(phase) if pair.parity == "plus" else 1j * np.sin(phase)
     return scale * scale * table
 
@@ -177,14 +167,6 @@ def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symb
     if np.any(total <= 0.0):
         raise DegenerateStateError("zero total outcome weight at these settings")
     return weights / total
-
-
-def coincidence_probability(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
-                            pair: PhotonPairState, mode: str = "symbolic",
-                            **numeric_options) -> float:
-    """Joint probability, normalized over the four outcomes at these settings."""
-    return float(joint_probabilities(outcome1.angle, outcome2.angle, pair, mode,
-                                     **numeric_options)[0, 0])
 
 
 def correlation_E(theta1, theta2, pair: PhotonPairState, convention: str = "sum"):

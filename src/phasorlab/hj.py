@@ -35,7 +35,7 @@ class GridTooCoarseError(ValueError):
     """Estimated curvature error exceeds the requested tolerance."""
 
 
-class TurningPointError(RuntimeError):
+class TurningPointError(ValueError):
     """Momentum vanishes on the interior grid; the ratio is undefined there."""
 
 
@@ -138,8 +138,11 @@ def _central_diffs(grid: PrincipalFunctionGrid) -> tuple[np.ndarray, np.ndarray]
 
     S = W - E t differs from W by a constant in q, so W is differenced: at
     large E t the constant would swamp W's digits.  d2S/dq2 is exactly 0
-    where it is within round-off (``CURVATURE_ROUNDOFF``).
+    where it is within round-off (``CURVATURE_ROUNDOFF``).  Fewer than 5
+    points raise :class:`GridTooSmallError`.
     """
+    if grid.q.size < 5:
+        raise GridTooSmallError("need at least 5 grid points")
     s = grid.w
     h = grid.spacing
     ds = (s[2:] - s[:-2]) / (2.0 * h)
@@ -165,10 +168,9 @@ def hjs_residual(grid: PrincipalFunctionGrid, system: MechanicalSystem,
     dS/dt is exactly -E by construction.  With ``curvature_tol`` set, the
     second derivative is re-estimated on the 2x-coarsened grid and the
     Richardson error estimate must stay below the tolerance, otherwise
-    :class:`GridTooCoarseError` is raised.
+    :class:`GridTooCoarseError` is raised; the coarsened grid needs 5
+    points, so the grid needs 9.
     """
-    if grid.q.size < 5:
-        raise GridTooSmallError("need at least 5 grid points")
     if system.potential.shape != grid.q.shape:
         raise ValueError("potential must be sampled on the same grid")
 
@@ -207,8 +209,6 @@ def bcp_ratio(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> Correspo
     Where d2W is within round-off (``CURVATURE_ROUNDOFF``) the ratio is 0.
     Points where |ratio| < 0.01 * 2 pi are flagged as classical.
     """
-    if grid.q.size < 5:
-        raise GridTooSmallError("need at least 5 grid points")
     p, dpdq = _central_diffs(grid)
     dead = np.abs(p) <= 1e-12 * np.max(np.abs(p))
     if np.any(dead):

@@ -23,45 +23,46 @@ import numpy as np
 from .phasor import TWO_PI
 
 EDGE_TOL_FACTOR = 1e-9
+EPS = float(np.finfo(float).eps)
 # one bit's alias set may hold at most this many intervals (~1 s and 0.7 GB at the limit)
 MAX_ALIAS_INTERVALS = 10 ** 7
+# fl(u/pi) is within 1.97 eps (|k dz| + |alpha|)/pi of u/pi (measured over 2e5 random
+# harmonic bits), and rounding each decimal position adds eps/2 |k z|/pi: forward_bit puts
+# u/pi on an integer within EDGE_SNAP_FACTOR eps (k |z_d| + k |z_s| + |alpha|)/pi of it
+EDGE_SNAP_FACTOR = 4.0
+# alias_density's reference source sits this far into the domain (golden-ratio fraction)
+REFERENCE_SOURCE_FRACTION = 0.61803398875
 
 
 class EmptyDomainError(ValueError):
     """The search domain has no interior."""
 
 
-class InconsistentBitsError(RuntimeError):
+class InconsistentBitsError(ValueError):
     """No source position reproduces all bits; they lack a common source."""
 
 
 @dataclass(frozen=True)
 class FrequencyChannel:
-    """One query frequency: index j, wavenumber k_j, and omega_j = c * k_j."""
+    """One query frequency: index j and wavenumber k_j."""
 
     index: int
     wavenumber: float
-    speed: float = 1.0
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("channel index must be >= 1")
-        if self.wavenumber <= 0.0 or self.speed <= 0.0:
-            raise ValueError("wavenumber and speed must be positive")
-
-    @property
-    def angular_frequency(self) -> float:
-        return self.speed * self.wavenumber
+        if self.wavenumber <= 0.0:
+            raise ValueError("wavenumber must be positive")
 
     @property
     def wavelength(self) -> float:
         return TWO_PI / self.wavenumber
 
     @classmethod
-    def harmonic(cls, index: int, base_wavelength: float,
-                 speed: float = 1.0) -> "FrequencyChannel":
+    def harmonic(cls, index: int, base_wavelength: float) -> "FrequencyChannel":
         """Channel j of the harmonic ladder built on a base wavelength."""
-        return cls(index, index * TWO_PI / base_wavelength, speed)
+        return cls(index, index * TWO_PI / base_wavelength)
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,18 @@ def forward_bit(z_source: float, z_detector: float, channel: FrequencyChannel,
 
     p = floor((k * (z_detector - z_source) + alpha) / pi) mod 2, so p = 0
     marks an even interval from the source and p = 1 an odd one; the bit
-    is invariant under whole-wavelength shifts of either position.
+    is invariant under whole-wavelength shifts of either position.  For a
+    source on an interval edge u/pi lands a few ulps either side of an
+    integer; it is snapped onto it (``EDGE_SNAP_FACTOR``), so every bit of
+    an edge source puts the source on the same side.
     """
-    u = channel.wavenumber * (z_detector - z_source) + alpha
-    return DetectionBit(z_detector, channel.index, int(math.floor(u / math.pi)) % 2)
+    k = channel.wavenumber
+    x = (k * (z_detector - z_source) + alpha) / math.pi
+    m = round(x)
+    if abs(x - m) <= EDGE_SNAP_FACTOR * EPS * (k * abs(z_detector) + k * abs(z_source)
+                                               + abs(alpha)) / math.pi:
+        x = m
+    return DetectionBit(z_detector, channel.index, int(math.floor(x)) % 2)
 
 
 def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
@@ -195,23 +204,17 @@ def localize(bits: Sequence[DetectionBit], channels: Iterable[FrequencyChannel],
     return result
 
 
-def alias_density(channels: Sequence[FrequencyChannel], domain: tuple[float, float],
-                  alpha: float = 0.0, source_fraction: float = 0.61803398875,
-                  detector_position: float | None = None) -> float:
+def alias_density(channels: Sequence[FrequencyChannel], domain: tuple[float, float]) -> float:
     """Fraction of the domain still aliased after using every channel.
 
-    Bits are generated for a reference source placed ``source_fraction``
-    of the way into the domain and a single detector (domain end unless
-    given).  One channel leaves exactly half the domain whenever it spans
-    whole wavelengths; more channels never increase the density.
+    Bits are generated with alpha = 0 for a reference source placed
+    ``REFERENCE_SOURCE_FRACTION`` of the way into the domain and a single
+    detector at the domain end.  One channel leaves exactly half the
+    domain whenever it spans whole wavelengths; more channels never
+    increase the density.
     """
     lo_d, hi_d = domain
-    if not (hi_d > lo_d):
-        raise EmptyDomainError("domain must have positive length")
-    if not channels:
-        raise ValueError("need at least one channel")
-    z_s = lo_d + source_fraction * (hi_d - lo_d)
-    z_d = hi_d if detector_position is None else detector_position
-    bits = [forward_bit(z_s, z_d, c, alpha) for c in channels]
-    result = localize(bits, channels, alpha, domain)
+    z_s = lo_d + REFERENCE_SOURCE_FRACTION * (hi_d - lo_d)
+    bits = [forward_bit(z_s, hi_d, c) for c in channels]
+    result = localize(bits, channels, 0.0, domain)
     return result.measure / (hi_d - lo_d)

@@ -1,8 +1,8 @@
-"""Phasor arithmetic, traveling waves, and oscillatory-integral machinery.
+"""Phasor arithmetic, plane waves, and oscillatory-integral machinery.
 
-Complex amplitudes are plain Python/numpy complex numbers.  A traveling
-mode is a pair of polarization components riding e^{i(kz - wt + alpha)};
-sampled fields hold such phasors on a shared z grid.  The inner products
+Complex amplitudes are plain Python/numpy complex numbers.  A plane wave
+is a scalar or a pair of polarization components riding e^{ikz}; sampled
+fields hold such phasors on a shared z grid.  The inner products
 here are windowed averages: cross terms between distinct wavenumbers decay
 like 1/(dk * window) and vanish in the infinite-window (symbolic) limit,
 which is the orthogonality rule every engine above this module relies on.
@@ -16,6 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# cesaro_inner_product averages partial integrals over this many sub-windows,
+# each CESARO_RATIO times longer than the one before
+CESARO_LEVELS = 4
+CESARO_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -25,60 +29,12 @@ class PolarizationPhasor:
     ex: complex
     ey: complex
 
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.ex) ** 2 + abs(self.ey) ** 2
-
-    def normalized(self) -> "PolarizationPhasor":
-        n = math.sqrt(self.norm_sq)
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero phasor")
-        return PolarizationPhasor(self.ex / n, self.ey / n)
-
     def scaled(self, factor: complex) -> "PolarizationPhasor":
         return PolarizationPhasor(self.ex * factor, self.ey * factor)
 
     def dot(self, other: "PolarizationPhasor") -> complex:
         """Hermitian dot product <self|other> (conjugates self)."""
         return self.ex.conjugate() * other.ex + self.ey.conjugate() * other.ey
-
-
-@dataclass(frozen=True)
-class TravelingMode:
-    """Plane wave moving along +z: amplitude * e^{i(kz - wt + alpha)}.
-
-    The angular frequency is tied to the wavenumber through the configured
-    propagation speed (natural units by default); the phase offset is
-    stored reduced to [0, 2*pi).
-    """
-
-    wavenumber: float
-    phase_offset: float
-    amplitude: PolarizationPhasor
-    speed: float = 1.0
-
-    def __post_init__(self):
-        if self.wavenumber <= 0.0:
-            raise ValueError("wavenumber must be positive")
-        if self.speed <= 0.0:
-            raise ValueError("propagation speed must be positive")
-        object.__setattr__(self, "phase_offset", self.phase_offset % TWO_PI)
-
-    @property
-    def angular_frequency(self) -> float:
-        return self.speed * self.wavenumber
-
-    @property
-    def wavelength(self) -> float:
-        return TWO_PI / self.wavenumber
-
-    def sample(self, z: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Sample both components on a z grid; returns shape (n, 2)."""
-        phase = np.exp(
-            1j * (self.wavenumber * np.asarray(z, dtype=float)
-                  - self.angular_frequency * t + self.phase_offset)
-        )
-        return np.stack([self.amplitude.ex * phase, self.amplitude.ey * phase], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -103,16 +59,19 @@ class SampledField:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "values", v)
 
-    @property
-    def span(self) -> float:
-        return float(self.z[-1] - self.z[0])
 
+def plane_wave(wavenumber: float, z: np.ndarray,
+               amplitude: complex | PolarizationPhasor = 1.0) -> SampledField:
+    """Plane wave amplitude * e^{ikz} on a grid, the traveling wave at t = 0.
 
-def plane_wave(wavenumber: float, z: np.ndarray, amplitude: complex = 1.0,
-               phase: float = 0.0) -> SampledField:
-    """Scalar unit-speed plane wave amplitude * e^{i(kz + phase)} on a grid."""
+    A scalar amplitude gives (n,) values; a :class:`PolarizationPhasor`
+    gives (n, 2) values, one column per field component.
+    """
     z = np.asarray(z, dtype=float)
-    return SampledField(z, amplitude * np.exp(1j * (wavenumber * z + phase)))
+    carrier = np.exp(1j * (wavenumber * z))
+    if isinstance(amplitude, PolarizationPhasor):
+        return SampledField(z, np.stack([amplitude.ex * carrier, amplitude.ey * carrier], -1))
+    return SampledField(z, amplitude * carrier)
 
 
 def plane_wave_overlap(k1: float, k2: float, window: float | None = None) -> complex:
@@ -139,12 +98,12 @@ def plane_wave_overlap(k1: float, k2: float, window: float | None = None) -> com
     return (np.exp(1j * theta) - 1.0) / (1j * theta)
 
 
-def cesaro_inner_product(f: SampledField, g: SampledField, window: float,
-                         levels: int = 4, ratio: float = 2.0) -> complex:
+def cesaro_inner_product(f: SampledField, g: SampledField, window: float) -> complex:
     """Cesaro-averaged inner product (1/w) * int conj(f) . g dz.
 
-    The partial integrals are taken over sub-windows of geometrically
-    growing size (``window / ratio**(levels-1)`` up to ``window``) and
+    The partial integrals are taken over ``CESARO_LEVELS`` sub-windows of
+    geometrically growing size (``window / CESARO_RATIO**(CESARO_LEVELS-1)``
+    up to ``window``) and
     averaged, so oscillatory cross terms decay while matched plane-wave
     terms are reproduced exactly as the product of their amplitudes.
 
@@ -160,10 +119,8 @@ def cesaro_inner_product(f: SampledField, g: SampledField, window: float,
         raise ValueError("field component shapes differ")
     if window <= 0.0:
         raise ValueError("window must be positive")
-    if f.span < window * (1.0 - 1e-12):
+    if f.z[-1] - f.z[0] < window * (1.0 - 1e-12):
         raise ValueError("grid span is smaller than the averaging window")
-    if levels < 1 or ratio <= 1.0:
-        raise ValueError("need levels >= 1 and ratio > 1")
 
     integrand = np.conj(f.values) * g.values
     if integrand.ndim == 2:
@@ -171,8 +128,8 @@ def cesaro_inner_product(f: SampledField, g: SampledField, window: float,
 
     z0 = f.z[0]
     partials = []
-    for i in range(levels):
-        w = window / ratio ** (levels - 1 - i)
+    for i in range(CESARO_LEVELS):
+        w = window / CESARO_RATIO ** (CESARO_LEVELS - 1 - i)
         stop = np.searchsorted(f.z, z0 + w, side="right")
         if stop < 2:
             raise ValueError("sub-window contains fewer than two samples")

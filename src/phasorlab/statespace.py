@@ -24,7 +24,7 @@ class DegenerateOrderError(ValueError):
     """Leading coefficient is zero; the stated order is fictitious."""
 
 
-class StabilityError(RuntimeError):
+class StabilityError(ValueError):
     """Fixed step too large for the spectral radius of the evolution."""
 
 
@@ -152,10 +152,6 @@ class HamiltonianOperator:
             raise ValueError("hbar must be positive")
         object.__setattr__(self, "matrix", h)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 def schrodinger_propagate(hamiltonian: HamiltonianOperator, psi0: np.ndarray,
                           dt: float, steps: int) -> np.ndarray:
@@ -171,7 +167,7 @@ def schrodinger_propagate(hamiltonian: HamiltonianOperator, psi0: np.ndarray,
     if steps < 0:
         raise ValueError("steps must be non-negative")
     psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (hamiltonian.dimension,):
+    if psi.shape != hamiltonian.matrix.shape[:1]:
         raise ValueError("state dimension does not match the Hamiltonian")
     if steps == 0:
         return psi

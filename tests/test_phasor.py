@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from phasorlab.phasor import (
     PolarizationPhasor,
     SampledField,
-    TravelingMode,
     cesaro_inner_product,
     plane_wave,
     plane_wave_overlap,
@@ -36,34 +35,15 @@ def test_modulus_finite_nonnegative(a, b):
     assert math.isfinite(abs(a * b))
 
 
-def test_polarization_phasor_norm():
-    ph = PolarizationPhasor(3.0 + 4.0j, 1.0 - 2.0j)
-    assert ph.norm_sq == pytest.approx(25.0 + 5.0)
-    unit = ph.normalized()
-    assert abs(unit.norm_sq - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        PolarizationPhasor(0.0, 0.0).normalized()
-
-
-def test_traveling_mode_dispersion_and_phase_reduction():
-    amp = PolarizationPhasor(1.0, 0.0)
-    mode = TravelingMode(2.0, 7.0, amp, speed=3.0)
-    assert mode.angular_frequency == pytest.approx(3.0 * 2.0)
-    assert 0.0 <= mode.phase_offset < 2 * math.pi
-    assert mode.phase_offset == pytest.approx(7.0 - 2 * math.pi)
-    assert mode.wavelength == pytest.approx(math.pi)
-    with pytest.raises(ValueError):
-        TravelingMode(-1.0, 0.0, amp)
-
-
-def test_traveling_mode_sampling():
-    amp = PolarizationPhasor(2.0, 1.0j)
-    mode = TravelingMode(1.5, 0.25, amp)
+def test_plane_wave_polarized_sampling():
     z = np.linspace(0.0, 4.0, 11)
-    field = mode.sample(z, t=0.3)
-    expected = np.exp(1j * (1.5 * z - 1.5 * 0.3 + 0.25))
-    np.testing.assert_allclose(field[:, 0], 2.0 * expected, atol=1e-14)
-    np.testing.assert_allclose(field[:, 1], 1.0j * expected, atol=1e-14)
+    field = plane_wave(1.5, z, PolarizationPhasor(2.0, 1.0j))
+    carrier = np.exp(1j * 1.5 * z)
+    assert field.values.shape == (11, 2)
+    np.testing.assert_allclose(field.values[:, 0], 2.0 * carrier, atol=1e-14)
+    np.testing.assert_allclose(field.values[:, 1], 1.0j * carrier, atol=1e-14)
+    # each column is the scalar plane wave of that component, bit for bit
+    assert np.array_equal(field.values[:, 1], plane_wave(1.5, z, 1.0j).values)
 
 
 # --- plane_wave_overlap ----------------------------------------------------

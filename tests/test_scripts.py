@@ -1,5 +1,7 @@
-"""Smoke test: every script under scripts/ runs on small arguments."""
+"""Smoke tests: every script under scripts/ runs on small arguments, and the
+benchmark's trace shim reproduces the CLI on every subcommand."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +11,15 @@ import pytest
 
 import phasorlab
 
-SCRIPTS = Path(__file__).parents[1] / "scripts"
+ROOT = Path(__file__).parents[1]
+SCRIPTS = ROOT / "scripts"
+
+
+def run_python(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(phasorlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 @pytest.mark.parametrize("script, args, header", [
@@ -21,10 +31,26 @@ SCRIPTS = Path(__file__).parents[1] / "scripts"
      "n_channels,highest_harmonic,measure,density,granularity"),
 ])
 def test_script_runs(script, args, header):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(phasorlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
-                            capture_output=True, text=True, env=env, timeout=120)
+    result = run_python(str(SCRIPTS / script), *args)
     assert result.returncode == 0
     assert result.stderr == ""
     assert result.stdout.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("argv", [
+    ["epr", "--theta1", "0:90:4", "--theta2", "15"],
+    ["epr", "--mode", "numeric", "--theta1", "0:90:3"],
+    ["holo", "--channels", "1,2,3", "--source", "2.3"],
+    ["holo", "--channels", "1,2", "--source", "2.3", "--format", "json"],
+    ["cavity", "--hf-over-kt", "0.5,2", "--steps", "20000", "--burn-in", "2000"],
+    ["evolve", "--step", "0.01", "--every", "10"],
+    ["hj", "--points", "21"],
+])
+def test_trace_shim_matches_cli(argv, tmp_path):
+    # the shim wraps module attributes by name, so a renamed or removed one breaks it
+    spans = tmp_path / "spans.json"
+    traced = run_python(str(ROOT / "bench" / "shim.py"), str(spans), "j", *argv)
+    plain = run_python("-m", "phasorlab.cli", *argv)
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(spans.read_text())["spans"]
