@@ -210,36 +210,75 @@ def resolve_options(command: str, namespace: argparse.Namespace) -> dict:
 MAY_BE_INFINITE = frozenset({"mc_stderr", "rel_error"})
 
 
+def _json_template(cells: list[str], depth: int, keys: list[str] | None = None) -> str:
+    """``%``-template of a fixed-shape JSON array, or object given ``keys``.
+
+    The text is what ``json.dumps(..., indent=1)`` prints for such a value at
+    nesting ``depth``: one cell spec per member, keys quoted by json.
+    """
+    pad = " " * depth
+    if keys is not None:
+        cells = [json.dumps(k).replace("%", "%%") + ": " + c for k, c in zip(keys, cells)]
+    members = ",\n".join(pad + " " + c for c in cells)
+    return ("[\n%s\n%s]" if keys is None else "{\n%s\n%s}") % (members, pad)
+
+
+def _json_list(item: str, rows, depth: int) -> str:
+    """A JSON array at nesting ``depth`` as ``json.dumps(..., indent=1)`` prints it.
+
+    Each row is printed by the ``item`` template (``_json_template`` or a
+    single cell spec); ``[]`` when there are no rows.  Cells must already be
+    spelled as json spells them: ``%r`` only for finite floats.
+    """
+    pad = " " * depth
+    body = ",\n".join(map((pad + " " + item).__mod__, rows))
+    return "[\n%s\n%s]" % (body, pad) if body else "[]"
+
+
 def render_table(header: list[str], columns: list[np.ndarray], fmt: str) -> str:
     """CSV (17-significant-digit reals, '\\n' newlines) or mirrored JSON.
 
     ``columns`` holds one 1-D array per header key; the kind and the finite
     check are decided once per column.  Float columns print as reals, bool
     and integer columns as integers.  A NaN, or an infinity outside
-    ``MAY_BE_INFINITE``, raises ValueError (exit 1).
+    ``MAY_BE_INFINITE``, raises ValueError (exit 1).  Both formats apply one
+    row template over the zipped columns; the JSON is byte for byte
+    ``json.dumps(rows, indent=1)``, whose reals are ``float.__repr__``.
     """
+    cells, values = [], []
     for key, col in zip(header, columns):
-        if col.dtype.kind == "f" and not np.isfinite(col).all():
+        if col.dtype.kind != "f":
+            cells.append("%d")
+            values.append((col.astype(np.uint8) if col.dtype.kind == "b" else col).tolist())
+            continue
+        finite = np.isfinite(col).all()
+        if not finite:
             if np.isnan(col).any():
                 raise ValueError(f"result column '{key}' is NaN")
             if key not in MAY_BE_INFINITE:
                 raise ValueError(f"result column '{key}' is not finite")
-    rows = zip(*[(c.astype(np.uint8) if c.dtype.kind == "b" else c).tolist() for c in columns])
+        if fmt == "json" and not finite:  # json spells them Infinity and -Infinity
+            cells.append("%s")
+            values.append(list(map(json.dumps, col.tolist())))
+        else:
+            cells.append("%.17g" if fmt == "csv" else "%r")
+            values.append(col.tolist())
+    rows = zip(*values)
     if fmt == "csv":
-        row = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
-        return ",".join(header) + "\n" + "".join(row % r for r in rows)
-    return json.dumps([dict(zip(header, r)) for r in rows], indent=1) + "\n"
+        row = ",".join(cells) + "\n"
+        return ",".join(header) + "\n" + "".join(map(row.__mod__, rows))
+    return _json_list(_json_template(cells, 1, header), rows, 0) + "\n"
 
 
 def write_output(text: str, path: str | None) -> int:
     """Write UTF-8 bytes to the path or stdout; returns bytes written."""
-    data = text.encode("utf-8")
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    return len(data)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    # isascii() is O(1) in CPython; only other text needs encoding to be counted
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +329,33 @@ def run_holo_json(opts: dict) -> str:
     channels, bits = _holo_setup(opts)
     domain = opts["domain"]
     result = holography.localize(bits, channels, opts["alpha"], domain)
-    payload = {
-        "domain": [domain[0], domain[1]],
-        "alpha": opts["alpha"],
-        "channels": [c.index for c in channels],
-        "detectors": list(opts["detectors"]),
-        "source": opts["source"],
-        "bits": [{"detector": b.detector_position, "channel": b.channel_index,
-                  "parity": b.parity} for b in bits],
-        "intervals": result.intervals.tolist(),
-        "measure": result.measure,
-        "density": result.measure / (domain[1] - domain[0]),
-        "granularity": result.granularity,
-        "contains_source": result.contains(opts["source"]),
+    # every listed real is finite: config values and intervals clipped to the domain
+    bit_item = _json_template(["%r", "%d", "%d"], 2, ["detector", "channel", "parity"])
+    fields = {
+        "domain": _json_list("%r", domain, 1),
+        "alpha": json.dumps(opts["alpha"]),
+        "channels": _json_list("%d", [c.index for c in channels], 1),
+        "detectors": _json_list("%r", opts["detectors"], 1),
+        "source": json.dumps(opts["source"]),
+        "bits": _json_list(bit_item, [(b.detector_position, b.channel_index, b.parity)
+                                      for b in bits], 1),
+        "intervals": _json_list(_json_template(["%r", "%r"], 2),
+                                zip(*result.intervals.T.tolist()), 1),
+        "measure": json.dumps(result.measure),
+        "density": json.dumps(result.measure / (domain[1] - domain[0])),
+        "granularity": json.dumps(result.granularity),
+        "contains_source": json.dumps(result.contains(opts["source"])),
     }
-    return json.dumps(payload, indent=1) + "\n"
+    return (_json_template(["%s"] * len(fields), 0, list(fields)) + "\n") % tuple(fields.values())
 
 
 def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     ratios, freqs = opts["hf-over-kt"], opts["frequencies"]
     if (ratios is None) == (freqs is None):
         raise ConfigError("provide exactly one of keys 'hf-over-kt' and 'frequencies'")
+    key = "frequencies" if ratios is None else "hf-over-kt"
+    if not opts[key]:
+        raise ConfigError(f"key '{key}' must list at least one value")
     if ratios is not None:
         bath = cavity.ThermalBath(1.0, 1.0, 1.0)
         freqs = ratios

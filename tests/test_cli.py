@@ -120,6 +120,22 @@ def test_cavity_requires_exactly_one_frequency_spec(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key", ["hf-over-kt", "frequencies"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_cavity_empty_frequency_list_exit_2(key, via_config, tmp_path, capsys):
+    argv = ["cavity", f"--{key}="]
+    if via_config:
+        config = tmp_path / "empty.cfg"
+        config.write_text(f"{key} =\n", encoding="utf-8")
+        argv = ["cavity", "--config", str(config)]
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"'{key}' must list at least one value" in captured.err
+
+
 # --- holo subcommand ----------------------------------------------------------------
 
 def test_holo_json_description(tmp_path):
@@ -566,6 +582,16 @@ def test_cavity_single_kept_sample_prints_inf_stderr(capsys):
     assert cli.run(["cavity", "--hf-over-kt", "1", "--steps", "11", "--burn-in", "10"]) == 0
     row = capsys.readouterr().out.strip().split("\n")[1].split(",")
     assert row[3] == "inf"
+
+
+def test_cavity_underflowed_closed_form_prints_json_infinity(capsys):
+    # exp(-800) underflows the closed form to 0, so the relative error is infinite
+    argv = ["cavity", "--hf-over-kt", "800", "--steps", "1000", "--burn-in", "10",
+            "--format", "json"]
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    assert '  "rel_error": Infinity,\n' in out
+    assert json.loads(out)[0]["rel_error"] == math.inf
 
 
 # --- import hygiene -------------------------------------------------------------------

@@ -9,6 +9,7 @@ libm or numpy build may move the last printed digit.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -53,3 +54,21 @@ def test_golden_stdout(argv, digest, capsys):
     assert cli.run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+JSON_ARGVS = [argv for argv, _ in GOLDEN if "json" in argv] + [
+    ["holo", "--channels", "1,2,3,5,8,13,21,34", "--detectors", "0,0.3,0.7",
+     "--domain", "0:1000", "--format", "json"],
+    ["holo", "--channels", "4", "--format", "json"],
+    ["cavity", "--hf-over-kt", "800", "--steps", "1000", "--burn-in", "10", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_ARGVS, ids=[" ".join(a) for a in JSON_ARGVS])
+def test_json_stdout_is_canonical(argv, capsys):
+    # the JSON is written through row templates; it must read as json.dumps(indent=1)
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    canonical = json.dumps(json.loads(out), indent=1) + "\n"
+    # compared line by line: pytest's diff of two long strings takes minutes
+    assert out.split("\n") == canonical.split("\n")
