@@ -28,7 +28,8 @@ from .seeding import philox_key
 
 # e^{-x} underflows past this point; the closed form is reported as 0.
 PLANCK_UNDERFLOW_X = 700.0
-# steps per streamed chunk: a sweep's work memory is O(CHUNK), not O(steps)
+# steps per streamed chunk: a sweep's work memory is O(CHUNK), not O(steps);
+# even, so that no chunk but the last leaves half a direction word unused
 CHUNK = 2 ** 16
 # a sweep runs at most this many steps over all its chains (about 33 s at 33 ns/step)
 MAX_SWEEP_STEPS = 10 ** 9
@@ -155,14 +156,20 @@ def _run_occupancies(n0: int, q: float, steps: int, uniforms: np.random.Generato
     """Vectorized +-1 Metropolis walk floored at 0, started from ``n0``.
 
     Draws ``steps`` uniforms, then ``steps`` directions (one generator may
-    serve both).  Increments: +1 with probability q/2 (uphill accepted),
-    -1 with probability 1/2 (downhill proposal), else 0; flooring at zero
-    is the reflected-walk recursion n_t = max(n0 + S_t, S_t - min_{j<=t} S_j).
+    serve both).  A direction is bit 31 of a 32-bit half of the raw 64-bit
+    words, low half first, which is the bit ``integers(0, 2)`` takes; a
+    call of odd length leaves its last high half unused, where numpy
+    would keep it for the next call.  Increments: +1 with probability q/2
+    (uphill accepted), -1 with probability 1/2 (downhill proposal), else
+    0; flooring at zero is the reflected-walk recursion
+    n_t = max(n0 + S_t, S_t - min_{j<=t} S_j).
     Returns the occupancies (a view into ``buf``) and the number of
     accepted moves, the steps at which the occupancy changes.
     """
     up = np.less(uniforms.random(out=buf.uniforms[:steps]), q, out=buf.uphill[:steps])
-    direction = directions.integers(0, 2, size=steps)
+    words = directions.bit_generator.random_raw((steps + 1) // 2)
+    direction = words.astype("<u8", copy=False).view("<u4")[:steps]
+    np.right_shift(direction, 31, out=direction)
     s = np.multiply(direction, up, out=buf.walk[:steps])
     s += direction
     s -= 1
@@ -252,11 +259,13 @@ def _stream_chain(family: ModeFamily, bath: ThermalBath, steps: int, burn_in: in
                   key: np.ndarray, buf: _ChainBuffers) -> ChainStatistics:
     """``equilibrate`` on ``Generator(Philox(key))``, in chunks of ``buf``'s size.
 
-    Returns the same statistics, bit for bit, without the occupancies.
-    The uniforms are the stream's first ``steps`` words.  The directions
-    come from a second Philox on the same key, placed just past them:
-    each counter value yields 4 words, hence the advance by steps // 4
-    and the steps % 4 words discarded.
+    Returns the same statistics, bit for bit, without the occupancies,
+    when ``buf``'s size is even: then every chunk but the last uses whole
+    direction words, as ``equilibrate``'s single draw does.  The uniforms
+    are the stream's first ``steps`` words.  The directions come from a
+    second Philox on the same key, placed just past them: each counter
+    value yields 4 words, hence the advance by steps // 4 and the
+    steps % 4 words discarded.
     """
     tally = _ChainTally(steps, burn_in)
     q = math.exp(-bath.beta_hf(family.base_frequency))

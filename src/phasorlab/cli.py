@@ -9,6 +9,11 @@ with 17 significant digits, CSV uses '.' decimals and '\\n' newlines, and
 every RNG stream is derived from the master seed (see ``seeding``).
 
 Exit codes: 0 success, 1 engine or I/O failure, 2 usage/config errors.
+
+A run loads only the engine its subcommand runs, and numpy starts one
+BLAS thread: no kernel here hands BLAS a matrix worth splitting, and an
+idle thread pool costs CPU time in every process.  A thread count the
+caller sets in the environment still wins.
 """
 
 from __future__ import annotations
@@ -16,11 +21,16 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
+from itertools import islice
 
-import numpy as np
+# thread counts read by OpenBLAS, MKL and OpenMP builds of numpy as it loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
-from . import cavity, epr, hj, holography, statespace
+import numpy as np  # noqa: E402  (after the thread cap above)
 
 PROG = "phasorlab"
 
@@ -74,6 +84,14 @@ def _choice(*options: str):
     return convert
 
 
+def _epr_choice(name: str):
+    """``_choice`` over ``epr.<name>``; epr is imported when a value is converted."""
+    def convert(s: str) -> str:
+        from . import epr
+        return _choice(*getattr(epr, name))(s)
+    return convert
+
+
 def _u64(s: str) -> int:
     value = int(s)
     if not (0 <= value < 2 ** 64):
@@ -91,11 +109,11 @@ SUBCOMMAND_OPTIONS = {
     "epr": {
         "theta1": (_sweep, "0", "detector-1 analyzer angle(s), degrees; N or start:stop:count"),
         "theta2": (_sweep, "0", "detector-2 analyzer angle(s), degrees; N or start:stop:count"),
-        "parity": (_choice(*epr.PARITIES), "plus", "pair parity"),
+        "parity": (_epr_choice("PARITIES"), "plus", "pair parity"),
         "field-scale": (_float, "1.0", "per-photon field amplitude E"),
-        "convention": (_choice(*epr.CONVENTIONS), "sum",
+        "convention": (_epr_choice("CONVENTIONS"), "sum",
                        "correlation angle convention (detector-2 handedness)"),
-        "mode": (_choice(*epr.MODES), "symbolic", "amplitude evaluation path"),
+        "mode": (_epr_choice("MODES"), "symbolic", "amplitude evaluation path"),
     },
     "holo": {
         "base-wavelength": (_float, "1.0", "wavelength of harmonic channel 1"),
@@ -109,9 +127,10 @@ SUBCOMMAND_OPTIONS = {
     "cavity": {
         "hf-over-kt": (_floats, None, "dimensionless lobe energies (h=k_B=T=1)"),
         "frequencies": (_floats, None, "mode family base frequencies, Hz"),
-        "temperature": (_float, "1.0", "bath temperature"),
-        "planck-h": (_float, "1.0", "Planck constant"),
-        "boltzmann-k": (_float, "1.0", "Boltzmann constant"),
+        # the bath keys apply to 'frequencies' only, where each defaults to 1.0
+        "temperature": (_float, None, "bath temperature (with --frequencies; 1.0 if unset)"),
+        "planck-h": (_float, None, "Planck constant (with --frequencies; 1.0 if unset)"),
+        "boltzmann-k": (_float, None, "Boltzmann constant (with --frequencies; 1.0 if unset)"),
         "steps": (int, "100000", "Metropolis steps per chain"),
         "burn-in": (int, "10000", "discarded leading steps"),
     },
@@ -208,6 +227,8 @@ def resolve_options(command: str, namespace: argparse.Namespace) -> dict:
 # the only columns that may print inf: cavity stderr from a single kept
 # sample, and the relative error against an underflowed closed form
 MAY_BE_INFINITE = frozenset({"mc_stderr", "rel_error"})
+# rows of a JSON array formatted and joined per chunk: only one chunk's row strings live at once
+JSON_CHUNK_ROWS = 4096
 
 
 def _json_template(cells: list[str], depth: int, keys: list[str] | None = None) -> str:
@@ -228,11 +249,21 @@ def _json_list(item: str, rows, depth: int) -> str:
 
     Each row is printed by the ``item`` template (``_json_template`` or a
     single cell spec); ``[]`` when there are no rows.  Cells must already be
-    spelled as json spells them: ``%r`` only for finite floats.
+    spelled as json spells them: ``%r`` only for finite floats.  Rows are
+    formatted and joined ``JSON_CHUNK_ROWS`` at a time, so the text is held
+    as chunks, never as one string per row.
     """
     pad = " " * depth
-    body = ",\n".join(map((pad + " " + item).__mod__, rows))
+    line, rows = (pad + " " + item).__mod__, iter(rows)
+    chunks = iter(lambda: ",\n".join(map(line, islice(rows, JSON_CHUNK_ROWS))), "")
+    body = ",\n".join(chunks)
     return "[\n%s\n%s]" % (body, pad) if body else "[]"
+
+
+def _row_chunks(array: np.ndarray):
+    """The rows of a 2-D array as tuples, ``tolist()`` one chunk at a time."""
+    for start in range(0, len(array), JSON_CHUNK_ROWS):
+        yield from map(tuple, array[start:start + JSON_CHUNK_ROWS].tolist())
 
 
 def render_table(header: list[str], columns: list[np.ndarray], fmt: str) -> str:
@@ -285,6 +316,7 @@ def write_output(text: str, path: str | None) -> int:
 # engine glue
 
 def run_epr(opts: dict) -> tuple[list[str], list[np.ndarray]]:
+    from . import epr
     pair = epr.PhotonPairState(opts["parity"], opts["field-scale"])
     header = ["theta1_deg", "theta2_deg", "E", "P_xx", "P_xy", "P_yx", "P_yy"]
     t1_deg, t2_deg = np.meshgrid(opts["theta1"], opts["theta2"], indexing="ij")
@@ -296,6 +328,7 @@ def run_epr(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 
 
 def _holo_setup(opts: dict):
+    from . import holography
     if opts["base-wavelength"] <= 0.0:
         raise ConfigError("key 'base-wavelength' must be positive")
     for key in ("channels", "detectors"):
@@ -315,6 +348,7 @@ def _holo_setup(opts: dict):
 
 
 def run_holo_csv(opts: dict) -> tuple[list[str], list[np.ndarray]]:
+    from . import holography
     channels, bits = _holo_setup(opts)
     length = opts["domain"][1] - opts["domain"][0]
     # one row per channel prefix; bits are ordered channel by channel
@@ -326,6 +360,7 @@ def run_holo_csv(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 
 
 def run_holo_json(opts: dict) -> str:
+    from . import holography
     channels, bits = _holo_setup(opts)
     domain = opts["domain"]
     result = holography.localize(bits, channels, opts["alpha"], domain)
@@ -340,7 +375,7 @@ def run_holo_json(opts: dict) -> str:
         "bits": _json_list(bit_item, [(b.detector_position, b.channel_index, b.parity)
                                       for b in bits], 1),
         "intervals": _json_list(_json_template(["%r", "%r"], 2),
-                                zip(*result.intervals.T.tolist()), 1),
+                                _row_chunks(result.intervals), 1),
         "measure": json.dumps(result.measure),
         "density": json.dumps(result.measure / (domain[1] - domain[0])),
         "granularity": json.dumps(result.granularity),
@@ -350,18 +385,21 @@ def run_holo_json(opts: dict) -> str:
 
 
 def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
+    from . import cavity
     ratios, freqs = opts["hf-over-kt"], opts["frequencies"]
     if (ratios is None) == (freqs is None):
         raise ConfigError("provide exactly one of keys 'hf-over-kt' and 'frequencies'")
     key = "frequencies" if ratios is None else "hf-over-kt"
     if not opts[key]:
         raise ConfigError(f"key '{key}' must list at least one value")
+    bath_keys = ("temperature", "boltzmann-k", "planck-h")
     if ratios is not None:
-        bath = cavity.ThermalBath(1.0, 1.0, 1.0)
+        for bath_key in bath_keys:
+            if opts[bath_key] is not None:
+                raise ConfigError(f"key '{bath_key}' applies only with 'frequencies';"
+                                  " 'hf-over-kt' already fixes h = k_B = T = 1")
         freqs = ratios
-    else:
-        bath = cavity.ThermalBath(opts["temperature"], opts["boltzmann-k"],
-                                  opts["planck-h"])
+    bath = cavity.ThermalBath(*(1.0 if opts[k] is None else opts[k] for k in bath_keys))
     rows_out = cavity.spectrum_sweep(freqs, bath, opts["steps"], opts["burn-in"],
                                      opts["seed"])
     header = ["f", "T", "mc_mean_energy", "mc_stderr", "closed_form",
@@ -374,6 +412,7 @@ def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 
 
 def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
+    from . import statespace
     spec = statespace.EvolutionSpec(tuple(opts["coefficients"]))
     initial = np.asarray(opts["initial"], dtype=complex)
     every = opts["every"]
@@ -391,6 +430,7 @@ def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 
 
 def run_hj(opts: dict) -> tuple[list[str], list[np.ndarray]]:
+    from . import hj
     q = np.linspace(opts["q-min"], opts["q-max"], opts["points"])
     m, hbar = opts["mass"], opts["hbar"]
     if opts["system"] == "free":

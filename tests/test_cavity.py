@@ -268,6 +268,26 @@ def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
     assert streamed.occupancies is None
 
 
+def drawn_directions(sizes: list[int]) -> np.ndarray:
+    """The 0/1 directions ``_run_occupancies`` draws over consecutive calls of ``sizes``."""
+    directions, uniforms = derive_rng(5, "cavity", 0), derive_rng(5, "cavity", 1)
+    buf = cavity._ChainBuffers(max(sizes))
+    out = []
+    for size in sizes:
+        # q = 1 accepts every uphill move, and n0 = size + 1 never meets the floor,
+        # so each step moves by 2 * direction - 1
+        occ, _ = cavity._run_occupancies(size + 1, 1.0, size, uniforms, directions, buf)
+        out.append((np.diff(occ, prepend=size + 1) + 1) // 2)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("sizes", [[1], [2], [3], [CHUNK - 1], [CHUNK], [CHUNK, CHUNK, 5]],
+                         ids=["1", "2", "3", "CHUNK-1", "CHUNK", "stream"])
+def test_raw_word_directions_equal_integers(sizes):
+    expected = derive_rng(5, "cavity", 0).integers(0, 2, size=sum(sizes))
+    assert np.array_equal(drawn_directions(sizes), expected)
+
+
 def test_spectrum_sweep_equals_equilibrate_per_replica():
     steps, burn_in = 2 * CHUNK + 3, 500
     rows = spectrum_sweep([0.7, 0.7, 3.0], BATH, steps, burn_in, master_seed=9)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from phasorlab import cli, epr, hj, holography, statespace
 from phasorlab.seeding import derive_rng, philox_key
+from test_golden import GOLDEN
 
 
 def run_to_file(tmp_path, name, argv):
@@ -134,6 +135,40 @@ def test_cavity_empty_frequency_list_exit_2(key, via_config, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert f"'{key}' must list at least one value" in captured.err
+
+
+BATH_KEYS = ["temperature", "planck-h", "boltzmann-k"]
+
+
+@pytest.mark.parametrize("key", BATH_KEYS)
+def test_cavity_bath_flag_with_hf_over_kt_exit_2(key, capsys):
+    code = cli.run(["cavity", "--hf-over-kt", "1", f"--{key}", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"key '{key}' applies only with 'frequencies'" in captured.err
+
+
+@pytest.mark.parametrize("key", BATH_KEYS)
+def test_cavity_bath_key_in_config_with_hf_over_kt_exit_2(key, tmp_path, capsys):
+    config = tmp_path / "bath.cfg"
+    config.write_text(f"hf-over-kt = 1\n{key} = 300\n", encoding="utf-8")
+    code = cli.run(["cavity", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"key '{key}' applies only with 'frequencies'" in captured.err
+
+
+def test_cavity_bath_keys_default_to_one_with_frequencies(capsys):
+    argv = ["cavity", "--frequencies", "0.5,2", "--steps", "2000", "--burn-in", "100"]
+    assert cli.run(argv) == 0
+    unset = capsys.readouterr().out
+    assert cli.run(argv + ["--temperature", "1", "--planck-h", "1", "--boltzmann-k", "1"]) == 0
+    assert capsys.readouterr().out == unset
+    assert cli.run(argv + ["--temperature", "300"]) == 0
+    assert {row.split(",")[1] for row in capsys.readouterr().out.split()[1:]} == {"300"}
 
 
 # --- holo subcommand ----------------------------------------------------------------
@@ -596,11 +631,75 @@ def test_cavity_underflowed_closed_form_prints_json_infinity(capsys):
 
 # --- import hygiene -------------------------------------------------------------------
 
+def fresh_python(*args, **env_vars) -> str:
+    """Stdout of a new interpreter on this checkout, started without BLAS thread variables."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    env.update(env_vars)
+    return subprocess.run([sys.executable, *args], check=True, env=env,
+                          capture_output=True, text=True).stdout
+
+
 def test_cli_import_does_not_load_scipy_stats():
-    code = "import phasorlab.cli, sys; assert 'scipy.stats' not in sys.modules"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    fresh_python("-c", "import phasorlab.cli, sys; assert 'scipy.stats' not in sys.modules")
+
+
+def test_cli_import_loads_no_engine():
+    code = "import phasorlab.cli, sys; print(*sorted(m for m in sys.modules if 'phasorlab' in m))"
+    assert fresh_python("-c", code).split() == ["phasorlab", "phasorlab.cli"]
+
+
+ENGINES = {"epr": "epr", "holo": "holography", "cavity": "cavity", "evolve": "statespace",
+           "hj": "hj"}
+# the first golden argv of each subcommand, with its pinned stdout hash
+GOLDEN_PER_COMMAND = [next(g for g in GOLDEN if g[0][0] == command) for command in ENGINES]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_PER_COMMAND,
+                         ids=[argv[0] for argv, _ in GOLDEN_PER_COMMAND])
+def test_subcommand_loads_only_its_own_engine(argv, digest):
+    code = ("import os, sys; from phasorlab import cli; "
+            f"code = cli.run({argv!r} + ['--out', os.devnull]); "
+            "print(code, *sorted(m for m in sys.modules if m.startswith('phasorlab.')))")
+    code, *loaded = fresh_python("-c", code).split()
+    assert code == "0"
+    engines = {m.removeprefix("phasorlab.") for m in loaded} & set(ENGINES.values())
+    assert engines == {ENGINES[argv[0]]}
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_PER_COMMAND,
+                         ids=[argv[0] for argv, _ in GOLDEN_PER_COMMAND])
+def test_golden_stdout_from_a_fresh_process(argv, digest):
+    out = fresh_python("-m", "phasorlab.cli", *argv)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+THREADS = ("import os, {module}; "
+           "status = open('/proc/self/status').read().split('Threads:')[1].split()[0]; "
+           "print(os.environ['OPENBLAS_NUM_THREADS'], status)")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cli_import_starts_one_blas_thread():
+    assert fresh_python("-c", THREADS.format(module="phasorlab.cli")).split() == ["1", "1"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cli_import_keeps_the_callers_blas_thread_count():
+    # as many threads as numpy alone starts under the same setting
+    alone = fresh_python("-c", THREADS.format(module="numpy"), OPENBLAS_NUM_THREADS="2")
+    via_cli = fresh_python("-c", THREADS.format(module="phasorlab.cli"),
+                           OPENBLAS_NUM_THREADS="2")
+    assert via_cli.split() == alone.split()
+    assert via_cli.split()[0] == "2"
+
+
+def test_engines_load_on_attribute_access():
+    code = ("import sys, phasorlab; before = 'phasorlab.cavity' in sys.modules; "
+            "print(before, 'numpy' in sys.modules, phasorlab.cavity.CHUNK == 2 ** 16, "
+            "hasattr(phasorlab, 'no_such_engine'))")
+    assert fresh_python("-c", code).split() == ["False", "False", "True", "False"]
 
 
 # --- emission helpers ---------------------------------------------------------------
@@ -680,6 +779,15 @@ def test_columnar_render_matches_per_cell_reference(table, fmt):
         return
     rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
     assert cli.render_table(header, columns, fmt) == reference_render_table(header, rows, fmt)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli.JSON_CHUNK_ROWS - 1, cli.JSON_CHUNK_ROWS,
+                                    cli.JSON_CHUNK_ROWS + 1, 2 * cli.JSON_CHUNK_ROWS + 3])
+def test_chunked_json_rows_match_json_dumps(n_rows):
+    # the intervals' path: rows converted and joined one chunk at a time
+    intervals = derive_rng(3, "test", n_rows).random((n_rows, 2))
+    text = cli._json_list(cli._json_template(["%r", "%r"], 1), cli._row_chunks(intervals), 0)
+    assert text.split("\n") == json.dumps(intervals.tolist(), indent=1).split("\n")
 
 
 def test_all_subcommands_double_run_identical(tmp_path):
