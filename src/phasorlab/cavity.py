@@ -8,10 +8,12 @@ equilibrium mean energy then reproduces the Planck form
 hf / (e^{hf/k_B T} - 1), with the antinodal lobe energy h*f independent
 of the wavelength.
 
+Every step takes one uniform u: u < q/2 moves up, u >= 1/2 moves down
+(refused at n = 0), anything else stays, with q = e^{-hf/k_B T}.
 ``equilibrate`` runs the walk vectorized through the reflected-walk
 (Lindley) recursion, which is step-for-step identical to looping
-``jitter_step`` over the same pre-drawn randomness.  ``spectrum_sweep``
-runs the same recursion in chunks of ``CHUNK`` steps, carrying the last
+``jitter_step`` over the same uniforms.  ``spectrum_sweep`` runs the
+same recursion in chunks of ``CHUNK`` steps, carrying the last
 occupancy, and keeps only exact integer sums, so its statistics equal
 ``equilibrate``'s bit for bit in O(CHUNK) memory.
 """
@@ -24,14 +26,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .seeding import philox_key
+from .seeding import derive_rng
 
 # e^{-x} underflows past this point; the closed form is reported as 0.
 PLANCK_UNDERFLOW_X = 700.0
-# steps per streamed chunk: a sweep's work memory is O(CHUNK), not O(steps);
-# even, so that no chunk but the last leaves half a direction word unused
+# steps per streamed chunk: a sweep's work memory is O(CHUNK), not O(steps)
 CHUNK = 2 ** 16
-# a sweep runs at most this many steps over all its chains (about 33 s at 33 ns/step)
+# a sweep runs at most this many steps over all its chains (about 22 s at 22 ns/step)
 MAX_SWEEP_STEPS = 10 ** 9
 # geometric_chi_square merges the bins whose expected count is below this into one tail
 CHI_SQUARE_MIN_EXPECTED = 5.0
@@ -109,15 +110,15 @@ def acceptance_probability(family: ModeFamily, bath: ThermalBath,
 
 def jitter_step(family: ModeFamily, bath: ThermalBath,
                 rng: np.random.Generator) -> ModeFamily:
-    """One wall-jitter move: propose n -> n +- 1, accept per Metropolis.
+    """One wall-jitter move from one uniform u: propose n -> n +- 1, accept per Metropolis.
 
-    Downhill moves always pass; the n -> -1 proposal is rejected
-    outright, leaving the family unchanged.
+    u < 1/2 proposes n + 1 with 2u as its Metropolis uniform; u >= 1/2
+    proposes n - 1 with 2u - 1, so downhill moves always pass and the
+    n -> -1 proposal is rejected outright, leaving the family unchanged.
     """
-    delta = 1 if rng.integers(0, 2) == 1 else -1
-    if delta == -1 and family.occupancy == 0:
-        return family
-    if rng.random() < acceptance_probability(family, bath, delta):
+    u = rng.random()
+    delta, metropolis_u = (1, 2.0 * u) if u < 0.5 else (-1, 2.0 * u - 1.0)
+    if metropolis_u < acceptance_probability(family, bath, delta):
         return ModeFamily(family.base_frequency, family.occupancy + delta,
                           family.lobe_energy)
     return family
@@ -137,7 +138,7 @@ class ChainStatistics:
     mean_energy: float
     mean_energy_stderr: float
     acceptance_rate: float
-    occupancies: np.ndarray | None
+    occupancies: np.ndarray | None = None
 
 
 class _ChainBuffers:
@@ -145,34 +146,24 @@ class _ChainBuffers:
 
     def __init__(self, size: int):
         self.uniforms = np.empty(size)
-        self.uphill = np.empty(size, dtype=bool)
         self.walk = np.empty(size, dtype=np.int64)
         self.low = np.empty(size, dtype=np.int64)
 
 
-def _run_occupancies(n0: int, q: float, steps: int, uniforms: np.random.Generator,
-                     directions: np.random.Generator,
+def _run_occupancies(n0: int, q: float, steps: int, rng: np.random.Generator,
                      buf: _ChainBuffers) -> tuple[np.ndarray, int]:
     """Vectorized +-1 Metropolis walk floored at 0, started from ``n0``.
 
-    Draws ``steps`` uniforms, then ``steps`` directions (one generator may
-    serve both).  A direction is bit 31 of a 32-bit half of the raw 64-bit
-    words, low half first, which is the bit ``integers(0, 2)`` takes; a
-    call of odd length leaves its last high half unused, where numpy
-    would keep it for the next call.  Increments: +1 with probability q/2
-    (uphill accepted), -1 with probability 1/2 (downhill proposal), else
-    0; flooring at zero is the reflected-walk recursion
+    Draws ``steps`` uniforms u.  Increments: +1 where u < q/2 (uphill
+    accepted), -1 where u >= 1/2 (downhill proposal), else 0; flooring
+    at zero is the reflected-walk recursion
     n_t = max(n0 + S_t, S_t - min_{j<=t} S_j).
-    Returns the occupancies (a view into ``buf``) and the number of
-    accepted moves, the steps at which the occupancy changes.
+    Returns the occupancies, which are ``buf.walk[:steps]``, and the
+    number of accepted moves, the steps at which the occupancy changes.
     """
-    up = np.less(uniforms.random(out=buf.uniforms[:steps]), q, out=buf.uphill[:steps])
-    words = directions.bit_generator.random_raw((steps + 1) // 2)
-    direction = words.astype("<u8", copy=False).view("<u4")[:steps]
-    np.right_shift(direction, 31, out=direction)
-    s = np.multiply(direction, up, out=buf.walk[:steps])
-    s += direction
-    s -= 1
+    u = rng.random(out=buf.uniforms[:steps])
+    s = np.less(u, 0.5 * q, out=buf.walk[:steps])
+    s -= np.greater_equal(u, 0.5, out=buf.low[:steps])
     moves = np.count_nonzero(s)
     np.cumsum(s, out=s)
     free_end = n0 + int(s[-1])
@@ -226,7 +217,7 @@ class _ChainTally:
             sums = np.add.reduceat(in_batches, np.concatenate(([0], cuts[cuts > 0])))
             self.batch_sums[start // b:start // b + sums.size] += sums
 
-    def statistics(self, lobe: float, occupancies: np.ndarray | None = None) -> ChainStatistics:
+    def statistics(self, lobe: float) -> ChainStatistics:
         mean_occ = self.total / (self.steps - self.burn_in)
         batches = self.batch_sums / self.batch_len
         stderr = (float(batches.std(ddof=1) / math.sqrt(self.n_batches))
@@ -235,7 +226,6 @@ class _ChainTally:
             steps=self.steps, occupancy_histogram=self.histogram,
             mean_occupancy=mean_occ, mean_energy=mean_occ * lobe,
             mean_energy_stderr=stderr * lobe, acceptance_rate=self.moves / self.steps,
-            occupancies=occupancies,
         )
 
 
@@ -245,39 +235,28 @@ def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
 
     The occupancy histogram converges to the geometric law
     P(n) = (1 - q) q^n with q = e^{-hf/k_B T}; the standard error of the
-    mean energy comes from 32 batch means.  The whole chain is kept.
+    mean energy comes from 32 batch means.  The chain runs as one chunk
+    in a buffer of ``steps``, which keeps it whole.
     """
-    tally = _ChainTally(steps, burn_in)
-    q = math.exp(-bath.beta_hf(family.base_frequency))
-    occ, moves = _run_occupancies(family.occupancy, q, steps, rng, rng,
-                                  _ChainBuffers(steps))
-    tally.add(occ, moves)
-    return tally.statistics(family.lobe_energy, occ[burn_in:])
+    buf = _ChainBuffers(steps)
+    chain = _stream_chain(family, bath, steps, burn_in, rng, buf)
+    chain.occupancies = buf.walk[burn_in:]
+    return chain
 
 
 def _stream_chain(family: ModeFamily, bath: ThermalBath, steps: int, burn_in: int,
-                  key: np.ndarray, buf: _ChainBuffers) -> ChainStatistics:
-    """``equilibrate`` on ``Generator(Philox(key))``, in chunks of ``buf``'s size.
+                  rng: np.random.Generator, buf: _ChainBuffers) -> ChainStatistics:
+    """The jitter chain on ``rng``, in chunks of ``buf``'s size, without the occupancies.
 
-    Returns the same statistics, bit for bit, without the occupancies,
-    when ``buf``'s size is even: then every chunk but the last uses whole
-    direction words, as ``equilibrate``'s single draw does.  The uniforms
-    are the stream's first ``steps`` words.  The directions come from a
-    second Philox on the same key, placed just past them: each counter
-    value yields 4 words, hence the advance by steps // 4 and the
-    steps % 4 words discarded.
+    It draws ``steps`` uniforms in order whatever the chunk size, so the
+    statistics equal ``equilibrate``'s on the same stream bit for bit.
     """
     tally = _ChainTally(steps, burn_in)
-    q = math.exp(-bath.beta_hf(family.base_frequency))
-    uniforms = np.random.Generator(np.random.Philox(key=key))
-    direction_bits = np.random.Philox(key=key)
-    direction_bits.advance(steps // 4)
-    direction_bits.random_raw(steps % 4)
-    directions = np.random.Generator(direction_bits)
+    # the uphill acceptance of the scalar reference, not a re-derivation of it
+    q = acceptance_probability(family, bath, 1)
     occupancy, chunk = family.occupancy, buf.walk.size
     for start in range(0, steps, chunk):
-        occ, moves = _run_occupancies(occupancy, q, min(chunk, steps - start),
-                                      uniforms, directions, buf)
+        occ, moves = _run_occupancies(occupancy, q, min(chunk, steps - start), rng, buf)
         tally.add(occ, moves)
         occupancy = int(occ[-1])
     return tally.statistics(family.lobe_energy)
@@ -313,7 +292,7 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
             raise ValueError("frequencies must be positive")
         family = ModeFamily.in_bath(f, bath)
         chain = _stream_chain(family, bath, steps, burn_in,
-                              philox_key(master_seed, "cavity", i), buf)
+                              derive_rng(master_seed, "cavity", i), buf)
         closed = planck_expectation(f, bath).energy
         rel = abs(chain.mean_energy - closed) / closed if closed > 0.0 else math.inf
         rows.append(SweepRow(f, chain.mean_energy, chain.mean_energy_stderr,

@@ -302,14 +302,13 @@ def render_table(header: list[str], columns: list[np.ndarray], fmt: str) -> str:
 
 
 def write_output(text: str, path: str | None) -> int:
-    """Write UTF-8 bytes to the path or stdout; returns bytes written."""
+    """Write the (all-ASCII) text to the path or stdout; returns bytes written."""
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    # isascii() is O(1) in CPython; only other text needs encoding to be counted
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
+    return len(text)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ CONVENTIONS = ("sum", "difference")
 MODES = ("symbolic", "numeric")
 # grid density of the numeric path's sampled fields
 SAMPLES_PER_WAVELENGTH = 8
+# wavenumber of the numeric path's plane waves; a whole-wavelength projection does not see it
+WAVENUMBER = 1.0
 
 
 class DetectorUsageError(ValueError):
@@ -88,21 +90,21 @@ def analyzer_phasor(angle: float) -> PolarizationPhasor:
     return PolarizationPhasor(math.cos(angle), math.sin(angle))
 
 
-def _numeric_projection(bra: PolarizationPhasor, ket: PolarizationPhasor, wavenumber: float,
+def _numeric_projection(bra: PolarizationPhasor, ket: PolarizationPhasor,
                         window_wavelengths: float) -> complex:
     """<bra|ket> by Cesaro integration of both plane-wave fields sampled from z = 0."""
     if window_wavelengths <= 0.0:
         raise ValueError("numeric mode needs a positive window")
-    window = window_wavelengths * (TWO_PI / wavenumber)
+    window = window_wavelengths * (TWO_PI / WAVENUMBER)
     n = max(int(window_wavelengths * SAMPLES_PER_WAVELENGTH), 16)
     z = np.linspace(0.0, window, n + 1)
-    return cesaro_inner_product(plane_wave(wavenumber, z, bra),
-                                plane_wave(wavenumber, z, ket), window)
+    return cesaro_inner_product(plane_wave(WAVENUMBER, z, bra),
+                                plane_wave(WAVENUMBER, z, ket), window)
 
 
 def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
                    pair: PhotonPairState, mode: str = "symbolic", *,
-                   wavenumber: float = 1.0, window_wavelengths: float = 1e4) -> complex:
+                   window_wavelengths: float = 1e4) -> complex:
     """Joint amplitude <theta1 theta2 | pair> for one analyzer outcome each.
 
     ``mode`` selects symbolic plane-wave orthogonality or the numeric
@@ -118,15 +120,14 @@ def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
     for handedness, weight in (("right", 1.0), ("left", pair.parity_sign)):
         ket = CircularKet(handedness).phasor.scaled(pair.field_scale)
         a1, a2 = (analyzer_phasor(o.angle).dot(ket) if mode == "symbolic" else
-                  _numeric_projection(analyzer_phasor(o.angle), ket, wavenumber,
-                                      window_wavelengths)
+                  _numeric_projection(analyzer_phasor(o.angle), ket, window_wavelengths)
                   for o in (outcome1, outcome2))
         total += weight * a1 * a2
     return total
 
 
 def joint_amplitudes(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
-                     convention: str = "sum", *, wavenumber: float = 1.0,
+                     convention: str = "sum", *,
                      window_wavelengths: float = 1e4) -> np.ndarray:
     """Amplitude tables over (along, perpendicular) outcomes per detector.
 
@@ -153,7 +154,7 @@ def joint_amplitudes(theta1, theta2, pair: PhotonPairState, mode: str = "symboli
         # the projection is linear in the phasor components: each numeric detector
         # amplitude is the symbolic one times the unit carrier's self-overlap at z = 0
         unit = analyzer_phasor(0.0)
-        scale *= _numeric_projection(unit, unit, wavenumber, window_wavelengths)
+        scale *= _numeric_projection(unit, unit, window_wavelengths)
     table = np.cos(phase) if pair.parity == "plus" else 1j * np.sin(phase)
     return scale * scale * table
 

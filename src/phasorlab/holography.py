@@ -8,8 +8,9 @@ frequency channels and detectors shrinks the candidate measure without
 ever excluding the true source.
 
 Intervals are half-open [lo, hi); parity flips exactly at interval edges,
-so containment queries honor a configurable edge tolerance (default
-1e-9 * lambda) to keep boundary tie-breaking deterministic.
+so containment queries honor an edge tolerance (1e-9 * lambda, widened at
+large phases to cover round-off) to keep boundary tie-breaking
+deterministic; past ``MAX_BIT_PHASE`` a bit is refused.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ MAX_ALIAS_INTERVALS = 10 ** 7
 # harmonic bits), and rounding each decimal position adds eps/2 |k z|/pi: forward_bit puts
 # u/pi on an integer within EDGE_SNAP_FACTOR eps (k |z_d| + k |z_s| + |alpha|)/pi of it
 EDGE_SNAP_FACTOR = 4.0
+# largest phase k(|z_d| + max|domain|) + |alpha| of a bit: a sweep first lost the true source
+# at 5.8e12 rad (uniform sources) and 1e13 rad (sources a few ulps from an edge), and the
+# interval budget allows 2 pi 1e7 rad on a domain starting at the origin
+MAX_BIT_PHASE = 1e9
 # alias_density's reference source sits this far into the domain (golden-ratio fraction)
 REFERENCE_SOURCE_FRACTION = 0.61803398875
 
@@ -145,7 +150,6 @@ def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
         raise EmptyDomainError("domain must have positive length")
     k = channel.wavenumber
     lam = channel.wavelength
-    tol = EDGE_TOL_FACTOR * lam
     z_d = bit.detector_position
 
     # source z = z_d + (alpha - u)/k with u in [m*pi, (m+1)*pi), m parity-matched
@@ -155,6 +159,13 @@ def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
     if not count <= MAX_ALIAS_INTERVALS:
         raise ValueError(f"channel {channel.index} has about {count:.3g} alias intervals"
                          f" in the domain, above the limit of {MAX_ALIAS_INTERVALS:.0e}")
+    phase = k * abs(z_d) + k * max(abs(lo_d), abs(hi_d)) + abs(alpha)
+    if not phase <= MAX_BIT_PHASE:
+        raise ValueError(f"channel {channel.index} reaches a phase of {phase:.3g} rad in the"
+                         f" domain, above the limit of {MAX_BIT_PHASE:.0e} rad where round-off"
+                         " moves the alias edges")
+    # an edge may sit forward_bit's snap window plus its own round-off from the source
+    tol = max(EDGE_TOL_FACTOR * lam, 2 * EDGE_SNAP_FACTOR * EPS * phase / k)
     m_lo = math.floor(u_lo) - 2
     m_hi = math.ceil(u_hi) + 2
     # descending m gives ascending intervals

@@ -20,22 +20,18 @@ from phasorlab.cavity import (
     spectrum_sweep,
     transition_flow_ratios,
 )
-from phasorlab.seeding import derive_rng, philox_key
+from phasorlab.seeding import derive_rng
 
 BATH = ThermalBath(1.0)  # natural units: hf/k_B T = f
 
 
 class QueuedRng:
-    """Deterministic stand-in feeding scripted draws to jitter_step."""
+    """Deterministic stand-in feeding scripted uniforms to jitter_step."""
 
-    def __init__(self, directions, uniforms):
-        self._dirs = list(directions)
+    def __init__(self, uniforms):
         self._uni = list(uniforms)
 
-    def integers(self, lo, hi):
-        return self._dirs.pop(0)
-
-    def random(self, size=None):
+    def random(self):
         return self._uni.pop(0)
 
 
@@ -64,13 +60,13 @@ def test_mode_family_validation():
 
 def test_downhill_always_accepted():
     family = ModeFamily.in_bath(1.0, BATH, occupancy=3)
-    stepped = jitter_step(family, BATH, QueuedRng([0], [0.999999]))
-    assert stepped.occupancy == 2
+    for u in (0.5, 0.999999):
+        assert jitter_step(family, BATH, QueuedRng([u])).occupancy == 2
 
 
 def test_floor_proposal_rejected_outright():
     family = ModeFamily.in_bath(1.0, BATH, occupancy=0)
-    stepped = jitter_step(family, BATH, QueuedRng([0], [0.0]))
+    stepped = jitter_step(family, BATH, QueuedRng([0.5]))
     assert stepped.occupancy == 0
     assert acceptance_probability(family, BATH, -1) == 0.0
 
@@ -78,46 +74,61 @@ def test_floor_proposal_rejected_outright():
 def test_uphill_acceptance_probability():
     family = ModeFamily.in_bath(1.0, BATH, occupancy=4)
     assert acceptance_probability(family, BATH, +1) == pytest.approx(math.exp(-1))
-    # empirical frequency over scripted uniforms brackets e^{-1}
+    # uniforms below 1/2 propose n + 1; their accepted share brackets e^{-1}
     accepted = sum(
-        jitter_step(family, BATH, QueuedRng([1], [u])).occupancy == 5
-        for u in np.linspace(0.0005, 0.9995, 1000))
+        jitter_step(family, BATH, QueuedRng([u])).occupancy == 5
+        for u in np.linspace(0.0005, 0.9995, 1000) / 2)
     assert accepted / 1000 == pytest.approx(math.exp(-1), abs=2e-3)
+    assert jitter_step(family, BATH, QueuedRng([0.4999])).occupancy == 4
 
 
 def test_jitter_preserves_lobe_energy():
     family = ModeFamily.in_bath(2.5, BATH, occupancy=1)
-    stepped = jitter_step(family, BATH, QueuedRng([1], [0.0]))
+    stepped = jitter_step(family, BATH, QueuedRng([0.0]))
+    assert stepped.occupancy == 2
     assert stepped.lobe_energy == family.lobe_energy
 
 
 # --- vectorized kernel vs direct loop -------------------------------------------
 
 def test_vectorized_chain_matches_stepwise_loop():
-    # oracle: replay the same pre-drawn randomness through a plain loop
-    q = math.exp(-0.8)
+    # oracle: the paper's move, jitter_step, looped over the kernel's own uniforms
     steps = 5000
-    rng = derive_rng(11, "cavity", 0)
-    occ_vec, moves = cavity._run_occupancies(2, q, steps, rng, rng,
-                                             cavity._ChainBuffers(steps))
+    for family, bath in [
+        (ModeFamily.in_bath(0.8, BATH, occupancy=2), BATH),
+        # lobe energy 1 in a bath with h = 2: uphill moves pass with e^{-1}, not e^{-2}
+        (ModeFamily(1.0, occupancy=2), ThermalBath(1.0, planck_h=2.0)),
+    ]:
+        chain = equilibrate(family, bath, steps, 0, derive_rng(11, "cavity", 0))
+        rng = QueuedRng(derive_rng(11, "cavity", 0).random(steps))
+        occ_loop = np.empty(steps, dtype=np.int64)
+        state = family
+        for t in range(steps):
+            state = jitter_step(state, bath, rng)
+            occ_loop[t] = state.occupancy
+        assert np.array_equal(chain.occupancies, occ_loop)
+        moves = np.count_nonzero(np.diff(occ_loop, prepend=family.occupancy))
+        assert chain.acceptance_rate == moves / steps
 
-    rng2 = derive_rng(11, "cavity", 0)
-    u = rng2.random(steps)
-    direction = rng2.integers(0, 2, size=steps)
-    n = 2
-    occ_loop = np.empty(steps, dtype=np.int64)
-    accepted = 0
-    for t in range(steps):
-        if direction[t] == 1:
-            if u[t] < q:
-                n += 1
-                accepted += 1
-        elif n > 0:
-            n -= 1
-            accepted += 1
-        occ_loop[t] = n
-    assert np.array_equal(occ_vec, occ_loop)
-    assert moves == accepted
+
+def test_equilibrate_uses_the_family_lobe_energy():
+    # ModeFamily(1.0) in a bath with h = 2: the family's own law has q = e^{-1}
+    family = ModeFamily(1.0)
+    chain = equilibrate(family, ThermalBath(1.0, planck_h=2.0), 10 ** 6, 10 ** 4,
+                        derive_rng(3, "cavity", 0))
+    closed = planck_expectation(1.0, BATH).energy  # lobe 1 at k_B T = 1: 0.582
+    assert abs(chain.mean_energy - closed) / closed < 0.02
+
+
+@pytest.mark.parametrize("steps, chunk", [(1, cavity.CHUNK), (1000, 7),
+                                          (2 * cavity.CHUNK + 3, cavity.CHUNK)])
+def test_chain_draws_one_uniform_per_step(steps, chunk):
+    family = ModeFamily.in_bath(0.7, BATH)
+    rng = derive_rng(13, "cavity", 2)
+    cavity._stream_chain(family, BATH, steps, 0, rng, cavity._ChainBuffers(chunk))
+    reference = derive_rng(13, "cavity", 2)
+    reference.random(steps)
+    assert np.array_equal(rng.random(9), reference.random(9))
 
 
 # --- equilibrate ------------------------------------------------------------------
@@ -174,7 +185,7 @@ def test_classical_limit_chain_ensemble():
     buf = cavity._ChainBuffers(length)
     total = 0.0
     for c in range(chains):
-        occ, _ = cavity._run_occupancies(int(n0[c]), q, length, rng, rng, buf)
+        occ, _ = cavity._run_occupancies(int(n0[c]), q, length, rng, buf)
         total += occ[-1]
     mean_energy = x * total / chains  # lobe energy x per occupancy unit
     assert abs(mean_energy - 1.0) < 0.03
@@ -244,11 +255,11 @@ CHUNK = cavity.CHUNK
 
 
 @pytest.mark.parametrize("steps, burn_in, n0", [
-    (CHUNK - 1, 0, 0),                  # steps % 4 == 3, one partial chunk
-    (CHUNK, 1000, 0),                   # % 4 == 0, burn-in inside the first chunk
-    (CHUNK + 1, CHUNK, 0),              # % 4 == 1, burn-in on a chunk edge
+    (CHUNK - 1, 0, 0),                  # one partial chunk
+    (CHUNK, 1000, 0),                   # burn-in inside the first chunk
+    (CHUNK + 1, CHUNK, 0),              # burn-in on a chunk edge
     (CHUNK + 1, CHUNK - 20, 0),         # 21 kept steps across the edge
-    (3 * CHUNK + 2, 0, 3),              # % 4 == 2, batches straddle chunk edges
+    (3 * CHUNK + 2, 0, 3),              # batches straddle chunk edges
     (3 * CHUNK + 2, 1000, 0),
     (3 * CHUNK + 2, 2 * CHUNK, 5),
     (3 * CHUNK + 2, 3 * CHUNK + 1, 0),  # burn-in inside the last chunk, one kept step
@@ -258,7 +269,7 @@ def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
     family = ModeFamily.in_bath(frequency, BATH, occupancy=n0)
     whole = equilibrate(family, BATH, steps, burn_in, derive_rng(21, "cavity", 4))
     streamed = cavity._stream_chain(family, BATH, steps, burn_in,
-                                    philox_key(21, "cavity", 4),
+                                    derive_rng(21, "cavity", 4),
                                     cavity._ChainBuffers(CHUNK))
     assert streamed.mean_energy == whole.mean_energy
     assert streamed.mean_energy_stderr == whole.mean_energy_stderr
@@ -266,26 +277,6 @@ def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
     assert np.array_equal(streamed.occupancy_histogram, whole.occupancy_histogram)
     assert streamed.occupancy_histogram.dtype == whole.occupancy_histogram.dtype
     assert streamed.occupancies is None
-
-
-def drawn_directions(sizes: list[int]) -> np.ndarray:
-    """The 0/1 directions ``_run_occupancies`` draws over consecutive calls of ``sizes``."""
-    directions, uniforms = derive_rng(5, "cavity", 0), derive_rng(5, "cavity", 1)
-    buf = cavity._ChainBuffers(max(sizes))
-    out = []
-    for size in sizes:
-        # q = 1 accepts every uphill move, and n0 = size + 1 never meets the floor,
-        # so each step moves by 2 * direction - 1
-        occ, _ = cavity._run_occupancies(size + 1, 1.0, size, uniforms, directions, buf)
-        out.append((np.diff(occ, prepend=size + 1) + 1) // 2)
-    return np.concatenate(out)
-
-
-@pytest.mark.parametrize("sizes", [[1], [2], [3], [CHUNK - 1], [CHUNK], [CHUNK, CHUNK, 5]],
-                         ids=["1", "2", "3", "CHUNK-1", "CHUNK", "stream"])
-def test_raw_word_directions_equal_integers(sizes):
-    expected = derive_rng(5, "cavity", 0).integers(0, 2, size=sum(sizes))
-    assert np.array_equal(drawn_directions(sizes), expected)
 
 
 def test_spectrum_sweep_equals_equilibrate_per_replica():

@@ -538,6 +538,36 @@ def test_holo_alias_budget_exit_1(capsys):
     assert time.monotonic() - start < 5.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["holo", "--channels", "1,2,3", "--detectors", "0,1e14", "--format", "json"],
+    ["holo", "--channels", "1,2,3", "--detectors", "0,1e15"],
+    ["holo", "--alpha", "1e14"],
+    ["holo", "--alpha", "1e15"],
+    ["holo", "--alpha", "1e16"],
+    ["holo", "--alpha", "1e17"],
+])
+def test_holo_phase_past_round_off_exit_1(argv, capsys):
+    # round-off at these phases excluded the source or faked inconsistent bits under exit 0/1
+    assert_engine_failure(argv, "channel 1 reaches a phase of", capsys)
+
+
+def test_holo_fine_channel_at_the_interval_budget_is_accepted(capsys):
+    # holo --channels 1000000 --detectors 1e-12 reaches 6.3e7 rad at the domain end 10; the
+    # same channel, detector and far end on a short domain keeps the run small
+    assert holography.MAX_BIT_PHASE > 2 * math.pi * 1e6 * (10.0 + 1e-12)
+    assert cli.run(["holo", "--channels", "1000000", "--detectors", "1e-12",
+                    "--domain", "9.99999:10", "--source", "9.999995", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["contains_source"] is True
+
+
+def test_holo_source_ulps_from_an_edge_is_kept(capsys):
+    # phase 2.5e7 rad: the 1e-9 wavelength edge tolerance alone lost this source
+    assert cli.run(["holo", "--channels", "2", "--detectors", "1000000",
+                    "--domain", "1000000:1000010", "--source", "1000000.2500000006",
+                    "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["contains_source"] is True
+
+
 def test_holo_overflowing_phase_exit_1(capsys):
     assert_engine_failure(["holo", "--domain=-1e308:1e308", "--detectors", "1e308"],
                           "infinity", capsys)

@@ -29,13 +29,13 @@ GOLDEN = [
      "3ed6384a3a9abce8f5f13a7e7d17cafae97fe92b317b3698778445ab6da53cda"),
     (["cavity", "--hf-over-kt", "0.5,2", "--steps", "20000", "--burn-in", "2000",
       "--seed", "7"],
-     "9add49cd8bbbec068307d343a74211082ca7623008eeec8f40eb13f1a0540be6"),
+     "4686cbe4d6e15832cd744b9f8b6569d2b23725e361cafbf93c18f3ee4eeb3c98"),
     (["cavity", "--hf-over-kt", "1", "--steps", "20000", "--burn-in", "2000",
       "--seed", "7", "--format", "json"],
-     "3a5cad3af2c671ef0c304fb98a36ed1f1710fdedd14e2ea405a5ea1ff1b05566"),
+     "720584d73e7b40fa6bb43df5a4c5167619ac4b6a98e9d617c2a7a0eb96e5128c"),
     (["cavity", "--hf-over-kt", "1", "--steps", "20000", "--burn-in", "2000",
       "--seed", "18446744073709551615"],
-     "231c9d7cd8735e84a63140eef0c892aa1e012c6af0867baf35fa1c887ab721a1"),
+     "004bdfe2deaa13671e2dbce6b1461a4767cfcb399a58b8c9a2fd298239dbd8e8"),
     (["evolve", "--coefficients", "1,0,1", "--initial", "1,0", "--step", "0.01",
       "--every", "10"],
      "444d5deede69c3b77799bb75f21cf7ada19252b7e00b3acd22fbb4da9b1bbc04"),

@@ -277,6 +277,59 @@ def test_localize_soundness(z_s, detectors, indices, alpha):
     assert result.contains(z_s)
 
 
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.lists(st.sampled_from([1, 2, 3, 5, 8, 13, 34]), min_size=1, max_size=3, unique=True),
+       st.sampled_from(["alpha", "detector", "domain"]),
+       st.floats(0.0, 10.0), st.booleans(), st.floats(0.001, 0.999),
+       st.none() | st.floats(2.5, 10.0) | st.floats(-10.0, -2.5))
+def test_accepted_phase_never_excludes_source(indices, far, log_offset, negative, fraction,
+                                              edge_tols):
+    # one of alpha, a detector or the domain sits 10^log_offset out; a bit is refused
+    # exactly when its phase passes MAX_BIT_PHASE, and an accepted one keeps every source
+    # more than two edge tolerances from each parity boundary (closer ones are tie-breaks)
+    channels = [holo.FrequencyChannel.harmonic(j, LAM) for j in indices]
+    offset = (-1.0 if negative else 1.0) * 10.0 ** log_offset
+    alpha, detectors, domain = 0.3, [0.0, 0.7], DOMAIN
+    if far == "alpha":
+        alpha = offset
+    elif far == "detector":
+        detectors = [0.0, offset]
+    else:
+        domain = (offset, offset + 10.0)
+        detectors = [offset, offset + 0.7]
+    reach = max(abs(domain[0]), abs(domain[1]))
+    phase = max(c.wavenumber * abs(d) + c.wavenumber * reach + abs(alpha)
+                for c in channels for d in detectors)
+    z_s = domain[0] + fraction * (domain[1] - domain[0])
+    bits = [holo.forward_bit(z_s, d, c, alpha) for c in channels for d in detectors]
+    if phase > holo.MAX_BIT_PHASE:
+        with pytest.raises(ValueError, match="phase"):
+            holo.localize(bits, channels, alpha, domain)
+        return
+    tol = max(holo.alias_intervals(bit, c, alpha, domain).edge_tol
+              for bit, c in zip(bits, [c for c in channels for _ in detectors]))
+    if edge_tols is not None:
+        # a few edge tolerances from the first bit's nearest parity boundary
+        c, d = channels[0], detectors[0]
+        m = round((c.wavenumber * (d - z_s) + alpha) / math.pi)
+        z_s = d + (alpha - m * math.pi) / c.wavenumber + edge_tols * tol
+        assume(domain[0] < z_s < domain[1])
+        bits = [holo.forward_bit(z_s, d, c, alpha) for c in channels for d in detectors]
+    for c in channels:
+        for d in detectors:
+            u = (c.wavenumber * (d - z_s) + alpha) / math.pi
+            assume(min(u % 1.0, 1.0 - u % 1.0) > 2 * tol * c.wavenumber / math.pi)
+    assert holo.localize(bits, channels, alpha, domain).contains(z_s)
+
+
+def test_bit_phase_limit_is_sharp():
+    bit = holo.DetectionBit(0.0, 1, 0)
+    span = CH1.wavenumber * DOMAIN[1]
+    holo.alias_intervals(bit, CH1, holo.MAX_BIT_PHASE - span, DOMAIN)
+    with pytest.raises(ValueError, match="channel 1 reaches a phase of 1e[+]09 rad"):
+        holo.alias_intervals(bit, CH1, 1.000001 * holo.MAX_BIT_PHASE - span, DOMAIN)
+
+
 def test_inconsistent_bits_raise():
     # brute-force search for a source pair whose bits cannot coexist
     found = False

@@ -1,6 +1,8 @@
-"""Smoke tests: every script under scripts/ runs on small arguments, and the
-benchmark's trace shim reproduces the CLI on every subcommand."""
+"""Smoke tests: every script under scripts/ runs on small arguments, the
+benchmark's trace shim reproduces the CLI on every subcommand, and every
+benchmark job passes its own output check."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -54,3 +56,24 @@ def test_trace_shim_matches_cli(argv, tmp_path):
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     assert json.loads(spans.read_text())["spans"]
+
+
+def load_bench_jobs():
+    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_JOBS = load_bench_jobs()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_JOBS.WORKLOADS))
+def test_bench_jobs_pass_their_checks(workload, tmp_path):
+    # each job's check holds its stdout to closed forms, so the cavity chains are checked
+    # against the Planck law and not only against pinned bytes
+    for job in BENCH_JOBS.build(workload, 1, tmp_path):
+        result = run_python("-m", "phasorlab.cli", *job.argv)
+        assert result.returncode == job.exit_code, (job.name, result.stderr)
+        assert job.check(result.stdout.encode("utf-8")) == [], job.name
