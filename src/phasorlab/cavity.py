@@ -70,6 +70,8 @@ class ModeFamily:
             raise ValueError("occupancy must be non-negative")
         if self.lobe_energy is None:
             object.__setattr__(self, "lobe_energy", self.base_frequency)
+        if self.lobe_energy <= 0.0:
+            raise ValueError("lobe energy must be positive")
 
     @classmethod
     def in_bath(cls, frequency: float, bath: ThermalBath,

@@ -118,6 +118,13 @@ class AliasSet:
                         min(self.granularity, other.granularity))
 
 
+def _check_phase(channel: FrequencyChannel, phase: float) -> None:
+    if not phase <= MAX_BIT_PHASE:
+        raise ValueError(f"channel {channel.index} reaches a phase of {phase:.3g} rad, above"
+                         f" the limit of {MAX_BIT_PHASE:.0e} rad where round-off moves the"
+                         " alias edges")
+
+
 def forward_bit(z_source: float, z_detector: float, channel: FrequencyChannel,
                 alpha: float = 0.0) -> DetectionBit:
     """Parity of the half-wavelength interval containing the detector.
@@ -127,13 +134,15 @@ def forward_bit(z_source: float, z_detector: float, channel: FrequencyChannel,
     is invariant under whole-wavelength shifts of either position.  For a
     source on an interval edge u/pi lands a few ulps either side of an
     integer; it is snapped onto it (``EDGE_SNAP_FACTOR``), so every bit of
-    an edge source puts the source on the same side.
+    an edge source puts the source on the same side.  A bit whose phase
+    k(|z_detector| + |z_source|) + |alpha| passes ``MAX_BIT_PHASE`` is refused.
     """
     k = channel.wavenumber
+    phase = k * abs(z_detector) + k * abs(z_source) + abs(alpha)
+    _check_phase(channel, phase)
     x = (k * (z_detector - z_source) + alpha) / math.pi
     m = round(x)
-    if abs(x - m) <= EDGE_SNAP_FACTOR * EPS * (k * abs(z_detector) + k * abs(z_source)
-                                               + abs(alpha)) / math.pi:
+    if abs(x - m) <= EDGE_SNAP_FACTOR * EPS * phase / math.pi:
         x = m
     return DetectionBit(z_detector, channel.index, int(math.floor(x)) % 2)
 
@@ -160,10 +169,7 @@ def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
         raise ValueError(f"channel {channel.index} has about {count:.3g} alias intervals"
                          f" in the domain, above the limit of {MAX_ALIAS_INTERVALS:.0e}")
     phase = k * abs(z_d) + k * max(abs(lo_d), abs(hi_d)) + abs(alpha)
-    if not phase <= MAX_BIT_PHASE:
-        raise ValueError(f"channel {channel.index} reaches a phase of {phase:.3g} rad in the"
-                         f" domain, above the limit of {MAX_BIT_PHASE:.0e} rad where round-off"
-                         " moves the alias edges")
+    _check_phase(channel, phase)
     # an edge may sit forward_bit's snap window plus its own round-off from the source
     tol = max(EDGE_TOL_FACTOR * lam, 2 * EDGE_SNAP_FACTOR * EPS * phase / k)
     m_lo = math.floor(u_lo) - 2

@@ -82,6 +82,14 @@ def test_uphill_acceptance_probability():
     assert jitter_step(family, BATH, QueuedRng([0.4999])).occupancy == 4
 
 
+@pytest.mark.parametrize("lobe", [0.0, -1.0, -1e-300])
+def test_mode_family_refuses_non_positive_lobe_energy(lobe):
+    # the kernel accepts every downhill move, which jitter_step does only for a positive
+    # lobe: with lobe -1 the two walks part (n = 17 against n = 597 after 2000 steps)
+    with pytest.raises(ValueError, match="lobe energy must be positive"):
+        ModeFamily(1.0, occupancy=5, lobe_energy=lobe)
+
+
 def test_jitter_preserves_lobe_energy():
     family = ModeFamily.in_bath(2.5, BATH, occupancy=1)
     stepped = jitter_step(family, BATH, QueuedRng([0.0]))

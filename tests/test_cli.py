@@ -531,10 +531,11 @@ def test_evolve_unallocatable_grid_exit_1(capsys):
 
 
 def test_holo_alias_budget_exit_1(capsys):
-    # about 1e13 alias intervals per bit: refused before any is enumerated
+    # about 1e13 alias intervals per bit: refused before any is enumerated; source and
+    # detector at 0 keep the bit's own phase at 0, so the bit itself is accepted
     start = time.monotonic()
-    assert_engine_failure(["holo", "--base-wavelength", "1e-12", "--domain", "0:10"],
-                          "alias intervals", capsys)
+    assert_engine_failure(["holo", "--base-wavelength", "1e-12", "--domain", "0:10",
+                           "--source", "0"], "alias intervals", capsys)
     assert time.monotonic() - start < 5.0
 
 
@@ -570,7 +571,7 @@ def test_holo_source_ulps_from_an_edge_is_kept(capsys):
 
 def test_holo_overflowing_phase_exit_1(capsys):
     assert_engine_failure(["holo", "--domain=-1e308:1e308", "--detectors", "1e308"],
-                          "infinity", capsys)
+                          "channel 1 reaches a phase of inf rad", capsys)
 
 
 def test_evolve_overflowing_norm_exit_1(capsys):
@@ -637,9 +638,38 @@ def test_engine_value_errors_exit_1(argv, fragment, error, capsys):
     assert_engine_failure(argv, fragment, capsys)
 
 
-def test_unallocatable_sweep_exit_1(capsys):
-    # 1e15 angles need a 7 PiB array, beyond the address space: fails at once
-    assert_engine_failure(["epr", "--theta1", "0:1:1000000000000000"], "allocate", capsys)
+def assert_config_error(argv, fragment, capsys):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert fragment in captured.err
+
+
+def test_oversized_sweep_exit_2(capsys):
+    # refused before the sweep is built; were it not, 1e15 angles would fail at once to
+    # allocate 7 PiB, so this test never allocates much whatever the code does
+    start = time.monotonic()
+    assert_config_error(["epr", "--theta1", "0:1:1000000000000000"],
+                        "sweep count 1000000000000000 is above the limit of 1e+06", capsys)
+    assert time.monotonic() - start < 5.0
+
+
+def test_epr_sweep_count_limit_is_sharp(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_EPR_POINTS", 12)
+    assert cli.run(["epr", "--theta2", "0:1:12"]) == 0
+    assert capsys.readouterr().out.count("\n") == 13
+    assert_config_error(["epr", "--theta2", "0:1:13"], "'theta2'", capsys)
+
+
+def test_epr_grid_point_limit_exit_1(monkeypatch, capsys):
+    # each sweep fits, their product does not: refused before the grid is built
+    monkeypatch.setattr(cli, "MAX_EPR_POINTS", 12)
+    assert cli.run(["epr", "--theta1", "0:1:4", "--theta2", "0:1:3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 13
+    assert_engine_failure(["epr", "--theta1", "0:1:4", "--theta2", "0:1:4"],
+                          "a 4 x 4 angle grid is above the limit of 1e+01 points", capsys)
 
 
 def test_cavity_single_kept_sample_prints_inf_stderr(capsys):
@@ -809,6 +839,59 @@ def test_columnar_render_matches_per_cell_reference(table, fmt):
         return
     rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
     assert cli.render_table(header, columns, fmt) == reference_render_table(header, rows, fmt)
+
+
+CHUNK_EDGE_ROWS = [0, 1, cli.JSON_CHUNK_ROWS - 1, cli.JSON_CHUNK_ROWS,
+                   cli.JSON_CHUNK_ROWS + 1, 2 * cli.JSON_CHUNK_ROWS + 3]
+
+
+@st.composite
+def repeating_tables(draw):
+    """Like ``result_tables``, but each column draws its rows from a pool of 1-6 values.
+
+    Float pools always hold 0.0 and -0.0, and may hold ±inf in ``MAY_BE_INFINITE``
+    columns only.  Rows go up to two JSON chunks and three rows.
+    """
+    n_rows = draw(st.sampled_from(CHUNK_EDGE_ROWS) | st.integers(0, CHUNK_EDGE_ROWS[-1]))
+    header = draw(st.lists(st.sampled_from(["a", "b", "mc_stderr", "rel_error"]),
+                           min_size=1, max_size=4, unique=True))
+    finite = st.sampled_from(FLOAT_EDGES[:-2]) | st.floats(allow_nan=False,
+                                                           allow_infinity=False)
+    cells = {"i": st.integers(-2 ** 63, 2 ** 63 - 1), "b": st.booleans(),
+             "u": st.integers(0, 2 ** 64 - 1)}
+    dtypes = {"f": np.float64, "i": np.int64, "b": np.bool_, "u": np.uint64}
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    columns = []
+    for key in header:
+        kind = draw(st.sampled_from("fibu"))
+        if kind == "f":
+            pool = [0.0, -0.0] + draw(st.lists(finite, max_size=3))
+            if key in cli.MAY_BE_INFINITE:
+                pool += draw(st.lists(st.sampled_from([math.inf, -math.inf]), max_size=2))
+        else:
+            pool = draw(st.lists(cells[kind], min_size=1, max_size=6))
+        columns.append(np.array(pool, dtype=dtypes[kind])[rng.integers(0, len(pool), n_rows)])
+    return header, columns
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(repeating_tables(), st.sampled_from(["csv", "json"]))
+def test_repeating_columns_render_like_the_per_cell_reference(table, fmt):
+    # each distinct value is spelled once and gathered back: the rows must not notice
+    header, columns = table
+    rows = [list(row) for row in zip(*(c.tolist() for c in columns))]
+    text = cli.render_table(header, columns, fmt)
+    assert text.split("\n") == reference_render_table(header, rows, fmt).split("\n")
+
+
+def test_signed_zeros_keep_their_spellings():
+    # 0.0 and -0.0 compare equal but differ in their bits, which key the distinct values
+    column = np.array([0.0, -0.0, -0.0, 0.0])
+    assert cli.render_table(["x"], [column], "csv") == "x\n0\n-0\n-0\n0\n"
+    text = cli.render_table(["x"], [column], "json")
+    assert text == json.dumps([{"x": x} for x in column.tolist()], indent=1) + "\n"
+    assert [line.strip() for line in text.split("\n") if '"x"' in line] == [
+        '"x": 0.0', '"x": -0.0', '"x": -0.0', '"x": 0.0']
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, cli.JSON_CHUNK_ROWS - 1, cli.JSON_CHUNK_ROWS,

@@ -46,6 +46,13 @@ GOLDEN = [
      "e5b39b88e9246de452d9cbc383df9da94b9f98cbb04d4f48c8e177d1de923e70"),
     (["hj", "--system", "linear", "--points", "21", "--format", "json"],
      "44cbb0764fc8d2f381c213a66af18f663e1b80cd03713a582a460e4988491b8b"),
+    # the benchmark's epr-grid shape: 120 x 120 angles from non-integer starts, so most
+    # E and P values repeat many times across the 14,400 rows
+    (["epr", "--theta1", "0.318532:180.318532:120", "--theta2", "0.734019:180.734019:120"],
+     "c0cb179ba56f523e225281f80692e4509019222d2489b2b403fab7705ca274cc"),
+    (["epr", "--theta1", "0.318532:180.318532:120", "--theta2", "0.734019:180.734019:120",
+      "--format", "json"],
+     "af257761b82f80e03e3e382ff4c7ba94a2009f22f87591ca0f7daec63748f0a4"),
 ]
 
 

@@ -301,11 +301,14 @@ def test_accepted_phase_never_excludes_source(indices, far, log_offset, negative
     phase = max(c.wavenumber * abs(d) + c.wavenumber * reach + abs(alpha)
                 for c in channels for d in detectors)
     z_s = domain[0] + fraction * (domain[1] - domain[0])
-    bits = [holo.forward_bit(z_s, d, c, alpha) for c in channels for d in detectors]
     if phase > holo.MAX_BIT_PHASE:
+        # forward_bit refuses a bit past the bound too; a source in the domain reaches
+        # no more phase than the domain's far end does
         with pytest.raises(ValueError, match="phase"):
+            bits = [holo.forward_bit(z_s, d, c, alpha) for c in channels for d in detectors]
             holo.localize(bits, channels, alpha, domain)
         return
+    bits = [holo.forward_bit(z_s, d, c, alpha) for c in channels for d in detectors]
     tol = max(holo.alias_intervals(bit, c, alpha, domain).edge_tol
               for bit, c in zip(bits, [c for c in channels for _ in detectors]))
     if edge_tols is not None:
@@ -328,6 +331,19 @@ def test_bit_phase_limit_is_sharp():
     holo.alias_intervals(bit, CH1, holo.MAX_BIT_PHASE - span, DOMAIN)
     with pytest.raises(ValueError, match="channel 1 reaches a phase of 1e[+]09 rad"):
         holo.alias_intervals(bit, CH1, 1.000001 * holo.MAX_BIT_PHASE - span, DOMAIN)
+
+
+def test_forward_bit_refuses_a_phase_past_the_limit():
+    # the phase k(|z_d| + |z_s|) + |alpha| of the bit itself, refused with alias_intervals'
+    # message instead of reaching round() as an overflowing float
+    z_s = 2.0
+    span = CH1.wavenumber * z_s
+    holo.forward_bit(z_s, 0.0, CH1, holo.MAX_BIT_PHASE - span)
+    with pytest.raises(ValueError, match="channel 1 reaches a phase of 1e[+]09 rad"):
+        holo.forward_bit(z_s, 0.0, CH1, 1.000001 * holo.MAX_BIT_PHASE - span)
+    for z_d in (1e308, -1e308):
+        with pytest.raises(ValueError, match="channel 1 reaches a phase of inf rad, above"):
+            holo.forward_bit(z_s, z_d, CH1)
 
 
 def test_inconsistent_bits_raise():

@@ -47,6 +47,7 @@ def test_script_runs(script, args, header):
     ["cavity", "--hf-over-kt", "0.5,2", "--steps", "20000", "--burn-in", "2000"],
     ["evolve", "--step", "0.01", "--every", "10"],
     ["hj", "--points", "21"],
+    ["epr", "--theta1", "0.3:90.3:7", "--theta2", "0.7:45.7:4", "--format", "json"],
 ])
 def test_trace_shim_matches_cli(argv, tmp_path):
     # the shim wraps module attributes by name, so a renamed or removed one breaks it
@@ -55,7 +56,10 @@ def test_trace_shim_matches_cli(argv, tmp_path):
     plain = run_python("-m", "phasorlab.cli", *argv)
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
-    assert json.loads(spans.read_text())["spans"]
+    record = json.loads(spans.read_text())
+    assert record["spans"]
+    # the output reaches stdout through the wrapped write_output, once
+    assert record["counts"]["cli.render_bytes"] == len(traced.stdout)
 
 
 def load_bench_jobs():
