@@ -14,8 +14,10 @@ Every step takes one uniform u: u < q/2 moves up, u >= 1/2 moves down
 (Lindley) recursion, which is step-for-step identical to looping
 ``jitter_step`` over the same uniforms.  ``spectrum_sweep`` runs the
 same recursion in chunks of ``CHUNK`` steps, carrying the last
-occupancy, and keeps only exact integer sums, so its statistics equal
-``equilibrate``'s bit for bit in O(CHUNK) memory.
+occupancy.  A burn-in chunk keeps only its last occupancy and its move
+count; a kept chunk adds its occupancies to exact integer sums.  So the
+sweep's statistics equal ``equilibrate``'s bit for bit in O(CHUNK)
+memory, and only ``equilibrate`` keeps the chain and its histogram.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .seeding import derive_rng
 PLANCK_UNDERFLOW_X = 700.0
 # steps per streamed chunk: a sweep's work memory is O(CHUNK), not O(steps)
 CHUNK = 2 ** 16
-# a sweep runs at most this many steps over all its chains (about 22 s at 22 ns/step)
+# a sweep runs at most this many steps over all its chains (about 20 s at 20 ns/step)
 MAX_SWEEP_STEPS = 10 ** 9
 # geometric_chi_square merges the bins whose expected count is below this into one tail
 CHI_SQUARE_MIN_EXPECTED = 5.0
@@ -130,12 +132,13 @@ def jitter_step(family: ModeFamily, bath: ThermalBath,
 class ChainStatistics:
     """Post-burn-in summary of one occupancy chain.
 
-    ``occupancies`` holds the kept chain when ``equilibrate`` made it and
-    is None from the streamed chains of ``spectrum_sweep``.
+    ``occupancies`` and ``occupancy_histogram`` (``np.bincount`` of the
+    occupancies) hold the kept chain when ``equilibrate`` made it; the
+    streamed chains of ``spectrum_sweep`` keep neither, so both are None.
     """
 
     steps: int
-    occupancy_histogram: np.ndarray
+    occupancy_histogram: np.ndarray | None
     mean_occupancy: float
     mean_energy: float
     mean_energy_stderr: float
@@ -148,33 +151,59 @@ class _ChainBuffers:
 
     def __init__(self, size: int):
         self.uniforms = np.empty(size)
+        self.up = np.empty(size, dtype=bool)
+        self.down = np.empty(size, dtype=bool)
         self.walk = np.empty(size, dtype=np.int64)
         self.low = np.empty(size, dtype=np.int64)
+
+
+def _free_walk(q: float, steps: int, rng: np.random.Generator,
+               buf: _ChainBuffers) -> tuple[np.ndarray, int]:
+    """The unfloored walk S_t over ``steps`` fresh uniforms, and its nonzero increments.
+
+    Increments: +1 where u < q/2 (uphill accepted), -1 where u >= 1/2
+    (downhill proposal), else 0.  S is ``buf.walk[:steps]``.
+    """
+    u = rng.random(out=buf.uniforms[:steps])
+    up = np.less(u, 0.5 * q, out=buf.up[:steps]).view(np.int8)
+    down = np.greater_equal(u, 0.5, out=buf.down[:steps]).view(np.int8)
+    increments = np.subtract(up, down, out=up)
+    # widened in the walk buffer and summed in place: cumsum(..., dtype=int64)
+    # would widen into a fresh temporary of 8 bytes a step on every chunk
+    s = buf.walk[:steps]
+    np.copyto(s, increments)
+    return np.cumsum(s, out=s), np.count_nonzero(increments)
 
 
 def _run_occupancies(n0: int, q: float, steps: int, rng: np.random.Generator,
                      buf: _ChainBuffers) -> tuple[np.ndarray, int]:
     """Vectorized +-1 Metropolis walk floored at 0, started from ``n0``.
 
-    Draws ``steps`` uniforms u.  Increments: +1 where u < q/2 (uphill
-    accepted), -1 where u >= 1/2 (downhill proposal), else 0; flooring
-    at zero is the reflected-walk recursion
-    n_t = max(n0 + S_t, S_t - min_{j<=t} S_j).
+    Flooring at zero is the reflected-walk (Lindley) recursion
+    n_t = max(n0 + S_t, S_t - min_{j<=t} S_j) = S_t - min(-n0, min_{j<=t} S_j).
     Returns the occupancies, which are ``buf.walk[:steps]``, and the
     number of accepted moves, the steps at which the occupancy changes.
     """
-    u = rng.random(out=buf.uniforms[:steps])
-    s = np.less(u, 0.5 * q, out=buf.walk[:steps])
-    s -= np.greater_equal(u, 0.5, out=buf.low[:steps])
-    moves = np.count_nonzero(s)
-    np.cumsum(s, out=s)
-    free_end = n0 + int(s[-1])
+    s, nonzero = _free_walk(q, steps, rng, buf)
     low = np.minimum.accumulate(s, out=buf.low[:steps])
-    np.subtract(s, low, out=low)
-    s += n0
-    occ = np.maximum(s, low, out=s)
-    # each -1 refused at the floor leaves the walk one above n0 + S_t
-    return occ, moves - (int(occ[-1]) - free_end)
+    np.minimum(low, -n0, out=low)
+    # each -1 refused at the floor lowers min(-n0, min S) by one below -n0
+    refused = -n0 - int(low[-1])
+    return np.subtract(s, low, out=s), nonzero - refused
+
+
+def _burn_in(n0: int, q: float, steps: int, rng: np.random.Generator,
+             buf: _ChainBuffers) -> tuple[int, int]:
+    """``_run_occupancies`` reduced to what a burn-in keeps: the last occupancy and the moves."""
+    s, nonzero = _free_walk(q, steps, rng, buf)
+    low = min(int(s.min()), -n0)
+    return int(s[-1]) - low, nonzero - (-n0 - low)
+
+
+def _kept_steps(steps: int, burn_in: int) -> int:
+    if burn_in < 0 or steps <= burn_in:
+        raise ValueError("need steps > burn_in >= 0")
+    return steps - burn_in
 
 
 class _ChainTally:
@@ -182,36 +211,23 @@ class _ChainTally:
 
     The mean, the 32 batch means and the acceptance rate are quotients of
     these sums, so they do not depend on how the chain was cut up.
+    ``moves`` also counts the burn-in's moves, which the caller adds.
     """
 
     def __init__(self, steps: int, burn_in: int):
-        if burn_in < 0 or steps <= burn_in:
-            raise ValueError("need steps > burn_in >= 0")
-        self.steps, self.burn_in = steps, burn_in
-        kept = steps - burn_in
-        self.n_batches = min(32, kept)
-        self.batch_len = kept // self.n_batches
+        self.steps, self.kept = steps, _kept_steps(steps, burn_in)
+        self.n_batches = min(32, self.kept)
+        self.batch_len = self.kept // self.n_batches
         self.batch_sums = np.zeros(self.n_batches, dtype=np.int64)
-        self.histogram = np.zeros(0, dtype=np.int64)
         self.total = 0
         self.moves = 0
         self.seen = 0
 
     def add(self, occ: np.ndarray, moves: int) -> None:
         self.moves += moves
-        start = self.seen - self.burn_in  # kept index of occ[0]
+        start = self.seen  # kept index of occ[0]
         self.seen += occ.size
-        if start < 0:
-            occ, start = occ[-start:], 0
-        if occ.size == 0:
-            return
         self.total += int(occ.sum())
-        hist = np.bincount(occ)
-        if hist.size < self.histogram.size:
-            hist, self.histogram = self.histogram, hist
-        hist[:self.histogram.size] += self.histogram
-        self.histogram = hist
-
         b = self.batch_len
         in_batches = occ[:max(0, b * self.n_batches - start)]
         if in_batches.size:
@@ -220,12 +236,12 @@ class _ChainTally:
             self.batch_sums[start // b:start // b + sums.size] += sums
 
     def statistics(self, lobe: float) -> ChainStatistics:
-        mean_occ = self.total / (self.steps - self.burn_in)
+        mean_occ = self.total / self.kept
         batches = self.batch_sums / self.batch_len
         stderr = (float(batches.std(ddof=1) / math.sqrt(self.n_batches))
                   if self.n_batches > 1 else math.inf)
         return ChainStatistics(
-            steps=self.steps, occupancy_histogram=self.histogram,
+            steps=self.steps, occupancy_histogram=None,
             mean_occupancy=mean_occ, mean_energy=mean_occ * lobe,
             mean_energy_stderr=stderr * lobe, acceptance_rate=self.moves / self.steps,
         )
@@ -237,12 +253,15 @@ def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
 
     The occupancy histogram converges to the geometric law
     P(n) = (1 - q) q^n with q = e^{-hf/k_B T}; the standard error of the
-    mean energy comes from 32 batch means.  The chain runs as one chunk
-    in a buffer of ``steps``, which keeps it whole.
+    mean energy comes from 32 batch means.  The burn-in and the kept
+    steps each run as one chunk in a buffer of max(burn_in, steps -
+    burn_in), which keeps the kept chain whole.
     """
-    buf = _ChainBuffers(steps)
+    kept = _kept_steps(steps, burn_in)
+    buf = _ChainBuffers(max(burn_in, kept))
     chain = _stream_chain(family, bath, steps, burn_in, rng, buf)
-    chain.occupancies = buf.walk[burn_in:]
+    chain.occupancies = buf.walk[:kept]
+    chain.occupancy_histogram = np.bincount(chain.occupancies)
     return chain
 
 
@@ -250,14 +269,19 @@ def _stream_chain(family: ModeFamily, bath: ThermalBath, steps: int, burn_in: in
                   rng: np.random.Generator, buf: _ChainBuffers) -> ChainStatistics:
     """The jitter chain on ``rng``, in chunks of ``buf``'s size, without the occupancies.
 
-    It draws ``steps`` uniforms in order whatever the chunk size, so the
-    statistics equal ``equilibrate``'s on the same stream bit for bit.
+    Chunks are cut at ``burn_in``: a burn-in chunk carries only its last
+    occupancy and its moves on.  The chain draws ``steps`` uniforms in
+    order whatever the chunk size, so the statistics equal
+    ``equilibrate``'s on the same stream bit for bit.
     """
     tally = _ChainTally(steps, burn_in)
     # the uphill acceptance of the scalar reference, not a re-derivation of it
     q = acceptance_probability(family, bath, 1)
     occupancy, chunk = family.occupancy, buf.walk.size
-    for start in range(0, steps, chunk):
+    for start in range(0, burn_in, chunk):
+        occupancy, moves = _burn_in(occupancy, q, min(chunk, burn_in - start), rng, buf)
+        tally.moves += moves
+    for start in range(burn_in, steps, chunk):
         occ, moves = _run_occupancies(occupancy, q, min(chunk, steps - start), rng, buf)
         tally.add(occ, moves)
         occupancy = int(occ[-1])
@@ -282,16 +306,17 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     independent estimates of the same mean.  Each chain is streamed in
     chunks of ``CHUNK`` steps through one set of work buffers, so memory
     does not grow with ``steps``.  A sweep of more than ``MAX_SWEEP_STEPS``
-    steps in all is refused before any chain starts.
+    steps in all, or with a frequency that is not positive (NaN
+    included), is refused before any chain starts.
     """
     if len(frequencies) * steps > MAX_SWEEP_STEPS:
         raise ValueError(f"a sweep of {len(frequencies)} x {steps} steps exceeds the budget"
                          f" of {MAX_SWEEP_STEPS:.0e} steps")
+    if not all(f > 0.0 for f in frequencies):
+        raise ValueError("frequencies must be positive")
     buf = _ChainBuffers(CHUNK)
     rows = []
     for i, f in enumerate(frequencies):
-        if f <= 0.0:
-            raise ValueError("frequencies must be positive")
         family = ModeFamily.in_bath(f, bath)
         chain = _stream_chain(family, bath, steps, burn_in,
                               derive_rng(master_seed, "cavity", i), buf)

@@ -35,6 +35,17 @@ class QueuedRng:
         return self._uni.pop(0)
 
 
+def jitter_loop(family, bath, uniforms):
+    """Occupancy after each step of a ``jitter_step`` loop over ``uniforms``."""
+    rng = QueuedRng(uniforms)
+    occ = np.empty(len(uniforms), dtype=np.int64)
+    state = family
+    for t in range(len(uniforms)):
+        state = jitter_step(state, bath, rng)
+        occ[t] = state.occupancy
+    return occ
+
+
 # --- types -------------------------------------------------------------------
 
 def test_mode_family_harmonic_structure():
@@ -108,12 +119,7 @@ def test_vectorized_chain_matches_stepwise_loop():
         (ModeFamily(1.0, occupancy=2), ThermalBath(1.0, planck_h=2.0)),
     ]:
         chain = equilibrate(family, bath, steps, 0, derive_rng(11, "cavity", 0))
-        rng = QueuedRng(derive_rng(11, "cavity", 0).random(steps))
-        occ_loop = np.empty(steps, dtype=np.int64)
-        state = family
-        for t in range(steps):
-            state = jitter_step(state, bath, rng)
-            occ_loop[t] = state.occupancy
+        occ_loop = jitter_loop(family, bath, derive_rng(11, "cavity", 0).random(steps))
         assert np.array_equal(chain.occupancies, occ_loop)
         moves = np.count_nonzero(np.diff(occ_loop, prepend=family.occupancy))
         assert chain.acceptance_rate == moves / steps
@@ -244,6 +250,15 @@ def test_spectrum_sweep_rejects_bad_frequency():
         spectrum_sweep([-1.0], BATH, 1000, 10, master_seed=0)
 
 
+@pytest.mark.parametrize("frequencies", [[1.0, -1.0], [1.0, math.nan], [1.0, 0.0]])
+def test_spectrum_sweep_refuses_bad_frequency_before_any_chain(frequencies):
+    # 10^8 steps a chain: running the first chain before the check would take seconds
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="positive"):
+        spectrum_sweep(frequencies, BATH, 10 ** 8, 0, master_seed=0)
+    assert time.monotonic() - start < 1.0
+
+
 def test_spectrum_sweep_refuses_steps_over_budget():
     start = time.monotonic()
     with pytest.raises(ValueError, match="budget"):
@@ -282,9 +297,52 @@ def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
     assert streamed.mean_energy == whole.mean_energy
     assert streamed.mean_energy_stderr == whole.mean_energy_stderr
     assert streamed.acceptance_rate == whole.acceptance_rate
-    assert np.array_equal(streamed.occupancy_histogram, whole.occupancy_histogram)
-    assert streamed.occupancy_histogram.dtype == whole.occupancy_histogram.dtype
+    assert streamed.occupancy_histogram is None
+    assert np.array_equal(whole.occupancy_histogram, np.bincount(whole.occupancies))
+    assert whole.occupancy_histogram.sum() == steps - burn_in
     assert streamed.occupancies is None
+
+
+def check_chain_against_loop(n0, frequency, steps, burn_in, chunk):
+    """Streamed chain, whole chain and stepwise loop agree on one stream."""
+    family = ModeFamily.in_bath(frequency, BATH, occupancy=n0)
+    whole_rng, streamed_rng = derive_rng(17, "cavity", 3), derive_rng(17, "cavity", 3)
+    whole = equilibrate(family, BATH, steps, burn_in, whole_rng)
+    streamed = cavity._stream_chain(family, BATH, steps, burn_in, streamed_rng,
+                                    cavity._ChainBuffers(chunk))
+    assert (streamed.mean_energy, streamed.mean_energy_stderr, streamed.acceptance_rate) == (
+        whole.mean_energy, whole.mean_energy_stderr, whole.acceptance_rate)
+
+    reference = derive_rng(17, "cavity", 3)
+    occ = jitter_loop(family, BATH, reference.random(steps))
+    assert np.array_equal(whole.occupancies, occ[burn_in:])
+    assert whole.mean_occupancy == occ[burn_in:].sum() / (steps - burn_in)
+    moves = np.count_nonzero(np.diff(occ, prepend=n0))
+    assert whole.acceptance_rate == moves / steps
+    # both chains drew exactly ``steps`` uniforms
+    after = reference.random(4)
+    assert np.array_equal(whole_rng.random(4), after)
+    assert np.array_equal(streamed_rng.random(4), after)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 40), st.floats(0.05, 8.0), st.integers(1, 400),
+       st.integers(1, 64), st.data())
+def test_chain_matches_stepwise_loop_across_chunk_and_burn_in_cuts(n0, frequency, steps,
+                                                                   chunk, data):
+    burn_in = data.draw(st.integers(0, steps - 1), label="burn_in")
+    check_chain_against_loop(n0, frequency, steps, burn_in, chunk)
+
+
+@pytest.mark.parametrize("steps, burn_in, chunk", [
+    (200, 0, 16),     # no burn-in
+    (200, 16, 16),    # burn-in ends on a chunk edge
+    (200, 199, 16),   # one kept step
+    (1, 0, 1),
+])
+@pytest.mark.parametrize("n0", [0, 7])
+def test_chain_matches_stepwise_loop_at_named_cuts(steps, burn_in, chunk, n0):
+    check_chain_against_loop(n0, 1.5, steps, burn_in, chunk)
 
 
 def test_spectrum_sweep_equals_equilibrate_per_replica():

@@ -11,9 +11,13 @@ libm or numpy build may move the last printed digit.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from phasorlab import cli
+
+# the benchmark's many-ratio cavity sweep: 1000 ratios from 0.5 to 5
+MANY_RATIOS = ",".join("%.6g" % x for x in np.geomspace(0.5, 5.0, 1000))
 
 GOLDEN = [
     (["epr", "--theta1", "0:180:7", "--theta2=-30:60:4"],
@@ -53,10 +57,22 @@ GOLDEN = [
     (["epr", "--theta1", "0.318532:180.318532:120", "--theta2", "0.734019:180.734019:120",
       "--format", "json"],
      "af257761b82f80e03e3e382ff4c7ba94a2009f22f87591ca0f7daec63748f0a4"),
+    # the benchmark's two cavity shapes, and a burn-in that ends mid-chunk past two chunk edges
+    (["cavity", "--hf-over-kt", "0.5,1,2,5", "--steps", "4000000", "--seed", "12345"],
+     "0619e1bb2c4a0fa2fd602b648054cdc6f64577fe4a33966a0420cbd7bf426bd9"),
+    (["cavity", "--hf-over-kt", MANY_RATIOS, "--steps", "20000", "--seed", "12345"],
+     "8d54f18225d98904125c581b010ad2268d1e99ba351dc3045d83e9203f39683b"),
+    (["cavity", "--hf-over-kt", "0.3,1", "--steps", "200000", "--burn-in", "131073",
+      "--seed", "12345", "--format", "json"],
+     "23de164856c5ebf98c0653ff6dfdb0975741c8d89b1b566d47c2bdc22a433c04"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def argv_id(argv):
+    return " ".join("<%d values>" % (a.count(",") + 1) if len(a) > 64 else a for a in argv)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[argv_id(a) for a, _ in GOLDEN])
 def test_golden_stdout(argv, digest, capsys):
     assert cli.run(argv) == 0
     out = capsys.readouterr().out
@@ -71,7 +87,7 @@ JSON_ARGVS = [argv for argv, _ in GOLDEN if "json" in argv] + [
 ]
 
 
-@pytest.mark.parametrize("argv", JSON_ARGVS, ids=[" ".join(a) for a in JSON_ARGVS])
+@pytest.mark.parametrize("argv", JSON_ARGVS, ids=[argv_id(a) for a in JSON_ARGVS])
 def test_json_stdout_is_canonical(argv, capsys):
     # the JSON is written through row templates; it must read as json.dumps(indent=1)
     assert cli.run(argv) == 0

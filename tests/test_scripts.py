@@ -48,6 +48,9 @@ def test_script_runs(script, args, header):
     ["evolve", "--step", "0.01", "--every", "10"],
     ["hj", "--points", "21"],
     ["epr", "--theta1", "0.3:90.3:7", "--theta2", "0.7:45.7:4", "--format", "json"],
+    # many chains whose burn-in ends mid-chunk, past the first chunk edge
+    ["cavity", "--hf-over-kt", ",".join("%.6g" % (0.5 * 1.06 ** k) for k in range(40)),
+     "--steps", "80000", "--burn-in", "70000"],
 ])
 def test_trace_shim_matches_cli(argv, tmp_path):
     # the shim wraps module attributes by name, so a renamed or removed one breaks it
@@ -60,6 +63,10 @@ def test_trace_shim_matches_cli(argv, tmp_path):
     assert record["spans"]
     # the output reaches stdout through the wrapped write_output, once
     assert record["counts"]["cli.render_bytes"] == len(traced.stdout)
+    if argv[0] == "cavity":
+        assert "cavity.sweep" in {span[0] for span in record["spans"]}
+        # the bound of test_spectrum_sweep_memory_does_not_grow_with_steps
+        assert record["gauges"]["cavity.peak_alloc_bytes"] < 8 * 2 ** 20
 
 
 def load_bench_jobs():
