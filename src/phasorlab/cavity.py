@@ -49,7 +49,7 @@ class ThermalBath:
     planck_h: float = 1.0
 
     def __post_init__(self):
-        if min(self.temperature, self.boltzmann_k, self.planck_h) <= 0.0:
+        if not all(x > 0.0 for x in (self.temperature, self.boltzmann_k, self.planck_h)):
             raise ValueError("temperature, k_B and h must all be positive")
 
     def beta_hf(self, frequency: float) -> float:
@@ -66,13 +66,13 @@ class ModeFamily:
     lobe_energy: float | None = None
 
     def __post_init__(self):
-        if self.base_frequency <= 0.0:
+        if not self.base_frequency > 0.0:
             raise ValueError("base frequency must be positive")
         if self.occupancy < 0:
             raise ValueError("occupancy must be non-negative")
         if self.lobe_energy is None:
             object.__setattr__(self, "lobe_energy", self.base_frequency)
-        if self.lobe_energy <= 0.0:
+        if not self.lobe_energy > 0.0:
             raise ValueError("lobe energy must be positive")
 
     @classmethod
@@ -92,7 +92,7 @@ def planck_expectation(frequency: float, bath: ThermalBath) -> PlanckEnergy:
     Overflow-safe: past hf/k_B T = 700 the value underflows to 0 and the
     flag is set instead of raising.
     """
-    if frequency <= 0.0:
+    if not frequency > 0.0:
         raise ValueError("frequency must be positive")
     x = bath.beta_hf(frequency)
     hf = bath.planck_h * frequency

@@ -437,16 +437,13 @@ def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     from . import statespace
     spec = statespace.EvolutionSpec(tuple(opts["coefficients"]))
-    initial = np.asarray(opts["initial"], dtype=complex)
-    every = opts["every"]
-    if every < 1:
+    if opts["every"] < 1:
         raise ConfigError("key 'every' must be at least 1")
-    traj = statespace.evolve_linear(spec, initial, opts["t-final"], opts["step"])
-    states = traj.states[::every]
-    re, im = states.real, states.imag
+    traj = statespace.evolve_linear(spec, opts["initial"], opts["t-final"], opts["step"],
+                                    opts["every"])
+    re, im = traj.states.real, traj.states.imag
     header = ["t"] + [f"{part}_{k}" for k in range(spec.order) for part in ("re", "im")]
-    columns = [traj.times[::every]] + [part[:, k] for k in range(spec.order)
-                                       for part in (re, im)]
+    columns = [traj.times] + [part[:, k] for k in range(spec.order) for part in (re, im)]
     # per row, the sums np.linalg.norm takes of one state; norm(axis=1) rounds differently
     columns.append(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)))
     return header + ["norm"], columns

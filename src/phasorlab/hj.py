@@ -91,9 +91,9 @@ class MechanicalSystem:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0.0:
+        if not self.mass > 0.0:
             raise ValueError("mass must be positive")
-        if self.hbar <= 0.0:
+        if not self.hbar > 0.0:
             raise ValueError("hbar must be positive")
         v = np.asarray(self.potential, dtype=float)
         if not np.all(np.isfinite(v)):
@@ -108,7 +108,7 @@ def free_particle_S(p: float, m: float, q: np.ndarray,
     S = p q - E t is constant along q = (S + E t) / p, so the front speed is
     E/p = p/2m exactly: half the particle velocity p/m.
     """
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError("mass must be positive")
     q = np.asarray(q, dtype=float)
     return PrincipalFunctionGrid(q, p * q, p * p / (2.0 * m), t)
@@ -123,7 +123,7 @@ def linear_potential_S(alpha: float, energy: float, m: float, q: np.ndarray,
     """
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero; use free_particle_S instead")
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError("mass must be positive")
     q = np.asarray(q, dtype=float)
     gap = energy - alpha * q

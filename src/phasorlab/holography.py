@@ -8,9 +8,9 @@ frequency channels and detectors shrinks the candidate measure without
 ever excluding the true source.
 
 Intervals are half-open [lo, hi); parity flips exactly at interval edges,
-so containment queries honor an edge tolerance (1e-9 * lambda, widened at
-large phases to cover round-off) to keep boundary tie-breaking
-deterministic; past ``MAX_BIT_PHASE`` a bit is refused.
+so containment queries honor an edge tolerance (1e-9 * min(lambda, domain
+length), widened at large phases to cover round-off) to keep boundary
+tie-breaking deterministic; past ``MAX_BIT_PHASE`` a bit is refused.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class FrequencyChannel:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("channel index must be >= 1")
-        if self.wavenumber <= 0.0:
+        if not self.wavenumber > 0.0:
             raise ValueError("wavenumber must be positive")
 
     @property
@@ -171,7 +171,7 @@ def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
     phase = k * abs(z_d) + k * max(abs(lo_d), abs(hi_d)) + abs(alpha)
     _check_phase(channel, phase)
     # an edge may sit forward_bit's snap window plus its own round-off from the source
-    tol = max(EDGE_TOL_FACTOR * lam, 2 * EDGE_SNAP_FACTOR * EPS * phase / k)
+    tol = max(EDGE_TOL_FACTOR * min(lam, hi_d - lo_d), 2 * EDGE_SNAP_FACTOR * EPS * phase / k)
     m_lo = math.floor(u_lo) - 2
     m_hi = math.ceil(u_hi) + 2
     # descending m gives ascending intervals

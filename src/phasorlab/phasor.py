@@ -89,7 +89,7 @@ def plane_wave_overlap(k1: float, k2: float, window: float | None = None) -> com
     """
     if window is None:
         return 1.0 + 0.0j if k1 == k2 else 0.0 + 0.0j
-    if window <= 0.0:
+    if not window > 0.0:
         raise ValueError("window must be positive in numeric mode")
     dk = k1 - k2
     if dk == 0.0:
@@ -117,7 +117,7 @@ def cesaro_inner_product(f: SampledField, g: SampledField, window: float) -> com
         raise ValueError("fields must be sampled on the same grid")
     if f.values.shape != g.values.shape:
         raise ValueError("field component shapes differ")
-    if window <= 0.0:
+    if not window > 0.0:
         raise ValueError("window must be positive")
     if f.z[-1] - f.z[0] < window * (1.0 - 1e-12):
         raise ValueError("grid span is smaller than the averaging window")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasorlab import cli, epr, hj, holography, statespace
+from phasorlab import cavity, cli, epr, hj, holography, phasor, statespace
 from phasorlab.seeding import derive_rng, philox_key
 from test_golden import GOLDEN
 
@@ -458,6 +459,26 @@ def test_help_lists_every_key(capsys):
         assert f"--{key}" in text
 
 
+def readme_cli_commands():
+    """The argv of each command in the code block under README's ``## CLI`` heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_block_runs_every_subcommand():
+    commands = readme_cli_commands()
+    assert all(argv[0] == cli.PROG for argv in commands)
+    assert sorted(argv[1] for argv in commands) == sorted(cli.SUBCOMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=lambda argv: argv[1])
+def test_readme_cli_command_exits_0(argv, capsys):
+    # the documented commands stay runnable as the options change
+    assert cli.run(argv[1:]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # --- non-finite inputs ----------------------------------------------------------------
 
 def assert_rejected_non_finite(argv, key, capsys):
@@ -524,9 +545,18 @@ def test_evolve_step_count_overflow_exit_1(capsys):
                           "finite step count", capsys)
 
 
-def test_evolve_unallocatable_grid_exit_1(capsys):
-    # 1e15 steps need a 7 PiB time grid, beyond the address space: fails at once
+def test_evolve_step_budget_exit_1(capsys):
+    # 1e15 steps: refused before anything is allocated or any power of P is built
+    start = time.monotonic()
     assert_engine_failure(["evolve", "--t-final", "1e15", "--step", "1"],
+                          "1000000000000000 steps are above the limit of 1e+11", capsys)
+    assert time.monotonic() - start < 1.0
+
+
+def test_evolve_unallocatable_grid_exit_1(capsys):
+    # 1e11 steps are within the budget, but printing every one needs 2.9 TiB of states,
+    # which the allocator refuses before any row is computed
+    assert_engine_failure(["evolve", "--t-final", "1e11", "--step", "1"],
                           "allocate", capsys)
 
 
@@ -567,6 +597,19 @@ def test_holo_source_ulps_from_an_edge_is_kept(capsys):
                     "--domain", "1000000:1000010", "--source", "1000000.2500000006",
                     "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["contains_source"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["holo", "--domain", "0:1e-9", "--source", "5e-10"],
+    ["holo", "--base-wavelength", "1e10"],
+])
+def test_holo_domain_shorter_than_tolerance_scale_keeps_its_interval(argv, capsys):
+    # 1e-9 of the wavelength reaches the domain length: a wavelength-only tolerance
+    # dropped every interval and exited 1 with "inconsistent bits"
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.split("\n")[1].split(",")[2] == "1"
 
 
 def test_holo_overflowing_phase_exit_1(capsys):
@@ -636,6 +679,37 @@ def test_engine_value_errors_exit_1(argv, fragment, error, capsys):
     # engine failures are ValueErrors, so ENGINE_ERRORS needs no engine class
     assert issubclass(error, ValueError)
     assert_engine_failure(argv, fragment, capsys)
+
+
+NAN = float("nan")
+GRID = np.linspace(0.0, 1.0, 5)
+UNIT_H = statespace.HamiltonianOperator(np.eye(2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cavity.ThermalBath(NAN),
+    lambda: cavity.ThermalBath(1.0, NAN),
+    lambda: cavity.ThermalBath(1.0, 1.0, NAN),
+    lambda: cavity.ModeFamily(NAN),
+    lambda: cavity.ModeFamily(1.0, 0, NAN),
+    lambda: cavity.planck_expectation(NAN, cavity.ThermalBath(1.0)),
+    lambda: holography.FrequencyChannel(1, NAN),
+    lambda: hj.MechanicalSystem(NAN, np.zeros(5)),
+    lambda: hj.MechanicalSystem(1.0, np.zeros(5), NAN),
+    lambda: hj.free_particle_S(1.0, NAN, GRID),
+    lambda: hj.linear_potential_S(0.5, 10.0, NAN, GRID),
+    lambda: statespace.HamiltonianOperator(np.eye(2), NAN),
+    lambda: statespace.schrodinger_propagate(UNIT_H, np.ones(2), NAN, 1),
+    lambda: phasor.plane_wave_overlap(1.0, 2.0, NAN),
+    lambda: phasor.cesaro_inner_product(*[phasor.plane_wave(1.0, GRID)] * 2, NAN),
+], ids=["bath-temperature", "bath-k", "bath-h", "family-frequency", "family-lobe",
+        "planck-frequency", "channel-wavenumber", "system-mass", "system-hbar",
+        "free-mass", "linear-mass", "hamiltonian-hbar", "propagate-dt", "overlap-window",
+        "cesaro-window"])
+def test_engine_positivity_checks_refuse_nan(build):
+    # the CLI refuses NaN before any engine runs; each engine refuses it on its own too
+    with pytest.raises(ValueError, match="positive"):
+        build()
 
 
 def assert_config_error(argv, fragment, capsys):

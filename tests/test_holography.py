@@ -203,6 +203,19 @@ def test_alias_budget_refuses_before_enumerating():
                              (0.0, 1e300))
 
 
+@pytest.mark.parametrize("channel, domain, source", [
+    (CH1, (0.0, 1e-9), 5e-10),
+    (holo.FrequencyChannel.harmonic(1, 1e10), DOMAIN, 2.3),
+])
+def test_edge_tolerance_scales_with_a_short_domain(channel, domain, source):
+    # the domain is 1e-9 wavelengths long, so the tolerance is 1e-9 of the domain length
+    bit = holo.forward_bit(source, 0.0, channel)
+    alias_set = holo.alias_intervals(bit, channel, 0.0, domain)
+    assert alias_set.edge_tol == holo.EDGE_TOL_FACTOR * (domain[1] - domain[0])
+    assert alias_set.intervals.tolist() == [list(domain)]
+    assert alias_set.contains(source)
+
+
 def test_empty_domain_rejected():
     bit = holo.DetectionBit(0.0, 1, 0)
     with pytest.raises(holo.EmptyDomainError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,14 +231,19 @@ def rk4_reference(spec, initial, t_final, step):
     return np.array(rows)
 
 
+def random_spec(order, seed):
+    """A stable order-n evolution with complex coefficients and complex initial data."""
+    rng = np.random.default_rng(seed)
+    roots = rng.uniform(-1.0, 0.2, order) + 1j * rng.uniform(-3.0, 3.0, order)
+    lead = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+    return (ss.EvolutionSpec(tuple(lead * np.poly(roots)[::-1])),
+            rng.normal(size=order) + 1j * rng.normal(size=order))
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("n_steps", [1, 2, 10, 4001])
 def test_blocked_evolve_matches_stepwise_rk4(order, n_steps):
-    rng = np.random.default_rng(order)
-    roots = rng.uniform(-1.0, 0.2, order) + 1j * rng.uniform(-3.0, 3.0, order)
-    lead = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
-    spec = ss.EvolutionSpec(tuple(lead * np.poly(roots)[::-1]))
-    initial = rng.normal(size=order) + 1j * rng.normal(size=order)
+    spec, initial = random_spec(order, order)
     t_final = 0.01 * n_steps
     traj = ss.evolve_linear(spec, initial, t_final, 0.01)
     want = rk4_reference(spec, initial, t_final, 0.01)
@@ -245,3 +251,32 @@ def test_blocked_evolve_matches_stepwise_rk4(order, n_steps):
     assert np.array_equal(traj.times, np.arange(n_steps + 1) * (t_final / n_steps))
     rel = np.linalg.norm(traj.states - want, axis=1) / np.linalg.norm(want, axis=1)
     assert np.max(rel) <= 1e-9
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n_steps, every", [
+    (1, 1), (1, 2), (2, 2), (10, 3), (97, 7), (97, 97), (97, 98), (97, 10 ** 6),
+    (4001, 63), (4001, 64), (4001, 500), (4001, 4000), (4001, 4001)])
+def test_every_th_rows_equal_full_trajectory_bit_for_bit(order, n_steps, every):
+    # B = isqrt(N): 4001 steps cut into blocks of 63, so every = 63, 64 and 500 land on,
+    # beside and across the block ends; 10 and 97 do not divide by 3 or 7
+    spec, initial = random_spec(order, n_steps + every)
+    full = ss.evolve_linear(spec, initial, 0.01 * n_steps, 0.01)
+    some = ss.evolve_linear(spec, initial, 0.01 * n_steps, 0.01, every)
+    assert some.states.shape == full.states[::every].shape
+    assert some.states.tobytes() == full.states[::every].tobytes()
+    assert some.times.tobytes() == full.times[::every].tobytes()
+
+
+def test_sparse_rows_do_not_hold_the_trajectory():
+    # 6.3e7 steps printed every 1e5: 629 rows.  A full trajectory holds 2.0 GB of states
+    # and 0.5 GB of times, 150 times the bound; the block walk peaks at 2.3 MiB
+    spec = ss.EvolutionSpec((1.0, 0.0, 1.0))
+    tracemalloc.start()
+    try:
+        traj = ss.evolve_linear(spec, [1.0, 0.0], 6.283185307179586, 1e-7, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (629, 2)
+    assert peak < 16 * 2 ** 20
