@@ -391,8 +391,15 @@ def geometric_chi_square(histogram: np.ndarray, q: float) -> tuple[float, float,
         raise ValueError("too few occupancy levels for a chi-square test")
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
-    from scipy.special import chdtrc  # here, not at the top: no CLI path needs scipy
-    return statistic, float(chdtrc(dof, statistic)), dof
+    # survival function Q(dof/2, h) by Q(s + 1, h) = Q(s, h) + h^s e^-h / Gamma(s + 1)
+    # from Q(1/2, h) = erfc(sqrt h) or Q(1, h) = e^-h (Abramowitz & Stegun 26.4.4-26.4.5)
+    h = statistic / 2.0
+    s, p = (0.5, math.erfc(math.sqrt(h))) if dof % 2 else (1.0, math.exp(-h))
+    term = math.exp(-h) * h ** s / math.gamma(s + 1.0)
+    while s < dof / 2:
+        p, s = p + term, s + 1.0
+        term *= h / s
+    return statistic, p, dof
 
 
 @dataclass(frozen=True)

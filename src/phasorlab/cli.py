@@ -1,26 +1,24 @@
 """Batch front-end: seeded runs of each engine with bit-exact emission.
 
 Subcommands ``epr``, ``holo``, ``cavity``, ``evolve`` and ``hj`` share the
-flags ``--config``, ``--seed``, ``--out`` and ``--format``.  A config file
-is flat UTF-8 text, one ``key = value`` per line with ``#`` comments; keys
-are the long flag names and flags override the file.  Identical
-(config, seed) pairs produce byte-identical output: reals are printed
-with 17 significant digits, CSV uses '.' decimals and '\\n' newlines, and
-every RNG stream is derived from the master seed (see ``seeding``).
+flags ``--config``, ``--seed``, ``--out`` and ``--format``; each flag takes one
+value (``parse_argv``).  A config file is flat UTF-8 text, one ``key = value``
+per line with ``#`` comments; keys are the long flag names and flags override
+the file.  Identical (config, seed) pairs produce byte-identical output: reals
+are printed with 17 significant digits, CSV uses '.' decimals and '\\n'
+newlines, and every RNG stream is derived from the master seed (see ``seeding``).
 
 Exit codes: 0 success, 1 engine or I/O failure, 2 usage/config errors.
 
-A run loads only the engine its subcommand runs, and numpy starts one
-BLAS thread: no kernel here hands BLAS a matrix worth splitting, and an
-idle thread pool costs CPU time in every process.  A thread count the
-caller sets in the environment still wins.
+A run loads only the engine its subcommand runs, and numpy only once it
+computes.  numpy starts one BLAS thread: no kernel here hands BLAS a matrix
+worth splitting, and an idle thread pool costs CPU time in every process.  A
+thread count the caller sets in the environment still wins.
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
-import json
 import os
 import sys
 from itertools import islice
@@ -30,13 +28,15 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
 for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
-import numpy as np  # noqa: E402  (after the thread cap above)
-
 PROG = "phasorlab"
 
 
 class ConfigError(ValueError):
     """Bad or unknown configuration key/value; maps to exit code 2."""
+
+
+class UsageError(ConfigError):
+    """Unknown subcommand or flag, or a flag with no value; exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +68,14 @@ def _sweep(s: str) -> list[float]:
     """Either a single number or an inclusive 'start:stop:count' sweep."""
     if ":" in s:
         start, stop, count = s.split(":")
-        n = int(count)
+        lo, hi, n = _float(start), _float(stop), int(count)
         if n < 1:
             raise ValueError("sweep count must be >= 1")
         if n > MAX_EPR_POINTS:
             raise ValueError(f"sweep count {n} is above the limit of {MAX_EPR_POINTS:.0e}")
+        import numpy as np
         with np.errstate(all="ignore"):  # an overflowing span is rejected below
-            return [_float(x) for x in np.linspace(_float(start), _float(stop), n)]
+            return [_float(x) for x in np.linspace(lo, hi, n)]
     return [_float(s)]
 
 
@@ -163,19 +164,40 @@ SUBCOMMAND_OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=PROG, description="classical-wave simulation batch runner")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, schema in SUBCOMMAND_OPTIONS.items():
-        sub = subs.add_parser(name, help=f"run the {name} engine")
-        sub.add_argument("--config", default=None, metavar="PATH",
-                         help="flat 'key = value' config file; flags override it")
-        for key, (_, default, help_text) in {**schema, **COMMON_OPTIONS}.items():
-            shown = f" (default: {default})" if default is not None else ""
-            sub.add_argument(f"--{key}", default=None, metavar="V",
-                             help=help_text + shown)
-    return parser
+def parse_argv(argv) -> tuple[str | None, dict[str, str] | None]:
+    """``SUB`` then ``--key value`` or ``--key=value`` pairs, as (SUB, {key: value}).
+
+    The token after a key is its value, even one that starts with '-'.  Keys
+    match exactly and a repeated key keeps its last value.  ``-h`` or
+    ``--help`` gives (SUB, None) in a key's place and (None, None) in SUB's.
+    """
+    if argv and argv[0] in ("-h", "--help"):
+        return None, None
+    if not argv or argv[0] not in SUBCOMMAND_OPTIONS:
+        got = f"unknown subcommand '{argv[0]}'" if argv else "missing subcommand"
+        raise UsageError(f"{got}; choose one of {', '.join(SUBCOMMAND_OPTIONS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    keys = {"config", *SUBCOMMAND_OPTIONS[command], *COMMON_OPTIONS}
+    values: dict[str, str] = {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        flag, eq, value = token.partition("=")
+        if not flag.startswith("--") or flag[2:] not in keys:
+            raise UsageError(f"unknown option '{flag}' for subcommand '{command}'")
+        if not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"option '{flag}' expects a value")
+        values[flag[2:]] = value
+    return command, values
+
+
+def usage(command: str) -> str:
+    """The help text of one subcommand: every key it takes, with its default."""
+    keys = {"config": (str, None, "flat 'key = value' config file; flags override it"),
+            **SUBCOMMAND_OPTIONS[command], **COMMON_OPTIONS}
+    return f"usage: {PROG} {command} [--key value | --key=value] ...\n" + "".join(
+        f"  --{key:<16}{text}{'' if default is None else f' (default: {default})'}\n"
+        for key, (_, default, text) in keys.items())
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +221,13 @@ def serialize_config(values: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in sorted(values.items()))
 
 
-def resolve_options(command: str, namespace: argparse.Namespace) -> dict:
-    """Merge config file and flags into typed values (flags win)."""
+def resolve_options(command: str, values: dict[str, str]) -> dict:
+    """Merge config file and ``parse_argv`` values into typed values (flags win)."""
     schema = {**SUBCOMMAND_OPTIONS[command], **COMMON_OPTIONS}
     file_values: dict[str, str] = {}
-    if namespace.config is not None:
+    if "config" in values:
         try:
-            with open(namespace.config, "r", encoding="utf-8") as fh:
+            with open(values["config"], "r", encoding="utf-8") as fh:
                 file_values = parse_config_text(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -215,9 +237,7 @@ def resolve_options(command: str, namespace: argparse.Namespace) -> dict:
 
     resolved = {}
     for key, (convert, default, _) in schema.items():
-        raw = getattr(namespace, key.replace("-", "_"))
-        if raw is None:
-            raw = file_values.get(key, default)
+        raw = values.get(key, file_values.get(key, default))
         if raw is None:
             resolved[key] = None
             continue
@@ -246,6 +266,7 @@ def _json_template(cells: list[str], depth: int, keys: list[str] | None = None) 
     The text is what ``json.dumps(..., indent=1)`` prints for such a value at
     nesting ``depth``: one cell spec per member, keys quoted by json.
     """
+    import json
     pad = " " * depth
     if keys is not None:
         cells = [json.dumps(k).replace("%", "%%") + ": " + c for k, c in zip(keys, cells)]
@@ -283,6 +304,7 @@ def _column_cells(key: str, col: np.ndarray, fmt: str) -> list[str]:
     where the infinities of a ``MAY_BE_INFINITE`` column read ``Infinity``
     and ``-Infinity``.  The column is checked before any text is made.
     """
+    import numpy as np
     real = col.dtype.kind == "f"
     spec = "%d"
     if real:
@@ -339,6 +361,7 @@ def run_epr(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     if shape[0] * shape[1] > MAX_EPR_POINTS:
         raise ValueError(f"a {shape[0]} x {shape[1]} angle grid is above the limit of"
                          f" {MAX_EPR_POINTS:.0e} points")
+    import numpy as np
     from . import epr
     pair = epr.PhotonPairState(opts["parity"], opts["field-scale"])
     header = ["theta1_deg", "theta2_deg", "E", "P_xx", "P_xy", "P_yx", "P_yy"]
@@ -371,6 +394,7 @@ def _holo_setup(opts: dict):
 
 
 def run_holo_csv(opts: dict) -> tuple[list[str], list[np.ndarray]]:
+    import numpy as np
     from . import holography
     channels, bits = _holo_setup(opts)
     length = opts["domain"][1] - opts["domain"][0]
@@ -383,6 +407,7 @@ def run_holo_csv(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 
 
 def run_holo_json(opts: dict) -> str:
+    import json
     from . import holography
     channels, bits = _holo_setup(opts)
     domain = opts["domain"]
@@ -408,6 +433,7 @@ def run_holo_json(opts: dict) -> str:
 
 
 def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
+    import numpy as np
     from . import cavity
     ratios, freqs = opts["hf-over-kt"], opts["frequencies"]
     if (ratios is None) == (freqs is None):
@@ -435,6 +461,7 @@ def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 
 
 def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
+    import numpy as np
     from . import statespace
     spec = statespace.EvolutionSpec(tuple(opts["coefficients"]))
     if opts["every"] < 1:
@@ -450,6 +477,7 @@ def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 
 
 def run_hj(opts: dict) -> tuple[list[str], list[np.ndarray]]:
+    import numpy as np
     from . import hj
     q = np.linspace(opts["q-min"], opts["q-max"], opts["points"])
     m, hbar = opts["mass"], opts["hbar"]
@@ -471,25 +499,25 @@ ENGINE_ERRORS = (ValueError, ArithmeticError, MemoryError)
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        namespace = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-
-    try:
-        opts = resolve_options(namespace.command, namespace)
+        command, values = parse_argv(sys.argv[1:] if argv is None else argv)
+        if values is None:  # help: of one subcommand, or of all of them
+            print("\n".join(map(usage, [command] if command else SUBCOMMAND_OPTIONS)), end="")
+            return 0
+        opts = resolve_options(command, values)
+        import numpy as np
         # float warnings would add stderr lines; a NaN result is caught by render_table
         with np.errstate(all="ignore"):
-            if namespace.command == "holo" and opts["format"] == "json":
+            if command == "holo" and opts["format"] == "json":
                 text = run_holo_json(opts)
             else:
                 runner = {"epr": run_epr, "holo": run_holo_csv, "cavity": run_cavity,
-                          "evolve": run_evolve, "hj": run_hj}[namespace.command]
+                          "evolve": run_evolve, "hj": run_hj}[command]
                 header, columns = runner(opts)
                 text = render_table(header, columns, opts["format"])
     except ConfigError as exc:
-        print(f"{PROG}: config error: {exc}", file=sys.stderr)
+        kind = "usage" if isinstance(exc, UsageError) else "config"
+        print(f"{PROG}: {kind} error: {exc}", file=sys.stderr)
         return 2
     except ENGINE_ERRORS as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasor import TWO_PI
+TWO_PI = 2.0 * np.pi
 
 CLASSICAL_FRACTION = 0.01  # |ratio| below this fraction of 2*pi is classical
 # |d2W| h^2 within this times max|W| is round-off: each W sample carries up to ~2 eps

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .phasor import TWO_PI
+TWO_PI = 2.0 * math.pi
 
 EDGE_TOL_FACTOR = 1e-9
 EPS = float(np.finfo(float).eps)

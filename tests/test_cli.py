@@ -211,7 +211,7 @@ def test_holo_inconsistent_bits_exit_code(tmp_path, capsys):
 
 
 def holo_opts(*argv):
-    return cli.resolve_options("holo", cli.build_parser().parse_args(["holo", *argv]))
+    return cli.resolve_options(*cli.parse_argv(["holo", *argv]))
 
 
 def per_prefix_columns(opts):
@@ -433,6 +433,59 @@ def test_missing_subcommand_exit_2(capsys):
     assert cli.run([]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["nosuch"],
+    ["epr", "--thetaX", "1"],
+    ["evolve", "--t", "5"],      # keys match exactly: no abbreviation of --t-final
+    ["epr", "--theta2", "0", "--theta1"],
+    ["epr", "theta1", "0"],
+], ids=["no-argv", "unknown-subcommand", "unknown-key", "abbreviated-key", "no-value",
+        "bare-word"])
+def test_usage_error_is_one_line(argv, capsys):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("phasorlab: usage error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+# a value that starts with '-' is the value of the key before it; the digests are the
+# stdout of each argv's --key=value spelling before the CLI had its own parser
+DASH_VALUES = [
+    (["holo", "--alpha", "-1e-3"],
+     "a56da46138f1cb7d8ade6d6cba8c836afb893b5a6ccacb82510ab8613549603e"),
+    (["epr", "--theta1", "-90:90:3"],
+     "8da3dbd8c99a149fe4f40bf33727842289aaa245f159c62c9af1e1afe95834f2"),
+    (["holo", "--domain", "-5:5"],
+     "ba111c6deced63404505ef9a17b8dba214efd48f26323e0b2c993e27fc9c8f02"),
+    (["evolve", "--coefficients", "-1,0,1"],
+     "9237ce67467851f25fe7336750d7a3aec48331fdb044d2f5b446acf73123c6ab"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", DASH_VALUES, ids=[" ".join(a) for a, _ in DASH_VALUES])
+def test_dash_leading_value_prints_its_equals_spelling(argv, digest, capsys):
+    outs = []
+    for spelled in (argv, [argv[0], argv[1] + "=" + argv[2]]):
+        assert cli.run(spelled) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode("utf-8")).hexdigest() == digest
+
+
+def test_repeated_key_keeps_its_last_value():
+    assert cli.parse_argv(["hj", "--points", "5", "--points=7", "--mass", "-2"]) == (
+        "hj", {"points": "7", "mass": "-2"})
+
+
+def test_program_help_lists_every_subcommand(capsys):
+    assert cli.run(["--help"]) == 0
+    out = capsys.readouterr().out
+    for command in cli.SUBCOMMAND_OPTIONS:
+        assert f"usage: phasorlab {command} " in out
+
+
 def test_out_of_range_seed_exit_2(capsys):
     code = cli.run(["cavity", "--hf-over-kt", "1", "--seed", "-5"])
     assert code == 2
@@ -450,13 +503,50 @@ def test_unwritable_output_exit_1(tmp_path, capsys):
 
 
 def test_help_lists_every_key(capsys):
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(["cavity", "--help"])
+    assert cli.run(["cavity", "--help"]) == 0
     text = capsys.readouterr().out
-    for key in cli.SUBCOMMAND_OPTIONS["cavity"]:
-        assert f"--{key}" in text
-    for key in cli.COMMON_OPTIONS:
-        assert f"--{key}" in text
+    for key in [*cli.SUBCOMMAND_OPTIONS["cavity"], *cli.COMMON_OPTIONS, "config"]:
+        assert f"--{key} " in text
+
+
+# values the grammar must carry through unchanged in either spelling
+ODD_VALUES = ["", "-", "--", "-h", "--help", "--seed", "=", "a=b", "-1e-3", "-90:90:3",
+              "-5:5", "-1,0,1", "1,,2", "-0", "nan", "-inf", "1e308", "-1e999", "1+2j",
+              " 3 ", "0:1:0", "2:-2:5", "5:-5", "18446744073709551616", "json", "linear"]
+NUMBERS = st.one_of(st.floats().map(repr), st.integers(-10 ** 20, 10 ** 20).map(str))
+
+
+@st.composite
+def grammar_cases(draw):
+    """A subcommand and (key, value) pairs, with an occasional unknown or abbreviated key."""
+    command = draw(st.sampled_from(list(cli.SUBCOMMAND_OPTIONS)))
+    keys = st.sampled_from([*cli.SUBCOMMAND_OPTIONS[command], *cli.COMMON_OPTIONS, "t", "nope"])
+    values = st.one_of(
+        st.sampled_from(ODD_VALUES), NUMBERS, st.text(max_size=6),
+        st.tuples(NUMBERS, NUMBERS).map(":".join),
+        st.tuples(NUMBERS, NUMBERS, st.integers(-2, 40).map(str)).map(":".join),
+        st.lists(st.one_of(NUMBERS, st.sampled_from(ODD_VALUES)), max_size=4).map(",".join))
+    return command, draw(st.lists(st.tuples(keys, values), max_size=5))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(grammar_cases())
+def test_grammar_resolves_both_spellings_alike(case):
+    """Parse plus resolve returns or raises UsageError/ConfigError, the same in both spellings."""
+    command, pairs = case
+
+    def resolve(argv):
+        try:
+            return cli.resolve_options(*cli.parse_argv(argv))
+        except (cli.UsageError, cli.ConfigError) as exc:
+            return type(exc).__name__, str(exc)
+
+    spaced = [command, *(token for key, value in pairs for token in ("--" + key, value))]
+    joined = [command, *("--%s=%s" % pair for pair in pairs)]
+    if all(key in cli.SUBCOMMAND_OPTIONS[command] or key in cli.COMMON_OPTIONS
+           for key, _ in pairs):
+        assert cli.parse_argv(spaced) == cli.parse_argv(joined) == (command, dict(pairs))
+    assert resolve(spaced) == resolve(joined)
 
 
 def readme_cli_commands():
@@ -779,15 +869,25 @@ def test_cli_import_does_not_load_scipy_stats():
     fresh_python("-c", "import phasorlab.cli, sys; assert 'scipy.stats' not in sys.modules")
 
 
+def test_geometric_chi_square_loads_no_scipy():
+    code = ("import math, sys, numpy as np; from phasorlab import cavity; "
+            "cavity.geometric_chi_square(np.array([620, 240, 90, 33, 12, 5]), math.exp(-1.0)); "
+            "print('scipy' in sys.modules)")
+    assert fresh_python("-c", code).split() == ["False"]
+
+
 def test_cli_import_loads_no_engine():
-    code = "import phasorlab.cli, sys; print(*sorted(m for m in sys.modules if 'phasorlab' in m))"
+    # nor numpy, json or argparse: numpy loads when a run computes
+    code = ("import phasorlab.cli, sys; print(*sorted(m for m in sys.modules"
+            " if 'phasorlab' in m or m in ('numpy', 'json', 'argparse')))")
     assert fresh_python("-c", code).split() == ["phasorlab", "phasorlab.cli"]
 
 
-ENGINES = {"epr": "epr", "holo": "holography", "cavity": "cavity", "evolve": "statespace",
-           "hj": "hj"}
+# every phasorlab module a subcommand loads besides cli; holo and hj define their own 2π
+LOADS = {"epr": {"epr", "phasor"}, "holo": {"holography"}, "cavity": {"cavity", "seeding"},
+         "evolve": {"statespace"}, "hj": {"hj"}}
 # the first golden argv of each subcommand, with its pinned stdout hash
-GOLDEN_PER_COMMAND = [next(g for g in GOLDEN if g[0][0] == command) for command in ENGINES]
+GOLDEN_PER_COMMAND = [next(g for g in GOLDEN if g[0][0] == command) for command in LOADS]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_PER_COMMAND,
@@ -798,8 +898,15 @@ def test_subcommand_loads_only_its_own_engine(argv, digest):
             "print(code, *sorted(m for m in sys.modules if m.startswith('phasorlab.')))")
     code, *loaded = fresh_python("-c", code).split()
     assert code == "0"
-    engines = {m.removeprefix("phasorlab.") for m in loaded} & set(ENGINES.values())
-    assert engines == {ENGINES[argv[0]]}
+    loaded = {m.removeprefix("phasorlab.") for m in loaded}
+    assert loaded == {"cli", *LOADS[argv[0]]}
+
+
+@pytest.mark.parametrize("value", ["abc", "1:abc:3"])
+def test_bad_value_exits_2_without_loading_numpy(value):
+    code = ("import sys; from phasorlab import cli; "
+            f"print(cli.run(['epr', '--theta1', {value!r}]), 'numpy' in sys.modules)")
+    assert fresh_python("-c", code).split() == ["2", "False"]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_PER_COMMAND,
@@ -816,14 +923,15 @@ THREADS = ("import os, {module}; "
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_cli_import_starts_one_blas_thread():
-    assert fresh_python("-c", THREADS.format(module="phasorlab.cli")).split() == ["1", "1"]
+    # numpy loaded after the CLI module: the cap must still be set when it starts
+    assert fresh_python("-c", THREADS.format(module="phasorlab.cli, numpy")).split() == ["1", "1"]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_cli_import_keeps_the_callers_blas_thread_count():
     # as many threads as numpy alone starts under the same setting
     alone = fresh_python("-c", THREADS.format(module="numpy"), OPENBLAS_NUM_THREADS="2")
-    via_cli = fresh_python("-c", THREADS.format(module="phasorlab.cli"),
+    via_cli = fresh_python("-c", THREADS.format(module="phasorlab.cli, numpy"),
                            OPENBLAS_NUM_THREADS="2")
     assert via_cli.split() == alone.split()
     assert via_cli.split()[0] == "2"

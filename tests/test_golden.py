@@ -4,8 +4,8 @@ The double-run tests only show that one build is deterministic; these
 hashes pin the bytes across changes.  A change that moves a golden
 updates its hash here and states in CHANGES.md the largest absolute
 deviation of the moved numbers from the previous output.  The hashes
-were recorded with CPython 3.11, numpy 2.4 and scipy 1.17; a different
-libm or numpy build may move the last printed digit.
+were recorded with CPython 3.11 and numpy 2.4; a different libm or numpy
+build may move the last printed digit.
 """
 
 import hashlib
