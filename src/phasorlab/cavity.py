@@ -377,11 +377,9 @@ def geometric_chi_square(histogram: np.ndarray, q: float) -> tuple[float, float,
     total = counts.sum()
     if total <= 0:
         raise ValueError("empty histogram")
-    n_max = counts.size - 1
-    probs = [(1 - q) * q ** n for n in range(n_max + 1)]
-    expected = total * np.array(probs)
+    expected = total * np.array([(1 - q) * q ** n for n in range(counts.size)])
 
-    cut = n_max + 1
+    cut = counts.size
     while cut > 1 and (expected[cut - 1] < CHI_SQUARE_MIN_EXPECTED
                        or total * q ** cut < CHI_SQUARE_MIN_EXPECTED):
         cut -= 1
@@ -391,15 +389,36 @@ def geometric_chi_square(histogram: np.ndarray, q: float) -> tuple[float, float,
         raise ValueError("too few occupancy levels for a chi-square test")
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     dof = obs.size - 1
-    # survival function Q(dof/2, h) by Q(s + 1, h) = Q(s, h) + h^s e^-h / Gamma(s + 1)
-    # from Q(1/2, h) = erfc(sqrt h) or Q(1, h) = e^-h (Abramowitz & Stegun 26.4.4-26.4.5)
+    return statistic, _chi_square_sf(statistic, dof), dof
+
+
+def _chi_square_sf(statistic: float, dof: int) -> float:
+    """Chi-square survival function Q(dof/2, h), h = statistic/2, in closed form.
+
+    Abramowitz & Stegun 26.4.4-26.4.5: erfc(sqrt h) for odd dof, plus the
+    Poisson weights h^s e^-h / Gamma(s + 1) for s = 1/2 or 0 up to dof/2 - 1.
+    The largest weight is taken in log space and the rest by ratios outward
+    from it, so no weight that counts underflows, whatever the dof.
+    """
     h = statistic / 2.0
-    s, p = (0.5, math.erfc(math.sqrt(h))) if dof % 2 else (1.0, math.exp(-h))
-    term = math.exp(-h) * h ** s / math.gamma(s + 1.0)
-    while s < dof / 2:
-        p, s = p + term, s + 1.0
-        term *= h / s
-    return statistic, p, dof
+    s0, p = (0.5, math.erfc(math.sqrt(h))) if dof % 2 else (0.0, 0.0)
+    top = dof / 2.0 - 1.0
+    peak = min(top, s0 + math.floor(max(h - s0, 0.0)))
+    if h == 0.0 or peak < s0:
+        return 1.0 if h == 0.0 else p
+    if peak < 50.0:
+        log_peak = peak * math.log(h) - h - math.lgamma(peak + 1.0)
+    else:  # Stirling's series, with the deviance peak log(peak/h) + h - peak by log1p
+        log_peak = (peak - h - peak * math.log1p((peak - h) / h) - 0.5 * math.log(math.tau * peak)
+                    - (1 / 12 - (1 / 360 - 1 / (1260 * peak ** 2)) / peak ** 2) / peak)
+    peak_term = math.exp(log_peak)
+    for step in (-1.0, 1.0):  # down to s0, then up to top
+        term, s = peak_term, peak
+        while term > 0.0 and s0 <= s + step <= top:
+            term *= s / h if step < 0 else h / (s + 1.0)
+            s += step
+            p += term
+    return p + peak_term
 
 
 @dataclass(frozen=True)

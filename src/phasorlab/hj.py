@@ -15,11 +15,10 @@ the order-(dq^2) convergence claim clean.  The correspondence ratio
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-TWO_PI = 2.0 * np.pi
 
 CLASSICAL_FRACTION = 0.01  # |ratio| below this fraction of 2*pi is classical
 # |d2W| h^2 within this times max|W| is round-off: each W sample carries up to ~2 eps
@@ -216,6 +215,6 @@ def bcp_ratio(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> Correspo
         raise TurningPointError(
             f"momentum vanishes at q = {grid.q[1:-1][i]:.9g} (interior index {i})")
     flat = dpdq == 0.0  # no curvature: 0 even where p * p underflows
-    ratio = np.where(flat, 0.0, TWO_PI * system.hbar * dpdq / np.where(flat, 1.0, p * p))
-    classical = np.abs(ratio) < CLASSICAL_FRACTION * TWO_PI
+    ratio = np.where(flat, 0.0, math.tau * system.hbar * dpdq / np.where(flat, 1.0, p * p))
+    classical = np.abs(ratio) < CLASSICAL_FRACTION * math.tau
     return CorrespondenceField(grid.q[1:-1], ratio, classical)

@@ -21,8 +21,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 EDGE_TOL_FACTOR = 1e-9
 EPS = float(np.finfo(float).eps)
 # one bit's alias set may hold at most this many intervals (~1 s and 0.7 GB at the limit)
@@ -62,12 +60,12 @@ class FrequencyChannel:
 
     @property
     def wavelength(self) -> float:
-        return TWO_PI / self.wavenumber
+        return math.tau / self.wavenumber
 
     @classmethod
     def harmonic(cls, index: int, base_wavelength: float) -> "FrequencyChannel":
         """Channel j of the harmonic ladder built on a base wavelength."""
-        return cls(index, index * TWO_PI / base_wavelength)
+        return cls(index, index * math.tau / base_wavelength)
 
 
 @dataclass(frozen=True)

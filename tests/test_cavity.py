@@ -435,11 +435,20 @@ def test_geometric_chi_square_rejects_wrong_law():
     assert p_value < 1e-6
 
 
+def poisson_geometric(x):
+    """A Poisson-drawn 10^6-sample histogram of the law with q = e^-x, over 12/x levels."""
+    q = math.exp(-x)
+    return derive_rng(5, "chi-square", 0).poisson(10 ** 6 * (1 - q) * q ** np.arange(int(12 / x))), q
+
+
 @pytest.mark.parametrize("hist, q", [
     ([620, 240, 90, 33, 12, 5], math.exp(-1.0)),
     ([5000, 1800, 700, 250, 90, 30, 11, 6], math.exp(-1.0)),
     ([400, 300, 200, 100, 50, 25, 10], math.exp(-2.0)),
     ([90, 10, 6, 5], 0.1),
+    # good fits over 5300 and 2997 levels: e^(-statistic/2) underflows, p does not
+    poisson_geometric(1e-3),
+    poisson_geometric(2e-3),
 ])
 def test_geometric_chi_square_p_value_matches_scipy_stats(hist, q):
     from scipy import stats
