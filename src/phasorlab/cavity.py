@@ -9,15 +9,12 @@ hf / (e^{hf/k_B T} - 1), with the antinodal lobe energy h*f independent
 of the wavelength.
 
 Every step takes one uniform u: u < q/2 moves up, u >= 1/2 moves down
-(refused at n = 0), anything else stays, with q = e^{-hf/k_B T}.
-``equilibrate`` runs the walk vectorized through the reflected-walk
-(Lindley) recursion, which is step-for-step identical to looping
-``jitter_step`` over the same uniforms.  ``spectrum_sweep`` runs the
-same recursion in chunks of ``CHUNK`` steps, carrying the last
-occupancy.  A burn-in chunk keeps only its last occupancy and its move
-count; a kept chunk adds its occupancies to exact integer sums.  So the
-sweep's statistics equal ``equilibrate``'s bit for bit in O(CHUNK)
-memory, and only ``equilibrate`` keeps the chain and its histogram.
+(refused at n = 0), anything else stays, with q = e^{-hf/k_B T}.  One
+kernel runs a block of chains side by side through the reflected-walk
+(Lindley) recursion, step-for-step identical to looping ``jitter_step``
+over the same uniforms, and adds the kept steps to exact integer tallies.
+``equilibrate`` is a one-row block that also keeps its chain;
+``spectrum_sweep`` runs its chains in blocks within O(CHUNK) memory.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from .seeding import derive_rng
 
 # e^{-x} underflows past this point; the closed form is reported as 0.
 PLANCK_UNDERFLOW_X = 700.0
-# steps per streamed chunk: a sweep's work memory is O(CHUNK), not O(steps)
+# steps in a sweep's work buffers, shared by a block's chains: O(CHUNK) memory, not O(steps)
 CHUNK = 2 ** 16
 # a sweep runs at most this many steps over all its chains (about 20 s at 20 ns/step)
 MAX_SWEEP_STEPS = 10 ** 9
@@ -147,57 +144,16 @@ class ChainStatistics:
 
 
 class _ChainBuffers:
-    """Work arrays for up to ``size`` steps, written in place by every chunk."""
+    """Work arrays of a block of up to ``chains`` chains, ``width`` steps a segment."""
 
-    def __init__(self, size: int):
-        self.uniforms = np.empty(size)
-        self.up = np.empty(size, dtype=bool)
-        self.down = np.empty(size, dtype=bool)
-        self.walk = np.empty(size, dtype=np.int64)
-        self.low = np.empty(size, dtype=np.int64)
+    def __init__(self, chains: int, width: int):
+        self.arrays = [np.empty((chains, width), dtype=t)
+                       for t in (float, bool, bool, np.int64, np.int64)]
+        self.walk = self.arrays[3]
 
-
-def _free_walk(q: float, steps: int, rng: np.random.Generator,
-               buf: _ChainBuffers) -> tuple[np.ndarray, int]:
-    """The unfloored walk S_t over ``steps`` fresh uniforms, and its nonzero increments.
-
-    Increments: +1 where u < q/2 (uphill accepted), -1 where u >= 1/2
-    (downhill proposal), else 0.  S is ``buf.walk[:steps]``.
-    """
-    u = rng.random(out=buf.uniforms[:steps])
-    up = np.less(u, 0.5 * q, out=buf.up[:steps]).view(np.int8)
-    down = np.greater_equal(u, 0.5, out=buf.down[:steps]).view(np.int8)
-    increments = np.subtract(up, down, out=up)
-    # widened in the walk buffer and summed in place: cumsum(..., dtype=int64)
-    # would widen into a fresh temporary of 8 bytes a step on every chunk
-    s = buf.walk[:steps]
-    np.copyto(s, increments)
-    return np.cumsum(s, out=s), np.count_nonzero(increments)
-
-
-def _run_occupancies(n0: int, q: float, steps: int, rng: np.random.Generator,
-                     buf: _ChainBuffers) -> tuple[np.ndarray, int]:
-    """Vectorized +-1 Metropolis walk floored at 0, started from ``n0``.
-
-    Flooring at zero is the reflected-walk (Lindley) recursion
-    n_t = max(n0 + S_t, S_t - min_{j<=t} S_j) = S_t - min(-n0, min_{j<=t} S_j).
-    Returns the occupancies, which are ``buf.walk[:steps]``, and the
-    number of accepted moves, the steps at which the occupancy changes.
-    """
-    s, nonzero = _free_walk(q, steps, rng, buf)
-    low = np.minimum.accumulate(s, out=buf.low[:steps])
-    np.minimum(low, -n0, out=low)
-    # each -1 refused at the floor lowers min(-n0, min S) by one below -n0
-    refused = -n0 - int(low[-1])
-    return np.subtract(s, low, out=s), nonzero - refused
-
-
-def _burn_in(n0: int, q: float, steps: int, rng: np.random.Generator,
-             buf: _ChainBuffers) -> tuple[int, int]:
-    """``_run_occupancies`` reduced to what a burn-in keeps: the last occupancy and the moves."""
-    s, nonzero = _free_walk(q, steps, rng, buf)
-    low = min(int(s.min()), -n0)
-    return int(s[-1]) - low, nonzero - (-n0 - low)
+    def segment(self, chains: int, width: int) -> list[np.ndarray]:
+        """Views for the uniforms, the up and down flags, the walk and its running minimum."""
+        return [a[:chains, :width] for a in self.arrays]
 
 
 def _kept_steps(steps: int, burn_in: int) -> int:
@@ -206,45 +162,81 @@ def _kept_steps(steps: int, burn_in: int) -> int:
     return steps - burn_in
 
 
-class _ChainTally:
-    """Exact integer sums over a chain's kept occupancies, fed in order.
+class _ChainSums(NamedTuple):
+    """Exact integer tallies of a block of chains, one entry or row per chain."""
 
-    The mean, the 32 batch means and the acceptance rate are quotients of
-    these sums, so they do not depend on how the chain was cut up.
-    ``moves`` also counts the burn-in's moves, which the caller adds.
+    last: np.ndarray     # the last occupancy
+    total: np.ndarray    # the sum of the kept occupancies
+    batches: np.ndarray  # sums over min(32, kept) equal batches of the kept steps
+    moves: np.ndarray    # accepted moves over all the steps, burn-in included
+
+
+def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
+                rngs: Sequence[np.random.Generator], buf: _ChainBuffers) -> _ChainSums:
+    """Chains side by side: row c of ``buf`` walks from n0[c] with q[c] on rngs[c]'s uniforms.
+
+    One loop runs the block in segments as wide as the buffer, cut at
+    ``burn_in``; rows that share a generator take its draws in row order.
+    The comparisons, the ``cumsum`` to the unfloored walk S and the running
+    minimum run once per segment over the block.  Flooring at zero is the
+    reflected-walk (Lindley) recursion n_t = S_t - min(-n, min_{j<=t} S_j),
+    n the occupancy before the segment, and each -1 refused at the floor
+    lowers that minimum one below -n.  A burn-in segment keeps only the last
+    occupancy and the moves; a kept segment adds to the integer tallies, so
+    they do not depend on the cuts.  The last kept segment stays in ``buf.walk``.
     """
+    chains, width = len(rngs), buf.walk.shape[1]
+    n_batches = min(32, steps - burn_in)
+    batch_len = (steps - burn_in) // n_batches
+    half_q = 0.5 * np.asarray(q, dtype=float)[:, None]
+    last = np.array(n0, dtype=np.int64)
+    total, moves = np.zeros((2, chains), dtype=np.int64)
+    batches = np.zeros((chains, n_batches), dtype=np.int64)
+    cuts = [*range(0, burn_in, width), *range(burn_in, steps, width), steps]
+    for start, stop in zip(cuts, cuts[1:]):
+        u, up, down, s, low = buf.segment(chains, stop - start)
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        up = np.less(u, half_q, out=up).view(np.int8)
+        increments = np.subtract(up, np.greater_equal(u, 0.5, out=down).view(np.int8), out=up)
+        # widened in the walk buffer and summed in place: cumsum(..., dtype=int64)
+        # would widen into a fresh temporary of 8 bytes a step on every segment
+        np.copyto(s, increments)
+        np.cumsum(s, axis=1, out=s)
+        if start < burn_in:
+            floor = np.minimum(s.min(axis=1), -last)
+        else:
+            np.minimum(np.minimum.accumulate(s, axis=1, out=low), -last[:, None], out=low)
+            floor = low[:, -1]
+        # row by row: count_nonzero(axis=1) casts the block to bool and sums it, 5x slower
+        moves += [np.count_nonzero(row) for row in increments] - (-last - floor)
+        last = s[:, -1] - floor
+        if start >= burn_in:
+            occ = np.subtract(s, low, out=s)
+            total += occ.sum(axis=1)
+            i, end = start - burn_in, min(stop - burn_in, n_batches * batch_len)  # kept indices
+            if i < end:  # the segment reaches into the batches
+                edges = np.maximum(np.arange(i - i % batch_len, end, batch_len), i) - i
+                batches[:, i // batch_len:][:, :edges.size] += np.add.reduceat(
+                    occ[:, :end - i], edges, axis=1)
+    return _ChainSums(last, total, batches, moves)
 
-    def __init__(self, steps: int, burn_in: int):
-        self.steps, self.kept = steps, _kept_steps(steps, burn_in)
-        self.n_batches = min(32, self.kept)
-        self.batch_len = self.kept // self.n_batches
-        self.batch_sums = np.zeros(self.n_batches, dtype=np.int64)
-        self.total = 0
-        self.moves = 0
-        self.seen = 0
 
-    def add(self, occ: np.ndarray, moves: int) -> None:
-        self.moves += moves
-        start = self.seen  # kept index of occ[0]
-        self.seen += occ.size
-        self.total += int(occ.sum())
-        b = self.batch_len
-        in_batches = occ[:max(0, b * self.n_batches - start)]
-        if in_batches.size:
-            cuts = np.arange(-start % b, in_batches.size, b)
-            sums = np.add.reduceat(in_batches, np.concatenate(([0], cuts[cuts > 0])))
-            self.batch_sums[start // b:start // b + sums.size] += sums
+def _statistics(sums: _ChainSums, steps: int, burn_in: int,
+                lobes: Sequence[float]) -> list[ChainStatistics]:
+    """Each chain's mean, 32-batch-means standard error and acceptance from its tallies.
 
-    def statistics(self, lobe: float) -> ChainStatistics:
-        mean_occ = self.total / self.kept
-        batches = self.batch_sums / self.batch_len
-        stderr = (float(batches.std(ddof=1) / math.sqrt(self.n_batches))
-                  if self.n_batches > 1 else math.inf)
-        return ChainStatistics(
-            steps=self.steps, occupancy_histogram=None,
-            mean_occupancy=mean_occ, mean_energy=mean_occ * lobe,
-            mean_energy_stderr=stderr * lobe, acceptance_rate=self.moves / self.steps,
-        )
+    Every statistic is a quotient of the integer tallies, so it does not
+    depend on how the chains were cut up or blocked.
+    """
+    kept = steps - burn_in
+    n_batches = sums.batches.shape[1]
+    stderr = ((sums.batches / (kept // n_batches)).std(axis=1, ddof=1) / math.sqrt(n_batches)
+              if n_batches > 1 else np.full(len(lobes), math.inf))
+    return [ChainStatistics(steps, None, total / kept, total / kept * lobe, err * lobe,
+                            moves / steps)
+            for total, err, moves, lobe in zip(sums.total.tolist(), stderr.tolist(),
+                                               sums.moves.tolist(), lobes)]
 
 
 def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
@@ -253,39 +245,20 @@ def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
 
     The occupancy histogram converges to the geometric law
     P(n) = (1 - q) q^n with q = e^{-hf/k_B T}; the standard error of the
-    mean energy comes from 32 batch means.  The burn-in and the kept
-    steps each run as one chunk in a buffer of max(burn_in, steps -
-    burn_in), which keeps the kept chain whole.
+    mean energy comes from 32 batch means.  The chain is a one-row block
+    whose buffer of max(burn_in, steps - burn_in) steps runs the burn-in
+    and the kept steps as one segment each, which keeps the kept chain
+    whole.
     """
     kept = _kept_steps(steps, burn_in)
-    buf = _ChainBuffers(max(burn_in, kept))
-    chain = _stream_chain(family, bath, steps, burn_in, rng, buf)
-    chain.occupancies = buf.walk[:kept]
-    chain.occupancy_histogram = np.bincount(chain.occupancies)
-    return chain
-
-
-def _stream_chain(family: ModeFamily, bath: ThermalBath, steps: int, burn_in: int,
-                  rng: np.random.Generator, buf: _ChainBuffers) -> ChainStatistics:
-    """The jitter chain on ``rng``, in chunks of ``buf``'s size, without the occupancies.
-
-    Chunks are cut at ``burn_in``: a burn-in chunk carries only its last
-    occupancy and its moves on.  The chain draws ``steps`` uniforms in
-    order whatever the chunk size, so the statistics equal
-    ``equilibrate``'s on the same stream bit for bit.
-    """
-    tally = _ChainTally(steps, burn_in)
+    buf = _ChainBuffers(1, max(burn_in, kept))
     # the uphill acceptance of the scalar reference, not a re-derivation of it
     q = acceptance_probability(family, bath, 1)
-    occupancy, chunk = family.occupancy, buf.walk.size
-    for start in range(0, burn_in, chunk):
-        occupancy, moves = _burn_in(occupancy, q, min(chunk, burn_in - start), rng, buf)
-        tally.moves += moves
-    for start in range(burn_in, steps, chunk):
-        occ, moves = _run_occupancies(occupancy, q, min(chunk, steps - start), rng, buf)
-        tally.add(occ, moves)
-        occupancy = int(occ[-1])
-    return tally.statistics(family.lobe_energy)
+    sums = _run_chains([q], [family.occupancy], steps, burn_in, [rng], buf)
+    chain, = _statistics(sums, steps, burn_in, [family.lobe_energy])
+    chain.occupancies = buf.walk[0, :kept]
+    chain.occupancy_histogram = np.bincount(chain.occupancies)
+    return chain
 
 
 class SweepRow(NamedTuple):
@@ -303,27 +276,34 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
 
     Chains are independent: replica i draws from the stream keyed by
     (master seed, "cavity", i), so duplicated frequencies give
-    independent estimates of the same mean.  Each chain is streamed in
-    chunks of ``CHUNK`` steps through one set of work buffers, so memory
+    independent estimates of the same mean.  The chains run side by side
+    in blocks of ``CHUNK // width`` chains, with width = min(CHUNK,
+    max(burn_in, kept)), through one buffer of ``CHUNK`` steps, so memory
     does not grow with ``steps``.  A sweep of more than ``MAX_SWEEP_STEPS``
-    steps in all, or with a frequency that is not positive (NaN
-    included), is refused before any chain starts.
+    steps in all, with a frequency that is not positive (NaN included),
+    or with no kept step, is refused before any chain starts.
     """
     if len(frequencies) * steps > MAX_SWEEP_STEPS:
         raise ValueError(f"a sweep of {len(frequencies)} x {steps} steps exceeds the budget"
                          f" of {MAX_SWEEP_STEPS:.0e} steps")
     if not all(f > 0.0 for f in frequencies):
         raise ValueError("frequencies must be positive")
-    buf = _ChainBuffers(CHUNK)
+    width = min(CHUNK, max(burn_in, _kept_steps(steps, burn_in)))
+    block = CHUNK // width
+    buf = _ChainBuffers(block, width)
     rows = []
-    for i, f in enumerate(frequencies):
-        family = ModeFamily.in_bath(f, bath)
-        chain = _stream_chain(family, bath, steps, burn_in,
-                              derive_rng(master_seed, "cavity", i), buf)
-        closed = planck_expectation(f, bath).energy
-        rel = abs(chain.mean_energy - closed) / closed if closed > 0.0 else math.inf
-        rows.append(SweepRow(f, chain.mean_energy, chain.mean_energy_stderr,
-                             closed, rel, chain.acceptance_rate))
+    for lo in range(0, len(frequencies), block):
+        families = [ModeFamily.in_bath(f, bath) for f in frequencies[lo:lo + block]]
+        sums = _run_chains([acceptance_probability(fam, bath, 1) for fam in families],
+                           [fam.occupancy for fam in families], steps, burn_in,
+                           [derive_rng(master_seed, "cavity", lo + i)
+                            for i in range(len(families))], buf)
+        chains = _statistics(sums, steps, burn_in, [fam.lobe_energy for fam in families])
+        for fam, chain in zip(families, chains):
+            closed = planck_expectation(fam.base_frequency, bath).energy
+            rel = abs(chain.mean_energy - closed) / closed if closed > 0.0 else math.inf
+            rows.append(SweepRow(fam.base_frequency, chain.mean_energy, chain.mean_energy_stderr,
+                                 closed, rel, chain.acceptance_rate))
     return rows
 
 

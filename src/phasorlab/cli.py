@@ -92,14 +92,6 @@ def _choice(*options: str):
     return convert
 
 
-def _epr_choice(name: str):
-    """``_choice`` over ``epr.<name>``; epr is imported when a value is converted."""
-    def convert(s: str) -> str:
-        from . import epr
-        return _choice(*getattr(epr, name))(s)
-    return convert
-
-
 def _u64(s: str) -> int:
     value = int(s)
     if not (0 <= value < 2 ** 64):
@@ -117,11 +109,11 @@ SUBCOMMAND_OPTIONS = {
     "epr": {
         "theta1": (_sweep, "0", "detector-1 analyzer angle(s), degrees; N or start:stop:count"),
         "theta2": (_sweep, "0", "detector-2 analyzer angle(s), degrees; N or start:stop:count"),
-        "parity": (_epr_choice("PARITIES"), "plus", "pair parity"),
+        "parity": (_choice("plus", "minus"), "plus", "pair parity"),
         "field-scale": (_float, "1.0", "per-photon field amplitude E"),
-        "convention": (_epr_choice("CONVENTIONS"), "sum",
+        "convention": (_choice("sum", "difference"), "sum",
                        "correlation angle convention (detector-2 handedness)"),
-        "mode": (_epr_choice("MODES"), "symbolic", "amplitude evaluation path"),
+        "mode": (_choice("symbolic", "numeric"), "symbolic", "amplitude evaluation path"),
     },
     "holo": {
         "base-wavelength": (_float, "1.0", "wavelength of harmonic channel 1"),

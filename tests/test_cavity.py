@@ -46,6 +46,19 @@ def jitter_loop(family, bath, uniforms):
     return occ
 
 
+def run_block(families, steps, burn_in, rngs, width):
+    """The chains of ``families`` side by side in one kernel block ``width`` steps wide."""
+    sums = cavity._run_chains([acceptance_probability(f, BATH, 1) for f in families],
+                              [f.occupancy for f in families], steps, burn_in, rngs,
+                              cavity._ChainBuffers(len(families), width))
+    return sums, cavity._statistics(sums, steps, burn_in, [f.lobe_energy for f in families])
+
+
+def stream_chain(family, steps, burn_in, rng, width):
+    """One chain as a one-row block: its statistics, without the occupancies."""
+    return run_block([family], steps, burn_in, [rng], width)[1][0]
+
+
 # --- types -------------------------------------------------------------------
 
 def test_mode_family_harmonic_structure():
@@ -139,7 +152,7 @@ def test_equilibrate_uses_the_family_lobe_energy():
 def test_chain_draws_one_uniform_per_step(steps, chunk):
     family = ModeFamily.in_bath(0.7, BATH)
     rng = derive_rng(13, "cavity", 2)
-    cavity._stream_chain(family, BATH, steps, 0, rng, cavity._ChainBuffers(chunk))
+    stream_chain(family, steps, 0, rng, chunk)
     reference = derive_rng(13, "cavity", 2)
     reference.random(steps)
     assert np.array_equal(rng.random(9), reference.random(9))
@@ -196,11 +209,14 @@ def test_classical_limit_chain_ensemble():
     chains = 30_000
     length = 300
     n0 = rng.geometric(1.0 - q, size=chains) - 1
-    buf = cavity._ChainBuffers(length)
-    total = 0.0
-    for c in range(chains):
-        occ, _ = cavity._run_occupancies(int(n0[c]), q, length, rng, buf)
-        total += occ[-1]
+    # blocks of chains side by side; each row takes the shared stream's next draws in turn
+    block = cavity.CHUNK // length
+    buf = cavity._ChainBuffers(block, length)
+    total = 0
+    for lo in range(0, chains, block):
+        starts = n0[lo:lo + block]
+        sums = cavity._run_chains([q] * starts.size, starts, length, 0, [rng] * starts.size, buf)
+        total += int(sums.last.sum())
     mean_energy = x * total / chains  # lobe energy x per occupancy unit
     assert abs(mean_energy - 1.0) < 0.03
 
@@ -291,9 +307,7 @@ CHUNK = cavity.CHUNK
 def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
     family = ModeFamily.in_bath(frequency, BATH, occupancy=n0)
     whole = equilibrate(family, BATH, steps, burn_in, derive_rng(21, "cavity", 4))
-    streamed = cavity._stream_chain(family, BATH, steps, burn_in,
-                                    derive_rng(21, "cavity", 4),
-                                    cavity._ChainBuffers(CHUNK))
+    streamed = stream_chain(family, steps, burn_in, derive_rng(21, "cavity", 4), CHUNK)
     assert streamed.mean_energy == whole.mean_energy
     assert streamed.mean_energy_stderr == whole.mean_energy_stderr
     assert streamed.acceptance_rate == whole.acceptance_rate
@@ -308,8 +322,7 @@ def check_chain_against_loop(n0, frequency, steps, burn_in, chunk):
     family = ModeFamily.in_bath(frequency, BATH, occupancy=n0)
     whole_rng, streamed_rng = derive_rng(17, "cavity", 3), derive_rng(17, "cavity", 3)
     whole = equilibrate(family, BATH, steps, burn_in, whole_rng)
-    streamed = cavity._stream_chain(family, BATH, steps, burn_in, streamed_rng,
-                                    cavity._ChainBuffers(chunk))
+    streamed = stream_chain(family, steps, burn_in, streamed_rng, chunk)
     assert (streamed.mean_energy, streamed.mean_energy_stderr, streamed.acceptance_rate) == (
         whole.mean_energy, whole.mean_energy_stderr, whole.acceptance_rate)
 
@@ -353,6 +366,66 @@ def test_spectrum_sweep_equals_equilibrate_per_replica():
         chain = equilibrate(family, BATH, steps, burn_in, derive_rng(9, "cavity", i))
         assert (row.mc_mean_energy, row.mc_stderr, row.acceptance_rate) == (
             chain.mean_energy, chain.mean_energy_stderr, chain.acceptance_rate)
+
+
+# --- chains side by side ---------------------------------------------------------------
+
+def block_streams(count, shared):
+    """Per-row generators: one stream shared by every row, or stream i for row i."""
+    if shared:
+        return [derive_rng(31, "cavity", 0)] * count
+    return [derive_rng(31, "cavity", i) for i in range(count)]
+
+
+def check_block_against_loop(n0s, frequencies, steps, burn_in, width, shared=False):
+    """Each row of one kernel block equals ``equilibrate`` and a ``jitter_step`` loop."""
+    families = [ModeFamily.in_bath(f, BATH, occupancy=n) for f, n in zip(frequencies, n0s)]
+    sums, chains = run_block(families, steps, burn_in, block_streams(len(families), shared),
+                             width)
+    whole_rngs, loop_rngs = (block_streams(len(families), shared) for _ in range(2))
+    for c, (family, chain) in enumerate(zip(families, chains)):
+        whole = equilibrate(family, BATH, steps, burn_in, whole_rngs[c])
+        assert (chain.mean_energy, chain.mean_energy_stderr, chain.acceptance_rate) == (
+            whole.mean_energy, whole.mean_energy_stderr, whole.acceptance_rate)
+        occ = jitter_loop(family, BATH, loop_rngs[c].random(steps))
+        assert sums.last[c] == occ[-1]
+        assert chain.mean_occupancy == occ[burn_in:].sum() / (steps - burn_in)
+        moves = np.count_nonzero(np.diff(occ, prepend=family.occupancy))
+        assert chain.acceptance_rate == moves / steps
+    return chains
+
+
+def test_block_rows_sharing_one_stream_take_sequential_draws():
+    # one segment per chain: row c takes the (c+1)-th run of 150 draws
+    check_block_against_loop([0, 3, 0, 9], [0.4, 0.4, 2.0, 1.1], 150, 0, 150, shared=True)
+
+
+def test_block_width_below_the_burn_in():
+    # five burn-in and eight kept segments per chain, each row from its own n0
+    check_block_against_loop([0, 4, 11], [0.3, 1.0, 2.5], 185, 70, 16)
+
+
+def test_block_rows_start_from_their_own_occupancies():
+    check_block_against_loop([0, 1, 5, 20, 60], [0.8] * 5, 400, 37, 64)
+
+
+def test_block_of_one_kept_step_gives_infinite_stderr():
+    chains = check_block_against_loop([0, 2, 6], [0.5, 1.0, 4.0], 40, 39, 8)
+    assert all(chain.mean_energy_stderr == math.inf for chain in chains)
+
+
+def test_sweep_blocks_that_do_not_divide_the_chain_count(monkeypatch):
+    # a 64-step buffer holds two 30-step rows, so five chains run as blocks of 2, 2 and 1
+    monkeypatch.setattr(cavity, "CHUNK", 64)
+    frequencies, steps, burn_in = [0.3, 0.9, 0.9, 2.0, 5.0], 50, 20
+    rows = spectrum_sweep(frequencies, BATH, steps, burn_in, master_seed=4)
+    for i, (f, row) in enumerate(zip(frequencies, rows)):
+        family = ModeFamily.in_bath(f, BATH)
+        chain = equilibrate(family, BATH, steps, burn_in, derive_rng(4, "cavity", i))
+        assert (row.mc_mean_energy, row.mc_stderr, row.acceptance_rate) == (
+            chain.mean_energy, chain.mean_energy_stderr, chain.acceptance_rate)
+        occ = jitter_loop(family, BATH, derive_rng(4, "cavity", i).random(steps))
+        assert row.mc_mean_energy == occ[burn_in:].sum() / (steps - burn_in) * f
 
 
 @pytest.mark.parametrize("steps", [4_000_000, 16_000_000])

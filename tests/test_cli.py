@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -549,6 +552,137 @@ def test_grammar_resolves_both_spellings_alike(case):
     assert resolve(spaced) == resolve(joined)
 
 
+# physical scalars may be extreme; sizes (sweep counts, points, steps, t-final/step,
+# channels x domain) stay far below the engine budgets, so every case runs in milliseconds
+TINY_TO_HUGE = ["5e-324", "1e-300", "1e-12", "1", "1e12", "1e300", "1.7976931348623157e+308"]
+POSITIVE = st.one_of(st.sampled_from(["0", "-1", *TINY_TO_HUGE]), st.floats(1e-3, 1e3).map(repr),
+                     st.floats(0.0, exclude_min=True, allow_infinity=False).map(repr))
+SCALAR = st.one_of(POSITIVE, POSITIVE.map(lambda x: "-" + x),
+                   st.floats(allow_nan=False, allow_infinity=False).map(repr))
+COMPLEX = st.one_of(SCALAR, st.tuples(SCALAR, POSITIVE, st.sampled_from("+-")).map(
+    lambda p: f"{p[0]}{p[2]}{p[1]}j"))
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def listed(items, max_size, min_size=0):
+    return st.lists(items, min_size=min_size, max_size=max_size).map(",".join)
+
+
+def choice(*values):
+    """One of ``values``, or now and then a value that none of them is."""
+    return st.sampled_from([*values * 4, "bad"])
+
+
+SWEEP = st.one_of(SCALAR, st.tuples(SCALAR, SCALAR, ints(-1, 4)).map(":".join))
+# each key's values; cavity's frequency key and evolve's other keys are drawn together
+ENGINE_VALUES = {
+    "epr": {"theta1": SWEEP, "theta2": SWEEP, "parity": choice(*epr.PARITIES),
+            "field-scale": POSITIVE, "convention": choice(*epr.CONVENTIONS),
+            "mode": choice(*epr.MODES)},
+    "holo": {"base-wavelength": st.one_of(st.sampled_from(["0", "-1", "1e-300", "1e-12", "1e300"]),
+                                          st.floats(0.1, 100.0).map(repr)),
+             "channels": listed(ints(-1, 30), 4, 1), "detectors": listed(SCALAR, 3, 1),
+             "source": SCALAR, "sources": listed(SCALAR, 4), "alpha": SCALAR,
+             "domain": st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)).map(
+                 lambda d: "%r:%r" % tuple(sorted(d)))},
+    "cavity": {"temperature": POSITIVE, "planck-h": POSITIVE, "boltzmann-k": POSITIVE,
+               "steps": ints(-1, 2000), "burn-in": ints(-1, 2000)},
+    "evolve": {"every": ints(-1, 50)},
+    "hj": {"system": choice("free", "linear"), "points": ints(-1, 200), "mass": POSITIVE,
+           "hbar": POSITIVE, **{key: SCALAR for key in ("momentum", "alpha", "energy", "q-min",
+                                                         "q-max", "time")}},
+}
+PAIRED_KEYS = {"cavity": {"hf-over-kt", "frequencies"},
+               "evolve": {"coefficients", "initial", "step", "t-final"}}
+COMMON_VALUES = {"seed": ints(0, 2 ** 64), "format": choice("csv", "json")}
+
+
+def test_engine_cases_draw_every_key():
+    for command, options in cli.SUBCOMMAND_OPTIONS.items():
+        assert {*ENGINE_VALUES[command], *PAIRED_KEYS.get(command, ())} == set(options)
+
+
+@st.composite
+def engine_cases(draw):
+    """A subcommand with some of its keys, each spelled '--key value' or '--key=value'."""
+    command = draw(st.sampled_from(list(cli.SUBCOMMAND_OPTIONS)))
+    values = {**ENGINE_VALUES[command], **COMMON_VALUES}
+    keys = draw(st.lists(st.sampled_from(list(values)), unique=True, max_size=5))
+    pairs = [(key, draw(values[key], label=key)) for key in keys]
+    if command == "cavity":  # one of the two frequency keys, so that most runs get going
+        key = draw(st.sampled_from(sorted(PAIRED_KEYS[command])))
+        pairs.append((key, draw(listed(POSITIVE, 3, 1), label=key)))
+    if command == "evolve":  # an order-n equation; t-final a multiple of the step, <= 300 steps
+        order, step = draw(st.integers(1, 3)), draw(POSITIVE, label="step")
+        pairs += [("coefficients", draw(listed(COMPLEX, order + 1, order + 1))),
+                  ("initial", draw(listed(COMPLEX, order, order))), ("step", step),
+                  ("t-final", repr(float(step) * draw(st.integers(-3, 300))))]
+    argv = [command]
+    for key, value in pairs:
+        argv += draw(st.sampled_from([["--" + key, value], [f"--{key}={value}"]]))
+    return argv
+
+
+def non_finite_cells(out: str) -> list[str]:
+    """Cells of a CSV or JSON result that are NaN, or infinite outside ``MAY_BE_INFINITE``."""
+    if out.startswith(("[", "{")):
+        found = []
+
+        def walk(value, key=None):
+            if isinstance(value, dict):
+                for k, v in value.items():
+                    walk(v, k)
+            elif isinstance(value, list):
+                for v in value:
+                    walk(v, key)
+            elif isinstance(value, float) and not math.isfinite(value) and (
+                    math.isnan(value) or key not in cli.MAY_BE_INFINITE):
+                found.append(f"{key}={value}")
+        walk(json.loads(out))
+        return found
+    header, *rows = (line.split(",") for line in out.splitlines())
+    return [f"{key}={cell}" for row in rows for key, cell in zip(header, row)
+            if "nan" in cell or ("inf" in cell and key not in cli.MAY_BE_INFINITE)]
+
+
+class CaseTimeout(BaseException):
+    """Raised by the per-case alarm; not an Exception, so no handler in the CLI catches it."""
+
+
+CASE_SECONDS = 5.0
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs a POSIX interval timer")
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(engine_cases())
+def test_every_accepted_argv_ends_in_exit_0_1_or_2(argv):
+    """The run ends in 0, 1 or 2; a failure prints one line, a success no NaN or stray inf."""
+    def alarm(signum, frame):
+        raise CaseTimeout
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    out, err = io.StringIO(), io.StringIO()
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    except CaseTimeout:
+        raise AssertionError(f"{argv} ran past {CASE_SECONDS} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+    else:
+        assert err.getvalue() == ""
+        assert non_finite_cells(out.getvalue()) == []
+
+
 def readme_cli_commands():
     """The argv of each command in the code block under README's ``## CLI`` heading."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -757,6 +891,14 @@ def test_cavity_step_budget_exit_1(capsys):
     assert time.monotonic() - start < 1.0
 
 
+@pytest.mark.parametrize("extra", [["--steps", "0"], ["--burn-in", "-1"],
+                                   ["--steps", "5", "--burn-in", "5"]])
+def test_cavity_empty_or_negative_window_exit_1(extra, capsys):
+    # checked before the sweep sizes its blocks: a width of 0 steps would divide by zero
+    assert_engine_failure(["cavity", "--hf-over-kt", "1,2", *extra], "need steps > burn_in >= 0",
+                          capsys)
+
+
 @pytest.mark.parametrize("argv, fragment, error", [
     (["epr", "--field-scale", "1e-200"], "zero total outcome weight",
      epr.DegenerateStateError),
@@ -902,11 +1044,28 @@ def test_subcommand_loads_only_its_own_engine(argv, digest):
     assert loaded == {"cli", *LOADS[argv[0]]}
 
 
-@pytest.mark.parametrize("value", ["abc", "1:abc:3"])
-def test_bad_value_exits_2_without_loading_numpy(value):
+@pytest.mark.parametrize("argv", [
+    ["epr", "--theta1", "abc"],
+    ["epr", "--theta1", "1:abc:3"],
+    ["epr", "--parity", "bad"],
+    ["epr", "--convention", "bad"],
+    ["epr", "--mode", "bad"],
+], ids=["abc", "1:abc:3", "parity", "convention", "mode"])
+def test_bad_value_exits_2_without_loading_numpy(argv):
     code = ("import sys; from phasorlab import cli; "
-            f"print(cli.run(['epr', '--theta1', {value!r}]), 'numpy' in sys.modules)")
+            f"print(cli.run({argv!r}), 'numpy' in sys.modules)")
     assert fresh_python("-c", code).split() == ["2", "False"]
+
+
+@pytest.mark.parametrize("key, choices", [("parity", epr.PARITIES),
+                                          ("convention", epr.CONVENTIONS),
+                                          ("mode", epr.MODES)])
+def test_epr_choice_keys_accept_exactly_the_engine_choices(key, choices):
+    convert = cli.SUBCOMMAND_OPTIONS["epr"][key][0]
+    assert [convert(value) for value in choices] == list(choices)
+    with pytest.raises(ValueError) as refused:
+        convert("bad")
+    assert str(refused.value) == "must be one of " + ", ".join(choices)
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_PER_COMMAND,
