@@ -28,7 +28,7 @@ def main():
 
     print("n_channels,highest_harmonic,measure,density,granularity")
     # one bit per channel: the k-th running intersection uses the first k channels
-    prefixes = holography.localize_prefixes(bits, channels, args.alpha, domain, 1)
+    prefixes = holography.localize_prefixes(bits, domain, 1)
     for k, result in enumerate(prefixes, start=1):
         print(f"{k},{channels[k - 1].index},{result.measure:.6f},"
               f"{result.measure / length:.6f},{result.granularity:.6f}")

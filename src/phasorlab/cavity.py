@@ -48,6 +48,9 @@ class ThermalBath:
     def __post_init__(self):
         if not all(x > 0.0 for x in (self.temperature, self.boltzmann_k, self.planck_h)):
             raise ValueError("temperature, k_B and h must all be positive")
+        if not 0.0 < self.boltzmann_k * self.temperature < math.inf:
+            raise ValueError(f"k_B T = {self.boltzmann_k:g} x {self.temperature:g} leaves the"
+                             " float range")
 
     def beta_hf(self, frequency: float) -> float:
         """Dimensionless lobe energy hf / k_B T."""
@@ -69,8 +72,8 @@ class ModeFamily:
             raise ValueError("occupancy must be non-negative")
         if self.lobe_energy is None:
             object.__setattr__(self, "lobe_energy", self.base_frequency)
-        if not self.lobe_energy > 0.0:
-            raise ValueError("lobe energy must be positive")
+        if not 0.0 < self.lobe_energy < math.inf:
+            raise ValueError(f"lobe energy must be positive and finite, got {self.lobe_energy:g}")
 
     @classmethod
     def in_bath(cls, frequency: float, bath: ThermalBath,
@@ -280,8 +283,9 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     in blocks of ``CHUNK // width`` chains, with width = min(CHUNK,
     max(burn_in, kept)), through one buffer of ``CHUNK`` steps, so memory
     does not grow with ``steps``.  A sweep of more than ``MAX_SWEEP_STEPS``
-    steps in all, with a frequency that is not positive (NaN included),
-    or with no kept step, is refused before any chain starts.
+    steps in all, with a frequency that is not positive (NaN included) or
+    whose hf/k_B T underflows to 0 or whose lobe energy hf overflows, or
+    with no kept step, is refused before any chain starts.
     """
     if len(frequencies) * steps > MAX_SWEEP_STEPS:
         raise ValueError(f"a sweep of {len(frequencies)} x {steps} steps exceeds the budget"
@@ -289,11 +293,15 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     if not all(f > 0.0 for f in frequencies):
         raise ValueError("frequencies must be positive")
     width = min(CHUNK, max(burn_in, _kept_steps(steps, burn_in)))
+    for f in frequencies:
+        if bath.beta_hf(f) == 0.0:
+            raise ValueError(f"hf/k_B T of frequency {f:g} underflows to 0")
+    modes = [ModeFamily.in_bath(f, bath) for f in frequencies]
     block = CHUNK // width
     buf = _ChainBuffers(block, width)
     rows = []
-    for lo in range(0, len(frequencies), block):
-        families = [ModeFamily.in_bath(f, bath) for f in frequencies[lo:lo + block]]
+    for lo in range(0, len(modes), block):
+        families = modes[lo:lo + block]
         sums = _run_chains([acceptance_probability(fam, bath, 1) for fam in families],
                            [fam.occupancy for fam in families], steps, burn_in,
                            [derive_rng(master_seed, "cavity", lo + i)

@@ -377,21 +377,17 @@ def _holo_setup(opts: dict):
     sources = opts["sources"]
     if sources is not None and len(sources) != len(channels):
         raise ConfigError("key 'sources' must list one position per channel")
-    bits = []
-    for ci, channel in enumerate(channels):
-        z_s = opts["source"] if sources is None else sources[ci]
-        for z_d in opts["detectors"]:
-            bits.append(holography.forward_bit(z_s, z_d, channel, opts["alpha"]))
-    return channels, bits
+    return [holography.forward_bit(z_s, z_d, channel, opts["alpha"])
+            for channel, z_s in zip(channels, sources or [opts["source"]] * len(channels))
+            for z_d in opts["detectors"]]
 
 
 def run_holo_csv(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     import numpy as np
     from . import holography
-    channels, bits = _holo_setup(opts)
     length = opts["domain"][1] - opts["domain"][0]
     # one row per channel prefix; bits are ordered channel by channel
-    prefixes = holography.localize_prefixes(bits, channels, opts["alpha"], opts["domain"],
+    prefixes = holography.localize_prefixes(_holo_setup(opts), opts["domain"],
                                             len(opts["detectors"]))
     measure = np.fromiter((s.measure for s in prefixes), float)
     return (["n_channels", "alias_measure", "density"],
@@ -401,18 +397,18 @@ def run_holo_csv(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 def run_holo_json(opts: dict) -> str:
     import json
     from . import holography
-    channels, bits = _holo_setup(opts)
+    bits = _holo_setup(opts)
     domain = opts["domain"]
-    result = holography.localize(bits, channels, opts["alpha"], domain)
+    result = holography.localize(bits, domain)
     # every listed real is finite: config values and intervals clipped to the domain
     bit_item = _json_template(["%r", "%d", "%d"], 2, ["detector", "channel", "parity"])
     fields = {
         "domain": _json_list("%r", domain, 1),
         "alpha": json.dumps(opts["alpha"]),
-        "channels": _json_list("%d", [c.index for c in channels], 1),
+        "channels": _json_list("%d", opts["channels"], 1),
         "detectors": _json_list("%r", opts["detectors"], 1),
         "source": json.dumps(opts["source"]),
-        "bits": _json_list(bit_item, [(b.detector_position, b.channel_index, b.parity)
+        "bits": _json_list(bit_item, [(b.detector_position, b.channel.index, b.parity)
                                       for b in bits], 1),
         "intervals": _json_list(_json_template(["%r", "%r"], 2),
                                 _row_chunks(result.intervals), 1),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phasor import TWO_PI, PolarizationPhasor, cesaro_inner_product, plane_wave
+from .phasor import PolarizationPhasor, cesaro_inner_product, plane_wave
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -95,7 +95,7 @@ def _numeric_projection(bra: PolarizationPhasor, ket: PolarizationPhasor,
     """<bra|ket> by Cesaro integration of both plane-wave fields sampled from z = 0."""
     if window_wavelengths <= 0.0:
         raise ValueError("numeric mode needs a positive window")
-    window = window_wavelengths * (TWO_PI / WAVENUMBER)
+    window = window_wavelengths * (math.tau / WAVENUMBER)
     n = max(int(window_wavelengths * SAMPLES_PER_WAVELENGTH), 16)
     z = np.linspace(0.0, window, n + 1)
     return cesaro_inner_product(plane_wave(WAVENUMBER, z, bra),

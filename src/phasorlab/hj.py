@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,25 @@ class PrincipalFunctionGrid:
     def at_time(self, t: float) -> "PrincipalFunctionGrid":
         return PrincipalFunctionGrid(self.q, self.w, self.energy, t)
 
+    @cached_property
+    def central_diffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dS/dq, d2S/dq2) on the interior points, central stencils only, once per grid.
+
+        S = W - E t differs from W by a constant in q, so W is differenced: at
+        large E t the constant would swamp W's digits.  d2S/dq2 is exactly 0
+        where it is within round-off (``CURVATURE_ROUNDOFF``).  Fewer than 5
+        points raise :class:`GridTooSmallError`.  Both arrays are read-only.
+        """
+        if self.q.size < 5:
+            raise GridTooSmallError("need at least 5 grid points")
+        s = self.w
+        h = self.spacing
+        ds = (s[2:] - s[:-2]) / (2.0 * h)
+        d2s = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / (h * h)
+        d2s[np.abs(d2s) <= CURVATURE_ROUNDOFF * np.max(np.abs(s)) / h ** 2] = 0.0
+        ds.flags.writeable = d2s.flags.writeable = False
+        return ds, d2s
+
 
 @dataclass(frozen=True)
 class MechanicalSystem:
@@ -132,24 +152,6 @@ def linear_potential_S(alpha: float, energy: float, m: float, q: np.ndarray,
     return PrincipalFunctionGrid(q, w, energy, t)
 
 
-def _central_diffs(grid: PrincipalFunctionGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(dS/dq, d2S/dq2) on the interior points, central stencils only.
-
-    S = W - E t differs from W by a constant in q, so W is differenced: at
-    large E t the constant would swamp W's digits.  d2S/dq2 is exactly 0
-    where it is within round-off (``CURVATURE_ROUNDOFF``).  Fewer than 5
-    points raise :class:`GridTooSmallError`.
-    """
-    if grid.q.size < 5:
-        raise GridTooSmallError("need at least 5 grid points")
-    s = grid.w
-    h = grid.spacing
-    ds = (s[2:] - s[:-2]) / (2.0 * h)
-    d2s = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / (h * h)
-    d2s[np.abs(d2s) <= CURVATURE_ROUNDOFF * np.max(np.abs(s)) / h ** 2] = 0.0
-    return ds, d2s
-
-
 @dataclass(frozen=True)
 class ResidualFields:
     """Both sides of the plane-wave substitution identity on the interior."""
@@ -173,10 +175,10 @@ def hjs_residual(grid: PrincipalFunctionGrid, system: MechanicalSystem,
     if system.potential.shape != grid.q.shape:
         raise ValueError("potential must be sampled on the same grid")
 
-    ds, d2s = _central_diffs(grid)
+    ds, d2s = grid.central_diffs
     if curvature_tol is not None:
         coarse = PrincipalFunctionGrid(grid.q[::2], grid.w[::2], grid.energy, grid.time)
-        _, d2_coarse = _central_diffs(coarse)
+        _, d2_coarse = coarse.central_diffs
         # fine interior index of coarse interior point i is 2i + 1
         shared_fine = d2s[1::2][:d2_coarse.size]
         err = np.max(np.abs(shared_fine - d2_coarse[:shared_fine.size])) / 3.0
@@ -208,7 +210,7 @@ def bcp_ratio(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> Correspo
     Where d2W is within round-off (``CURVATURE_ROUNDOFF``) the ratio is 0.
     Points where |ratio| < 0.01 * 2 pi are flagged as classical.
     """
-    p, dpdq = _central_diffs(grid)
+    p, dpdq = grid.central_diffs
     dead = np.abs(p) <= 1e-12 * np.max(np.abs(p))
     if np.any(dead):
         i = int(np.argmax(dead))

@@ -1,11 +1,11 @@
 """1-bit holographic localization by alias-set intersection.
 
 A detection at position z with phase offset alpha fixes one parity bit:
-which half-wavelength interval from the source the detector sits in.
-Inverting a bit gives a lambda-periodic union of length-lambda/2 intervals
-of candidate source positions; intersecting the alias sets of several
-frequency channels and detectors shrinks the candidate measure without
-ever excluding the true source.
+which half-wavelength interval from the source the detector sits in.  A
+bit carries its channel and alpha, so it inverts on its own into a
+lambda-periodic union of length-lambda/2 intervals of candidate source
+positions; ``localize(bits, domain)`` intersects those of several channels
+and detectors, shrinking the candidate measure without excluding the source.
 
 Intervals are half-open [lo, hi); parity flips exactly at interval edges,
 so containment queries honor an edge tolerance (1e-9 * min(lambda, domain
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,10 +70,11 @@ class FrequencyChannel:
 
 @dataclass(frozen=True)
 class DetectionBit:
-    """Parity bit measured at one detector on one frequency channel."""
+    """Parity bit measured at one detector on one channel with phase offset alpha."""
 
     detector_position: float
-    channel_index: int
+    channel: FrequencyChannel
+    alpha: float
     parity: int
 
     def __post_init__(self):
@@ -142,11 +143,10 @@ def forward_bit(z_source: float, z_detector: float, channel: FrequencyChannel,
     m = round(x)
     if abs(x - m) <= EDGE_SNAP_FACTOR * EPS * phase / math.pi:
         x = m
-    return DetectionBit(z_detector, channel.index, int(math.floor(x)) % 2)
+    return DetectionBit(z_detector, channel, alpha, int(math.floor(x)) % 2)
 
 
-def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
-                    domain: tuple[float, float]) -> AliasSet:
+def alias_intervals(bit: DetectionBit, domain: tuple[float, float]) -> AliasSet:
     """All source positions in the domain consistent with one bit.
 
     A lambda-periodic union of length-lambda/2 intervals clipped to the
@@ -155,9 +155,9 @@ def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
     lo_d, hi_d = domain
     if not (hi_d > lo_d):
         raise EmptyDomainError("domain must have positive length")
+    channel, alpha, z_d = bit.channel, bit.alpha, bit.detector_position
     k = channel.wavenumber
     lam = channel.wavelength
-    z_d = bit.detector_position
 
     # source z = z_d + (alpha - u)/k with u in [m*pi, (m+1)*pi), m parity-matched
     u_lo = (alpha - k * (hi_d - z_d)) / math.pi
@@ -181,24 +181,18 @@ def alias_intervals(bit: DetectionBit, channel: FrequencyChannel, alpha: float,
     return AliasSet(np.column_stack([lo, hi])[hi - lo > tol], domain, tol, lam / 2.0)
 
 
-def localize_prefixes(bits: Sequence[DetectionBit], channels: Iterable[FrequencyChannel],
-                      alpha: float, domain: tuple[float, float],
+def localize_prefixes(bits: Sequence[DetectionBit], domain: tuple[float, float],
                       group: int) -> Iterator[AliasSet]:
     """Yield ``localize(bits[:k * group], ...)`` for every k with k * group <= len(bits).
 
     One running intersection builds each bit's alias set once; the first
     empty yield point raises :class:`InconsistentBitsError`.
     """
-    by_index = {c.index: c for c in channels}
     if not bits:
         raise ValueError("need at least one detection bit")
     result = None
     for count, bit in enumerate(bits, start=1):
-        try:
-            channel = by_index[bit.channel_index]
-        except KeyError:
-            raise ValueError(f"no channel with index {bit.channel_index}") from None
-        cell = alias_intervals(bit, channel, alpha, domain)
+        cell = alias_intervals(bit, domain)
         result = cell if result is None else result.intersect(cell)
         if count % group == 0:
             if not len(result.intervals):
@@ -206,8 +200,7 @@ def localize_prefixes(bits: Sequence[DetectionBit], channels: Iterable[Frequency
             yield result
 
 
-def localize(bits: Sequence[DetectionBit], channels: Iterable[FrequencyChannel],
-             alpha: float, domain: tuple[float, float]) -> AliasSet:
+def localize(bits: Sequence[DetectionBit], domain: tuple[float, float]) -> AliasSet:
     """Intersect the alias sets of every bit across channels and detectors.
 
     The result contains the true source whenever the bits came from one;
@@ -215,7 +208,7 @@ def localize(bits: Sequence[DetectionBit], channels: Iterable[FrequencyChannel],
     :class:`InconsistentBitsError` when the intersection is empty, which
     signals bits that cannot share a source.
     """
-    *_, result = localize_prefixes(bits, channels, alpha, domain, len(bits))
+    *_, result = localize_prefixes(bits, domain, len(bits))
     return result
 
 
@@ -231,5 +224,5 @@ def alias_density(channels: Sequence[FrequencyChannel], domain: tuple[float, flo
     lo_d, hi_d = domain
     z_s = lo_d + REFERENCE_SOURCE_FRACTION * (hi_d - lo_d)
     bits = [forward_bit(z_s, hi_d, c) for c in channels]
-    result = localize(bits, channels, 0.0, domain)
+    result = localize(bits, domain)
     return result.measure / (hi_d - lo_d)

@@ -10,12 +10,10 @@ which is the orthogonality rule every engine above this module relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 # cesaro_inner_product averages partial integrals over this many sub-windows,
 # each CESARO_RATIO times longer than the one before
 CESARO_LEVELS = 4

@@ -135,7 +135,7 @@ def test_criterion_6_holography():
         channels = [holography.FrequencyChannel.harmonic(j, 1.0) for j in indices]
         bits = [holography.forward_bit(z_s, float(d), c, alpha)
                 for c in channels for d in detectors]
-        result = holography.localize(bits, channels, alpha, domain)
+        result = holography.localize(bits, domain)
         assert result.contains(z_s)
 
     # alias measure never grows as channels accumulate
@@ -145,7 +145,7 @@ def test_criterion_6_holography():
     for k in range(1, len(channels) + 1):
         subset = channels[:k]
         bits = [holography.forward_bit(z_s, 0.0, c, 0.0) for c in subset]
-        measure = holography.localize(bits, subset, 0.0, domain).measure
+        measure = holography.localize(bits, domain).measure
         assert measure <= previous + 1e-12
         previous = measure
 
@@ -160,7 +160,7 @@ def test_criterion_6_holography():
         alpha = float(rng.uniform(0.0, 2.0 * math.pi))
         chans = [holography.FrequencyChannel.harmonic(j, 1.0) for j in indices]
         bits = [holography.forward_bit(z_s, 0.0, c, alpha) for c in chans]
-        result = holography.localize(bits, chans, alpha, domain)
+        result = holography.localize(bits, domain)
 
         lam_min = min(c.wavelength for c in chans)
         z = np.arange(domain[0], domain[1], lam_min / 1000.0)

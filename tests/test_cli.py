@@ -219,13 +219,12 @@ def holo_opts(*argv):
 
 def per_prefix_columns(opts):
     """Reference: localize every channel prefix from scratch."""
-    channels, bits = cli._holo_setup(opts)
+    bits = cli._holo_setup(opts)
     per_channel = len(opts["detectors"])
     length = opts["domain"][1] - opts["domain"][0]
     rows = []
-    for k in range(1, len(channels) + 1):
-        result = holography.localize(bits[:k * per_channel], channels[:k],
-                                     opts["alpha"], opts["domain"])
+    for k in range(1, len(opts["channels"]) + 1):
+        result = holography.localize(bits[:k * per_channel], opts["domain"])
         rows.append([k, result.measure, result.measure / length])
     return [np.array(column) for column in zip(*rows)]
 
@@ -249,20 +248,19 @@ def test_holo_running_intersection_matches_per_prefix_localize(argv):
 def test_holo_running_intersection_fails_at_same_prefix():
     opts = holo_opts("--channels", "1,2,1,3", "--detectors", "0",
                      "--sources", "2.3,2.3,2.55,2.3")
-    channels, bits = cli._holo_setup(opts)
+    bits = cli._holo_setup(opts)
     kept = []
     with pytest.raises(holography.InconsistentBitsError):
-        for alias_set in holography.localize_prefixes(bits, channels, 0.0,
-                                                      opts["domain"], 1):
+        for alias_set in holography.localize_prefixes(bits, opts["domain"], 1):
             kept.append(alias_set)
     assert len(kept) == 2
     for k, alias_set in enumerate(kept, start=1):
-        reference = holography.localize(bits[:k], channels[:k], 0.0, opts["domain"])
+        reference = holography.localize(bits[:k], opts["domain"])
         assert np.array_equal(alias_set.intervals, reference.intervals)
         assert alias_set.measure == reference.measure
         assert alias_set.granularity == reference.granularity
     with pytest.raises(holography.InconsistentBitsError):
-        holography.localize(bits[:3], channels[:3], 0.0, opts["domain"])
+        holography.localize(bits[:3], opts["domain"])
     with pytest.raises(holography.InconsistentBitsError):
         cli.run_holo_csv(opts)
 
@@ -372,6 +370,21 @@ def test_hj_tiny_momentum_prints_zero_ratio(momentum, capsys):
 
 def test_hj_zero_momentum_is_a_turning_point(capsys):
     assert_engine_failure(["hj", "--momentum", "0"], "momentum vanishes", capsys)
+
+
+@pytest.mark.parametrize("extra", [[], ["--system", "linear"]])
+def test_hj_differences_w_once_per_run(extra, monkeypatch, capsys):
+    # hjs_residual and bcp_ratio share the grid's cached central differences
+    diffs = hj.PrincipalFunctionGrid.central_diffs
+    difference, grids = diffs.func, []
+
+    def counted(grid):
+        grids.append(grid)
+        return difference(grid)
+    monkeypatch.setattr(diffs, "func", counted)
+    assert cli.run(["hj", *extra]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(grids) == 1
 
 
 # --- config handling -------------------------------------------------------------------
@@ -896,6 +909,22 @@ def test_cavity_step_budget_exit_1(capsys):
 def test_cavity_empty_or_negative_window_exit_1(extra, capsys):
     # checked before the sweep sizes its blocks: a width of 0 steps would divide by zero
     assert_engine_failure(["cavity", "--hf-over-kt", "1,2", *extra], "need steps > burn_in >= 0",
+                          capsys)
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    (["--frequencies", "1", "--temperature", "1e-200", "--boltzmann-k", "1e-200"],
+     "k_B T = 1e-200 x 1e-200 leaves the float range"),
+    (["--frequencies", "1", "--temperature", "1e300", "--boltzmann-k", "1e300"],
+     "k_B T = 1e+300 x 1e+300 leaves the float range"),
+    (["--frequencies", "1e-300", "--temperature", "1e100"],
+     "hf/k_B T of frequency 1e-300 underflows to 0"),
+    (["--frequencies", "1e300", "--planck-h", "1e300"],
+     "lobe energy must be positive and finite, got inf"),
+], ids=["k_B T underflow", "k_B T overflow", "hf/k_B T underflow", "lobe energy overflow"])
+def test_cavity_inputs_outside_float_range_exit_1(extra, fragment, capsys):
+    # each once ended in "float division by zero" or a NaN column
+    assert_engine_failure(["cavity", *extra, "--steps", "100", "--burn-in", "10"], fragment,
                           capsys)
 
 

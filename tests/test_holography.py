@@ -16,21 +16,31 @@ CH5 = holo.FrequencyChannel.harmonic(5, LAM)
 DOMAIN = (0.0, 10.0)
 
 
-def bruteforce_mask(bits, channels, alpha, domain, resolution):
+def bruteforce_mask(bits, domain, resolution):
     """Independent oracle: scan a dense z grid with the raw parity rule."""
-    by_index = {c.index: c for c in channels}
     z = np.arange(domain[0], domain[1], resolution)
     ok = np.ones(z.size, dtype=bool)
     for bit in bits:
-        k = by_index[bit.channel_index].wavenumber
-        parity = np.floor((k * (bit.detector_position - z) + alpha) / math.pi)
+        k = bit.channel.wavenumber
+        parity = np.floor((k * (bit.detector_position - z) + bit.alpha) / math.pi)
         ok &= (parity.astype(np.int64) % 2) == bit.parity
     return z, ok
 
 
-def tuple_alias_intervals(bit, channel, alpha, domain):
+def assert_members_match_oracle(result, bits, resolution):
+    """Membership equals the brute-force parity scan away from interval edges."""
+    z, ok = bruteforce_mask(bits, result.domain, resolution)
+    member = np.array([result.contains(v) for v in z])
+    edges = np.zeros(z.size, dtype=bool)
+    for lo, hi in result.intervals:
+        edges |= (np.abs(z - lo) < 1e-6) | (np.abs(z - hi) < 1e-6)
+    assert np.array_equal(member[~edges], ok[~edges])
+
+
+def tuple_alias_intervals(bit, domain):
     """Oracle: the per-m loop over parity-matched intervals, as (lo, hi) tuples."""
     lo_d, hi_d = domain
+    channel, alpha = bit.channel, bit.alpha
     k = channel.wavenumber
     tol = holo.EDGE_TOL_FACTOR * channel.wavelength
     z_d = bit.detector_position
@@ -65,13 +75,11 @@ def tuple_intersect(a, b, tol):
     return out
 
 
-def tuple_prefixes(bits, channels, alpha, domain):
+def tuple_prefixes(bits, domain):
     """Oracle running intersection after every bit; None once it is empty."""
-    by_index = {c.index: c for c in channels}
     result, tol = None, 0.0
     for bit in bits:
-        cell, cell_tol = tuple_alias_intervals(bit, by_index[bit.channel_index],
-                                               alpha, domain)
+        cell, cell_tol = tuple_alias_intervals(bit, domain)
         tol = max(tol, cell_tol)
         result = cell if result is None else tuple_intersect(result, cell, tol)
         yield result or None
@@ -119,19 +127,19 @@ def test_edge_source_is_kept(twice_source, indices, detectors):
     z_s = twice_source / 2.0
     channels = [holo.FrequencyChannel.harmonic(j, LAM) for j in indices]
     bits = [holo.forward_bit(z_s, z_d, c) for c in channels for z_d in detectors]
-    assert holo.localize(bits, channels, 0.0, (-500.0, 500.0)).contains(z_s)
+    assert holo.localize(bits, (-500.0, 500.0)).contains(z_s)
 
 
 def test_forward_bit_rejects_bad_parity():
     with pytest.raises(ValueError):
-        holo.DetectionBit(0.0, 1, 2)
+        holo.DetectionBit(0.0, CH1, 0.0, 2)
 
 
 # --- alias intervals ----------------------------------------------------------
 
 def test_single_wavelength_domain_halved():
     bit = holo.forward_bit(0.37, 0.0, CH1, 0.0)
-    cell = holo.alias_intervals(bit, CH1, 0.0, (0.0, LAM))
+    cell = holo.alias_intervals(bit, (0.0, LAM))
     assert cell.measure == pytest.approx(LAM / 2, abs=1e-12)
 
 
@@ -140,21 +148,21 @@ def test_single_wavelength_domain_halved():
        st.floats(0, 2 * math.pi, allow_nan=False))
 def test_forward_inverse_consistency(z_s, z_d, alpha):
     bit = holo.forward_bit(z_s, z_d, CH2, alpha)
-    cell = holo.alias_intervals(bit, CH2, alpha, DOMAIN)
+    cell = holo.alias_intervals(bit, DOMAIN)
     assert cell.contains(z_s)
 
 
 def test_aligned_ten_wavelength_domain_has_ten_intervals():
     for parity in (0, 1):
-        bit = holo.DetectionBit(0.0, 1, parity)
-        cell = holo.alias_intervals(bit, CH1, 0.0, DOMAIN)
+        bit = holo.DetectionBit(0.0, CH1, 0.0, parity)
+        cell = holo.alias_intervals(bit, DOMAIN)
         assert len(cell.intervals) == 10
         assert cell.measure == pytest.approx(5.0, abs=1e-9)
 
 
 def test_component_lengths_are_half_wavelength():
     bit = holo.forward_bit(2.3, 0.31, CH2, 0.7)
-    cell = holo.alias_intervals(bit, CH2, 0.7, DOMAIN)
+    cell = holo.alias_intervals(bit, DOMAIN)
     lengths = [hi - lo for lo, hi in cell.intervals]
     # interior components are exactly lambda/2; the ends may be clipped
     for length in lengths[1:-1]:
@@ -177,10 +185,10 @@ def test_prefixes_match_tuple_oracle(seed):
         sources = rng.uniform(domain[0], domain[1], len(channels))
         bits = [holo.forward_bit(z_s, d, c, alpha)
                 for c, z_s in zip(channels, sources) for d in detectors]
-        expected = list(tuple_prefixes(bits, channels, alpha, domain))
+        expected = list(tuple_prefixes(bits, domain))
         got = []
         with pytest.raises(holo.InconsistentBitsError) if None in expected else nullcontext():
-            for alias_set in holo.localize_prefixes(bits, channels, alpha, domain, 1):
+            for alias_set in holo.localize_prefixes(bits, domain, 1):
                 got.append(alias_set)
         assert len(got) == (expected + [None]).index(None)
         for alias_set, want in zip(got, expected):
@@ -193,14 +201,13 @@ def test_prefixes_match_tuple_oracle(seed):
 
 
 def test_alias_budget_refuses_before_enumerating():
-    bit = holo.DetectionBit(0.0, 1, 0)
-    fine = holo.FrequencyChannel.harmonic(1, 1e-12)
+    fine = holo.DetectionBit(0.0, holo.FrequencyChannel.harmonic(1, 1e-12), 0.0, 0)
     with pytest.raises(ValueError, match="alias intervals"):
-        holo.alias_intervals(bit, fine, 0.0, (0.0, holo.MAX_ALIAS_INTERVALS * 1.01e-12))
+        holo.alias_intervals(fine, (0.0, holo.MAX_ALIAS_INTERVALS * 1.01e-12))
     # an overflowing phase span is refused too, not passed to floor()
+    finer = holo.DetectionBit(0.0, holo.FrequencyChannel.harmonic(1, 1e-300), 0.0, 0)
     with pytest.raises(ValueError, match="alias intervals"):
-        holo.alias_intervals(bit, holo.FrequencyChannel.harmonic(1, 1e-300), 0.0,
-                             (0.0, 1e300))
+        holo.alias_intervals(finer, (0.0, 1e300))
 
 
 @pytest.mark.parametrize("channel, domain, source", [
@@ -210,16 +217,16 @@ def test_alias_budget_refuses_before_enumerating():
 def test_edge_tolerance_scales_with_a_short_domain(channel, domain, source):
     # the domain is 1e-9 wavelengths long, so the tolerance is 1e-9 of the domain length
     bit = holo.forward_bit(source, 0.0, channel)
-    alias_set = holo.alias_intervals(bit, channel, 0.0, domain)
+    alias_set = holo.alias_intervals(bit, domain)
     assert alias_set.edge_tol == holo.EDGE_TOL_FACTOR * (domain[1] - domain[0])
     assert alias_set.intervals.tolist() == [list(domain)]
     assert alias_set.contains(source)
 
 
 def test_empty_domain_rejected():
-    bit = holo.DetectionBit(0.0, 1, 0)
+    bit = holo.DetectionBit(0.0, CH1, 0.0, 0)
     with pytest.raises(holo.EmptyDomainError):
-        holo.alias_intervals(bit, CH1, 0.0, (4.0, 4.0))
+        holo.alias_intervals(bit, (4.0, 4.0))
 
 
 # --- localize -----------------------------------------------------------------
@@ -228,19 +235,14 @@ def test_two_channel_localization_refines():
     z_s = 2.3
     bits1 = [holo.forward_bit(z_s, 0.0, CH1, 0.0)]
     bits12 = bits1 + [holo.forward_bit(z_s, 0.0, CH2, 0.0)]
-    single = holo.localize(bits1, [CH1], 0.0, DOMAIN)
-    double = holo.localize(bits12, [CH1, CH2], 0.0, DOMAIN)
+    single = holo.localize(bits1, DOMAIN)
+    double = holo.localize(bits12, DOMAIN)
     assert double.contains(z_s)
     assert double.measure <= single.measure + 1e-12
     assert double.granularity == pytest.approx(CH2.wavelength / 2)
 
     # brute-force oracle at lambda/1000 resolution agrees on the member set
-    z, ok = bruteforce_mask(bits12, [CH1, CH2], 0.0, DOMAIN, CH2.wavelength / 1000)
-    member = np.array([double.contains(v) for v in z])
-    edges = np.zeros(z.size, dtype=bool)
-    for lo, hi in double.intervals:
-        edges |= (np.abs(z - lo) < 1e-6) | (np.abs(z - hi) < 1e-6)
-    assert np.array_equal(member[~edges], ok[~edges])
+    assert_members_match_oracle(double, bits12, CH2.wavelength / 1000)
 
 
 def test_adding_channels_never_increases_measure():
@@ -250,7 +252,7 @@ def test_adding_channels_never_increases_measure():
     for k in range(1, len(channels) + 1):
         subset = channels[:k]
         bits = [holo.forward_bit(z_s, 0.0, c, 0.5) for c in subset]
-        result = holo.localize(bits, subset, 0.5, DOMAIN)
+        result = holo.localize(bits, DOMAIN)
         assert result.contains(z_s)
         if previous is not None:
             assert result.measure <= previous + 1e-12
@@ -263,7 +265,7 @@ def test_adding_detectors_never_increases_measure():
     previous = None
     for k in range(1, len(detectors) + 1):
         bits = [holo.forward_bit(z_s, d, CH2, 0.0) for d in detectors[:k]]
-        result = holo.localize(bits, [CH2], 0.0, DOMAIN)
+        result = holo.localize(bits, DOMAIN)
         assert result.contains(z_s)
         if previous is not None:
             assert result.measure <= previous + 1e-12
@@ -286,7 +288,7 @@ def test_localize_soundness(z_s, detectors, indices, alpha):
             u = (c.wavenumber * (d - z_s) + alpha) / math.pi
             assume(min(u % 1.0, 1.0 - u % 1.0) > 1e-7)
     bits = [holo.forward_bit(z_s, d, c, alpha) for c in channels for d in detectors]
-    result = holo.localize(bits, channels, alpha, DOMAIN)
+    result = holo.localize(bits, DOMAIN)
     assert result.contains(z_s)
 
 
@@ -319,11 +321,10 @@ def test_accepted_phase_never_excludes_source(indices, far, log_offset, negative
         # no more phase than the domain's far end does
         with pytest.raises(ValueError, match="phase"):
             bits = [holo.forward_bit(z_s, d, c, alpha) for c in channels for d in detectors]
-            holo.localize(bits, channels, alpha, domain)
+            holo.localize(bits, domain)
         return
     bits = [holo.forward_bit(z_s, d, c, alpha) for c in channels for d in detectors]
-    tol = max(holo.alias_intervals(bit, c, alpha, domain).edge_tol
-              for bit, c in zip(bits, [c for c in channels for _ in detectors]))
+    tol = max(holo.alias_intervals(bit, domain).edge_tol for bit in bits)
     if edge_tols is not None:
         # a few edge tolerances from the first bit's nearest parity boundary
         c, d = channels[0], detectors[0]
@@ -335,15 +336,15 @@ def test_accepted_phase_never_excludes_source(indices, far, log_offset, negative
         for d in detectors:
             u = (c.wavenumber * (d - z_s) + alpha) / math.pi
             assume(min(u % 1.0, 1.0 - u % 1.0) > 2 * tol * c.wavenumber / math.pi)
-    assert holo.localize(bits, channels, alpha, domain).contains(z_s)
+    assert holo.localize(bits, domain).contains(z_s)
 
 
 def test_bit_phase_limit_is_sharp():
-    bit = holo.DetectionBit(0.0, 1, 0)
     span = CH1.wavenumber * DOMAIN[1]
-    holo.alias_intervals(bit, CH1, holo.MAX_BIT_PHASE - span, DOMAIN)
+    holo.alias_intervals(holo.DetectionBit(0.0, CH1, holo.MAX_BIT_PHASE - span, 0), DOMAIN)
+    bit = holo.DetectionBit(0.0, CH1, 1.000001 * holo.MAX_BIT_PHASE - span, 0)
     with pytest.raises(ValueError, match="channel 1 reaches a phase of 1e[+]09 rad"):
-        holo.alias_intervals(bit, CH1, 1.000001 * holo.MAX_BIT_PHASE - span, DOMAIN)
+        holo.alias_intervals(bit, DOMAIN)
 
 
 def test_forward_bit_refuses_a_phase_past_the_limit():
@@ -369,7 +370,7 @@ def test_inconsistent_bits_raise():
                     holo.forward_bit(z_a, 0.25, CH1, 0.0),
                     holo.forward_bit(z_b, 0.25, CH1, 0.0)]
             try:
-                holo.localize(bits, [CH1], 0.0, DOMAIN)
+                holo.localize(bits, DOMAIN)
             except holo.InconsistentBitsError:
                 found = True
                 break
@@ -378,10 +379,16 @@ def test_inconsistent_bits_raise():
     assert found
 
 
-def test_localize_requires_known_channel():
-    bit = holo.DetectionBit(0.0, 9, 0)
-    with pytest.raises(ValueError):
-        holo.localize([bit], [CH1], 0.0, DOMAIN)
+def test_bits_keep_their_own_wavelength_and_alpha():
+    # two ladders share channel indices but not wavelengths, and the bits differ in alpha:
+    # each bit is inverted with its own channel and alpha, so the source is kept
+    z_s = 2.3
+    channels = [CH1, CH2, holo.FrequencyChannel.harmonic(1, 1.1),
+                holo.FrequencyChannel.harmonic(2, 1.1)]
+    bits = [holo.forward_bit(z_s, 0.0, c, alpha) for c in channels for alpha in (0.0, 0.9)]
+    result = holo.localize(bits, DOMAIN)
+    assert result.contains(z_s)
+    assert_members_match_oracle(result, bits, CH2.wavelength / 1000)
 
 
 # --- two-detector coincidence ---------------------------------------------------
@@ -400,10 +407,10 @@ def test_two_detector_coincidence_parity_rule(z_s, half_steps, flip):
     b2 = holo.forward_bit(z_s, z2, CH1, 0.0)
     assert (b1.parity ^ b2.parity) == half_steps % 2
     if flip:
-        b2 = holo.DetectionBit(z2, 1, 1 - b2.parity)
+        b2 = holo.DetectionBit(z2, CH1, 0.0, 1 - b2.parity)
     consistent = True
     try:
-        holo.localize([b1, b2], [CH1], 0.0, DOMAIN)
+        holo.localize([b1, b2], DOMAIN)
     except holo.InconsistentBitsError:
         consistent = False
     assert consistent == (not flip)
@@ -425,7 +432,7 @@ def test_density_decreases_with_channels():
     # brute-force oracle for the two-channel density
     z_s = DOMAIN[0] + 0.61803398875 * (DOMAIN[1] - DOMAIN[0])
     bits = [holo.forward_bit(z_s, DOMAIN[1], c, 0.0) for c in (CH1, CH2)]
-    z, ok = bruteforce_mask(bits, [CH1, CH2], 0.0, DOMAIN, CH2.wavelength / 1000)
+    z, ok = bruteforce_mask(bits, DOMAIN, CH2.wavelength / 1000)
     assert d12 == pytest.approx(ok.mean(), abs=2e-3)
 
 

@@ -63,6 +63,12 @@ def test_trace_shim_matches_cli(argv, tmp_path):
     assert record["spans"]
     # the output reaches stdout through the wrapped write_output, once
     assert record["counts"]["cli.render_bytes"] == len(traced.stdout)
+    if argv[0] == "holo":
+        # alias_intervals and localize are wrapped by name; a rename would zero these
+        assert record["counts"]["holography.intervals_enumerated"] > 0
+        if "json" in argv:
+            kept = len(json.loads(traced.stdout)["intervals"])
+            assert record["counts"]["holography.intervals_kept"] == kept
     if argv[0] == "cavity":
         assert "cavity.sweep" in {span[0] for span in record["spans"]}
         # the bound of test_spectrum_sweep_memory_does_not_grow_with_steps
