@@ -13,12 +13,17 @@ Exit codes: 0 success, 1 engine or I/O failure, 2 usage/config errors.
 A run loads only the engine its subcommand runs, and numpy only once it
 computes.  numpy starts one BLAS thread: no kernel here hands BLAS a matrix
 worth splitting, and an idle thread pool costs CPU time in every process.  A
-thread count the caller sets in the environment still wins.
+thread count the caller sets in the environment still wins.  ``main``, the
+process entry point, runs with the cyclic garbage collector off and freezes the
+heap before it exits, so exit skips collecting what numpy loaded; ``run``
+leaves the collector as it found it.
 """
 
 from __future__ import annotations
 
 import cmath
+import errno
+import gc
 import os
 import sys
 from itertools import islice
@@ -336,12 +341,28 @@ def render_table(header: list[str], columns: list[np.ndarray], fmt: str) -> str:
 
 
 def write_output(text: str, path: str | None) -> int:
-    """Write the (all-ASCII) text to the path or stdout; returns bytes written."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    """Write the (all-ASCII) text to the path or stdout; returns bytes written.
+
+    Stdout is flushed here, so a failed write raises OSError to the caller
+    instead of at interpreter exit.  After a failure stdout is closed: the
+    text it still buffers would otherwise fail again as the process exits.
+    """
+    if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        return len(text)
+    stdout = sys.stdout
+    if stdout is None:  # the process started with its stdout closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    try:
+        stdout.write(text)
+        stdout.flush()
+    except OSError:
+        try:
+            stdout.close()  # flushes, fails again, and closes all the same
+        except OSError:
+            pass
+        raise
     return len(text)
 
 
@@ -486,12 +507,21 @@ def run_hj(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 ENGINE_ERRORS = (ValueError, ArithmeticError, MemoryError)
 
 
+def emit(text: str, path: str | None) -> int:
+    """``write_output``, with a failed write as one stderr line; the exit code."""
+    try:
+        write_output(text, path)
+    except OSError as exc:
+        print(f"{PROG}: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def run(argv=None) -> int:
     try:
         command, values = parse_argv(sys.argv[1:] if argv is None else argv)
         if values is None:  # help: of one subcommand, or of all of them
-            print("\n".join(map(usage, [command] if command else SUBCOMMAND_OPTIONS)), end="")
-            return 0
+            return emit("\n".join(map(usage, [command] if command else SUBCOMMAND_OPTIONS)), None)
         opts = resolve_options(command, values)
         import numpy as np
         # float warnings would add stderr lines; a NaN result is caught by render_table
@@ -510,17 +540,16 @@ def run(argv=None) -> int:
     except ENGINE_ERRORS as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        write_output(text, opts["out"])
-    except OSError as exc:
-        print(f"{PROG}: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return emit(text, opts["out"])
 
 
 def main():
-    sys.exit(run())
+    # the process ends with the run, so collecting cycles during it only costs time,
+    # and the collections the interpreter makes as it exits skip a frozen heap
+    gc.disable()
+    code = run()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

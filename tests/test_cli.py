@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -942,6 +943,19 @@ def test_engine_value_errors_exit_1(argv, fragment, error, capsys):
     assert_engine_failure(argv, fragment, capsys)
 
 
+@pytest.mark.parametrize("module, name, argv, error", [
+    (statespace, "evolve_linear", ["evolve"], OverflowError),
+    (cavity, "spectrum_sweep", ["cavity", "--hf-over-kt", "1"], MemoryError),
+], ids=["OverflowError", "MemoryError"])
+def test_engine_arithmetic_and_memory_errors_exit_1(module, name, argv, error, monkeypatch,
+                                                    capsys):
+    # no argv the fuzz gate draws raises these any more, so they are raised from the engine
+    def fail(*args, **kwargs):
+        raise error(f"{name} raised {error.__name__}")
+    monkeypatch.setattr(module, name, fail)
+    assert_engine_failure(argv, f"{name} raised {error.__name__}", capsys)
+
+
 NAN = float("nan")
 GRID = np.linspace(0.0, 1.0, 5)
 UNIT_H = statespace.HamiltonianOperator(np.eye(2))
@@ -1024,17 +1038,68 @@ def test_cavity_underflowed_closed_form_prints_json_infinity(capsys):
     assert json.loads(out)[0]["rel_error"] == math.inf
 
 
-# --- import hygiene -------------------------------------------------------------------
+# --- fresh interpreters ---------------------------------------------------------------
 
-def fresh_python(*args, **env_vars) -> str:
-    """Stdout of a new interpreter on this checkout, started without BLAS thread variables."""
-    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+def fresh_env(drop=cli.BLAS_THREAD_VARS, **env_vars) -> dict[str, str]:
+    """This environment without the ``drop`` variables, importing this checkout."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
     env.update(env_vars)
-    return subprocess.run([sys.executable, *args], check=True, env=env,
+    return env
+
+
+def fresh_python(*args, **env_vars) -> str:
+    """Stdout of a new interpreter on this checkout, started without BLAS thread variables."""
+    return subprocess.run([sys.executable, *args], check=True, env=fresh_env(**env_vars),
                           capture_output=True, text=True).stdout
 
+
+# --- the process entry point ---------------------------------------------------------
+
+def test_main_runs_without_collection_and_exits_frozen():
+    # read as the interpreter exits, after main's sys.exit
+    code = ("import atexit, gc, os, sys; from phasorlab import cli; "
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0)); "
+            "sys.argv = ['phasorlab', 'hj', '--points', '21', '--out', os.devnull]; cli.main()")
+    assert fresh_python("-c", code).split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_leaves_the_collector_as_it_found_it(enabled, capsys):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.run(["hj", "--points", "21"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def assert_cannot_write(**popen_kwargs):
+    """``python -m phasorlab.cli hj`` with a buffered stdout exits 1 with one stderr line."""
+    # under PYTHONUNBUFFERED the text is written through at once, so it would fail
+    # inside run even without the flush, and nothing would be left for exit to write
+    env = fresh_env(drop=("PYTHONUNBUFFERED", *cli.BLAS_THREAD_VARS))
+    result = subprocess.run([sys.executable, "-m", "phasorlab.cli", "hj", "--points", "21"],
+                            env=env, stderr=subprocess.PIPE, text=True, **popen_kwargs)
+    assert (result.returncode, result.stderr.count("\n")) == (1, 1), result.stderr
+    assert result.stderr.startswith(f"{cli.PROG}: cannot write output: ")
+    return result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exit_1_with_one_line():
+    with open("/dev/full", "w") as full:
+        assert "No space left on device" in assert_cannot_write(stdout=full)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes the child's fd 1 before exec")
+def test_closed_stdout_exit_1_with_one_line():
+    assert "Bad file descriptor" in assert_cannot_write(preexec_fn=lambda: os.close(1))
+
+
+# --- import hygiene -------------------------------------------------------------------
 
 def test_cli_import_does_not_load_scipy_stats():
     fresh_python("-c", "import phasorlab.cli, sys; assert 'scipy.stats' not in sys.modules")
