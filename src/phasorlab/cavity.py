@@ -14,14 +14,18 @@ kernel runs a block of chains side by side through the reflected-walk
 (Lindley) recursion, step-for-step identical to looping ``jitter_step``
 over the same uniforms, and adds the kept steps to exact integer tallies.
 ``equilibrate`` is a one-row block that also keeps its chain;
-``spectrum_sweep`` runs its chains in blocks within O(CHUNK) memory.
+``spectrum_sweep`` runs its chains in blocks within O(CHUNK) memory per
+worker, one worker per usable CPU.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .seeding import derive_rng
 PLANCK_UNDERFLOW_X = 700.0
 # steps in a sweep's work buffers, shared by a block's chains: O(CHUNK) memory, not O(steps)
 CHUNK = 2 ** 16
-# a sweep runs at most this many steps over all its chains (about 20 s at 20 ns/step)
+# a sweep runs at most this many steps over all its chains (about 20 s at 20 ns/step on one CPU)
 MAX_SWEEP_STEPS = 10 ** 9
 # geometric_chi_square merges the bins whose expected count is below this into one tail
 CHI_SQUARE_MIN_EXPECTED = 5.0
@@ -147,16 +151,20 @@ class ChainStatistics:
 
 
 class _ChainBuffers:
-    """Work arrays of a block of up to ``chains`` chains, ``width`` steps a segment."""
+    """Work arrays of a block of up to ``chains`` chains, ``width`` steps a segment: 18 B a step."""
 
     def __init__(self, chains: int, width: int):
-        self.arrays = [np.empty((chains, width), dtype=t)
-                       for t in (float, bool, bool, np.int64, np.int64)]
+        self.arrays = [np.empty((chains, width), dtype=t) for t in (float, bool, bool, np.int64)]
         self.walk = self.arrays[3]
 
     def segment(self, chains: int, width: int) -> list[np.ndarray]:
-        """Views for the uniforms, the up and down flags, the walk and its running minimum."""
-        return [a[:chains, :width] for a in self.arrays]
+        """Views for the uniforms, the up and down flags, the walk and its running minimum.
+
+        The last view reuses the uniforms' bytes, which are dead once the flags
+        are taken: it holds the widened increments, then the running minimum.
+        """
+        u, up, down, walk = (a[:chains, :width] for a in self.arrays)
+        return [u, up, down, walk, u.view(np.int64)]
 
 
 def _kept_steps(steps: int, burn_in: int) -> int:
@@ -180,11 +188,11 @@ def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
 
     One loop runs the block in segments as wide as the buffer, cut at
     ``burn_in``; rows that share a generator take its draws in row order.
-    The comparisons, the ``cumsum`` to the unfloored walk S and the running
-    minimum run once per segment over the block.  Flooring at zero is the
-    reflected-walk (Lindley) recursion n_t = S_t - min(-n, min_{j<=t} S_j),
-    n the occupancy before the segment, and each -1 refused at the floor
-    lowers that minimum one below -n.  A burn-in segment keeps only the last
+    The comparisons run once per segment over the block, the ``cumsum`` to
+    the unfloored walk S and its running minimum once per row.  Flooring at
+    zero is the reflected-walk (Lindley) recursion n_t = S_t - min(-n,
+    min_{j<=t} S_j), n the occupancy before the segment, and each -1
+    refused at the floor lowers that minimum one below -n.  A burn-in segment keeps only the last
     occupancy and the moves; a kept segment adds to the integer tallies, so
     they do not depend on the cuts.  The last kept segment stays in ``buf.walk``.
     """
@@ -202,14 +210,18 @@ def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
             rng.random(out=row)
         up = np.less(u, half_q, out=up).view(np.int8)
         increments = np.subtract(up, np.greater_equal(u, 0.5, out=down).view(np.int8), out=up)
-        # widened in the walk buffer and summed in place: cumsum(..., dtype=int64)
-        # would widen into a fresh temporary of 8 bytes a step on every segment
-        np.copyto(s, increments)
-        np.cumsum(s, axis=1, out=s)
+        # widened into the uniforms' dead bytes, then summed and minimized one row at a
+        # time from one buffer into the other: numpy releases the GIL through a 1-D
+        # accumulate out of place, not through an in-place, casting or 2-D one
+        np.copyto(low, increments)
+        for row, walk in zip(low, s):
+            np.cumsum(row, out=walk)
         if start < burn_in:
             floor = np.minimum(s.min(axis=1), -last)
         else:
-            np.minimum(np.minimum.accumulate(s, axis=1, out=low), -last[:, None], out=low)
+            for walk, row in zip(s, low):
+                np.minimum.accumulate(walk, out=row)
+            np.minimum(low, -last[:, None], out=low)
             floor = low[:, -1]
         # row by row: count_nonzero(axis=1) casts the block to bool and sums it, 5x slower
         moves += [np.count_nonzero(row) for row in increments] - (-last - floor)
@@ -273,6 +285,61 @@ class SweepRow(NamedTuple):
     acceptance_rate: float
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _on_usable_cpus(task: Callable, items: Sequence, scratch: Callable) -> list:
+    """``[task(item, s) for item in items]``, on one worker per usable CPU, in item order.
+
+    The calling thread is one worker and ``threading.Thread``s are the
+    others; with one worker no thread starts.  Each worker makes its own
+    ``s = scratch()`` and takes the next item index from a shared iterator.
+    Threads run in a copy of the caller's context, so they see its numpy
+    ``errstate``.  The first exception of a thread stops the other workers
+    at their next item and is raised here; every thread is joined before
+    this returns or raises.
+    """
+    results = [None] * len(items)
+    claim, indices, stop = threading.Lock(), iter(range(len(items))), threading.Event()
+    errors: list[BaseException] = []
+
+    def work():
+        s = scratch()
+        while not stop.is_set():
+            with claim:
+                i = next(indices, None)
+            if i is None:
+                return
+            results[i] = task(items[i], s)
+
+    def helper():
+        try:
+            work()
+        except BaseException as exc:  # handed to the caller, not printed by the thread
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for _ in range(min(_usable_cpus(), len(items)) - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
                    burn_in: int, master_seed: int) -> list[SweepRow]:
     """One equilibrated chain per frequency, compared to the closed form.
@@ -281,8 +348,11 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     (master seed, "cavity", i), so duplicated frequencies give
     independent estimates of the same mean.  The chains run side by side
     in blocks of ``CHUNK // width`` chains, with width = min(CHUNK,
-    max(burn_in, kept)), through one buffer of ``CHUNK`` steps, so memory
-    does not grow with ``steps``.  A sweep of more than ``MAX_SWEEP_STEPS``
+    max(burn_in, kept)), through one buffer of ``CHUNK`` steps per worker,
+    so memory does not grow with ``steps``.  The blocks run on every
+    usable CPU (``_on_usable_cpus``); the streams are derived here, in
+    replica order, and the rows are built in block order, so no byte
+    depends on the worker count.  A sweep of more than ``MAX_SWEEP_STEPS``
     steps in all, with a frequency that is not positive (NaN included) or
     whose hf/k_B T underflows to 0 or whose lobe energy hf overflows, or
     with no kept step, is refused before any chain starts.
@@ -297,15 +367,19 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
         if bath.beta_hf(f) == 0.0:
             raise ValueError(f"hf/k_B T of frequency {f:g} underflows to 0")
     modes = [ModeFamily.in_bath(f, bath) for f in frequencies]
+    q = [acceptance_probability(fam, bath, 1) for fam in modes]
+    rngs = [derive_rng(master_seed, "cavity", i) for i in range(len(modes))]
     block = CHUNK // width
-    buf = _ChainBuffers(block, width)
+    starts = range(0, len(modes), block)
+
+    def run_block(lo: int, buf: _ChainBuffers) -> _ChainSums:
+        return _run_chains(q[lo:lo + block], [fam.occupancy for fam in modes[lo:lo + block]],
+                           steps, burn_in, rngs[lo:lo + block], buf)
+
     rows = []
-    for lo in range(0, len(modes), block):
+    for lo, sums in zip(starts, _on_usable_cpus(run_block, starts,
+                                                lambda: _ChainBuffers(block, width))):
         families = modes[lo:lo + block]
-        sums = _run_chains([acceptance_probability(fam, bath, 1) for fam in families],
-                           [fam.occupancy for fam in families], steps, burn_in,
-                           [derive_rng(master_seed, "cavity", lo + i)
-                            for i in range(len(families))], buf)
         chains = _statistics(sums, steps, burn_in, [fam.lobe_energy for fam in families])
         for fam, chain in zip(families, chains):
             closed = planck_expectation(fam.base_frequency, bath).energy

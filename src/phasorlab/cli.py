@@ -13,10 +13,12 @@ Exit codes: 0 success, 1 engine or I/O failure, 2 usage/config errors.
 A run loads only the engine its subcommand runs, and numpy only once it
 computes.  numpy starts one BLAS thread: no kernel here hands BLAS a matrix
 worth splitting, and an idle thread pool costs CPU time in every process.  A
-thread count the caller sets in the environment still wins.  ``main``, the
-process entry point, runs with the cyclic garbage collector off and freezes the
-heap before it exits, so exit skips collecting what numpy loaded; ``run``
-leaves the collector as it found it.
+thread count the caller sets in the environment still wins.  The only threads
+a run starts are a cavity sweep's workers, one per usable CPU past the first,
+and the sweep joins them before it returns.  ``main``, the process entry
+point, runs with the cyclic garbage collector off and freezes the heap before
+it exits, so exit skips collecting what numpy loaded; ``run`` leaves the
+collector as it found it.
 """
 
 from __future__ import annotations
@@ -69,10 +71,18 @@ _complexes = _list(lambda x: _float(x.replace(" ", ""), complex))
 MAX_EPR_POINTS = 10 ** 6
 
 
+def _fields(s: str, shape: str) -> list[str]:
+    """``s`` cut at each ':' into the fields that ``shape`` (such as 'lo:hi') names."""
+    fields = s.split(":")
+    if len(fields) != shape.count(":") + 1:
+        raise ValueError(f"expected {shape}, got {s}")
+    return fields
+
+
 def _sweep(s: str) -> list[float]:
     """Either a single number or an inclusive 'start:stop:count' sweep."""
     if ":" in s:
-        start, stop, count = s.split(":")
+        start, stop, count = _fields(s, "start:stop:count")
         lo, hi, n = _float(start), _float(stop), int(count)
         if n < 1:
             raise ValueError("sweep count must be >= 1")
@@ -85,7 +95,7 @@ def _sweep(s: str) -> list[float]:
 
 
 def _interval(s: str) -> tuple[float, float]:
-    lo, hi = s.split(":")
+    lo, hi = _fields(s, "lo:hi")
     return _float(lo), _float(hi)
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -429,14 +431,168 @@ def test_sweep_blocks_that_do_not_divide_the_chain_count(monkeypatch):
 
 
 @pytest.mark.parametrize("steps", [4_000_000, 16_000_000])
-def test_spectrum_sweep_memory_does_not_grow_with_steps(steps):
-    tracemalloc.start()
+def test_spectrum_sweep_memory_does_not_grow_with_steps(steps, monkeypatch):
+    monkeypatch.setattr(cavity, "_usable_cpus", lambda: 2)
+    # one chain on the calling thread, then four chains on two workers
+    for frequencies in ([1.0], [0.5, 1.0, 2.0, 5.0]):
+        tracemalloc.start()
+        try:
+            spectrum_sweep(frequencies, BATH, steps, 10_000, master_seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
+# --- sweeps on several workers ----------------------------------------------------------
+
+class CountingThread(threading.Thread):
+    """``threading.Thread`` that counts the threads started through it."""
+
+    started = 0
+
+    def start(self):
+        CountingThread.started += 1
+        super().start()
+
+
+def count_threads(monkeypatch, workers):
+    """Report ``workers`` usable CPUs to sweeps and count the threads they start."""
+    monkeypatch.setattr(cavity, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(CountingThread, "started", 0)
+    monkeypatch.setattr(cavity.threading, "Thread", CountingThread)
+
+
+def sweep_bytes(rows):
+    return np.array(rows, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("chunk, frequencies, steps, burn_in", [
+    (64, [0.3, 0.9, 0.9, 2.0, 5.0], 50, 20),         # blocks of 2, 2 and 1 chains
+    (64, [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0], 200, 150),  # one chain a block, 4 segments
+    (CHUNK, [0.7, 0.7, 3.0], 2 * CHUNK + 3, 500),     # one chain a block, 3 segments
+])
+def test_sweep_rows_do_not_depend_on_the_worker_count(chunk, frequencies, steps, burn_in,
+                                                      monkeypatch):
+    monkeypatch.setattr(cavity, "CHUNK", chunk)
+    rows = {}
+    for workers in (1, 2, 3):
+        count_threads(monkeypatch, workers)
+        rows[workers] = sweep_bytes(spectrum_sweep(frequencies, BATH, steps, burn_in,
+                                                   master_seed=4))
+        assert CountingThread.started == workers - 1
+    assert rows[1] == rows[2] == rows[3]
+
+
+def test_many_workers_switching_often_take_each_block_once(monkeypatch):
+    # eight workers on forty one-chain blocks, switching threads every microsecond:
+    # a block run twice or not at all would change the rows
+    monkeypatch.setattr(cavity, "CHUNK", 64)
+    frequencies, rows = list(np.geomspace(0.3, 5.0, 40)), {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        spectrum_sweep([1.0], BATH, steps, 10_000, master_seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
+        for workers in (1, 8):
+            count_threads(monkeypatch, workers)
+            rows[workers] = sweep_bytes(spectrum_sweep(frequencies, BATH, 200, 150,
+                                                       master_seed=8))
     finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+        sys.setswitchinterval(interval)
+    assert CountingThread.started == 7
+    assert rows[1] == rows[8]
+
+
+@pytest.mark.parametrize("workers, frequencies", [(4, [1.0]), (1, [0.5, 1.0, 2.0])],
+                         ids=["one-block", "one-cpu"])
+def test_sweep_on_one_worker_starts_no_thread(workers, frequencies, monkeypatch):
+    count_threads(monkeypatch, workers)
+    spectrum_sweep(frequencies, BATH, CHUNK + 100, 100, master_seed=5)
+    assert CountingThread.started == 0
+
+
+def test_usable_cpus_counts_the_affinity_mask_or_the_machine(monkeypatch):
+    assert cavity._usable_cpus() >= 1
+    monkeypatch.delattr(cavity.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cavity.os, "cpu_count", lambda: 3)
+    assert cavity._usable_cpus() == 3
+
+
+def split_blocks(monkeypatch, on_caller=None, on_helper=None):
+    """Two workers on five one-chain blocks, each of which has taken a block before either runs.
+
+    ``on_caller`` and ``on_helper`` take the place of ``_run_chains`` in the
+    calling thread and in the helper; each defaults to it.
+    """
+    caller, both_took_one = threading.get_ident(), threading.Barrier(2, timeout=10)
+    run_chains, first_calls = cavity._run_chains, set()
+
+    def patched(*args):
+        if threading.get_ident() not in first_calls:
+            first_calls.add(threading.get_ident())
+            both_took_one.wait()
+        return ((on_caller if threading.get_ident() == caller else on_helper)
+                or run_chains)(*args)
+    monkeypatch.setattr(cavity, "_run_chains", patched)
+    monkeypatch.setattr(cavity, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cavity, "CHUNK", 64)
+    return lambda: spectrum_sweep([0.5, 1.0, 1.5, 2.0, 3.0], BATH, 200, 150, master_seed=6)
+
+
+def test_sweep_joins_its_workers_after_success(monkeypatch):
+    before = threading.active_count()
+    sweep = split_blocks(monkeypatch)
+    assert len(sweep()) == 5
+    assert threading.active_count() == before
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    run_chains, caller_blocks, helpers, failed = cavity._run_chains, [], [], threading.Event()
+
+    def fail(*args):
+        helpers.append(threading.current_thread())
+        failed.set()
+        raise MemoryError("the helper ran out of memory")
+
+    def run_after_the_helper_ends(*args):
+        caller_blocks.append(args)
+        assert failed.wait(10)
+        helpers[0].join(10)
+        assert not helpers[0].is_alive()
+        return run_chains(*args)
+    before = threading.active_count()
+    sweep = split_blocks(monkeypatch, on_caller=run_after_the_helper_ends, on_helper=fail)
+    with pytest.raises(MemoryError, match="the helper ran out of memory"):
+        sweep()
+    assert threading.active_count() == before
+    # the caller finishes the block it holds as the helper fails and takes no other
+    assert len(caller_blocks) == 1
+
+
+class CaseTimeout(BaseException):
+    """Stands for an alarm that interrupts the calling thread mid-sweep."""
+
+
+def test_interrupted_sweep_joins_its_workers(monkeypatch):
+    def interrupt(*args):
+        raise CaseTimeout
+    before = threading.active_count()
+    sweep = split_blocks(monkeypatch, on_caller=interrupt)
+    with pytest.raises(CaseTimeout):
+        sweep()
+    assert threading.active_count() == before
+
+
+def test_workers_see_the_callers_errstate(monkeypatch):
+    seen, run_chains = [], cavity._run_chains
+
+    def record(*args):
+        seen.append((threading.get_ident(), np.geterr()))
+        return run_chains(*args)
+    sweep = split_blocks(monkeypatch, on_caller=record, on_helper=record)
+    with np.errstate(all="ignore"):
+        sweep()
+    assert len({ident for ident, _ in seen}) == 2
+    assert all(set(err.values()) == {"ignore"} for _, err in seen)
 
 
 # --- stationary-law checks ----------------------------------------------------------

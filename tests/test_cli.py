@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from phasorlab import cavity, cli, epr, hj, holography, phasor, statespace
 from phasorlab.seeding import derive_rng, philox_key
+from test_cavity import split_blocks
 from test_golden import GOLDEN
 
 
@@ -956,6 +957,15 @@ def test_engine_arithmetic_and_memory_errors_exit_1(module, name, argv, error, m
     assert_engine_failure(argv, f"{name} raised {error.__name__}", capsys)
 
 
+def test_cavity_worker_error_exits_1_with_one_line(monkeypatch, capsys):
+    # raised in a sweep's helper thread: the thread prints nothing, run prints one line
+    def fail(*args):
+        raise MemoryError("a helper ran out of memory")
+    split_blocks(monkeypatch, on_helper=fail)
+    assert_engine_failure(["cavity", "--hf-over-kt", "0.5,1,1.5,2,3", "--steps", "200",
+                           "--burn-in", "150"], "error: a helper ran out of memory", capsys)
+
+
 NAN = float("nan")
 GRID = np.linspace(0.0, 1.0, 5)
 UNIT_H = statespace.HamiltonianOperator(np.eye(2))
@@ -1003,6 +1013,18 @@ def test_oversized_sweep_exit_2(capsys):
     assert_config_error(["epr", "--theta1", "0:1:1000000000000000"],
                         "sweep count 1000000000000000 is above the limit of 1e+06", capsys)
     assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize("value", ["1:2", "0:1:2:3", ":"])
+def test_malformed_sweep_names_start_stop_count(value, capsys):
+    assert_config_error(["epr", "--theta1", value], "bad value for key 'theta1': expected"
+                        f" start:stop:count, got {value}\n", capsys)
+
+
+@pytest.mark.parametrize("value", ["1:2:3", "5", "::"])
+def test_malformed_interval_names_lo_hi(value, capsys):
+    assert_config_error(["holo", "--domain", value], "bad value for key 'domain': expected"
+                        f" lo:hi, got {value}\n", capsys)
 
 
 def test_epr_sweep_count_limit_is_sharp(monkeypatch, capsys):
@@ -1141,10 +1163,11 @@ def test_subcommand_loads_only_its_own_engine(argv, digest):
 @pytest.mark.parametrize("argv", [
     ["epr", "--theta1", "abc"],
     ["epr", "--theta1", "1:abc:3"],
+    ["epr", "--theta1", "1:2"],
     ["epr", "--parity", "bad"],
     ["epr", "--convention", "bad"],
     ["epr", "--mode", "bad"],
-], ids=["abc", "1:abc:3", "parity", "convention", "mode"])
+], ids=["abc", "1:abc:3", "1:2", "parity", "convention", "mode"])
 def test_bad_value_exits_2_without_loading_numpy(argv):
     code = ("import sys; from phasorlab import cli; "
             f"print(cli.run({argv!r}), 'numpy' in sys.modules)")
