@@ -183,7 +183,8 @@ class _ChainSums(NamedTuple):
 
 
 def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
-                rngs: Sequence[np.random.Generator], buf: _ChainBuffers) -> _ChainSums:
+                rngs: Sequence[np.random.Generator], buf: _ChainBuffers,
+                stop: threading.Event | None = None) -> _ChainSums | None:
     """Chains side by side: row c of ``buf`` walks from n0[c] with q[c] on rngs[c]'s uniforms.
 
     One loop runs the block in segments as wide as the buffer, cut at
@@ -195,6 +196,7 @@ def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
     refused at the floor lowers that minimum one below -n.  A burn-in segment keeps only the last
     occupancy and the moves; a kept segment adds to the integer tallies, so
     they do not depend on the cuts.  The last kept segment stays in ``buf.walk``.
+    Once ``stop`` is set, the block ends before its next segment and returns None.
     """
     chains, width = len(rngs), buf.walk.shape[1]
     n_batches = min(32, steps - burn_in)
@@ -204,8 +206,10 @@ def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
     total, moves = np.zeros((2, chains), dtype=np.int64)
     batches = np.zeros((chains, n_batches), dtype=np.int64)
     cuts = [*range(0, burn_in, width), *range(burn_in, steps, width), steps]
-    for start, stop in zip(cuts, cuts[1:]):
-        u, up, down, s, low = buf.segment(chains, stop - start)
+    for start, end in zip(cuts, cuts[1:]):
+        if stop is not None and stop.is_set():
+            return None
+        u, up, down, s, low = buf.segment(chains, end - start)
         for row, rng in zip(u, rngs):
             rng.random(out=row)
         up = np.less(u, half_q, out=up).view(np.int8)
@@ -229,11 +233,11 @@ def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
         if start >= burn_in:
             occ = np.subtract(s, low, out=s)
             total += occ.sum(axis=1)
-            i, end = start - burn_in, min(stop - burn_in, n_batches * batch_len)  # kept indices
-            if i < end:  # the segment reaches into the batches
-                edges = np.maximum(np.arange(i - i % batch_len, end, batch_len), i) - i
+            i, j = start - burn_in, min(end - burn_in, n_batches * batch_len)  # kept indices
+            if i < j:  # the segment reaches into the batches
+                edges = np.maximum(np.arange(i - i % batch_len, j, batch_len), i) - i
                 batches[:, i // batch_len:][:, :edges.size] += np.add.reduceat(
-                    occ[:, :end - i], edges, axis=1)
+                    occ[:, :j - i], edges, axis=1)
     return _ChainSums(last, total, batches, moves)
 
 
@@ -294,15 +298,16 @@ def _usable_cpus() -> int:
 
 
 def _on_usable_cpus(task: Callable, items: Sequence, scratch: Callable) -> list:
-    """``[task(item, s) for item in items]``, on one worker per usable CPU, in item order.
+    """``[task(item, s, stop) for item in items]``, on one worker per usable CPU, in item order.
 
     The calling thread is one worker and ``threading.Thread``s are the
     others; with one worker no thread starts.  Each worker makes its own
     ``s = scratch()`` and takes the next item index from a shared iterator.
     Threads run in a copy of the caller's context, so they see its numpy
-    ``errstate``.  The first exception of a thread stops the other workers
-    at their next item and is raised here; every thread is joined before
-    this returns or raises.
+    ``errstate``.  ``stop`` is set only when a worker fails, the caller
+    included: the others stop at their next item, and a task that checks
+    ``stop`` may end sooner.  The first exception of a thread is raised
+    here; every thread is joined before this returns or raises.
     """
     results = [None] * len(items)
     claim, indices, stop = threading.Lock(), iter(range(len(items))), threading.Event()
@@ -315,7 +320,7 @@ def _on_usable_cpus(task: Callable, items: Sequence, scratch: Callable) -> list:
                 i = next(indices, None)
             if i is None:
                 return
-            results[i] = task(items[i], s)
+            results[i] = task(items[i], s, stop)
 
     def helper():
         try:
@@ -331,8 +336,10 @@ def _on_usable_cpus(task: Callable, items: Sequence, scratch: Callable) -> list:
             thread.start()
             threads.append(thread)
         work()
-    finally:
+    except BaseException:
         stop.set()
+        raise
+    finally:
         for thread in threads:
             thread.join()
     if errors:
@@ -372,9 +379,9 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     block = CHUNK // width
     starts = range(0, len(modes), block)
 
-    def run_block(lo: int, buf: _ChainBuffers) -> _ChainSums:
+    def run_block(lo: int, buf: _ChainBuffers, stop: threading.Event) -> _ChainSums | None:
         return _run_chains(q[lo:lo + block], [fam.occupancy for fam in modes[lo:lo + block]],
-                           steps, burn_in, rngs[lo:lo + block], buf)
+                           steps, burn_in, rngs[lo:lo + block], buf, stop)
 
     rows = []
     for lo, sums in zip(starts, _on_usable_cpus(run_block, starts,

@@ -224,10 +224,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def serialize_config(values: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in sorted(values.items()))
-
-
 def resolve_options(command: str, values: dict[str, str]) -> dict:
     """Merge config file and ``parse_argv`` values into typed values (flags win)."""
     schema = {**SUBCOMMAND_OPTIONS[command], **COMMON_OPTIONS}
@@ -498,6 +494,8 @@ def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 def run_hj(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     import numpy as np
     from . import hj
+    if not cmath.isfinite(span := opts["q-max"] - opts["q-min"]):
+        raise ValueError(f"grid span q-max - q-min = {span:g} leaves the float range")
     q = np.linspace(opts["q-min"], opts["q-max"], opts["points"])
     m, hbar = opts["mass"], opts["hbar"]
     if opts["system"] == "free":

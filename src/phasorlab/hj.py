@@ -88,15 +88,18 @@ class PrincipalFunctionGrid:
         S = W - E t differs from W by a constant in q, so W is differenced: at
         large E t the constant would swamp W's digits.  d2S/dq2 is exactly 0
         where it is within round-off (``CURVATURE_ROUNDOFF``).  Fewer than 5
-        points raise :class:`GridTooSmallError`.  Both arrays are read-only.
+        points raise :class:`GridTooSmallError`, and a spacing whose square
+        leaves the float range raises ValueError.  Both arrays are read-only.
         """
         if self.q.size < 5:
             raise GridTooSmallError("need at least 5 grid points")
         s = self.w
         h = self.spacing
+        if not 0.0 < (h2 := h * h) < math.inf:
+            raise ValueError(f"grid spacing {h:g} squared leaves the float range")
         ds = (s[2:] - s[:-2]) / (2.0 * h)
-        d2s = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / (h * h)
-        d2s[np.abs(d2s) <= CURVATURE_ROUNDOFF * np.max(np.abs(s)) / h ** 2] = 0.0
+        d2s = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / h2
+        d2s[np.abs(d2s) <= CURVATURE_ROUNDOFF * np.max(np.abs(s)) / h2] = 0.0
         ds.flags.writeable = d2s.flags.writeable = False
         return ds, d2s
 

@@ -72,30 +72,6 @@ def plane_wave(wavenumber: float, z: np.ndarray,
     return SampledField(z, amplitude * carrier)
 
 
-def plane_wave_overlap(k1: float, k2: float, window: float | None = None) -> complex:
-    """Windowed average of e^{i(k1 - k2)z}, or its infinite-window limit.
-
-    Parameters
-    ----------
-    k1, k2 : float
-        Wavenumbers of the two plane waves.
-    window : float or None
-        Averaging length.  ``None`` selects the symbolic rule: exactly 1
-        for equal wavenumbers, exactly 0 otherwise.  A positive window
-        returns (1/L) * int_0^L e^{i dk z} dz, whose modulus decays like
-        O(1/(|dk| * L)).
-    """
-    if window is None:
-        return 1.0 + 0.0j if k1 == k2 else 0.0 + 0.0j
-    if not window > 0.0:
-        raise ValueError("window must be positive in numeric mode")
-    dk = k1 - k2
-    if dk == 0.0:
-        return 1.0 + 0.0j
-    theta = dk * window
-    return (np.exp(1j * theta) - 1.0) / (1j * theta)
-
-
 def cesaro_inner_product(f: SampledField, g: SampledField, window: float) -> complex:
     """Cesaro-averaged inner product (1/w) * int conj(f) . g dz.
 

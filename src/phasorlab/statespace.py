@@ -51,12 +51,19 @@ class EvolutionSpec:
 
 
 def companion_matrix(spec: EvolutionSpec) -> np.ndarray:
-    """First-order form of the evolution; eigenvalues = characteristic roots."""
+    """First-order form of the evolution; eigenvalues = characteristic roots.
+
+    A ratio a_k / a_n that overflows raises ValueError naming both coefficients.
+    """
     n = spec.order
     a = np.asarray(spec.coefficients, dtype=complex)
     m = np.zeros((n, n), dtype=complex)
     m[:-1, 1:] = np.eye(n - 1)
     m[-1, :] = -a[:-1] / a[-1]
+    if not np.all(np.isfinite(m[-1])):
+        k = int(np.argmin(np.isfinite(m[-1])))
+        raise ValueError(f"coefficients a_{k} / a_{n} = {complex(a[k])} / {complex(a[-1])}"
+                         " leaves the float range")
     return m
 
 
@@ -79,10 +86,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.states[:, 0]
 
 
 def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
@@ -182,63 +185,3 @@ def schrodinger_propagate(hamiltonian: HamiltonianOperator, psi0: np.ndarray,
     w, v = np.linalg.eigh(hamiltonian.matrix)
     phases = np.exp(-1j * w * dt * steps / hamiltonian.hbar)
     return v @ (phases * (v.conj().T @ psi))
-
-
-def energy_expectation(hamiltonian: HamiltonianOperator, psi: np.ndarray) -> float:
-    """<psi|H|psi>, real for Hermitian H."""
-    psi = np.asarray(psi, dtype=complex)
-    return float(np.real(psi.conj() @ (hamiltonian.matrix @ psi)))
-
-
-# Pauli matrix whose action rotates the local polarization direction.
-SPIN_ROTATOR = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
-
-def polarization_direction(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Axis orientation (mod pi) of the polarization ellipse at each point.
-
-    Returns (angle, defined); the direction is undefined for zero fields
-    and for circular polarization, where the ellipse has no major axis.
-    Those points are flagged False and carry NaN angles.
-    """
-    vx = np.asarray(vx, dtype=complex)
-    vy = np.asarray(vy, dtype=complex)
-    num = 2.0 * np.real(np.conj(vx) * vy)
-    den = np.abs(vx) ** 2 - np.abs(vy) ** 2
-    scale = np.abs(vx) ** 2 + np.abs(vy) ** 2
-    defined = np.hypot(num, den) > 1e-12 * np.maximum(scale, 1e-300)
-    angle = np.where(defined, 0.5 * np.arctan2(num, den), np.nan)
-    return angle, defined
-
-
-@dataclass(frozen=True)
-class VortexField:
-    """Local polarization directions before and after the spin rotation."""
-
-    z: np.ndarray
-    direction: np.ndarray
-    direction_rotated: np.ndarray
-    defined: np.ndarray
-    defined_rotated: np.ndarray
-
-
-def spin_vortex_field(z: np.ndarray, wavenumber: float, angular_frequency: float,
-                      t: float, jones: tuple[complex, complex] = (1.0, 0.0),
-                      applications: int = 1) -> VortexField:
-    """Direction field of psi(z) = jones * e^{i(kz - wt)} under the rotator.
-
-    Applying the spin matrix once rotates the local direction by pi/2 at
-    every z (a vortex-like pointwise rotation); applying it twice
-    restores the original field since the matrix squares to identity.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.size == 0:
-        raise ValueError("grid must be nonempty")
-    carrier = np.exp(1j * (wavenumber * z - angular_frequency * t))
-    field = np.stack([jones[0] * carrier, jones[1] * carrier], axis=0)
-    rotated = field
-    for _ in range(applications):
-        rotated = SPIN_ROTATOR @ rotated
-    direction, defined = polarization_direction(field[0], field[1])
-    direction_rot, defined_rot = polarization_direction(rotated[0], rotated[1])
-    return VortexField(z, direction, direction_rot, defined, defined_rot)

@@ -1,4 +1,5 @@
 import math
+import signal
 import sys
 import threading
 import time
@@ -564,7 +565,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     with pytest.raises(MemoryError, match="the helper ran out of memory"):
         sweep()
     assert threading.active_count() == before
-    # the caller finishes the block it holds as the helper fails and takes no other
+    # the caller ends the block it holds, as the helper has failed, and takes no other
     assert len(caller_blocks) == 1
 
 
@@ -579,6 +580,27 @@ def test_interrupted_sweep_joins_its_workers(monkeypatch):
     sweep = split_blocks(monkeypatch, on_caller=interrupt)
     with pytest.raises(CaseTimeout):
         sweep()
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs a POSIX interval timer")
+def test_alarm_stops_a_helper_within_one_segment(monkeypatch):
+    # two chains of 1e8 steps on two workers take seconds: the helper thread must stop within
+    # one segment of the alarm, not at the end of its chain
+    def alarm(signum, frame):
+        raise CaseTimeout
+
+    monkeypatch.setattr(cavity, "_usable_cpus", lambda: 2)
+    before, previous = threading.active_count(), signal.signal(signal.SIGALRM, alarm)
+    started = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, 0.1)
+    try:
+        with pytest.raises(CaseTimeout):
+            spectrum_sweep([1.0, 2.0], BATH, 10 ** 8, 10_000, master_seed=1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - started < 0.5
     assert threading.active_count() == before
 
 

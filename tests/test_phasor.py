@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasorlab.phasor import (
+    CESARO_LEVELS,
+    CESARO_RATIO,
     PolarizationPhasor,
     SampledField,
     cesaro_inner_product,
     plane_wave,
-    plane_wave_overlap,
 )
 
 finite_complex = st.builds(
@@ -46,35 +47,49 @@ def test_plane_wave_polarized_sampling():
     assert np.array_equal(field.values[:, 1], plane_wave(1.5, z, 1.0j).values)
 
 
-# --- plane_wave_overlap ----------------------------------------------------
+# --- windowed overlap of two plane waves -------------------------------------
 
-def test_overlap_symbolic_identity():
-    assert plane_wave_overlap(1.3, 1.3) == 1.0
-    assert plane_wave_overlap(1.3, 2.6) == 0.0
+def window_average(dk, window):
+    """(1/L) int_0^L e^{i dk z} dz in closed form: (e^{i theta} - 1)/(i theta), theta = dk L."""
+    theta = dk * window
+    return (np.exp(1j * theta) - 1.0) / (1j * theta)
+
+
+def cesaro_closed_form(dk, z, window):
+    """The closed form averaged over the sub-windows cesaro_inner_product cuts from grid z."""
+    ends = [z[np.searchsorted(z, window / CESARO_RATIO ** i, side="right") - 1]
+            for i in range(CESARO_LEVELS)]
+    return np.mean([window_average(dk, end) for end in ends])
 
 
 def test_overlap_numeric_matches_bruteforce_quadrature():
-    # independent oracle: trapezoid of the windowed integral itself
+    # the closed form against a trapezoid of the windowed integral itself
     window = 1e4
     z = np.linspace(0.0, window, 4_000_001)
     oracle = np.trapezoid(np.exp(1j * (1.0 - 1.5) * z), z) / window
-    got = plane_wave_overlap(1.0, 1.5, window)
-    assert abs(got) < 1e-3
-    assert abs(got - oracle) < 1e-9
-    # frozen oracle value for regression
-    assert got == pytest.approx(-0.00019759328775335538 - 0.0001690663187638506j, abs=1e-12)
+    assert abs(window_average(1.0 - 1.5, window) - oracle) < 1e-9
+    # and cesaro_inner_product against the closed form on each of its sub-windows, within
+    # the trapezoid's relative error (dk h)^2 / 12 = 3.6e-4 at 32 samples a wavelength
+    z = _grid(window, wavenumber=1.5)
+    got = cesaro_inner_product(plane_wave(1.5, z), plane_wave(1.0, z), window)
+    assert got == pytest.approx(cesaro_closed_form(1.0 - 1.5, z, window), rel=1e-3)
 
 
 def test_overlap_decay_rate():
-    for dk, window in [(0.5, 1e4), (2.0, 5e3), (0.1, 1e5)]:
-        assert abs(plane_wave_overlap(1.0, 1.0 + dk, window)) <= 2.0 / (dk * window)
+    # |window_average| <= 2/(dk L) on each sub-window, L = window/8 .. window: on average
+    # (8 + 4 + 2 + 1)/4 * 2/(dk * window)
+    for dk, window in [(0.5, 1e4), (2.0, 5e3), (0.1, 1e4)]:
+        z = _grid(window, wavenumber=1.0 + dk)
+        value = cesaro_inner_product(plane_wave(1.0, z), plane_wave(1.0 + dk, z), window)
+        assert abs(value) <= 7.5 / (dk * window)
 
 
 def test_overlap_numeric_rejects_bad_window():
+    f = plane_wave(1.0, np.linspace(0.0, 10.0, 101))
     with pytest.raises(ValueError):
-        plane_wave_overlap(1.0, 2.0, window=0.0)
+        cesaro_inner_product(f, f, 0.0)
     with pytest.raises(ValueError):
-        plane_wave_overlap(1.0, 2.0, window=-3.0)
+        cesaro_inner_product(f, f, -3.0)
 
 
 # --- cesaro_inner_product --------------------------------------------------
@@ -158,9 +173,8 @@ def test_cesaro_symbolic_numeric_agreement():
         z = _grid(window, per_wavelength=32, wavenumber=1.0 + dk)
         f = plane_wave(1.0, z)
         g = plane_wave(1.0 + dk, z)
-        numeric = cesaro_inner_product(f, g, window)
-        symbolic = plane_wave_overlap(1.0, 1.0 + dk)
-        assert abs(numeric - symbolic) < 1e-2
+        # symbolically, distinct wavenumbers are orthogonal: the overlap is exactly 0
+        assert abs(cesaro_inner_product(f, g, window)) < 1e-2
 
 
 def test_cesaro_vector_fields():

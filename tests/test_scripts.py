@@ -1,10 +1,13 @@
 """Smoke tests: every script under scripts/ runs on small arguments, the
-benchmark's trace shim reproduces the CLI on every subcommand, and every
-benchmark job passes its own output check."""
+benchmark's trace shim reproduces the CLI on every subcommand, every
+benchmark job passes its own output check, and every public name of the
+package is reached from outside its unit tests."""
 
+import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,3 +97,36 @@ def test_bench_jobs_pass_their_checks(workload, tmp_path):
         result = run_python("-m", "phasorlab.cli", *job.argv)
         assert result.returncode == job.exit_code, (job.name, result.stderr)
         assert job.check(result.stdout.encode("utf-8")) == [], job.name
+
+
+def top_level_definitions(path):
+    """(name, first line, last line) of each public top-level name that ``path`` defines."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_public_name_is_reached():
+    # a name is reached when some line outside its own definition names it: in the
+    # package, a script, the benchmark or the acceptance tests, not in its unit tests
+    package = Path(phasorlab.__file__).parent
+    sources = [*package.glob("*.py"), *SCRIPTS.glob("*.py"), *(ROOT / "bench").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    lines = {path: path.read_text().splitlines() for path in sources}
+    unreached = []
+    for module in sorted(package.glob("*.py")):
+        for name, first, last in top_level_definitions(module):
+            word = re.compile(rf"\b{name}\b")
+            if not any(word.search(line) for path, text in lines.items()
+                       for number, line in enumerate(text, start=1)
+                       if not (path == module and first <= number <= last)):
+                unreached.append(f"{module.stem}.{name}")
+    assert unreached == []
