@@ -22,15 +22,13 @@ def main():
 
     ratios = np.logspace(-0.7, 0.9, args.points)
     bath = cavity.ThermalBath(1.0)
-    rows = cavity.spectrum_sweep(list(ratios), bath, args.steps, args.burn_in,
-                                 args.seed)
+    sweep = cavity.spectrum_sweep(list(ratios), bath, args.steps, args.burn_in,
+                                  args.seed)
 
     print("hf_over_kt,mc_mean_energy,mc_stderr,closed_form,rel_error,"
           "equipartition_kt,acceptance_rate")
-    for row in rows:
-        print(f"{row.frequency:.6f},{row.mc_mean_energy:.8f},"
-              f"{row.mc_stderr:.2e},{row.closed_form:.8f},"
-              f"{row.relative_error:.2e},1.0,{row.acceptance_rate:.4f}")
+    for f, mean, stderr, closed, rel, acc in zip(*sweep):
+        print(f"{f:.6f},{mean:.8f},{stderr:.2e},{closed:.8f},{rel:.2e},1.0,{acc:.4f}")
 
 
 if __name__ == "__main__":

@@ -132,22 +132,17 @@ def jitter_step(family: ModeFamily, bath: ThermalBath,
     return family
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainStatistics:
-    """Post-burn-in summary of one occupancy chain.
-
-    ``occupancies`` and ``occupancy_histogram`` (``np.bincount`` of the
-    occupancies) hold the kept chain when ``equilibrate`` made it; the
-    streamed chains of ``spectrum_sweep`` keep neither, so both are None.
-    """
+    """Post-burn-in summary of the chain ``equilibrate`` keeps whole, with its ``np.bincount``."""
 
     steps: int
-    occupancy_histogram: np.ndarray | None
+    occupancies: np.ndarray
+    occupancy_histogram: np.ndarray
     mean_occupancy: float
     mean_energy: float
     mean_energy_stderr: float
     acceptance_rate: float
-    occupancies: np.ndarray | None = None
 
 
 class _ChainBuffers:
@@ -241,9 +236,8 @@ def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
     return _ChainSums(last, total, batches, moves)
 
 
-def _statistics(sums: _ChainSums, steps: int, burn_in: int,
-                lobes: Sequence[float]) -> list[ChainStatistics]:
-    """Each chain's mean, 32-batch-means standard error and acceptance from its tallies.
+def _statistics(sums: _ChainSums, steps: int, burn_in: int) -> tuple[np.ndarray, ...]:
+    """Each chain's mean occupancy, its 32-batch-means standard error and acceptance rate.
 
     Every statistic is a quotient of the integer tallies, so it does not
     depend on how the chains were cut up or blocked.
@@ -251,11 +245,8 @@ def _statistics(sums: _ChainSums, steps: int, burn_in: int,
     kept = steps - burn_in
     n_batches = sums.batches.shape[1]
     stderr = ((sums.batches / (kept // n_batches)).std(axis=1, ddof=1) / math.sqrt(n_batches)
-              if n_batches > 1 else np.full(len(lobes), math.inf))
-    return [ChainStatistics(steps, None, total / kept, total / kept * lobe, err * lobe,
-                            moves / steps)
-            for total, err, moves, lobe in zip(sums.total.tolist(), stderr.tolist(),
-                                               sums.moves.tolist(), lobes)]
+              if n_batches > 1 else np.full(sums.total.size, math.inf))
+    return sums.total / kept, stderr, sums.moves / steps
 
 
 def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
@@ -274,19 +265,21 @@ def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
     # the uphill acceptance of the scalar reference, not a re-derivation of it
     q = acceptance_probability(family, bath, 1)
     sums = _run_chains([q], [family.occupancy], steps, burn_in, [rng], buf)
-    chain, = _statistics(sums, steps, burn_in, [family.lobe_energy])
-    chain.occupancies = buf.walk[0, :kept]
-    chain.occupancy_histogram = np.bincount(chain.occupancies)
-    return chain
+    mean, stderr, acceptance = (column.item() for column in _statistics(sums, steps, burn_in))
+    occupancies = buf.walk[0, :kept]
+    return ChainStatistics(steps, occupancies, np.bincount(occupancies), mean,
+                           mean * family.lobe_energy, stderr * family.lobe_energy, acceptance)
 
 
-class SweepRow(NamedTuple):
-    frequency: float
-    mc_mean_energy: float
-    mc_stderr: float
-    closed_form: float
-    relative_error: float
-    acceptance_rate: float
+class SweepColumns(NamedTuple):
+    """A sweep's results, one float64 entry per frequency in the order given."""
+
+    frequency: np.ndarray
+    mc_mean_energy: np.ndarray
+    mc_stderr: np.ndarray
+    closed_form: np.ndarray
+    relative_error: np.ndarray
+    acceptance_rate: np.ndarray
 
 
 def _usable_cpus() -> int:
@@ -348,7 +341,7 @@ def _on_usable_cpus(task: Callable, items: Sequence, scratch: Callable) -> list:
 
 
 def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
-                   burn_in: int, master_seed: int) -> list[SweepRow]:
+                   burn_in: int, master_seed: int) -> SweepColumns:
     """One equilibrated chain per frequency, compared to the closed form.
 
     Chains are independent: replica i draws from the stream keyed by
@@ -358,11 +351,12 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     max(burn_in, kept)), through one buffer of ``CHUNK`` steps per worker,
     so memory does not grow with ``steps``.  The blocks run on every
     usable CPU (``_on_usable_cpus``); the streams are derived here, in
-    replica order, and the rows are built in block order, so no byte
-    depends on the worker count.  A sweep of more than ``MAX_SWEEP_STEPS``
-    steps in all, with a frequency that is not positive (NaN included) or
-    whose hf/k_B T underflows to 0 or whose lobe energy hf overflows, or
-    with no kept step, is refused before any chain starts.
+    replica order, and the blocks' tallies are joined in block order, so
+    no byte depends on the worker count.  A sweep of more than
+    ``MAX_SWEEP_STEPS`` steps in all, with a frequency that is not
+    positive (NaN included) or whose hf/k_B T underflows to 0 or whose
+    lobe energy hf overflows, or with no kept step, is refused before any
+    chain starts.
     """
     if len(frequencies) * steps > MAX_SWEEP_STEPS:
         raise ValueError(f"a sweep of {len(frequencies)} x {steps} steps exceeds the budget"
@@ -383,17 +377,15 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
         return _run_chains(q[lo:lo + block], [fam.occupancy for fam in modes[lo:lo + block]],
                            steps, burn_in, rngs[lo:lo + block], buf, stop)
 
-    rows = []
-    for lo, sums in zip(starts, _on_usable_cpus(run_block, starts,
-                                                lambda: _ChainBuffers(block, width))):
-        families = modes[lo:lo + block]
-        chains = _statistics(sums, steps, burn_in, [fam.lobe_energy for fam in families])
-        for fam, chain in zip(families, chains):
-            closed = planck_expectation(fam.base_frequency, bath).energy
-            rel = abs(chain.mean_energy - closed) / closed if closed > 0.0 else math.inf
-            rows.append(SweepRow(fam.base_frequency, chain.mean_energy, chain.mean_energy_stderr,
-                                 closed, rel, chain.acceptance_rate))
-    return rows
+    blocks = _on_usable_cpus(run_block, starts, lambda: _ChainBuffers(block, width))
+    sums = _ChainSums(*map(np.concatenate, zip(*blocks)))
+    mean, stderr, acceptance = _statistics(sums, steps, burn_in)
+    lobes = np.array([fam.lobe_energy for fam in modes])
+    closed = np.array([planck_expectation(f, bath).energy for f in frequencies])
+    with np.errstate(divide="ignore", invalid="ignore"):  # an underflowed closed form is 0
+        rel = np.where(closed > 0.0, np.abs(mean * lobes - closed) / closed, math.inf)
+    return SweepColumns(np.array(frequencies, dtype=float), mean * lobes, stderr * lobes,
+                        closed, rel, acceptance)
 
 
 class FlowRatio(NamedTuple):

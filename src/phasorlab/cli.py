@@ -464,13 +464,11 @@ def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
                                   " 'hf-over-kt' already fixes h = k_B = T = 1")
         freqs = ratios
     bath = cavity.ThermalBath(*(1.0 if opts[k] is None else opts[k] for k in bath_keys))
-    rows_out = cavity.spectrum_sweep(freqs, bath, opts["steps"], opts["burn-in"],
-                                     opts["seed"])
+    f, mean, stderr, closed, rel, acc = cavity.spectrum_sweep(
+        freqs, bath, opts["steps"], opts["burn-in"], opts["seed"])
     header = ["f", "T", "mc_mean_energy", "mc_stderr", "closed_form",
               "rel_error", "acceptance_rate", "steps", "seed"]
-    n = len(rows_out)
-    f, mean, stderr, closed, rel, acc = np.array(
-        rows_out, dtype=float).reshape(n, len(cavity.SweepRow._fields)).T
+    n = f.size
     return header, [f, np.full(n, bath.temperature), mean, stderr, closed, rel, acc,
                     np.full(n, opts["steps"]), np.full(n, opts["seed"], dtype=np.uint64)]
 

@@ -34,10 +34,6 @@ class DetectorUsageError(ValueError):
     """Both outcomes refer to the same detector."""
 
 
-class DegenerateStateError(ValueError):
-    """All four joint outcomes carry zero weight; cannot normalize."""
-
-
 @dataclass(frozen=True)
 class CircularKet:
     """Circular polarization state as a classical phasor (x +/- i y)/sqrt(2)."""
@@ -161,13 +157,14 @@ def joint_amplitudes(theta1, theta2, pair: PhotonPairState, mode: str = "symboli
 
 def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
                         convention: str = "sum", **numeric_options) -> np.ndarray:
-    """Normalized probability tables matching :func:`joint_amplitudes`."""
-    weights = np.abs(joint_amplitudes(theta1, theta2, pair, mode, convention,
-                                      **numeric_options)) ** 2
-    total = weights.sum(axis=(-2, -1), keepdims=True)
-    if np.any(total <= 0.0):
-        raise DegenerateStateError("zero total outcome weight at these settings")
-    return weights / total
+    """Normalized probability tables matching :func:`joint_amplitudes`.
+
+    E^2 scales every amplitude alike and cancels here, so the weights are
+    taken at E = 1, where their sum cannot overflow or underflow.
+    """
+    weights = np.abs(joint_amplitudes(theta1, theta2, PhotonPairState(pair.parity), mode,
+                                      convention, **numeric_options)) ** 2
+    return weights / weights.sum(axis=(-2, -1), keepdims=True)
 
 
 def correlation_E(theta1, theta2, pair: PhotonPairState, convention: str = "sum"):

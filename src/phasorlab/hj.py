@@ -44,9 +44,9 @@ class PrincipalFunctionGrid:
     """Sampled characteristic function W with S = W - E t.
 
     The grid must be uniform up to float64 round-off of its coordinates
-    (spacing spread at most 4 eps max|q|); the time dependence is carried
-    analytically, so S(q, t2) - S(q, t1) is exactly -E (t2 - t1) by
-    construction.
+    (spacing spread at most 4 eps max|q|, and never less than four
+    subnormal steps); the time dependence is carried analytically, so
+    S(q, t2) - S(q, t1) is exactly -E (t2 - t1) by construction.
     """
 
     q: np.ndarray
@@ -62,8 +62,9 @@ class PrincipalFunctionGrid:
         d = np.diff(q)
         if np.any(d <= 0):
             raise ValueError("grid must be strictly increasing")
-        # linspace round-off spreads the spacing by up to ~2.3 eps max|q| at any size
-        if np.max(d) - np.min(d) > 4.0 * np.finfo(float).eps * max(abs(q[0]), abs(q[-1])):
+        # linspace round-off spreads the spacing by up to ~2.3 eps max|q|, or a subnormal step
+        ulp = max(np.finfo(float).eps * max(abs(q[0]), abs(q[-1])), math.ulp(0.0))
+        if np.max(d) - np.min(d) > 4.0 * ulp:
             raise ValueError("grid spacing must be uniform")
         if w.shape != q.shape:
             raise ValueError("W values must match the grid")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import signal
 import sys
@@ -49,17 +50,33 @@ def jitter_loop(family, bath, uniforms):
     return occ
 
 
+def summary(chain):
+    """Mean occupancy, mean energy, its standard error and acceptance rate of a chain."""
+    return chain.mean_occupancy, chain.mean_energy, chain.mean_energy_stderr, chain.acceptance_rate
+
+
 def run_block(families, steps, burn_in, rngs, width):
-    """The chains of ``families`` side by side in one kernel block ``width`` steps wide."""
+    """The chains of ``families`` side by side in one kernel block ``width`` steps wide.
+
+    Returns the block's tallies and each chain's ``summary``, from the block's columns.
+    """
     sums = cavity._run_chains([acceptance_probability(f, BATH, 1) for f in families],
                               [f.occupancy for f in families], steps, burn_in, rngs,
                               cavity._ChainBuffers(len(families), width))
-    return sums, cavity._statistics(sums, steps, burn_in, [f.lobe_energy for f in families])
+    mean, stderr, acceptance = cavity._statistics(sums, steps, burn_in)
+    lobes = np.array([f.lobe_energy for f in families])
+    return sums, list(zip(mean.tolist(), (mean * lobes).tolist(), (stderr * lobes).tolist(),
+                          acceptance.tolist()))
 
 
 def stream_chain(family, steps, burn_in, rng, width):
-    """One chain as a one-row block: its statistics, without the occupancies."""
+    """One chain as a one-row block: its ``summary``, without the occupancies."""
     return run_block([family], steps, burn_in, [rng], width)[1][0]
+
+
+def sweep_row(sweep, i):
+    """Mean energy, its standard error and acceptance rate of chain ``i`` of a sweep."""
+    return sweep.mc_mean_energy[i], sweep.mc_stderr[i], sweep.acceptance_rate[i]
 
 
 # --- types -------------------------------------------------------------------
@@ -184,6 +201,8 @@ def test_equilibrate_histogram_mass_and_acceptance():
     assert chain.occupancy_histogram.sum() == 200_000 - 5_000
     assert 0.0 < chain.acceptance_rate < 1.0
     assert chain.mean_energy_stderr > 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain.occupancies = None
 
 
 def test_equilibrate_rejects_empty_sampling_window():
@@ -251,17 +270,39 @@ def test_planck_monotone_in_frequency_and_temperature():
 # --- sweep -----------------------------------------------------------------------
 
 def test_spectrum_sweep_relative_errors():
-    rows = spectrum_sweep([0.5, 1.0, 2.0, 5.0], BATH, 10 ** 6, 10 ** 4, master_seed=1)
-    for row in rows:
-        assert row.relative_error < 0.02
+    sweep = spectrum_sweep([0.5, 1.0, 2.0, 5.0], BATH, 10 ** 6, 10 ** 4, master_seed=1)
+    assert sweep.relative_error.shape == (4,)
+    assert np.all(sweep.relative_error < 0.02)
+
+
+def test_spectrum_sweep_columns_are_float64_arrays_in_frequency_order():
+    frequencies = [2.0, 0.5, 1]
+    sweep = spectrum_sweep(frequencies, BATH, 2000, 100, master_seed=1)
+    assert sweep._fields == ("frequency", "mc_mean_energy", "mc_stderr", "closed_form",
+                             "relative_error", "acceptance_rate")
+    for column in sweep:
+        assert column.dtype == np.float64 and column.shape == (3,)
+    assert sweep.frequency.tolist() == frequencies
+    assert sweep.closed_form.tolist() == [planck_expectation(f, BATH).energy
+                                          for f in frequencies]
+
+
+def test_spectrum_sweep_underflowed_closed_form_without_a_warning():
+    # the closed form at hf/k_B T = 800 underflows to 0, and the chain never leaves n = 0:
+    # 0 / 0 and x / 0 must not warn, which this suite turns into errors
+    sweep = spectrum_sweep([800.0, 1.0], BATH, 1000, 10, master_seed=0)
+    assert sweep.closed_form[0] == 0.0
+    assert sweep.mc_mean_energy[0] == 0.0
+    assert sweep.relative_error[0] == math.inf
+    assert math.isfinite(sweep.relative_error[1])
 
 
 def test_spectrum_sweep_duplicate_frequency_consistency():
-    rows = spectrum_sweep([1.0, 1.0], BATH, 400_000, 10_000, master_seed=3)
-    a, b = rows
-    sigma = math.hypot(a.mc_stderr, b.mc_stderr)
-    assert abs(a.mc_mean_energy - b.mc_mean_energy) < 3.0 * sigma
-    assert a.mc_mean_energy != b.mc_mean_energy  # distinct streams
+    sweep = spectrum_sweep([1.0, 1.0], BATH, 400_000, 10_000, master_seed=3)
+    a, b = sweep.mc_mean_energy
+    sigma = math.hypot(*sweep.mc_stderr)
+    assert abs(a - b) < 3.0 * sigma
+    assert a != b  # distinct streams
 
 
 def test_spectrum_sweep_rejects_bad_frequency():
@@ -311,13 +352,9 @@ def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
     family = ModeFamily.in_bath(frequency, BATH, occupancy=n0)
     whole = equilibrate(family, BATH, steps, burn_in, derive_rng(21, "cavity", 4))
     streamed = stream_chain(family, steps, burn_in, derive_rng(21, "cavity", 4), CHUNK)
-    assert streamed.mean_energy == whole.mean_energy
-    assert streamed.mean_energy_stderr == whole.mean_energy_stderr
-    assert streamed.acceptance_rate == whole.acceptance_rate
-    assert streamed.occupancy_histogram is None
+    assert streamed == summary(whole)
     assert np.array_equal(whole.occupancy_histogram, np.bincount(whole.occupancies))
     assert whole.occupancy_histogram.sum() == steps - burn_in
-    assert streamed.occupancies is None
 
 
 def check_chain_against_loop(n0, frequency, steps, burn_in, chunk):
@@ -326,8 +363,7 @@ def check_chain_against_loop(n0, frequency, steps, burn_in, chunk):
     whole_rng, streamed_rng = derive_rng(17, "cavity", 3), derive_rng(17, "cavity", 3)
     whole = equilibrate(family, BATH, steps, burn_in, whole_rng)
     streamed = stream_chain(family, steps, burn_in, streamed_rng, chunk)
-    assert (streamed.mean_energy, streamed.mean_energy_stderr, streamed.acceptance_rate) == (
-        whole.mean_energy, whole.mean_energy_stderr, whole.acceptance_rate)
+    assert streamed == summary(whole)
 
     reference = derive_rng(17, "cavity", 3)
     occ = jitter_loop(family, BATH, reference.random(steps))
@@ -363,12 +399,11 @@ def test_chain_matches_stepwise_loop_at_named_cuts(steps, burn_in, chunk, n0):
 
 def test_spectrum_sweep_equals_equilibrate_per_replica():
     steps, burn_in = 2 * CHUNK + 3, 500
-    rows = spectrum_sweep([0.7, 0.7, 3.0], BATH, steps, burn_in, master_seed=9)
-    for i, row in enumerate(rows):
-        family = ModeFamily.in_bath(row.frequency, BATH)
-        chain = equilibrate(family, BATH, steps, burn_in, derive_rng(9, "cavity", i))
-        assert (row.mc_mean_energy, row.mc_stderr, row.acceptance_rate) == (
-            chain.mean_energy, chain.mean_energy_stderr, chain.acceptance_rate)
+    sweep = spectrum_sweep([0.7, 0.7, 3.0], BATH, steps, burn_in, master_seed=9)
+    for i, f in enumerate(sweep.frequency):
+        chain = equilibrate(ModeFamily.in_bath(f, BATH), BATH, steps, burn_in,
+                            derive_rng(9, "cavity", i))
+        assert sweep_row(sweep, i) == summary(chain)[1:]
 
 
 # --- chains side by side ---------------------------------------------------------------
@@ -388,13 +423,13 @@ def check_block_against_loop(n0s, frequencies, steps, burn_in, width, shared=Fal
     whole_rngs, loop_rngs = (block_streams(len(families), shared) for _ in range(2))
     for c, (family, chain) in enumerate(zip(families, chains)):
         whole = equilibrate(family, BATH, steps, burn_in, whole_rngs[c])
-        assert (chain.mean_energy, chain.mean_energy_stderr, chain.acceptance_rate) == (
-            whole.mean_energy, whole.mean_energy_stderr, whole.acceptance_rate)
+        assert chain == summary(whole)
         occ = jitter_loop(family, BATH, loop_rngs[c].random(steps))
         assert sums.last[c] == occ[-1]
-        assert chain.mean_occupancy == occ[burn_in:].sum() / (steps - burn_in)
+        mean_occupancy, _, _, acceptance = chain
+        assert mean_occupancy == occ[burn_in:].sum() / (steps - burn_in)
         moves = np.count_nonzero(np.diff(occ, prepend=family.occupancy))
-        assert chain.acceptance_rate == moves / steps
+        assert acceptance == moves / steps
     return chains
 
 
@@ -414,21 +449,20 @@ def test_block_rows_start_from_their_own_occupancies():
 
 def test_block_of_one_kept_step_gives_infinite_stderr():
     chains = check_block_against_loop([0, 2, 6], [0.5, 1.0, 4.0], 40, 39, 8)
-    assert all(chain.mean_energy_stderr == math.inf for chain in chains)
+    assert all(stderr == math.inf for _, _, stderr, _ in chains)
 
 
 def test_sweep_blocks_that_do_not_divide_the_chain_count(monkeypatch):
     # a 64-step buffer holds two 30-step rows, so five chains run as blocks of 2, 2 and 1
     monkeypatch.setattr(cavity, "CHUNK", 64)
     frequencies, steps, burn_in = [0.3, 0.9, 0.9, 2.0, 5.0], 50, 20
-    rows = spectrum_sweep(frequencies, BATH, steps, burn_in, master_seed=4)
-    for i, (f, row) in enumerate(zip(frequencies, rows)):
+    sweep = spectrum_sweep(frequencies, BATH, steps, burn_in, master_seed=4)
+    for i, f in enumerate(frequencies):
         family = ModeFamily.in_bath(f, BATH)
         chain = equilibrate(family, BATH, steps, burn_in, derive_rng(4, "cavity", i))
-        assert (row.mc_mean_energy, row.mc_stderr, row.acceptance_rate) == (
-            chain.mean_energy, chain.mean_energy_stderr, chain.acceptance_rate)
+        assert sweep_row(sweep, i) == summary(chain)[1:]
         occ = jitter_loop(family, BATH, derive_rng(4, "cavity", i).random(steps))
-        assert row.mc_mean_energy == occ[burn_in:].sum() / (steps - burn_in) * f
+        assert sweep.mc_mean_energy[i] == occ[burn_in:].sum() / (steps - burn_in) * f
 
 
 @pytest.mark.parametrize("steps", [4_000_000, 16_000_000])
@@ -464,8 +498,8 @@ def count_threads(monkeypatch, workers):
     monkeypatch.setattr(cavity.threading, "Thread", CountingThread)
 
 
-def sweep_bytes(rows):
-    return np.array(rows, dtype=float).tobytes()
+def sweep_bytes(sweep):
+    return np.stack(sweep).tobytes()
 
 
 @pytest.mark.parametrize("chunk, frequencies, steps, burn_in", [
@@ -542,7 +576,7 @@ def split_blocks(monkeypatch, on_caller=None, on_helper=None):
 def test_sweep_joins_its_workers_after_success(monkeypatch):
     before = threading.active_count()
     sweep = split_blocks(monkeypatch)
-    assert len(sweep()) == 5
+    assert sweep().frequency.size == 5
     assert threading.active_count() == before
 
 

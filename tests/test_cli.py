@@ -97,6 +97,17 @@ def test_epr_csv_json_value_parity(tmp_path):
             assert rc[k] == pytest.approx(rj[k], abs=1e-15)
 
 
+@pytest.mark.parametrize("field_scale", ["1e77", "1e200", "1e-200"])
+def test_epr_table_does_not_depend_on_the_field_scale(field_scale, capsys):
+    # E^2 cancels in the probabilities: 1e77 once printed E = 0 with every P = 0 under exit 0,
+    # 1e200 a NaN column and 1e-200 "zero total outcome weight"
+    argv = ["epr", "--theta1", "0:90:4", "--theta2", "15"]
+    assert cli.run(argv) == 0
+    unit = capsys.readouterr().out
+    assert cli.run(argv + ["--field-scale", field_scale]) == 0
+    assert capsys.readouterr() == (unit, "")
+
+
 # --- cavity subcommand -------------------------------------------------------------
 
 def test_cavity_double_run_byte_identical(tmp_path):
@@ -770,7 +781,7 @@ def assert_engine_failure(argv, fragment, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["epr", "--field-scale", "1e200"],
+    ["hj", "--system", "linear", "--alpha", "-1e300", "--q-min", "1", "--q-max", "2"],
     ["hj", "--momentum", "1e160"],
     ["hj", "--system", "linear", "--energy", "1e307"],
 ])
@@ -930,11 +941,13 @@ def test_cavity_inputs_outside_float_range_exit_1(extra, fragment, capsys):
 
 
 @pytest.mark.parametrize("q_min, q_max, spacing", [("1e308", "1.7e308", "1.75e+307"),
-                                                   ("0", "1e-200", "2.5e-201")],
-                         ids=["overflow", "underflow"])
+                                                   ("0", "1e-200", "2.5e-201"),
+                                                   ("0", "1e-310", "2.5e-311")],
+                         ids=["overflow", "underflow", "subnormal"])
 def test_hj_spacing_whose_square_leaves_the_float_range_exit_1(q_min, q_max, spacing, capsys):
     # h ** 2 once raised OverflowError, printed as "(34, 'Numerical result out of range')",
-    # and a square that underflowed to 0 made the column 'rhs_re' NaN
+    # a square that underflowed to 0 made the column 'rhs_re' NaN, and a subnormal spacing
+    # was refused as non-uniform, its tolerance 4 eps max|q| having underflowed to 0
     assert_engine_failure(["hj", "--points", "5", "--q-min", q_min, "--q-max", q_max],
                           f"grid spacing {spacing} squared leaves the float range", capsys)
 
@@ -953,8 +966,7 @@ def test_evolve_coefficient_ratio_that_overflows_exit_1(capsys):
 
 
 @pytest.mark.parametrize("argv, fragment, error", [
-    (["epr", "--field-scale", "1e-200"], "zero total outcome weight",
-     epr.DegenerateStateError),
+    (["epr", "--field-scale", "0"], "field_scale must be positive", ValueError),
     (["evolve", "--step", "10"], "stability", statespace.StabilityError),
     (["hj", "--momentum", "0"], "momentum vanishes", hj.TurningPointError),
     (["holo", "--channels", "1,1", "--detectors", "0", "--sources", "2.3,2.55"],

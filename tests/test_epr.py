@@ -109,11 +109,13 @@ def test_probabilities_sum_to_one(theta1, theta2, parity):
     assert np.all(probs >= 0.0)
 
 
-def test_degenerate_state_rejected():
-    # small enough that E^4 underflows to exactly zero weight
-    tiny = epr.PhotonPairState("plus", field_scale=1e-100)
-    with pytest.raises(epr.DegenerateStateError):
-        epr.joint_probabilities(X1.angle, X2.angle, tiny)
+def test_probabilities_do_not_depend_on_the_field_scale():
+    # E^2 cancels in the normalization; at E = 1e-100 the weights once summed to exactly 0,
+    # and at E = 1e77 to inf, which made every probability 0
+    for field_scale in (1e-100, 1e77, 1e200):
+        pair = epr.PhotonPairState("plus", field_scale=field_scale)
+        assert np.array_equal(epr.joint_probabilities(X1.angle, X2.angle, pair),
+                              epr.joint_probabilities(X1.angle, X2.angle, PLUS))
 
 
 @settings(deadline=None, max_examples=40)
@@ -237,10 +239,14 @@ def test_grid_kernel_matches_scalar_oracle(mode, numeric_options, parity, conven
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
-def test_grid_kernel_degenerate_state_rejected(mode):
-    tiny = epr.PhotonPairState("plus", field_scale=1e-200)
-    with pytest.raises(epr.DegenerateStateError):
-        epr.joint_probabilities([0.0, 0.3], [0.1], tiny, mode, window_wavelengths=200)
+def test_grid_kernel_probabilities_do_not_depend_on_the_field_scale(mode):
+    for parity in epr.PARITIES:
+        unit = epr.joint_probabilities([0.0, 0.3], [0.1], epr.PhotonPairState(parity), mode,
+                                       window_wavelengths=200)
+        for field_scale in (1e-200, 1e77, 1e200):
+            pair = epr.PhotonPairState(parity, field_scale)
+            assert np.array_equal(epr.joint_probabilities([0.0, 0.3], [0.1], pair, mode,
+                                                          window_wavelengths=200), unit)
 
 
 def test_numeric_grid_integrates_one_carrier(monkeypatch):

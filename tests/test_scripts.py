@@ -4,6 +4,7 @@ benchmark job passes its own output check, and every public name of the
 package is reached from outside its unit tests."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -40,6 +41,15 @@ def test_script_runs(script, args, header):
     assert result.returncode == 0
     assert result.stderr == ""
     assert result.stdout.splitlines()[0] == header
+
+
+def test_planck_sweep_prints_the_pinned_table():
+    # the whole table, not only its header, as recorded when the sweep still returned one
+    # record per chain
+    result = run_python(str(SCRIPTS / "planck_sweep.py"), "--steps", "20000", "--points", "3")
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "afaeddd1b690d1ecffbfdb4f3dcbd9c820126056a86e92f670d9305b2193f754")
 
 
 @pytest.mark.parametrize("argv", [
