@@ -24,7 +24,7 @@ import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -67,42 +67,39 @@ class ModeFamily:
 
     base_frequency: float
     occupancy: int = 0
-    lobe_energy: float | None = None
+    lobe_energy: float = field(kw_only=True)
 
     def __post_init__(self):
         if not self.base_frequency > 0.0:
             raise ValueError("base frequency must be positive")
         if self.occupancy < 0:
             raise ValueError("occupancy must be non-negative")
-        if self.lobe_energy is None:
-            object.__setattr__(self, "lobe_energy", self.base_frequency)
         if not 0.0 < self.lobe_energy < math.inf:
             raise ValueError(f"lobe energy must be positive and finite, got {self.lobe_energy:g}")
 
     @classmethod
     def in_bath(cls, frequency: float, bath: ThermalBath,
                 occupancy: int = 0) -> "ModeFamily":
-        return cls(frequency, occupancy, bath.planck_h * frequency)
+        return cls(frequency, occupancy, lobe_energy=bath.planck_h * frequency)
 
 
 class PlanckEnergy(NamedTuple):
     energy: float
-    underflowed: bool
 
 
 def planck_expectation(frequency: float, bath: ThermalBath) -> PlanckEnergy:
     """Closed-form equilibrium energy hf / (e^{hf/k_B T} - 1).
 
-    Overflow-safe: past hf/k_B T = 700 the value underflows to 0 and the
-    flag is set instead of raising.
+    Overflow-safe: past hf/k_B T = 700 the value underflows to 0 instead of
+    raising.
     """
     if not frequency > 0.0:
         raise ValueError("frequency must be positive")
     x = bath.beta_hf(frequency)
     hf = bath.planck_h * frequency
     if x > PLANCK_UNDERFLOW_X:
-        return PlanckEnergy(0.0, True)
-    return PlanckEnergy(hf / math.expm1(x), False)
+        return PlanckEnergy(0.0)
+    return PlanckEnergy(hf / math.expm1(x))
 
 
 def acceptance_probability(family: ModeFamily, bath: ThermalBath,
@@ -128,7 +125,7 @@ def jitter_step(family: ModeFamily, bath: ThermalBath,
     delta, metropolis_u = (1, 2.0 * u) if u < 0.5 else (-1, 2.0 * u - 1.0)
     if metropolis_u < acceptance_probability(family, bath, delta):
         return ModeFamily(family.base_frequency, family.occupancy + delta,
-                          family.lobe_energy)
+                          lobe_energy=family.lobe_energy)
     return family
 
 
@@ -382,7 +379,7 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     mean, stderr, acceptance = _statistics(sums, steps, burn_in)
     lobes = np.array([fam.lobe_energy for fam in modes])
     closed = np.array([planck_expectation(f, bath).energy for f in frequencies])
-    with np.errstate(divide="ignore", invalid="ignore"):  # an underflowed closed form is 0
+    with np.errstate(divide="ignore", invalid="ignore"):  # a closed form may underflow to 0
         rel = np.where(closed > 0.0, np.abs(mean * lobes - closed) / closed, math.inf)
     return SweepColumns(np.array(frequencies, dtype=float), mean * lobes, stderr * lobes,
                         closed, rel, acceptance)

@@ -255,7 +255,7 @@ def resolve_options(command: str, values: dict[str, str]) -> dict:
 # emission
 
 # the only columns that may print inf: cavity stderr from a single kept
-# sample, and the relative error against an underflowed closed form
+# sample, and the relative error against a closed form that underflows to 0
 MAY_BE_INFINITE = frozenset({"mc_stderr", "rel_error"})
 # how json spells the two infinities that float.__repr__ spells inf and -inf
 JSON_INFINITIES = {"inf": "Infinity", "-inf": "-Infinity"}

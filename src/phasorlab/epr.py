@@ -19,9 +19,11 @@ import numpy as np
 from .phasor import PolarizationPhasor, cesaro_inner_product, plane_wave
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+# circular polarization states as classical phasors (x +/- i y)/sqrt(2)
+RIGHT_CIRCULAR = PolarizationPhasor(SQRT_HALF, 1j * SQRT_HALF)
+LEFT_CIRCULAR = PolarizationPhasor(SQRT_HALF, -1j * SQRT_HALF)
 
 PARITIES = ("plus", "minus")
-HANDEDNESSES = ("right", "left")
 CONVENTIONS = ("sum", "difference")
 MODES = ("symbolic", "numeric")
 # grid density of the numeric path's sampled fields
@@ -32,22 +34,6 @@ WAVENUMBER = 1.0
 
 class DetectorUsageError(ValueError):
     """Both outcomes refer to the same detector."""
-
-
-@dataclass(frozen=True)
-class CircularKet:
-    """Circular polarization state as a classical phasor (x +/- i y)/sqrt(2)."""
-
-    handedness: str
-
-    def __post_init__(self):
-        if self.handedness not in HANDEDNESSES:
-            raise ValueError(f"handedness must be one of {HANDEDNESSES}")
-
-    @property
-    def phasor(self) -> PolarizationPhasor:
-        sign = 1.0 if self.handedness == "right" else -1.0
-        return PolarizationPhasor(SQRT_HALF, sign * 1j * SQRT_HALF)
 
 
 @dataclass(frozen=True)
@@ -113,8 +99,8 @@ def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
         raise ValueError(f"mode must be one of {MODES}")
 
     total = 0.0 + 0.0j
-    for handedness, weight in (("right", 1.0), ("left", pair.parity_sign)):
-        ket = CircularKet(handedness).phasor.scaled(pair.field_scale)
+    for circular, weight in ((RIGHT_CIRCULAR, 1.0), (LEFT_CIRCULAR, pair.parity_sign)):
+        ket = circular.scaled(pair.field_scale)
         a1, a2 = (analyzer_phasor(o.angle).dot(ket) if mode == "symbolic" else
                   _numeric_projection(analyzer_phasor(o.angle), ket, window_wavelengths)
                   for o in (outcome1, outcome2))

@@ -25,14 +25,13 @@ CLASSICAL_FRACTION = 0.01  # |ratio| below this fraction of 2*pi is classical
 # |d2W| h^2 within this times max|W| is round-off: each W sample carries up to ~2 eps
 # and the stencil weights sum to 4 (free-particle linspace grids measured <= 4.4 eps)
 CURVATURE_ROUNDOFF = 8.0 * np.finfo(float).eps
+# a |d2W| above that floor but within this factor of it is refused; a kept d2W then carries
+# under 1e-3 relative round-off (linear-system grids measured at most 6.5e-4)
+CURVATURE_RESOLUTION = 1e3
 
 
 class GridTooSmallError(ValueError):
     """Fewer than five grid points; no interior for central stencils."""
-
-
-class GridTooCoarseError(ValueError):
-    """Estimated curvature error exceeds the requested tolerance."""
 
 
 class TurningPointError(ValueError):
@@ -88,9 +87,10 @@ class PrincipalFunctionGrid:
 
         S = W - E t differs from W by a constant in q, so W is differenced: at
         large E t the constant would swamp W's digits.  d2S/dq2 is exactly 0
-        where it is within round-off (``CURVATURE_ROUNDOFF``).  Fewer than 5
-        points raise :class:`GridTooSmallError`, and a spacing whose square
-        leaves the float range raises ValueError.  Both arrays are read-only.
+        where it is within round-off (``CURVATURE_ROUNDOFF``), and one above that
+        floor but within ``CURVATURE_RESOLUTION`` times it raises ValueError.
+        Fewer than 5 points raise :class:`GridTooSmallError`, and a spacing whose
+        square leaves the float range raises ValueError.  Both arrays are read-only.
         """
         if self.q.size < 5:
             raise GridTooSmallError("need at least 5 grid points")
@@ -100,7 +100,14 @@ class PrincipalFunctionGrid:
             raise ValueError(f"grid spacing {h:g} squared leaves the float range")
         ds = (s[2:] - s[:-2]) / (2.0 * h)
         d2s = (s[2:] - 2.0 * s[1:-1] + s[:-2]) / h2
-        d2s[np.abs(d2s) <= CURVATURE_ROUNDOFF * np.max(np.abs(s)) / h2] = 0.0
+        size, floor = np.abs(d2s), CURVATURE_ROUNDOFF * np.max(np.abs(s)) / h2
+        d2s[size <= floor] = 0.0
+        if np.any(unresolved := (size > floor) & (size <= CURVATURE_RESOLUTION * floor)):
+            # the floor scales as 1/h^2, so the weakest such row clears the band at this many
+            most = 1 + int((self.q.size - 1) * math.sqrt(np.min(size[unresolved])
+                                                         / (CURVATURE_RESOLUTION * floor)))
+            raise ValueError(f"d2W is within {CURVATURE_RESOLUTION:g} times its round-off on"
+                             f" {self.q.size} points; the span resolves at most {most} points")
         ds.flags.writeable = d2s.flags.writeable = False
         return ds, d2s
 
@@ -166,30 +173,15 @@ class ResidualFields:
     max_discrepancy: float
 
 
-def hjs_residual(grid: PrincipalFunctionGrid, system: MechanicalSystem,
-                 curvature_tol: float | None = None) -> ResidualFields:
+def hjs_residual(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> ResidualFields:
     """Evaluate lhs = (1/2m)(dS/dq)^2 + V + dS/dt and rhs = (i hbar/2m) d2S/dq2.
 
-    dS/dt is exactly -E by construction.  With ``curvature_tol`` set, the
-    second derivative is re-estimated on the 2x-coarsened grid and the
-    Richardson error estimate must stay below the tolerance, otherwise
-    :class:`GridTooCoarseError` is raised; the coarsened grid needs 5
-    points, so the grid needs 9.
+    dS/dt is exactly -E by construction.
     """
     if system.potential.shape != grid.q.shape:
         raise ValueError("potential must be sampled on the same grid")
 
     ds, d2s = grid.central_diffs
-    if curvature_tol is not None:
-        coarse = PrincipalFunctionGrid(grid.q[::2], grid.w[::2], grid.energy, grid.time)
-        _, d2_coarse = coarse.central_diffs
-        # fine interior index of coarse interior point i is 2i + 1
-        shared_fine = d2s[1::2][:d2_coarse.size]
-        err = np.max(np.abs(shared_fine - d2_coarse[:shared_fine.size])) / 3.0
-        if err > curvature_tol:
-            raise GridTooCoarseError(
-                f"estimated curvature error {err:g} exceeds {curvature_tol:g}")
-
     two_m = 2.0 * system.mass
     lhs = ds * ds / two_m + system.potential[1:-1] - grid.energy
     rhs = 1j * system.hbar / two_m * d2s

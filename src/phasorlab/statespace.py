@@ -113,7 +113,7 @@ def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
         raise ValueError(f"t_final / step = {count:g} is not a finite step count")
     n_steps = max(1, round(count))
     if n_steps > MAX_EVOLVE_STEPS:
-        raise ValueError(f"{n_steps} steps are above the limit of {MAX_EVOLVE_STEPS:.0e}")
+        raise ValueError(f"{n_steps:.3g} steps are above the limit of {MAX_EVOLVE_STEPS:.0e}")
     step = t_final / n_steps
 
     m = companion_matrix(spec)

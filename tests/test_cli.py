@@ -798,8 +798,17 @@ def test_evolve_step_budget_exit_1(capsys):
     # 1e15 steps: refused before anything is allocated or any power of P is built
     start = time.monotonic()
     assert_engine_failure(["evolve", "--t-final", "1e15", "--step", "1"],
-                          "1000000000000000 steps are above the limit of 1e+11", capsys)
+                          "1e+15 steps are above the limit of 1e+11", capsys)
     assert time.monotonic() - start < 1.0
+
+
+def test_evolve_step_budget_message_is_short(capsys):
+    # 6.3e300 steps: the count was printed as a 301-digit integer, 355 bytes in all
+    assert cli.run(["evolve", "--coefficients", "1,1", "--initial", "1", "--step", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 80
+    assert "6.28e+300 steps are above the limit of 1e+11" in captured.err
 
 
 def test_evolve_unallocatable_grid_exit_1(capsys):
@@ -952,6 +961,19 @@ def test_hj_spacing_whose_square_leaves_the_float_range_exit_1(q_min, q_max, spa
                           f"grid spacing {spacing} squared leaves the float range", capsys)
 
 
+@pytest.mark.parametrize("argv, most", [
+    # the first two once exited 0, printing at 10^6 points a median error of 12% in
+    # bcp_ratio, and with --alpha 1e-4 90 of 199 rows as 0
+    (["hj", "--system", "linear", "--points", "1000001"], 31722),
+    (["hj", "--system", "linear", "--alpha", "1e-4"], 7),
+    (["hj", "--system", "linear", "--alpha", "0.003"], 195),
+])
+def test_hj_unresolved_curvature_exit_1(argv, most, capsys):
+    assert_engine_failure(argv, f"the span resolves at most {most} points", capsys)
+    # the count the message names is a grid the engine accepts
+    assert cli.run([*argv, "--points", str(most)]) == 0
+
+
 def test_hj_span_that_overflows_exit_1(capsys):
     # the span once overflowed to inf inside linspace: "grid must be strictly increasing"
     assert_engine_failure(["hj", "--points", "5", "--q-min", "-1e308", "--q-max", "1e308"],
@@ -1009,8 +1031,8 @@ UNIT_H = statespace.HamiltonianOperator(np.eye(2))
     lambda: cavity.ThermalBath(NAN),
     lambda: cavity.ThermalBath(1.0, NAN),
     lambda: cavity.ThermalBath(1.0, 1.0, NAN),
-    lambda: cavity.ModeFamily(NAN),
-    lambda: cavity.ModeFamily(1.0, 0, NAN),
+    lambda: cavity.ModeFamily(NAN, lobe_energy=1.0),
+    lambda: cavity.ModeFamily(1.0, 0, lobe_energy=NAN),
     lambda: cavity.planck_expectation(NAN, cavity.ThermalBath(1.0)),
     lambda: holography.FrequencyChannel(1, NAN),
     lambda: hj.MechanicalSystem(NAN, np.zeros(5)),

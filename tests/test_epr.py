@@ -178,8 +178,8 @@ def test_correlation_grid_and_chsh_match_scalar_calls():
 
 
 def test_circular_ket_phasors():
-    right = epr.CircularKet("right").phasor
-    left = epr.CircularKet("left").phasor
+    right = epr.RIGHT_CIRCULAR
+    left = epr.LEFT_CIRCULAR
     inv = 1 / math.sqrt(2)
     assert abs(right.ex - inv) <= 1e-12 and abs(right.ey - 1j * inv) <= 1e-12
     assert abs(left.ex - inv) <= 1e-12 and abs(left.ey + 1j * inv) <= 1e-12

@@ -50,6 +50,10 @@ GOLDEN = [
      "e5b39b88e9246de452d9cbc383df9da94b9f98cbb04d4f48c8e177d1de923e70"),
     (["hj", "--system", "linear", "--points", "21", "--format", "json"],
      "44cbb0764fc8d2f381c213a66af18f663e1b80cd03713a582a460e4988491b8b"),
+    # a default linear grid near the most points its span resolves (32,483), recorded
+    # before hj refused the finer ones
+    (["hj", "--system", "linear", "--points", "30001"],
+     "1c71d197dd6dfcd350afcb8b7cc9499d56d57b82c6ebdf6bd3373e72ee0817e4"),
     # the benchmark's epr-grid shape: 120 x 120 angles from non-integer starts, so most
     # E and P values repeat many times across the 14,400 rows
     (["epr", "--theta1", "0.318532:180.318532:120", "--theta2", "0.734019:180.734019:120"],

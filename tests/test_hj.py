@@ -89,10 +89,11 @@ def test_free_particle_residual_vanishes():
     assert np.max(np.abs(res.rhs)) < 1e-8
 
 
-@pytest.mark.parametrize("n", [21, 10001, 100001])
+@pytest.mark.parametrize("n", [21, 10001, 100001, 1000001])
 @pytest.mark.parametrize("p", [1.0, -3.7, 1e-12, 1e150])
 def test_free_particle_rhs_is_exactly_zero(n, p):
-    # W = p q has no curvature: every second difference is W's round-off
+    # W = p q has no curvature: every second difference is W's round-off, inside the
+    # floor, so no grid is too fine for a free particle
     q = np.linspace(0.0, 1.0, n)
     res = hj.hjs_residual(hj.free_particle_S(p, 1.0, q), hj.MechanicalSystem(1.0, np.zeros(n)))
     assert np.count_nonzero(res.rhs) == 0
@@ -145,14 +146,50 @@ def test_residual_grid_guards():
     with pytest.raises(hj.GridTooSmallError):
         hj.hjs_residual(grid, system)
 
-    # a curvature tolerance far below the discretization error must trip
-    coarse_q = np.linspace(0.0, 1.0, 21)
-    grid_c, system_c = linear_case(q=coarse_q)
-    with pytest.raises(hj.GridTooCoarseError):
-        hj.hjs_residual(grid_c, system_c, curvature_tol=1e-12)
-    fine = hj.hjs_residual(*linear_case(q=np.linspace(0.0, 1.0, 2001)),
-                           curvature_tol=1e-4)
-    assert fine.max_discrepancy > 0.0
+
+def linear_ratio_error(alpha, energy, m, q):
+    """Largest relative error of bcp_ratio against -2 pi m alpha / p^3 (hbar = 1)."""
+    ratio = hj.bcp_ratio(*linear_case(alpha, energy, m, q=q)).ratio
+    # the closed form in extended precision, so its own round-off does not count
+    p = np.sqrt(2 * m * (np.longdouble(energy) - np.longdouble(alpha) * q[1:-1]))
+    return ratio, float(np.max(np.abs(ratio / (-2 * np.pi * m * alpha / p ** 3) - 1)))
+
+
+@pytest.mark.parametrize("n", [201, 32483])  # the default, and the most the span resolves
+def test_default_linear_grids_within_the_stated_error(n):
+    _, error = linear_ratio_error(0.5, 10.0, 1.0, np.linspace(0.0, 1.0, n))
+    assert error <= 1e-3
+
+
+def test_accepted_linear_grids_within_the_stated_error():
+    # the README's bound: every grid the engine accepts keeps bcp_ratio within 1e-3 of the
+    # closed form, while E and alpha q are at most 4 times the gap
+    # E - alpha q (W keeps its digits) and the stencil's own O(h^2) error is below 1e-6.
+    # A grid whose every |d2W| is inside the floor prints zeros (W'' = -m alpha / p is
+    # never 0, yet the engine cannot tell it from a free particle); no grid mixes the two.
+    rng = np.random.default_rng(24)
+    outcomes = {"refused": 0, "zeros": 0, "within": 0}
+    while sum(outcomes.values()) < 300:
+        m, alpha = 10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-5, 3) * rng.choice([-1, 1])
+        q0, span = rng.uniform(-50, 50) * rng.integers(2), 10 ** rng.uniform(-3, 2)
+        q = np.linspace(q0, q0 + span, int(10 ** rng.uniform(0.8, 5)))
+        energy = max(alpha * q0, alpha * (q0 + span)) + abs(alpha) * span * 10 ** rng.uniform(-1, 4)
+        gap = energy - alpha * q
+        p_squared = 2 * m * gap
+        if (np.max(np.maximum(abs(energy), np.abs(alpha * q)) / gap) > 4
+                or 0.6 * np.max(((q[1] - q[0]) * m * alpha / p_squared) ** 2) > 1e-6):
+            continue
+        try:
+            ratio, error = linear_ratio_error(alpha, energy, m, q)
+        except ValueError:
+            outcomes["refused"] += 1
+            continue
+        if np.count_nonzero(ratio) == 0:
+            outcomes["zeros"] += 1
+        else:
+            assert error <= 1e-3, (m, alpha, q0, span, q.size, energy)
+            outcomes["within"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_potential_shape_checked():

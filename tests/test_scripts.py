@@ -109,8 +109,12 @@ def test_bench_jobs_pass_their_checks(workload, tmp_path):
         assert job.check(result.stdout.encode("utf-8")) == [], job.name
 
 
-def top_level_definitions(path):
-    """(name, first line, last line) of each public top-level name that ``path`` defines."""
+def public_definitions(path):
+    """(name, pattern, first line, last line) of each public name that ``path`` defines.
+
+    A top-level name is matched as a word; a method or property of a public class as
+    ``.name``, and it is reported as ``Class.name``.
+    """
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -121,7 +125,18 @@ def top_level_definitions(path):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, node.lineno, node.end_lineno
+                yield name, rf"\b{name}\b", node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield (f"{node.name}.{member.name}", rf"\.{member.name}\b",
+                           member.lineno, member.end_lineno)
+
+
+# S = W - E t and a grid at another time: nothing reads them while hj prints only
+# q-derivatives, which do not depend on --time; whether --time should stay an option
+# is an open question of the CLI contract, and these two are its answer if it stays
+UNREACHED_ON_PURPOSE = ["hj.PrincipalFunctionGrid.s_values", "hj.PrincipalFunctionGrid.at_time"]
 
 
 def test_every_public_name_is_reached():
@@ -133,10 +148,10 @@ def test_every_public_name_is_reached():
     lines = {path: path.read_text().splitlines() for path in sources}
     unreached = []
     for module in sorted(package.glob("*.py")):
-        for name, first, last in top_level_definitions(module):
-            word = re.compile(rf"\b{name}\b")
+        for name, pattern, first, last in public_definitions(module):
+            word = re.compile(pattern)
             if not any(word.search(line) for path, text in lines.items()
                        for number, line in enumerate(text, start=1)
                        if not (path == module and first <= number <= last)):
                 unreached.append(f"{module.stem}.{name}")
-    assert unreached == []
+    assert unreached == UNREACHED_ON_PURPOSE
