@@ -125,7 +125,6 @@ SUBCOMMAND_OPTIONS = {
         "theta1": (_sweep, "0", "detector-1 analyzer angle(s), degrees; N or start:stop:count"),
         "theta2": (_sweep, "0", "detector-2 analyzer angle(s), degrees; N or start:stop:count"),
         "parity": (_choice("plus", "minus"), "plus", "pair parity"),
-        "field-scale": (_float, "1.0", "per-photon field amplitude E"),
         "convention": (_choice("sum", "difference"), "sum",
                        "correlation angle convention (detector-2 handedness)"),
         "mode": (_choice("symbolic", "numeric"), "symbolic", "amplitude evaluation path"),
@@ -166,7 +165,6 @@ SUBCOMMAND_OPTIONS = {
         "q-min": (_float, "0.0", "grid start"),
         "q-max": (_float, "1.0", "grid end"),
         "points": (int, "201", "grid size"),
-        "time": (_float, "0.0", "evaluation time"),
     },
 }
 
@@ -382,11 +380,12 @@ def run_epr(opts: dict) -> tuple[list[str], list[np.ndarray]]:
                          f" {MAX_EPR_POINTS:.0e} points")
     import numpy as np
     from . import epr
-    pair = epr.PhotonPairState(opts["parity"], opts["field-scale"])
     header = ["theta1_deg", "theta2_deg", "E", "P_xx", "P_xy", "P_yx", "P_yy"]
     t1_deg, t2_deg = np.meshgrid(opts["theta1"], opts["theta2"], indexing="ij")
-    p = epr.joint_probabilities(np.radians(opts["theta1"]), np.radians(opts["theta2"]),
-                                pair, mode=opts["mode"], convention=opts["convention"])
+    # fmod is exact; from |theta| = 1e17 degrees the quarter turn vanishes in radians' round-off
+    t1, t2 = (np.radians(np.fmod(opts[key], 360.0)) for key in ("theta1", "theta2"))
+    p = epr.joint_probabilities(t1, t2, epr.PhotonPairState(opts["parity"]),
+                                mode=opts["mode"], convention=opts["convention"])
     corr = p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
     grids = [t1_deg, t2_deg, corr, p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]]
     return header, [g.ravel() for g in grids]
@@ -497,10 +496,10 @@ def run_hj(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     q = np.linspace(opts["q-min"], opts["q-max"], opts["points"])
     m, hbar = opts["mass"], opts["hbar"]
     if opts["system"] == "free":
-        grid = hj.free_particle_S(opts["momentum"], m, q, opts["time"])
+        grid = hj.free_particle_S(opts["momentum"], m, q)
         potential = np.zeros_like(q)
     else:
-        grid = hj.linear_potential_S(opts["alpha"], opts["energy"], m, q, opts["time"])
+        grid = hj.linear_potential_S(opts["alpha"], opts["energy"], m, q)
         potential = opts["alpha"] * q
     system = hj.MechanicalSystem(m, potential, hbar)
     res = hj.hjs_residual(grid, system)

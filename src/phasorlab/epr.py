@@ -5,8 +5,10 @@ polarization phasors; a detection at analyzer angle theta projects each
 photon onto the unit linear phasor (cos theta, sin theta).  The joint
 amplitude factorizes into per-detector inner products, evaluated either
 symbolically (plane-wave orthogonality) or numerically as Cesaro-averaged
-integrals of sampled plane-wave fields.  With unit analyzers the joint
-table over x/y outcomes is {0, i E^2, E^2, 0} across the two parities.
+integrals of sampled plane-wave fields.  Amplitudes are taken at unit
+field: with unit analyzers the joint table over x/y outcomes is
+{0, i, 1, 0} across the two parities, and at field E every amplitude
+scales as E^2.
 """
 
 from __future__ import annotations
@@ -32,22 +34,15 @@ SAMPLES_PER_WAVELENGTH = 8
 WAVENUMBER = 1.0
 
 
-class DetectorUsageError(ValueError):
-    """Both outcomes refer to the same detector."""
-
-
 @dataclass(frozen=True)
 class PhotonPairState:
-    """Entangled pair r1.r2 + parity * l1.l2 with per-photon field scale."""
+    """Entangled pair r1.r2 + parity * l1.l2 of unit-field photons."""
 
     parity: str
-    field_scale: float = 1.0
 
     def __post_init__(self):
         if self.parity not in PARITIES:
             raise ValueError(f"parity must be one of {PARITIES}")
-        if not (self.field_scale > 0.0):
-            raise ValueError("field_scale must be positive")
 
     @property
     def parity_sign(self) -> float:
@@ -94,13 +89,12 @@ def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
     the two agree within the windowed-average decay bound.
     """
     if outcome1.detector_index == outcome2.detector_index:
-        raise DetectorUsageError("outcomes must come from two distinct detectors")
+        raise ValueError("outcomes must come from two distinct detectors")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
 
     total = 0.0 + 0.0j
-    for circular, weight in ((RIGHT_CIRCULAR, 1.0), (LEFT_CIRCULAR, pair.parity_sign)):
-        ket = circular.scaled(pair.field_scale)
+    for ket, weight in ((RIGHT_CIRCULAR, 1.0), (LEFT_CIRCULAR, pair.parity_sign)):
         a1, a2 = (analyzer_phasor(o.angle).dot(ket) if mode == "symbolic" else
                   _numeric_projection(analyzer_phasor(o.angle), ket, window_wavelengths)
                   for o in (outcome1, outcome2))
@@ -117,7 +111,7 @@ def joint_amplitudes(theta1, theta2, pair: PhotonPairState, mode: str = "symboli
     shape(theta1) + shape(theta2) + (2, 2), one table per grid point.  Entry
     [..., i, j] is the amplitude for detector 1 firing along theta1 + i*pi/2
     and detector 2 along theta2 + j*pi/2.  With the angles a, b reduced mod
-    pi, :func:`pair_amplitude` is the closed form (E^2/2)(e^{i(a+b)} +
+    pi, :func:`pair_amplitude` is the closed form (1/2)(e^{i(a+b)} +
     s e^{-i(a+b)}).  The ``difference`` convention mirrors detector 2
     (theta2 -> -theta2), the handedness choice left open by the
     correlation sign.
@@ -131,25 +125,24 @@ def joint_amplitudes(theta1, theta2, pair: PhotonPairState, mode: str = "symboli
     a = np.mod(t1.reshape(-1, 1) + quarter, math.pi)
     b = np.mod((t2 if convention == "sum" else -t2).reshape(-1, 1) + quarter, math.pi)
     phase = (a[:, None, :, None] + b[None, :, None, :]).reshape(t1.shape + t2.shape + (2, 2))
-    scale = pair.field_scale
+    table = np.cos(phase) if pair.parity == "plus" else 1j * np.sin(phase)
     if mode == "numeric":
         # the projection is linear in the phasor components: each numeric detector
         # amplitude is the symbolic one times the unit carrier's self-overlap at z = 0
         unit = analyzer_phasor(0.0)
-        scale *= _numeric_projection(unit, unit, window_wavelengths)
-    table = np.cos(phase) if pair.parity == "plus" else 1j * np.sin(phase)
-    return scale * scale * table
+        overlap = _numeric_projection(unit, unit, window_wavelengths)
+        table = overlap * overlap * table
+    return table
 
 
 def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
                         convention: str = "sum", **numeric_options) -> np.ndarray:
     """Normalized probability tables matching :func:`joint_amplitudes`.
 
-    E^2 scales every amplitude alike and cancels here, so the weights are
-    taken at E = 1, where their sum cannot overflow or underflow.
+    A field scale E would multiply every amplitude by E^2 and cancel here.
     """
-    weights = np.abs(joint_amplitudes(theta1, theta2, PhotonPairState(pair.parity), mode,
-                                      convention, **numeric_options)) ** 2
+    weights = np.abs(joint_amplitudes(theta1, theta2, pair, mode, convention,
+                                      **numeric_options)) ** 2
     return weights / weights.sum(axis=(-2, -1), keepdims=True)
 
 

@@ -1,6 +1,7 @@
 """Hamilton-Jacobi plane-wave residuals and the correspondence ratio.
 
-The principal function S(q, t) = W(q) - E t is sampled on a uniform grid;
+The characteristic function W(q) is sampled on a uniform grid, and the
+principal function S = W - E t is carried by the energy alone;
 substituting psi = psi0 * e^{iS/hbar} into the Schrodinger form turns it
 into
 
@@ -30,28 +31,19 @@ CURVATURE_ROUNDOFF = 8.0 * np.finfo(float).eps
 CURVATURE_RESOLUTION = 1e3
 
 
-class GridTooSmallError(ValueError):
-    """Fewer than five grid points; no interior for central stencils."""
-
-
-class TurningPointError(ValueError):
-    """Momentum vanishes on the interior grid; the ratio is undefined there."""
-
-
 @dataclass(frozen=True)
 class PrincipalFunctionGrid:
     """Sampled characteristic function W with S = W - E t.
 
     The grid must be uniform up to float64 round-off of its coordinates
     (spacing spread at most 4 eps max|q|, and never less than four
-    subnormal steps); the time dependence is carried analytically, so
-    S(q, t2) - S(q, t1) is exactly -E (t2 - t1) by construction.
+    subnormal steps).  S differs from W by -E t, a constant in q, so no
+    q-derivative depends on t and only W is stored.
     """
 
     q: np.ndarray
     w: np.ndarray
     energy: float
-    time: float = 0.0
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
@@ -74,26 +66,18 @@ class PrincipalFunctionGrid:
     def spacing(self) -> float:
         return float(self.q[1] - self.q[0])
 
-    @property
-    def s_values(self) -> np.ndarray:
-        return self.w - self.energy * self.time
-
-    def at_time(self, t: float) -> "PrincipalFunctionGrid":
-        return PrincipalFunctionGrid(self.q, self.w, self.energy, t)
-
     @cached_property
     def central_diffs(self) -> tuple[np.ndarray, np.ndarray]:
         """(dS/dq, d2S/dq2) on the interior points, central stencils only, once per grid.
 
-        S = W - E t differs from W by a constant in q, so W is differenced: at
-        large E t the constant would swamp W's digits.  d2S/dq2 is exactly 0
-        where it is within round-off (``CURVATURE_ROUNDOFF``), and one above that
-        floor but within ``CURVATURE_RESOLUTION`` times it raises ValueError.
-        Fewer than 5 points raise :class:`GridTooSmallError`, and a spacing whose
-        square leaves the float range raises ValueError.  Both arrays are read-only.
+        S = W - E t differs from W by a constant in q, so W is differenced.
+        d2S/dq2 is exactly 0 where it is within round-off (``CURVATURE_ROUNDOFF``),
+        and one above that floor but within ``CURVATURE_RESOLUTION`` times it
+        raises ValueError.  Fewer than 5 points, or a spacing whose square leaves
+        the float range, raise ValueError.  Both arrays are read-only.
         """
         if self.q.size < 5:
-            raise GridTooSmallError("need at least 5 grid points")
+            raise ValueError("need at least 5 grid points")
         s = self.w
         h = self.spacing
         if not 0.0 < (h2 := h * h) < math.inf:
@@ -131,21 +115,20 @@ class MechanicalSystem:
         object.__setattr__(self, "potential", v)
 
 
-def free_particle_S(p: float, m: float, q: np.ndarray,
-                    t: float = 0.0) -> PrincipalFunctionGrid:
-    """W = p q with E = p^2 / 2m; wavefronts move at u = E/p.
+def free_particle_S(p: float, m: float, q: np.ndarray) -> PrincipalFunctionGrid:
+    """W = p q with E = p^2 / 2m.
 
-    S = p q - E t is constant along q = (S + E t) / p, so the front speed is
-    E/p = p/2m exactly: half the particle velocity p/m.
+    S = p q - E t is constant along q = (S + E t) / p, so wavefronts move at
+    E/p = p/2m: half the particle velocity p/m.
     """
     if not m > 0.0:
         raise ValueError("mass must be positive")
     q = np.asarray(q, dtype=float)
-    return PrincipalFunctionGrid(q, p * q, p * p / (2.0 * m), t)
+    return PrincipalFunctionGrid(q, p * q, p * p / (2.0 * m))
 
 
-def linear_potential_S(alpha: float, energy: float, m: float, q: np.ndarray,
-                       t: float = 0.0) -> PrincipalFunctionGrid:
+def linear_potential_S(alpha: float, energy: float, m: float,
+                       q: np.ndarray) -> PrincipalFunctionGrid:
     """Characteristic function for V = alpha q at fixed total energy.
 
     W(q) = int sqrt(2m(E - alpha q)) dq = -(2m(E - alpha q))^{3/2} / (3 m alpha),
@@ -160,7 +143,20 @@ def linear_potential_S(alpha: float, energy: float, m: float, q: np.ndarray,
     if np.any(gap <= 0.0):
         raise ValueError("E - alpha q must stay positive on the grid")
     w = -((2.0 * m * gap) ** 1.5) / (3.0 * m * alpha)
-    return PrincipalFunctionGrid(q, w, energy, t)
+    return PrincipalFunctionGrid(q, w, energy)
+
+
+def _interior_diffs(grid: PrincipalFunctionGrid,
+                    system: MechanicalSystem) -> tuple[np.ndarray, np.ndarray]:
+    """``grid.central_diffs``; as W'' = -m V'/p, an all-zero d2W where V varies is refused."""
+    if system.potential.shape != grid.q.shape:
+        raise ValueError("potential must be sampled on the same grid")
+    ds, d2s = grid.central_diffs
+    v = system.potential
+    if not d2s.any() and np.any(v != v[0]):
+        raise ValueError(f"d2W is within its round-off on all {grid.q.size} points,"
+                         " yet the potential is not constant")
+    return ds, d2s
 
 
 @dataclass(frozen=True)
@@ -178,10 +174,7 @@ def hjs_residual(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> Resid
 
     dS/dt is exactly -E by construction.
     """
-    if system.potential.shape != grid.q.shape:
-        raise ValueError("potential must be sampled on the same grid")
-
-    ds, d2s = grid.central_diffs
+    ds, d2s = _interior_diffs(grid, system)
     two_m = 2.0 * system.mass
     lhs = ds * ds / two_m + system.potential[1:-1] - grid.energy
     rhs = 1j * system.hbar / two_m * d2s
@@ -206,11 +199,11 @@ def bcp_ratio(grid: PrincipalFunctionGrid, system: MechanicalSystem) -> Correspo
     Where d2W is within round-off (``CURVATURE_ROUNDOFF``) the ratio is 0.
     Points where |ratio| < 0.01 * 2 pi are flagged as classical.
     """
-    p, dpdq = grid.central_diffs
+    p, dpdq = _interior_diffs(grid, system)
     dead = np.abs(p) <= 1e-12 * np.max(np.abs(p))
     if np.any(dead):
         i = int(np.argmax(dead))
-        raise TurningPointError(
+        raise ValueError(
             f"momentum vanishes at q = {grid.q[1:-1][i]:.9g} (interior index {i})")
     flat = dpdq == 0.0  # no curvature: 0 even where p * p underflows
     ratio = np.where(flat, 0.0, math.tau * system.hbar * dpdq / np.where(flat, 1.0, p * p))

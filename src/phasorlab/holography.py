@@ -37,14 +37,6 @@ MAX_BIT_PHASE = 1e9
 REFERENCE_SOURCE_FRACTION = 0.61803398875
 
 
-class EmptyDomainError(ValueError):
-    """The search domain has no interior."""
-
-
-class InconsistentBitsError(ValueError):
-    """No source position reproduces all bits; they lack a common source."""
-
-
 @dataclass(frozen=True)
 class FrequencyChannel:
     """One query frequency: index j and wavenumber k_j."""
@@ -154,7 +146,7 @@ def alias_intervals(bit: DetectionBit, domain: tuple[float, float]) -> AliasSet:
     """
     lo_d, hi_d = domain
     if not (hi_d > lo_d):
-        raise EmptyDomainError("domain must have positive length")
+        raise ValueError("domain must have positive length")
     channel, alpha, z_d = bit.channel, bit.alpha, bit.detector_position
     k = channel.wavenumber
     lam = channel.wavelength
@@ -186,7 +178,7 @@ def localize_prefixes(bits: Sequence[DetectionBit], domain: tuple[float, float],
     """Yield ``localize(bits[:k * group], ...)`` for every k with k * group <= len(bits).
 
     One running intersection builds each bit's alias set once; the first
-    empty yield point raises :class:`InconsistentBitsError`.
+    empty yield point raises ValueError.
     """
     if not bits:
         raise ValueError("need at least one detection bit")
@@ -196,7 +188,7 @@ def localize_prefixes(bits: Sequence[DetectionBit], domain: tuple[float, float],
         result = cell if result is None else result.intersect(cell)
         if count % group == 0:
             if not len(result.intervals):
-                raise InconsistentBitsError("inconsistent bits: no common source position")
+                raise ValueError("inconsistent bits: no common source position")
             yield result
 
 
@@ -205,8 +197,8 @@ def localize(bits: Sequence[DetectionBit], domain: tuple[float, float]) -> Alias
 
     The result contains the true source whenever the bits came from one;
     its granularity is half the shortest wavelength involved.  Raises
-    :class:`InconsistentBitsError` when the intersection is empty, which
-    signals bits that cannot share a source.
+    ValueError when the intersection is empty, which signals bits that
+    cannot share a source.
     """
     *_, result = localize_prefixes(bits, domain, len(bits))
     return result

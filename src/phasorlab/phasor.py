@@ -27,9 +27,6 @@ class PolarizationPhasor:
     ex: complex
     ey: complex
 
-    def scaled(self, factor: complex) -> "PolarizationPhasor":
-        return PolarizationPhasor(self.ex * factor, self.ey * factor)
-
     def dot(self, other: "PolarizationPhasor") -> complex:
         """Hermitian dot product <self|other> (conjugates self)."""
         return self.ex.conjugate() * other.ex + self.ey.conjugate() * other.ey

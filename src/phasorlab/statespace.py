@@ -23,14 +23,6 @@ RK4_STABILITY_LIMIT = 2.5
 MAX_EVOLVE_STEPS = 10 ** 11
 
 
-class DegenerateOrderError(ValueError):
-    """Leading coefficient is zero; the stated order is fictitious."""
-
-
-class StabilityError(ValueError):
-    """Fixed step too large for the spectral radius of the evolution."""
-
-
 @dataclass(frozen=True)
 class EvolutionSpec:
     """Coefficients a_0..a_n (ascending) of the unforced evolution."""
@@ -42,7 +34,7 @@ class EvolutionSpec:
         if len(coeffs) < 2:
             raise ValueError("need at least order 1 (two coefficients)")
         if coeffs[-1] == 0:
-            raise DegenerateOrderError("leading coefficient must be nonzero")
+            raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -97,8 +89,8 @@ def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
     so the trajectory lands exactly on the end time; only the states of
     steps 0, every, 2*every, ... are built.  Roots with negative real part
     decay as transients e^{-alpha t}; a step too large for the spectral
-    radius raises :class:`StabilityError` up front, as more than
-    ``MAX_EVOLVE_STEPS`` steps raise ValueError.
+    radius raises ValueError up front, as do more than ``MAX_EVOLVE_STEPS``
+    steps.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -119,7 +111,7 @@ def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
     m = companion_matrix(spec)
     rho = float(np.max(np.abs(np.linalg.eigvals(m))))
     if rho * step > RK4_STABILITY_LIMIT:
-        raise StabilityError(
+        raise ValueError(
             f"step {step:g} exceeds stability bound {RK4_STABILITY_LIMIT:g}/rho"
             f" = {RK4_STABILITY_LIMIT / rho:g}")
 

@@ -187,7 +187,8 @@ def test_prefixes_match_tuple_oracle(seed):
                 for c, z_s in zip(channels, sources) for d in detectors]
         expected = list(tuple_prefixes(bits, domain))
         got = []
-        with pytest.raises(holo.InconsistentBitsError) if None in expected else nullcontext():
+        with (pytest.raises(ValueError, match="inconsistent bits") if None in expected
+              else nullcontext()):
             for alias_set in holo.localize_prefixes(bits, domain, 1):
                 got.append(alias_set)
         assert len(got) == (expected + [None]).index(None)
@@ -225,7 +226,7 @@ def test_edge_tolerance_scales_with_a_short_domain(channel, domain, source):
 
 def test_empty_domain_rejected():
     bit = holo.DetectionBit(0.0, CH1, 0.0, 0)
-    with pytest.raises(holo.EmptyDomainError):
+    with pytest.raises(ValueError, match="domain must have positive length"):
         holo.alias_intervals(bit, (4.0, 4.0))
 
 
@@ -371,7 +372,8 @@ def test_inconsistent_bits_raise():
                     holo.forward_bit(z_b, 0.25, CH1, 0.0)]
             try:
                 holo.localize(bits, DOMAIN)
-            except holo.InconsistentBitsError:
+            except ValueError as exc:
+                assert "inconsistent bits" in str(exc)
                 found = True
                 break
         if found:
@@ -411,7 +413,8 @@ def test_two_detector_coincidence_parity_rule(z_s, half_steps, flip):
     consistent = True
     try:
         holo.localize([b1, b2], DOMAIN)
-    except holo.InconsistentBitsError:
+    except ValueError as exc:
+        assert "inconsistent bits" in str(exc)
         consistent = False
     assert consistent == (not flip)
 
@@ -439,5 +442,5 @@ def test_density_decreases_with_channels():
 def test_density_requires_channels_and_domain():
     with pytest.raises(ValueError):
         holo.alias_density([], DOMAIN)
-    with pytest.raises(holo.EmptyDomainError):
+    with pytest.raises(ValueError, match="domain must have positive length"):
         holo.alias_density([CH1], (1.0, 1.0))

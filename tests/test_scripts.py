@@ -133,12 +133,6 @@ def public_definitions(path):
                            member.lineno, member.end_lineno)
 
 
-# S = W - E t and a grid at another time: nothing reads them while hj prints only
-# q-derivatives, which do not depend on --time; whether --time should stay an option
-# is an open question of the CLI contract, and these two are its answer if it stays
-UNREACHED_ON_PURPOSE = ["hj.PrincipalFunctionGrid.s_values", "hj.PrincipalFunctionGrid.at_time"]
-
-
 def test_every_public_name_is_reached():
     # a name is reached when some line outside its own definition names it: in the
     # package, a script, the benchmark or the acceptance tests, not in its unit tests
@@ -154,4 +148,4 @@ def test_every_public_name_is_reached():
                        for number, line in enumerate(text, start=1)
                        if not (path == module and first <= number <= last)):
                 unreached.append(f"{module.stem}.{name}")
-    assert unreached == UNREACHED_ON_PURPOSE
+    assert unreached == []
