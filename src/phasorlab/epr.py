@@ -8,7 +8,8 @@ symbolically (plane-wave orthogonality) or numerically as Cesaro-averaged
 integrals of sampled plane-wave fields.  Amplitudes are taken at unit
 field: with unit analyzers the joint table over x/y outcomes is
 {0, i, 1, 0} across the two parities, and at field E every amplitude
-scales as E^2.
+scales as E^2.  The grid kernel :func:`joint_probabilities` evaluates the
+closed form for two cells per angle pair and mirrors the other two.
 """
 
 from __future__ import annotations
@@ -102,48 +103,42 @@ def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
     return total
 
 
-def joint_amplitudes(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
-                     convention: str = "sum", *,
-                     window_wavelengths: float = 1e4) -> np.ndarray:
-    """Amplitude tables over (along, perpendicular) outcomes per detector.
+def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
+                        convention: str = "sum", *,
+                        window_wavelengths: float = 1e4) -> np.ndarray:
+    """Coincidence probability tables over (along, perpendicular) outcomes per detector.
 
     Each angle may be a number or an array; the result has shape
     shape(theta1) + shape(theta2) + (2, 2), one table per grid point.  Entry
-    [..., i, j] is the amplitude for detector 1 firing along theta1 + i*pi/2
+    [..., i, j] is the probability that detector 1 fires along theta1 + i*pi/2
     and detector 2 along theta2 + j*pi/2.  With the angles a, b reduced mod
     pi, :func:`pair_amplitude` is the closed form (1/2)(e^{i(a+b)} +
-    s e^{-i(a+b)}).  The ``difference`` convention mirrors detector 2
-    (theta2 -> -theta2), the handedness choice left open by the
-    correlation sign.
+    s e^{-i(a+b)}): cos(a+b) or i sin(a+b).  It depends on a+b alone, and
+    turning both analyzers a quarter turn adds pi to it, so only the (x,x)
+    and (x,y) cells are evaluated; (y,y) and (y,x) are their copies.  The
+    ``difference`` convention mirrors detector 2 (theta2 -> -theta2), the
+    handedness choice left open by the correlation sign.  A field scale E
+    would multiply every amplitude by E^2 and cancel here.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
-    quarter = np.array([0.0, math.pi / 2])
-    a = np.mod(t1.reshape(-1, 1) + quarter, math.pi)
-    b = np.mod((t2 if convention == "sum" else -t2).reshape(-1, 1) + quarter, math.pi)
-    phase = (a[:, None, :, None] + b[None, :, None, :]).reshape(t1.shape + t2.shape + (2, 2))
-    table = np.cos(phase) if pair.parity == "plus" else 1j * np.sin(phase)
+    b = np.mod((t2 if convention == "sum" else -t2).reshape(-1, 1) + [0.0, math.pi / 2], math.pi)
+    # (n1, n2, 2) phases: detector 1 along theta1, detector 2 along and across theta2.
+    # ``cells`` is rebound at each step, so one intermediate at a time is alive.
+    cells = np.mod(t1, math.pi).reshape(-1, 1, 1) + b
+    cells = np.cos(cells) if pair.parity == "plus" else 1j * np.sin(cells)
     if mode == "numeric":
         # the projection is linear in the phasor components: each numeric detector
         # amplitude is the symbolic one times the unit carrier's self-overlap at z = 0
         unit = analyzer_phasor(0.0)
         overlap = _numeric_projection(unit, unit, window_wavelengths)
-        table = overlap * overlap * table
-    return table
-
-
-def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
-                        convention: str = "sum", **numeric_options) -> np.ndarray:
-    """Normalized probability tables matching :func:`joint_amplitudes`.
-
-    A field scale E would multiply every amplitude by E^2 and cancel here.
-    """
-    weights = np.abs(joint_amplitudes(theta1, theta2, pair, mode, convention,
-                                      **numeric_options)) ** 2
-    return weights / weights.sum(axis=(-2, -1), keepdims=True)
+        cells = overlap * overlap * cells
+    cells = np.abs(cells) ** 2
+    cells /= 2.0 * (cells[..., :1] + cells[..., 1:])
+    return cells[..., [[0, 1], [1, 0]]].reshape(t1.shape + t2.shape + (2, 2))
 
 
 def correlation_E(theta1, theta2, pair: PhotonPairState, convention: str = "sum"):

@@ -114,6 +114,35 @@ def test_epr_huge_angle_keeps_the_quarter_turn(theta1, reduced, parity, capsys):
     assert corr == pytest.approx(sign * math.cos(2 * math.radians(float(reduced))), abs=1e-15)
 
 
+def assert_printed_table_symmetric(out):
+    header, *rows = out.splitlines()
+    for row in rows:
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["P_xx"] == cells["P_yy"] and cells["P_xy"] == cells["P_yx"], cells
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(st.floats(-1e308, 1e308, allow_nan=False), st.floats(-1e308, 1e308, allow_nan=False),
+       st.sampled_from(epr.PARITIES), st.sampled_from(epr.CONVENTIONS))
+def test_epr_printed_table_is_symmetric(theta1, theta2, parity, convention):
+    # degrees up to 1e308: P_xx and P_yy print the same string, and so do P_xy and P_yx
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.run(["epr", "--theta1", repr(theta1), "--theta2", repr(theta2),
+                        "--parity", parity, "--convention", convention]) == 0
+    assert_printed_table_symmetric(out.getvalue())
+
+
+# the per-cell reduction once printed P_xy 1.69e-32 against P_yx 1.87e-33 on the first,
+# and P_xx 7.5e-33 against P_yy 0 on the second
+@pytest.mark.parametrize("argv", [
+    ["epr", "--theta1", "1e308", "--theta2", "-1e308"],
+    ["epr", "--theta1", "90", "--theta2", "90", "--convention", "difference", "--parity", "minus"],
+], ids=["opposite-huge-angles", "crossed-minus-difference"])
+def test_epr_regression_prints_a_symmetric_table(argv, capsys):
+    assert cli.run(argv) == 0
+    assert_printed_table_symmetric(capsys.readouterr().out)
+
+
 # --- cavity subcommand -------------------------------------------------------------
 
 def test_cavity_double_run_byte_identical(tmp_path):
@@ -1112,6 +1141,11 @@ def test_oversized_sweep_exit_2(capsys):
     assert_config_error(["epr", "--theta1", "0:1:1000000000000000"],
                         "sweep count 1000000000000000 is above the limit of 1e+06", capsys)
     assert time.monotonic() - start < 5.0
+
+
+def test_overflowing_sweep_span_names_itself(capsys):
+    assert_config_error(["epr", "--theta1", "-1e308:1e308:3"], "bad value for key 'theta1':"
+                        " sweep span stop - start = inf is not finite\n", capsys)
 
 
 @pytest.mark.parametrize("value", ["1:2", "0:1:2:3", ":"])

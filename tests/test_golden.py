@@ -21,12 +21,12 @@ MANY_RATIOS = ",".join("%.6g" % x for x in np.geomspace(0.5, 5.0, 1000))
 
 GOLDEN = [
     (["epr", "--theta1", "0:180:7", "--theta2=-30:60:4"],
-     "d848300656ca38ded61cab066145c3d76ebd06eb1b2126df3b4ff256723f89f9"),
+     "327db05a2ad8cafe473b4dce677f6965b43a341dce33a439e0693433aedaa446"),
     (["epr", "--theta1", "10:80:5", "--theta2", "15", "--parity", "minus",
       "--convention", "difference", "--format", "json"],
-     "e95b7055d681e70e4eb10d2fd6a77a53e7e99c707d9c1f5de964255ec4e61221"),
+     "edfc0f1438a1c6387818a0b8142272d25cd1139decfb2d35aad42a1111734b67"),
     (["epr", "--mode", "numeric", "--theta1", "0.3:90.3:6"],
-     "9c2fb0efcac95e0a1a9726e3dffa0548aaf7645148abf3d0ec201fab3fde9250"),
+     "670284332314bc3c2ee95ad02042e8f8cce113ea8794ccbd5f676737d9ea1244"),
     (["holo", "--channels", "1,2,3", "--detectors", "0,0.3", "--source", "2.3"],
      "ee4b2aa2d33a03af3a32d64d4882a3a1562ab3dd2d4787ba4df5b778e8b932a2"),
     (["holo", "--channels", "1,2,3", "--source", "2.3", "--format", "json"],
@@ -57,10 +57,10 @@ GOLDEN = [
     # the benchmark's epr-grid shape: 120 x 120 angles from non-integer starts, so most
     # E and P values repeat many times across the 14,400 rows
     (["epr", "--theta1", "0.318532:180.318532:120", "--theta2", "0.734019:180.734019:120"],
-     "c0cb179ba56f523e225281f80692e4509019222d2489b2b403fab7705ca274cc"),
+     "30f865ef2b38c80b0011db4c7b6a5fe1a52132a3f417555bdfe419d01db632c1"),
     (["epr", "--theta1", "0.318532:180.318532:120", "--theta2", "0.734019:180.734019:120",
       "--format", "json"],
-     "af257761b82f80e03e3e382ff4c7ba94a2009f22f87591ca0f7daec63748f0a4"),
+     "ce6754aa5e26c7f1b579e70acc8ec290cfe9d3a7a1c6a925c6fb1f974453f271"),
     # the benchmark's two cavity shapes, and a burn-in that ends mid-chunk past two chunk edges
     (["cavity", "--hf-over-kt", "0.5,1,2,5", "--steps", "4000000", "--seed", "12345"],
      "0619e1bb2c4a0fa2fd602b648054cdc6f64577fe4a33966a0420cbd7bf426bd9"),
