@@ -37,6 +37,8 @@ PLANCK_UNDERFLOW_X = 700.0
 CHUNK = 2 ** 16
 # a sweep runs at most this many steps over all its chains (about 20 s at 20 ns/step on one CPU)
 MAX_SWEEP_STEPS = 10 ** 9
+# transition_flow_ratios skips a level with fewer transitions than this either way
+FLOW_RATIO_MIN_COUNT = 25
 # geometric_chi_square merges the bins whose expected count is below this into one tail
 CHI_SQUARE_MIN_EXPECTED = 5.0
 
@@ -63,24 +65,21 @@ class ThermalBath:
 
 @dataclass(frozen=True)
 class ModeFamily:
-    """Harmonic family with member ``occupancy`` energized (0 = none)."""
+    """Harmonic family of lobe energy h f with member ``occupancy`` energized (0 = none)."""
 
-    base_frequency: float
     occupancy: int = 0
     lobe_energy: float = field(kw_only=True)
 
     def __post_init__(self):
-        if not self.base_frequency > 0.0:
-            raise ValueError("base frequency must be positive")
         if self.occupancy < 0:
             raise ValueError("occupancy must be non-negative")
         if not 0.0 < self.lobe_energy < math.inf:
             raise ValueError(f"lobe energy must be positive and finite, got {self.lobe_energy:g}")
 
     @classmethod
-    def in_bath(cls, frequency: float, bath: ThermalBath,
-                occupancy: int = 0) -> "ModeFamily":
-        return cls(frequency, occupancy, lobe_energy=bath.planck_h * frequency)
+    def in_bath(cls, frequency: float, bath: ThermalBath) -> "ModeFamily":
+        """The unenergized family of ``frequency``; a frequency that is not positive is refused."""
+        return cls(lobe_energy=bath.planck_h * frequency)
 
 
 class PlanckEnergy(NamedTuple):
@@ -124,22 +123,18 @@ def jitter_step(family: ModeFamily, bath: ThermalBath,
     u = rng.random()
     delta, metropolis_u = (1, 2.0 * u) if u < 0.5 else (-1, 2.0 * u - 1.0)
     if metropolis_u < acceptance_probability(family, bath, delta):
-        return ModeFamily(family.base_frequency, family.occupancy + delta,
-                          lobe_energy=family.lobe_energy)
+        return ModeFamily(family.occupancy + delta, lobe_energy=family.lobe_energy)
     return family
 
 
 @dataclass(frozen=True)
 class ChainStatistics:
-    """Post-burn-in summary of the chain ``equilibrate`` keeps whole, with its ``np.bincount``."""
+    """The kept steps of the chain ``equilibrate`` runs, their ``np.bincount`` and mean energy."""
 
     steps: int
     occupancies: np.ndarray
     occupancy_histogram: np.ndarray
-    mean_occupancy: float
     mean_energy: float
-    mean_energy_stderr: float
-    acceptance_rate: float
 
 
 class _ChainBuffers:
@@ -168,7 +163,6 @@ def _kept_steps(steps: int, burn_in: int) -> int:
 class _ChainSums(NamedTuple):
     """Exact integer tallies of a block of chains, one entry or row per chain."""
 
-    last: np.ndarray     # the last occupancy
     total: np.ndarray    # the sum of the kept occupancies
     batches: np.ndarray  # sums over min(32, kept) equal batches of the kept steps
     moves: np.ndarray    # accepted moves over all the steps, burn-in included
@@ -230,7 +224,7 @@ def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
                 edges = np.maximum(np.arange(i - i % batch_len, j, batch_len), i) - i
                 batches[:, i // batch_len:][:, :edges.size] += np.add.reduceat(
                     occ[:, :j - i], edges, axis=1)
-    return _ChainSums(last, total, batches, moves)
+    return _ChainSums(total, batches, moves)
 
 
 def _statistics(sums: _ChainSums, steps: int, burn_in: int) -> tuple[np.ndarray, ...]:
@@ -248,24 +242,23 @@ def _statistics(sums: _ChainSums, steps: int, burn_in: int) -> tuple[np.ndarray,
 
 def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
                 burn_in: int, rng: np.random.Generator) -> ChainStatistics:
-    """Run the jitter chain and summarize its equilibrium statistics.
+    """Run the jitter chain from ``family`` and keep its steps after the burn-in.
 
     The occupancy histogram converges to the geometric law
-    P(n) = (1 - q) q^n with q = e^{-hf/k_B T}; the standard error of the
-    mean energy comes from 32 batch means.  The chain is a one-row block
-    whose buffer of max(burn_in, steps - burn_in) steps runs the burn-in
-    and the kept steps as one segment each, which keeps the kept chain
-    whole.
+    P(n) = (1 - q) q^n with q = e^{-hf/k_B T}, and the mean energy to the
+    Planck form.  The chain is a one-row block whose buffer of
+    max(burn_in, steps - burn_in) steps runs the burn-in and the kept steps
+    as one segment each, which keeps the kept chain whole.
     """
     kept = _kept_steps(steps, burn_in)
     buf = _ChainBuffers(1, max(burn_in, kept))
     # the uphill acceptance of the scalar reference, not a re-derivation of it
     q = acceptance_probability(family, bath, 1)
     sums = _run_chains([q], [family.occupancy], steps, burn_in, [rng], buf)
-    mean, stderr, acceptance = (column.item() for column in _statistics(sums, steps, burn_in))
+    mean = (sums.total / kept).item()
     occupancies = buf.walk[0, :kept]
-    return ChainStatistics(steps, occupancies, np.bincount(occupancies), mean,
-                           mean * family.lobe_energy, stderr * family.lobe_energy, acceptance)
+    return ChainStatistics(steps, occupancies, np.bincount(occupancies),
+                           mean * family.lobe_energy)
 
 
 class SweepColumns(NamedTuple):
@@ -389,17 +382,15 @@ class FlowRatio(NamedTuple):
     level: int
     ratio: float
     log_sigma: float
-    up_count: int
-    down_count: int
 
 
-def transition_flow_ratios(occupancies: np.ndarray, min_count: int = 25) -> list[FlowRatio]:
+def transition_flow_ratios(occupancies: np.ndarray) -> list[FlowRatio]:
     """Empirical detailed-balance check per adjacent occupancy pair.
 
     For each level n, the ratio of the measured conditional rates
     P(n -> n+1) / P(n+1 -> n); in equilibrium this is e^{-hf/k_B T}.
     ``log_sigma`` is the delta-method error of log(ratio); levels with
-    fewer than ``min_count`` transitions either way are skipped.
+    fewer than ``FLOW_RATIO_MIN_COUNT`` transitions either way are skipped.
     """
     occ = np.asarray(occupancies)
     prev, nxt = occ[:-1], occ[1:]
@@ -412,12 +403,12 @@ def transition_flow_ratios(occupancies: np.ndarray, min_count: int = 25) -> list
     out = []
     for n in range(levels - 1):
         ups, downs = int(jumps[n, 3]), int(jumps[n + 1, 1])
-        if min(ups, downs) < min_count:
+        if min(ups, downs) < FLOW_RATIO_MIN_COUNT:
             continue
         p_up = ups / int(visits[n])
         p_down = downs / int(visits[n + 1])
         sigma = math.sqrt((1.0 - p_up) / ups + (1.0 - p_down) / downs)
-        out.append(FlowRatio(n, p_up / p_down, sigma, ups, downs))
+        out.append(FlowRatio(n, p_up / p_down, sigma))
     return out
 
 

@@ -466,13 +466,14 @@ def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
                                   " 'hf-over-kt' already fixes h = k_B = T = 1")
         freqs = ratios
     bath = cavity.ThermalBath(*(1.0 if opts[k] is None else opts[k] for k in bath_keys))
-    f, mean, stderr, closed, rel, acc = cavity.spectrum_sweep(
-        freqs, bath, opts["steps"], opts["burn-in"], opts["seed"])
+    sweep = cavity.spectrum_sweep(freqs, bath, opts["steps"], opts["burn-in"], opts["seed"])
     header = ["f", "T", "mc_mean_energy", "mc_stderr", "closed_form",
               "rel_error", "acceptance_rate", "steps", "seed"]
-    n = f.size
-    return header, [f, np.full(n, bath.temperature), mean, stderr, closed, rel, acc,
-                    np.full(n, opts["steps"]), np.full(n, opts["seed"], dtype=np.uint64)]
+    n = sweep.frequency.size
+    return header, [sweep.frequency, np.full(n, bath.temperature), sweep.mc_mean_energy,
+                    sweep.mc_stderr, sweep.closed_form, sweep.relative_error,
+                    sweep.acceptance_rate, np.full(n, opts["steps"]),
+                    np.full(n, opts["seed"], dtype=np.uint64)]
 
 
 def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:

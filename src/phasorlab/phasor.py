@@ -1,11 +1,11 @@
 """Phasor arithmetic, plane waves, and oscillatory-integral machinery.
 
 Complex amplitudes are plain Python/numpy complex numbers.  A plane wave
-is a scalar or a pair of polarization components riding e^{ikz}; sampled
-fields hold such phasors on a shared z grid.  The inner products
-here are windowed averages: cross terms between distinct wavenumbers decay
-like 1/(dk * window) and vanish in the infinite-window (symbolic) limit,
-which is the orthogonality rule every engine above this module relies on.
+is a pair of polarization components riding e^{ikz}; sampled fields hold
+such phasors on a shared z grid.  The inner products here are windowed
+averages: cross terms between distinct wavenumbers decay like
+1/(dk * window) and vanish in the infinite-window (symbolic) limit, which
+is the orthogonality rule every engine above this module relies on.
 """
 
 from __future__ import annotations
@@ -34,10 +34,7 @@ class PolarizationPhasor:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Phasor field sampled on an ascending z grid.
-
-    ``values`` is (n,) for a scalar field or (n, 2) for a polarized one.
-    """
+    """Polarized phasor field on an ascending z grid: (n, 2) values, one column a component."""
 
     z: np.ndarray
     values: np.ndarray
@@ -49,24 +46,17 @@ class SampledField:
             raise ValueError("grid must be 1-D with at least two points")
         if np.any(np.diff(z) <= 0):
             raise ValueError("grid must be strictly ascending")
-        if v.shape[0] != z.size:
-            raise ValueError("values and grid lengths differ")
+        if v.shape != (z.size, 2):
+            raise ValueError(f"values must be ({z.size}, 2) on this grid, got {v.shape}")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "values", v)
 
 
-def plane_wave(wavenumber: float, z: np.ndarray,
-               amplitude: complex | PolarizationPhasor = 1.0) -> SampledField:
-    """Plane wave amplitude * e^{ikz} on a grid, the traveling wave at t = 0.
-
-    A scalar amplitude gives (n,) values; a :class:`PolarizationPhasor`
-    gives (n, 2) values, one column per field component.
-    """
+def plane_wave(wavenumber: float, z: np.ndarray, amplitude: PolarizationPhasor) -> SampledField:
+    """Plane wave amplitude * e^{ikz} on a grid, the traveling wave at t = 0: (n, 2) values."""
     z = np.asarray(z, dtype=float)
     carrier = np.exp(1j * (wavenumber * z))
-    if isinstance(amplitude, PolarizationPhasor):
-        return SampledField(z, np.stack([amplitude.ex * carrier, amplitude.ey * carrier], -1))
-    return SampledField(z, amplitude * carrier)
+    return SampledField(z, np.stack([amplitude.ex * carrier, amplitude.ey * carrier], -1))
 
 
 def cesaro_inner_product(f: SampledField, g: SampledField, window: float) -> complex:
@@ -86,16 +76,12 @@ def cesaro_inner_product(f: SampledField, g: SampledField, window: float) -> com
     """
     if f.z.shape != g.z.shape or not np.array_equal(f.z, g.z):
         raise ValueError("fields must be sampled on the same grid")
-    if f.values.shape != g.values.shape:
-        raise ValueError("field component shapes differ")
     if not window > 0.0:
         raise ValueError("window must be positive")
     if f.z[-1] - f.z[0] < window * (1.0 - 1e-12):
         raise ValueError("grid span is smaller than the averaging window")
 
-    integrand = np.conj(f.values) * g.values
-    if integrand.ndim == 2:
-        integrand = integrand.sum(axis=1)
+    integrand = (np.conj(f.values) * g.values).sum(axis=1)
 
     z0 = f.z[0]
     partials = []

@@ -26,7 +26,7 @@ from phasorlab.cavity import (
 )
 from phasorlab.seeding import derive_rng
 
-BATH = ThermalBath(1.0)  # natural units: hf/k_B T = f
+BATH = ThermalBath(1.0)  # natural units: hf/k_B T = f, and a family's lobe energy is f
 
 
 class QueuedRng:
@@ -50,28 +50,41 @@ def jitter_loop(family, bath, uniforms):
     return occ
 
 
-def summary(chain):
-    """Mean occupancy, mean energy, its standard error and acceptance rate of a chain."""
-    return chain.mean_occupancy, chain.mean_energy, chain.mean_energy_stderr, chain.acceptance_rate
-
-
 def run_block(families, steps, burn_in, rngs, width):
     """The chains of ``families`` side by side in one kernel block ``width`` steps wide.
 
-    Returns the block's tallies and each chain's ``summary``, from the block's columns.
+    Returns each chain's mean occupancy, mean energy, its standard error and acceptance
+    rate, from the block's ``_statistics`` columns.
     """
     sums = cavity._run_chains([acceptance_probability(f, BATH, 1) for f in families],
                               [f.occupancy for f in families], steps, burn_in, rngs,
                               cavity._ChainBuffers(len(families), width))
     mean, stderr, acceptance = cavity._statistics(sums, steps, burn_in)
     lobes = np.array([f.lobe_energy for f in families])
-    return sums, list(zip(mean.tolist(), (mean * lobes).tolist(), (stderr * lobes).tolist(),
-                          acceptance.tolist()))
+    return list(zip(mean.tolist(), (mean * lobes).tolist(), (stderr * lobes).tolist(),
+                    acceptance.tolist()))
 
 
 def stream_chain(family, steps, burn_in, rng, width):
-    """One chain as a one-row block: its ``summary``, without the occupancies."""
-    return run_block([family], steps, burn_in, [rng], width)[1][0]
+    """One chain as a one-row block: its ``run_block`` statistics."""
+    return run_block([family], steps, burn_in, [rng], width)[0]
+
+
+def loop_statistics(family, burn_in, occ):
+    """``run_block``'s statistics of the chain from ``family`` through the occupancies ``occ``.
+
+    The standard error is that of the means of min(32, kept) equal batches of the kept
+    steps, the remainder dropped.
+    """
+    kept = occ[burn_in:]
+    n_batches = min(32, kept.size)
+    batch_len = kept.size // n_batches
+    batches = kept[:n_batches * batch_len].reshape(n_batches, batch_len).sum(axis=1)
+    stderr = ((batches / batch_len).std(ddof=1) / math.sqrt(n_batches) if n_batches > 1
+              else math.inf)
+    mean = kept.sum() / kept.size
+    moves = np.count_nonzero(np.diff(occ, prepend=family.occupancy))
+    return mean, mean * family.lobe_energy, stderr * family.lobe_energy, moves / occ.size
 
 
 def sweep_row(sweep, i):
@@ -83,21 +96,24 @@ def sweep_row(sweep, i):
 
 def test_mode_family_harmonic_structure():
     bath = ThermalBath(2.0, boltzmann_k=3.0, planck_h=0.5)
-    family = ModeFamily.in_bath(4.0, bath, occupancy=3)
+    family = ModeFamily.in_bath(4.0, bath)
     assert family.lobe_energy == 0.5 * 4.0
-    assert family.occupancy == 3
+    assert family.occupancy == 0
+    assert ModeFamily(3, lobe_energy=2.0).occupancy == 3
     # lobe energy per unit frequency recovers h for every family
     for f in (0.5, 1.0, 7.25):
         assert ModeFamily.in_bath(f, bath).lobe_energy / f == pytest.approx(0.5)
 
 
 def test_mode_family_validation():
+    # a frequency that is not positive gives a lobe energy that is not
+    for frequency in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="lobe energy must be positive"):
+            ModeFamily.in_bath(frequency, BATH)
     with pytest.raises(ValueError):
-        ModeFamily(0.0, lobe_energy=1.0)
-    with pytest.raises(ValueError):
-        ModeFamily(1.0, occupancy=-1, lobe_energy=1.0)
+        ModeFamily(-1, lobe_energy=1.0)
     with pytest.raises(TypeError):  # the lobe energy has no default
-        ModeFamily(1.0)
+        ModeFamily(1)
     with pytest.raises(ValueError):
         ThermalBath(-1.0)
 
@@ -105,20 +121,20 @@ def test_mode_family_validation():
 # --- single jitter steps -------------------------------------------------------
 
 def test_downhill_always_accepted():
-    family = ModeFamily.in_bath(1.0, BATH, occupancy=3)
+    family = ModeFamily(3, lobe_energy=1.0)
     for u in (0.5, 0.999999):
         assert jitter_step(family, BATH, QueuedRng([u])).occupancy == 2
 
 
 def test_floor_proposal_rejected_outright():
-    family = ModeFamily.in_bath(1.0, BATH, occupancy=0)
+    family = ModeFamily(0, lobe_energy=1.0)
     stepped = jitter_step(family, BATH, QueuedRng([0.5]))
     assert stepped.occupancy == 0
     assert acceptance_probability(family, BATH, -1) == 0.0
 
 
 def test_uphill_acceptance_probability():
-    family = ModeFamily.in_bath(1.0, BATH, occupancy=4)
+    family = ModeFamily(4, lobe_energy=1.0)
     assert acceptance_probability(family, BATH, +1) == pytest.approx(math.exp(-1))
     # uniforms below 1/2 propose n + 1; their accepted share brackets e^{-1}
     accepted = sum(
@@ -133,11 +149,11 @@ def test_mode_family_refuses_non_positive_lobe_energy(lobe):
     # the kernel accepts every downhill move, which jitter_step does only for a positive
     # lobe: with lobe -1 the two walks part (n = 17 against n = 597 after 2000 steps)
     with pytest.raises(ValueError, match="lobe energy must be positive"):
-        ModeFamily(1.0, occupancy=5, lobe_energy=lobe)
+        ModeFamily(5, lobe_energy=lobe)
 
 
 def test_jitter_preserves_lobe_energy():
-    family = ModeFamily.in_bath(2.5, BATH, occupancy=1)
+    family = ModeFamily(1, lobe_energy=2.5)
     stepped = jitter_step(family, BATH, QueuedRng([0.0]))
     assert stepped.occupancy == 2
     assert stepped.lobe_energy == family.lobe_energy
@@ -149,20 +165,21 @@ def test_vectorized_chain_matches_stepwise_loop():
     # oracle: the paper's move, jitter_step, looped over the kernel's own uniforms
     steps = 5000
     for family, bath in [
-        (ModeFamily.in_bath(0.8, BATH, occupancy=2), BATH),
+        (ModeFamily(2, lobe_energy=0.8), BATH),
         # lobe energy 1 in a bath with h = 2: uphill moves pass with e^{-1}, not e^{-2}
-        (ModeFamily(1.0, occupancy=2, lobe_energy=1.0), ThermalBath(1.0, planck_h=2.0)),
+        (ModeFamily(2, lobe_energy=1.0), ThermalBath(1.0, planck_h=2.0)),
     ]:
         chain = equilibrate(family, bath, steps, 0, derive_rng(11, "cavity", 0))
         occ_loop = jitter_loop(family, bath, derive_rng(11, "cavity", 0).random(steps))
         assert np.array_equal(chain.occupancies, occ_loop)
-        moves = np.count_nonzero(np.diff(occ_loop, prepend=family.occupancy))
-        assert chain.acceptance_rate == moves / steps
+        # run_block takes q in BATH, whose k_B T is this bath's too
+        block = stream_chain(family, steps, 0, derive_rng(11, "cavity", 0), steps)
+        assert block == loop_statistics(family, 0, occ_loop)
 
 
 def test_equilibrate_uses_the_family_lobe_energy():
     # lobe energy 1 in a bath with h = 2: the family's own law has q = e^{-1}
-    family = ModeFamily(1.0, lobe_energy=1.0)
+    family = ModeFamily(lobe_energy=1.0)
     chain = equilibrate(family, ThermalBath(1.0, planck_h=2.0), 10 ** 6, 10 ** 4,
                         derive_rng(3, "cavity", 0))
     closed = planck_expectation(1.0, BATH).energy  # lobe 1 at k_B T = 1: 0.582
@@ -186,7 +203,8 @@ def test_equilibrate_frozen_at_low_temperature():
     # hf/k_B T = 50: the chain cannot leave n = 0 (third-law freeze-out)
     family = ModeFamily.in_bath(50.0, BATH)
     chain = equilibrate(family, BATH, 10 ** 6, 10 ** 4, derive_rng(5, "cavity", 0))
-    assert chain.mean_occupancy <= 1e-12
+    assert not chain.occupancies.any()
+    assert chain.mean_energy == 0.0
 
 
 def test_equilibrate_matches_planck_at_unit_ratio():
@@ -201,8 +219,10 @@ def test_equilibrate_histogram_mass_and_acceptance():
     family = ModeFamily.in_bath(1.0, BATH)
     chain = equilibrate(family, BATH, 200_000, 5_000, derive_rng(2, "cavity", 0))
     assert chain.occupancy_histogram.sum() == 200_000 - 5_000
-    assert 0.0 < chain.acceptance_rate < 1.0
-    assert chain.mean_energy_stderr > 0.0
+    _, _, stderr, acceptance = stream_chain(family, 200_000, 5_000, derive_rng(2, "cavity", 0),
+                                            cavity.CHUNK)
+    assert 0.0 < acceptance < 1.0
+    assert stderr > 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         chain.occupancies = None
 
@@ -233,14 +253,9 @@ def test_classical_limit_chain_ensemble():
     chains = 30_000
     length = 300
     n0 = rng.geometric(1.0 - q, size=chains) - 1
-    # blocks of chains side by side; each row takes the shared stream's next draws in turn
-    block = cavity.CHUNK // length
-    buf = cavity._ChainBuffers(block, length)
-    total = 0
-    for lo in range(0, chains, block):
-        starts = n0[lo:lo + block]
-        sums = cavity._run_chains([q] * starts.size, starts, length, 0, [rng] * starts.size, buf)
-        total += int(sums.last.sum())
+    # one chain after another, each taking the shared stream's next draws
+    total = sum(int(equilibrate(ModeFamily(int(n), lobe_energy=x), BATH, length, 0,
+                                rng).occupancies[-1]) for n in n0)
     mean_energy = x * total / chains  # lobe energy x per occupancy unit
     assert abs(mean_energy - 1.0) < 0.03
 
@@ -349,28 +364,29 @@ CHUNK = cavity.CHUNK
 ])
 @pytest.mark.parametrize("frequency", [0.4, 2.0])
 def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
-    family = ModeFamily.in_bath(frequency, BATH, occupancy=n0)
+    family = ModeFamily(n0, lobe_energy=frequency)
     whole = equilibrate(family, BATH, steps, burn_in, derive_rng(21, "cavity", 4))
     streamed = stream_chain(family, steps, burn_in, derive_rng(21, "cavity", 4), CHUNK)
-    assert streamed == summary(whole)
+    # equilibrate's layout: the burn-in and the kept steps one segment each
+    assert streamed == stream_chain(family, steps, burn_in, derive_rng(21, "cavity", 4),
+                                    max(burn_in, steps - burn_in))
+    assert streamed[:2] == (whole.occupancies.sum() / (steps - burn_in), whole.mean_energy)
     assert np.array_equal(whole.occupancy_histogram, np.bincount(whole.occupancies))
     assert whole.occupancy_histogram.sum() == steps - burn_in
 
 
 def check_chain_against_loop(n0, frequency, steps, burn_in, chunk):
     """Streamed chain, whole chain and stepwise loop agree on one stream."""
-    family = ModeFamily.in_bath(frequency, BATH, occupancy=n0)
+    family = ModeFamily(n0, lobe_energy=frequency)
     whole_rng, streamed_rng = derive_rng(17, "cavity", 3), derive_rng(17, "cavity", 3)
     whole = equilibrate(family, BATH, steps, burn_in, whole_rng)
     streamed = stream_chain(family, steps, burn_in, streamed_rng, chunk)
-    assert streamed == summary(whole)
 
     reference = derive_rng(17, "cavity", 3)
     occ = jitter_loop(family, BATH, reference.random(steps))
     assert np.array_equal(whole.occupancies, occ[burn_in:])
-    assert whole.mean_occupancy == occ[burn_in:].sum() / (steps - burn_in)
-    moves = np.count_nonzero(np.diff(occ, prepend=n0))
-    assert whole.acceptance_rate == moves / steps
+    assert streamed == loop_statistics(family, burn_in, occ)
+    assert whole.mean_energy == streamed[1]
     # both chains drew exactly ``steps`` uniforms
     after = reference.random(4)
     assert np.array_equal(whole_rng.random(4), after)
@@ -401,9 +417,11 @@ def test_spectrum_sweep_equals_equilibrate_per_replica():
     steps, burn_in = 2 * CHUNK + 3, 500
     sweep = spectrum_sweep([0.7, 0.7, 3.0], BATH, steps, burn_in, master_seed=9)
     for i, f in enumerate(sweep.frequency):
-        chain = equilibrate(ModeFamily.in_bath(f, BATH), BATH, steps, burn_in,
-                            derive_rng(9, "cavity", i))
-        assert sweep_row(sweep, i) == summary(chain)[1:]
+        family = ModeFamily.in_bath(f, BATH)
+        chain = equilibrate(family, BATH, steps, burn_in, derive_rng(9, "cavity", i))
+        assert sweep.mc_mean_energy[i] == chain.mean_energy
+        assert sweep_row(sweep, i) == stream_chain(family, steps, burn_in,
+                                                   derive_rng(9, "cavity", i), CHUNK)[1:]
 
 
 # --- chains side by side ---------------------------------------------------------------
@@ -417,19 +435,15 @@ def block_streams(count, shared):
 
 def check_block_against_loop(n0s, frequencies, steps, burn_in, width, shared=False):
     """Each row of one kernel block equals ``equilibrate`` and a ``jitter_step`` loop."""
-    families = [ModeFamily.in_bath(f, BATH, occupancy=n) for f, n in zip(frequencies, n0s)]
-    sums, chains = run_block(families, steps, burn_in, block_streams(len(families), shared),
-                             width)
+    families = [ModeFamily(n, lobe_energy=f) for f, n in zip(frequencies, n0s)]
+    chains = run_block(families, steps, burn_in, block_streams(len(families), shared), width)
     whole_rngs, loop_rngs = (block_streams(len(families), shared) for _ in range(2))
     for c, (family, chain) in enumerate(zip(families, chains)):
         whole = equilibrate(family, BATH, steps, burn_in, whole_rngs[c])
-        assert chain == summary(whole)
         occ = jitter_loop(family, BATH, loop_rngs[c].random(steps))
-        assert sums.last[c] == occ[-1]
-        mean_occupancy, _, _, acceptance = chain
-        assert mean_occupancy == occ[burn_in:].sum() / (steps - burn_in)
-        moves = np.count_nonzero(np.diff(occ, prepend=family.occupancy))
-        assert acceptance == moves / steps
+        assert whole.occupancies[-1] == occ[-1]
+        assert chain == loop_statistics(family, burn_in, occ)
+        assert whole.mean_energy == chain[1]
     return chains
 
 
@@ -460,7 +474,9 @@ def test_sweep_blocks_that_do_not_divide_the_chain_count(monkeypatch):
     for i, f in enumerate(frequencies):
         family = ModeFamily.in_bath(f, BATH)
         chain = equilibrate(family, BATH, steps, burn_in, derive_rng(4, "cavity", i))
-        assert sweep_row(sweep, i) == summary(chain)[1:]
+        assert sweep.mc_mean_energy[i] == chain.mean_energy
+        assert sweep_row(sweep, i) == stream_chain(family, steps, burn_in,
+                                                   derive_rng(4, "cavity", i), CHUNK)[1:]
         occ = jitter_loop(family, BATH, derive_rng(4, "cavity", i).random(steps))
         assert sweep.mc_mean_energy[i] == occ[burn_in:].sum() / (steps - burn_in) * f
 
@@ -654,7 +670,7 @@ def test_workers_see_the_callers_errstate(monkeypatch):
 # --- stationary-law checks ----------------------------------------------------------
 
 
-def _flow_ratios_per_level(occupancies, min_count=25):
+def _flow_ratios_per_level(occupancies):
     """Reference: rescan the chain once per level."""
     occ = np.asarray(occupancies)
     prev, nxt = occ[:-1], occ[1:]
@@ -664,12 +680,12 @@ def _flow_ratios_per_level(occupancies, min_count=25):
         visits_n1 = int(np.sum(prev == n + 1))
         ups = int(np.sum((prev == n) & (nxt == n + 1)))
         downs = int(np.sum((prev == n + 1) & (nxt == n)))
-        if min(ups, downs) < min_count:
+        if min(ups, downs) < cavity.FLOW_RATIO_MIN_COUNT:
             continue
         p_up = ups / visits_n
         p_down = downs / visits_n1
         sigma = math.sqrt((1.0 - p_up) / ups + (1.0 - p_down) / downs)
-        out.append(cavity.FlowRatio(n, p_up / p_down, sigma, ups, downs))
+        out.append(cavity.FlowRatio(n, p_up / p_down, sigma))
     return out
 
 
@@ -684,9 +700,8 @@ def test_flow_ratios_match_per_level_reference():
         np.zeros(1000, dtype=np.int64),               # stuck at 0: no levels
     ]
     for occ in chains:
-        for min_count in (1, 25, 400):
-            assert transition_flow_ratios(occ, min_count) == _flow_ratios_per_level(occ, min_count)
-    # the walk's rare top levels fall under min_count and are skipped
+        assert transition_flow_ratios(occ) == _flow_ratios_per_level(occ)
+    # the walk's rare top levels fall under the minimum count and are skipped
     kept = {r.level for r in transition_flow_ratios(walk)}
     assert kept and kept != set(range(int(walk.max())))
     assert transition_flow_ratios(chains[-1]) == []

@@ -1105,8 +1105,8 @@ UNIT_H = statespace.HamiltonianOperator(np.eye(2))
     lambda: cavity.ThermalBath(NAN),
     lambda: cavity.ThermalBath(1.0, NAN),
     lambda: cavity.ThermalBath(1.0, 1.0, NAN),
-    lambda: cavity.ModeFamily(NAN, lobe_energy=1.0),
-    lambda: cavity.ModeFamily(1.0, 0, lobe_energy=NAN),
+    lambda: cavity.ModeFamily.in_bath(NAN, cavity.ThermalBath(1.0)),
+    lambda: cavity.ModeFamily(0, lobe_energy=NAN),
     lambda: cavity.planck_expectation(NAN, cavity.ThermalBath(1.0)),
     lambda: holography.FrequencyChannel(1, NAN),
     lambda: hj.MechanicalSystem(NAN, np.zeros(5)),
@@ -1115,7 +1115,8 @@ UNIT_H = statespace.HamiltonianOperator(np.eye(2))
     lambda: hj.linear_potential_S(0.5, 10.0, NAN, GRID),
     lambda: statespace.HamiltonianOperator(np.eye(2), NAN),
     lambda: statespace.schrodinger_propagate(UNIT_H, np.ones(2), NAN, 1),
-    lambda: phasor.cesaro_inner_product(*[phasor.plane_wave(1.0, GRID)] * 2, NAN),
+    lambda: phasor.cesaro_inner_product(
+        *[phasor.plane_wave(1.0, GRID, phasor.PolarizationPhasor(1.0, 0.0))] * 2, NAN),
 ], ids=["bath-temperature", "bath-k", "bath-h", "family-frequency", "family-lobe",
         "planck-frequency", "channel-wavenumber", "system-mass", "system-hbar",
         "free-mass", "linear-mass", "hamiltonian-hbar", "propagate-dt", "cesaro-window"])

@@ -36,6 +36,11 @@ def test_modulus_finite_nonnegative(a, b):
     assert math.isfinite(abs(a * b))
 
 
+def wave(wavenumber, z, amplitude=1.0):
+    """Plane wave polarized along x: ``amplitude`` in the first component, 0 in the second."""
+    return plane_wave(wavenumber, z, PolarizationPhasor(amplitude, 0.0))
+
+
 def test_plane_wave_polarized_sampling():
     z = np.linspace(0.0, 4.0, 11)
     field = plane_wave(1.5, z, PolarizationPhasor(2.0, 1.0j))
@@ -43,8 +48,15 @@ def test_plane_wave_polarized_sampling():
     assert field.values.shape == (11, 2)
     np.testing.assert_allclose(field.values[:, 0], 2.0 * carrier, atol=1e-14)
     np.testing.assert_allclose(field.values[:, 1], 1.0j * carrier, atol=1e-14)
-    # each column is the scalar plane wave of that component, bit for bit
-    assert np.array_equal(field.values[:, 1], plane_wave(1.5, z, 1.0j).values)
+    # each column is the wave of that component alone, bit for bit
+    assert np.array_equal(field.values[:, 1], wave(1.5, z, 1.0j).values[:, 0])
+    assert not wave(1.5, z, 1.0j).values[:, 1].any()
+
+
+@pytest.mark.parametrize("shape", [(11,), (11, 1), (11, 3), (10, 2)])
+def test_sampled_field_holds_two_components_a_sample(shape):
+    with pytest.raises(ValueError, match="values must be"):
+        SampledField(np.linspace(0.0, 4.0, 11), np.zeros(shape, dtype=complex))
 
 
 # --- windowed overlap of two plane waves -------------------------------------
@@ -71,7 +83,7 @@ def test_overlap_numeric_matches_bruteforce_quadrature():
     # and cesaro_inner_product against the closed form on each of its sub-windows, within
     # the trapezoid's relative error (dk h)^2 / 12 = 3.6e-4 at 32 samples a wavelength
     z = _grid(window, wavenumber=1.5)
-    got = cesaro_inner_product(plane_wave(1.5, z), plane_wave(1.0, z), window)
+    got = cesaro_inner_product(wave(1.5, z), wave(1.0, z), window)
     assert got == pytest.approx(cesaro_closed_form(1.0 - 1.5, z, window), rel=1e-3)
 
 
@@ -80,12 +92,12 @@ def test_overlap_decay_rate():
     # (8 + 4 + 2 + 1)/4 * 2/(dk * window)
     for dk, window in [(0.5, 1e4), (2.0, 5e3), (0.1, 1e4)]:
         z = _grid(window, wavenumber=1.0 + dk)
-        value = cesaro_inner_product(plane_wave(1.0, z), plane_wave(1.0 + dk, z), window)
+        value = cesaro_inner_product(wave(1.0, z), wave(1.0 + dk, z), window)
         assert abs(value) <= 7.5 / (dk * window)
 
 
 def test_overlap_numeric_rejects_bad_window():
-    f = plane_wave(1.0, np.linspace(0.0, 10.0, 101))
+    f = wave(1.0, np.linspace(0.0, 10.0, 101))
     with pytest.raises(ValueError):
         cesaro_inner_product(f, f, 0.0)
     with pytest.raises(ValueError):
@@ -102,7 +114,7 @@ def _grid(window, per_wavelength=32, wavenumber=1.0):
 
 def test_cesaro_self_overlap_is_amplitude_product():
     z = _grid(50.0)
-    f = plane_wave(1.0, z, amplitude=0.5 + 0.25j)
+    f = wave(1.0, z, 0.5 + 0.25j)
     assert cesaro_inner_product(f, f, 50.0) == pytest.approx(abs(0.5 + 0.25j) ** 2)
 
 
@@ -110,8 +122,8 @@ def test_cesaro_cross_term_decay():
     # dk * window = 200*pi; closed-form ladder mean modulus is 6.366e-3
     window = 200 * math.pi
     z = _grid(window, per_wavelength=64)
-    f = plane_wave(1.0, z)
-    g = plane_wave(2.0, z)
+    f = wave(1.0, z)
+    g = wave(2.0, z)
     value = cesaro_inner_product(f, g, window)
     assert abs(value) < 1e-2
     assert abs(value) == pytest.approx(0.006366197723675813, abs=2e-4)
@@ -119,24 +131,24 @@ def test_cesaro_cross_term_decay():
 
 def test_cesaro_zero_field():
     z = _grid(20.0)
-    f = plane_wave(1.0, z)
-    zero = SampledField(z, np.zeros_like(z, dtype=complex))
+    f = wave(1.0, z)
+    zero = SampledField(z, np.zeros((z.size, 2), dtype=complex))
     assert cesaro_inner_product(f, zero, 20.0) == 0.0
 
 
 def test_cesaro_mismatched_grids_rejected():
-    f = plane_wave(1.0, np.linspace(0, 10, 101))
-    g = plane_wave(1.0, np.linspace(0, 10, 102))
+    f = wave(1.0, np.linspace(0, 10, 101))
+    g = wave(1.0, np.linspace(0, 10, 102))
     with pytest.raises(ValueError):
         cesaro_inner_product(f, g, 10.0)
-    h = plane_wave(1.0, np.linspace(0, 5, 101))
+    h = wave(1.0, np.linspace(0, 5, 101))
     with pytest.raises(ValueError):
         cesaro_inner_product(f, h, 10.0)
 
 
 def test_cesaro_window_larger_than_grid_rejected():
     z = np.linspace(0, 10, 101)
-    f = plane_wave(1.0, z)
+    f = wave(1.0, z)
     with pytest.raises(ValueError):
         cesaro_inner_product(f, f, 20.0)
 
@@ -145,8 +157,8 @@ def test_cesaro_window_larger_than_grid_rejected():
 @given(finite_complex, finite_complex, st.floats(0.1, 3.0), st.floats(0.1, 3.0))
 def test_cesaro_conjugate_symmetry(a, b, k1, k2):
     z = np.linspace(0.0, 40.0, 2001)
-    f = plane_wave(k1, z, amplitude=a)
-    g = plane_wave(k2, z, amplitude=b)
+    f = wave(k1, z, a)
+    g = wave(k2, z, b)
     fg = cesaro_inner_product(f, g, 40.0)
     gf = cesaro_inner_product(g, f, 40.0)
     assert abs(fg - gf.conjugate()) <= 1e-12 * max(1.0, abs(fg))
@@ -156,9 +168,9 @@ def test_cesaro_conjugate_symmetry(a, b, k1, k2):
 @given(finite_complex, finite_complex)
 def test_cesaro_linear_in_second_argument(alpha, beta):
     z = np.linspace(0.0, 30.0, 1501)
-    f = plane_wave(1.0, z)
-    g1 = plane_wave(1.7, z)
-    g2 = plane_wave(0.4, z)
+    f = wave(1.0, z)
+    g1 = wave(1.7, z)
+    g2 = wave(0.4, z)
     combo = SampledField(z, alpha * g1.values + beta * g2.values)
     lhs = cesaro_inner_product(f, combo, 30.0)
     rhs = (alpha * cesaro_inner_product(f, g1, 30.0)
@@ -171,8 +183,8 @@ def test_cesaro_symbolic_numeric_agreement():
     for dk in (0.5, 1.0, 2.5):
         window = 1e3 / dk
         z = _grid(window, per_wavelength=32, wavenumber=1.0 + dk)
-        f = plane_wave(1.0, z)
-        g = plane_wave(1.0 + dk, z)
+        f = wave(1.0, z)
+        g = wave(1.0 + dk, z)
         # symbolically, distinct wavenumbers are orthogonal: the overlap is exactly 0
         assert abs(cesaro_inner_product(f, g, window)) < 1e-2
 

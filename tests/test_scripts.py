@@ -112,8 +112,9 @@ def test_bench_jobs_pass_their_checks(workload, tmp_path):
 def public_definitions(path):
     """(name, pattern, first line, last line) of each public name that ``path`` defines.
 
-    A top-level name is matched as a word; a method or property of a public class as
-    ``.name``, and it is reported as ``Class.name``.
+    A top-level name is matched as a word; a method, property or annotated field of a
+    public class (dataclass and NamedTuple fields alike) as ``.name``, and it is
+    reported as ``Class.name``.
     """
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -128,9 +129,14 @@ def public_definitions(path):
                 yield name, rf"\b{name}\b", node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield (f"{node.name}.{member.name}", rf"\.{member.name}\b",
-                           member.lineno, member.end_lineno)
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", rf"\.{name}\b", member.lineno, member.end_lineno
 
 
 def test_every_public_name_is_reached():
