@@ -480,32 +480,30 @@ class ConjugatePairCheck:
     pattern_residual: float
 
 
-def _quadrature_pair(dim: int, hbar: float, rotation: float,
-                     scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated ladder-built canonical pair (u, v) = (s*X_phi, P_phi/s)."""
+def _quadrature_pair(dim: int, rotation: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated ladder-built canonical pair (u, v) = (s*X_phi, P_phi/s), in units of hbar."""
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    x = math.sqrt(hbar / 2.0) * (a * np.exp(-1j * rotation)
-                                 + a.conj().T * np.exp(1j * rotation))
-    p = math.sqrt(hbar / 2.0) * (-1j * a * np.exp(-1j * rotation)
-                                 + 1j * a.conj().T * np.exp(1j * rotation))
+    x = math.sqrt(0.5) * (a * np.exp(-1j * rotation) + a.conj().T * np.exp(1j * rotation))
+    p = math.sqrt(0.5) * (-1j * a * np.exp(-1j * rotation)
+                          + 1j * a.conj().T * np.exp(1j * rotation))
     return scale * x, p / scale
 
 
-def commutator_scale_check(dim: int, hbar: float = 1.0,
-                           rotations: tuple[float, float] = (0.0, 0.6),
+def commutator_scale_check(dim: int,
                            scales: tuple[float, float] = (1.0, 1.0)) -> ConjugatePairCheck:
     """Compare the commutator scale of two independent conjugate pairs.
 
-    Each pair is built from an N-truncated ladder; uv - vu equals
-    K * identity on the leading (N-1)-dimensional block (the truncation
-    corrupts only the last diagonal entry), and both pairs share the same
-    K = i*hbar regardless of rotation or inverse rescaling of (u, v).
+    Each pair is built from an N-truncated ladder, at rotations 0 and 0.6;
+    uv - vu equals K * identity on the leading (N-1)-dimensional block (the
+    truncation corrupts only the last diagonal entry), and both pairs share
+    the same K = i, in units of hbar, regardless of rotation or inverse
+    rescaling of (u, v).
     """
     if dim < 3:
         raise ValueError("need dimension >= 3")
     ks, residuals = [], []
-    for rotation, scale in zip(rotations, scales):
-        u, v = _quadrature_pair(dim, hbar, rotation, scale)
+    for rotation, scale in zip((0.0, 0.6), scales):
+        u, v = _quadrature_pair(dim, rotation, scale)
         comm = u @ v - v @ u
         block = comm[:dim - 1, :dim - 1]
         k = np.trace(block) / (dim - 1)

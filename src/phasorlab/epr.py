@@ -33,6 +33,8 @@ MODES = ("symbolic", "numeric")
 SAMPLES_PER_WAVELENGTH = 8
 # wavenumber of the numeric path's plane waves; a whole-wavelength projection does not see it
 WAVENUMBER = 1.0
+# Cesaro window of the numeric path, in wavelengths
+WINDOW_WAVELENGTHS = 1e4
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def _numeric_projection(bra: PolarizationPhasor, ket: PolarizationPhasor,
 
 def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
                    pair: PhotonPairState, mode: str = "symbolic", *,
-                   window_wavelengths: float = 1e4) -> complex:
+                   window_wavelengths: float = WINDOW_WAVELENGTHS) -> complex:
     """Joint amplitude <theta1 theta2 | pair> for one analyzer outcome each.
 
     ``mode`` selects symbolic plane-wave orthogonality or the numeric
@@ -104,8 +106,7 @@ def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
 
 
 def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
-                        convention: str = "sum", *,
-                        window_wavelengths: float = 1e4) -> np.ndarray:
+                        convention: str = "sum") -> np.ndarray:
     """Coincidence probability tables over (along, perpendicular) outcomes per detector.
 
     Each angle may be a number or an array; the result has shape
@@ -117,8 +118,9 @@ def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symb
     turning both analyzers a quarter turn adds pi to it, so only the (x,x)
     and (x,y) cells are evaluated; (y,y) and (y,x) are their copies.  The
     ``difference`` convention mirrors detector 2 (theta2 -> -theta2), the
-    handedness choice left open by the correlation sign.  A field scale E
-    would multiply every amplitude by E^2 and cancel here.
+    handedness choice left open by the correlation sign.  ``numeric`` mode
+    scales every amplitude by the carrier's squared self-overlap over
+    ``WINDOW_WAVELENGTHS``.  That factor, like a field scale E^2, cancels here.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
@@ -134,35 +136,32 @@ def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symb
         # the projection is linear in the phasor components: each numeric detector
         # amplitude is the symbolic one times the unit carrier's self-overlap at z = 0
         unit = analyzer_phasor(0.0)
-        overlap = _numeric_projection(unit, unit, window_wavelengths)
+        overlap = _numeric_projection(unit, unit, WINDOW_WAVELENGTHS)
         cells = overlap * overlap * cells
     cells = np.abs(cells) ** 2
     cells /= 2.0 * (cells[..., :1] + cells[..., 1:])
     return cells[..., [[0, 1], [1, 0]]].reshape(t1.shape + t2.shape + (2, 2))
 
 
-def correlation_E(theta1, theta2, pair: PhotonPairState, convention: str = "sum"):
-    """Coincidence correlation P(same outcome) - P(different outcome).
+def correlation_E(theta1, theta2, pair: PhotonPairState):
+    """Coincidence correlation P(same outcome) - P(different outcome), sum convention.
 
     Broadcasts like :func:`joint_probabilities`: shape(theta1) + shape(theta2).
-    For the plus-parity pair this equals cos(2(theta1 + theta2)) under the
-    sum convention and cos(2(theta1 - theta2)) under the difference one.
+    For the plus-parity pair this equals cos(2(theta1 + theta2)).
     """
-    p = joint_probabilities(theta1, theta2, pair, convention=convention)
+    p = joint_probabilities(theta1, theta2, pair)
     return p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
 
 
-def detector1_marginal(theta1: float, theta2: float, pair: PhotonPairState,
-                       convention: str = "sum") -> float:
-    """P(detector 1 fires along its axis), summed over detector-2 outcomes."""
-    p = joint_probabilities(theta1, theta2, pair, convention=convention)
+def detector1_marginal(theta1: float, theta2: float, pair: PhotonPairState) -> float:
+    """P(detector 1 fires along its axis), summed over detector-2 outcomes (sum convention)."""
+    p = joint_probabilities(theta1, theta2, pair)
     return float(p[0, 0] + p[0, 1])
 
 
-def chsh_S(a: float, a_prime: float, b: float, b_prime: float,
-           pair: PhotonPairState, convention: str = "sum") -> float:
-    """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b'), from one 2x2 grid."""
-    e = correlation_E([a, a_prime], [b, b_prime], pair, convention)
+def chsh_S(a: float, a_prime: float, b: float, b_prime: float, pair: PhotonPairState) -> float:
+    """CHSH combination E(a,b) - E(a,b') + E(a',b) + E(a',b') from one 2x2 grid, sum convention."""
+    e = correlation_E([a, a_prime], [b, b_prime], pair)
     return float(e[0, 0] - e[0, 1] + e[1, 0] + e[1, 1])
 
 

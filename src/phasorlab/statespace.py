@@ -4,8 +4,8 @@ An order-n linear evolution sum(a_k d^k/dt^k) psi = 0 is represented by
 its coefficient sequence; its characteristic polynomial sum(a_k s^k) has
 exactly n complex roots (eigenvalues of the companion matrix), which is
 why the complex plane suffices to represent every evolution pattern.
-Hermitian generators evolve states through the exact one-step propagator
-exp(-i H dt / hbar), preserving norm and energy to round-off.
+Hermitian generators, in units of hbar, evolve states through the exact
+one-step propagator exp(-i H dt), preserving norm and energy to round-off.
 """
 
 from __future__ import annotations
@@ -135,14 +135,13 @@ def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
 
 @dataclass(frozen=True)
 class HamiltonianOperator:
-    """Hermitian generator with its time-scale factor hbar.
+    """Hermitian generator H in units of hbar (energies over hbar, per unit time).
 
     Hermiticity is enforced at construction, so everything downstream may
     assume a real spectrum and a unitary propagator.
     """
 
     matrix: np.ndarray
-    hbar: float = 1.0
 
     def __post_init__(self):
         h = np.asarray(self.matrix, dtype=complex)
@@ -151,14 +150,12 @@ class HamiltonianOperator:
         scale = max(1.0, float(np.max(np.abs(h))))
         if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
             raise ValueError("Hamiltonian must be Hermitian within 1e-12")
-        if not self.hbar > 0.0:
-            raise ValueError("hbar must be positive")
         object.__setattr__(self, "matrix", h)
 
 
 def schrodinger_propagate(hamiltonian: HamiltonianOperator, psi0: np.ndarray,
                           dt: float, steps: int) -> np.ndarray:
-    """Apply the exact one-step propagator exp(-i H dt / hbar) repeatedly.
+    """Apply the exact one-step propagator exp(-i H dt), H in units of hbar, repeatedly.
 
     The repeated product is evaluated in the eigenbasis of H with the
     step phases accumulated, which is the same operator applied ``steps``
@@ -175,5 +172,5 @@ def schrodinger_propagate(hamiltonian: HamiltonianOperator, psi0: np.ndarray,
     if steps == 0:
         return psi
     w, v = np.linalg.eigh(hamiltonian.matrix)
-    phases = np.exp(-1j * w * dt * steps / hamiltonian.hbar)
+    phases = np.exp(-1j * w * dt * steps)
     return v @ (phases * (v.conj().T @ psi))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasorlab import epr
@@ -138,7 +138,8 @@ def test_correlation_matches_cosine(theta1, theta2):
 @settings(deadline=None, max_examples=30)
 @given(angles, angles)
 def test_correlation_difference_convention(theta1, theta2):
-    got = epr.correlation_E(theta1, theta2, PLUS, convention="difference")
+    p = epr.joint_probabilities(theta1, theta2, PLUS, convention="difference")
+    got = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
     assert abs(got - math.cos(2 * (theta1 - theta2))) <= 1e-9
 
 
@@ -153,12 +154,12 @@ def test_chsh_all_angles_zero():
 
 def test_correlation_grid_and_chsh_match_scalar_calls():
     a, a_prime, b, b_prime = 0.1, 0.7, -0.3, 1.9
-    for pair, convention in [(PLUS, "sum"), (epr.PhotonPairState("minus"), "difference")]:
-        grid = epr.correlation_E([a, a_prime], [b, b_prime], pair, convention)
-        scalar = [[epr.correlation_E(t1, t2, pair, convention) for t2 in (b, b_prime)]
+    for pair in (PLUS, MINUS):
+        grid = epr.correlation_E([a, a_prime], [b, b_prime], pair)
+        scalar = [[epr.correlation_E(t1, t2, pair) for t2 in (b, b_prime)]
                   for t1 in (a, a_prime)]
         np.testing.assert_allclose(grid, scalar, rtol=0, atol=1e-15)
-        s = epr.chsh_S(a, a_prime, b, b_prime, pair, convention)
+        s = epr.chsh_S(a, a_prime, b, b_prime, pair)
         assert s == pytest.approx(scalar[0][0] - scalar[0][1] + scalar[1][0]
                                   + scalar[1][1], abs=1e-14)
 
@@ -220,8 +221,7 @@ def test_grid_kernel_matches_scalar_oracle(mode, numeric_options, parity, conven
     pair = epr.PhotonPairState(parity)
     want = oracle_tables(theta1, theta2, pair, mode, convention, field_scale, **numeric_options)
     weights = np.abs(want) ** 2
-    probs = epr.joint_probabilities(theta1, theta2, pair, mode, convention,
-                                    **numeric_options)
+    probs = epr.joint_probabilities(theta1, theta2, pair, mode, convention)
     assert np.max(np.abs(probs - weights / weights.sum(axis=(2, 3), keepdims=True))) <= 1e-12
 
 
@@ -231,21 +231,35 @@ def test_numeric_grid_integrates_one_carrier(monkeypatch):
     monkeypatch.setattr(epr, "cesaro_inner_product",
                         lambda *args: calls.append(args) or cesaro(*args))
     probs = epr.joint_probabilities(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3),
-                                    PLUS, "numeric", window_wavelengths=200)
+                                    PLUS, "numeric")
     assert probs.shape == (5, 3, 2, 2)
     assert len(calls) == 1
 
 
 ANY_ANGLE = st.floats(-1e308, 1e308, allow_nan=False)
+ANGLE_LISTS = st.lists(ANY_ANGLE, min_size=1, max_size=4)
+SPECIAL_ANGLES = [0.0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2, 1e-300, 5e-324]
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
-@given(st.lists(ANY_ANGLE, min_size=1, max_size=4), st.lists(ANY_ANGLE, min_size=1, max_size=4),
-       st.sampled_from(epr.PARITIES), st.sampled_from(epr.CONVENTIONS),
-       st.sampled_from(epr.MODES))
-def test_table_is_symmetric_bit_for_bit(theta1, theta2, parity, convention, mode):
-    # both cells of a pair are cos^2 or sin^2 of the same a+b, so they are equal exactly
-    p = epr.joint_probabilities(theta1, theta2, epr.PhotonPairState(parity), mode, convention,
-                                window_wavelengths=200)
+@given(ANGLE_LISTS, ANGLE_LISTS, st.sampled_from(epr.PARITIES), st.sampled_from(epr.CONVENTIONS))
+def test_table_is_symmetric_bit_for_bit(theta1, theta2, parity, convention):
+    # both cells of a pair are cos^2 or sin^2 of the same a+b, so they are equal exactly;
+    # numeric mode prints the same bytes (test_numeric_table_is_the_symbolic_one)
+    p = epr.joint_probabilities(theta1, theta2, epr.PhotonPairState(parity), "symbolic",
+                                convention)
     assert p[..., 0, 0].tobytes() == p[..., 1, 1].tobytes()
     assert p[..., 0, 1].tobytes() == p[..., 1, 0].tobytes()
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(ANGLE_LISTS, ANGLE_LISTS, st.sampled_from(epr.PARITIES), st.sampled_from(epr.CONVENTIONS))
+@example(SPECIAL_ANGLES, SPECIAL_ANGLES, "plus", "sum")
+@example(SPECIAL_ANGLES, SPECIAL_ANGLES, "minus", "difference")
+def test_numeric_table_is_the_symbolic_one(theta1, theta2, parity, convention):
+    # numeric mode scales every amplitude by o^2, the carrier's self-overlap squared; at
+    # WINDOW_WAVELENGTHS |o^2|^2 is exactly 1.0 in float64, so the normalized tables agree
+    pair = epr.PhotonPairState(parity)
+    symbolic = epr.joint_probabilities(theta1, theta2, pair, "symbolic", convention)
+    numeric = epr.joint_probabilities(theta1, theta2, pair, "numeric", convention)
+    assert numeric.tobytes() == symbolic.tobytes()

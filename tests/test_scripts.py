@@ -1,7 +1,9 @@
 """Smoke tests: every script under scripts/ runs on small arguments, the
 benchmark's trace shim reproduces the CLI on every subcommand, every
-benchmark job passes its own output check, and every public name of the
-package is reached from outside its unit tests."""
+benchmark job passes its own output check, every public name of the
+package is reached from outside its unit tests, and every parameter or
+field with a default is passed by some call outside them (the parameter
+gate)."""
 
 import ast
 import hashlib
@@ -139,15 +141,18 @@ def public_definitions(path):
                     yield f"{node.name}.{name}", rf"\.{name}\b", member.lineno, member.end_lineno
 
 
+PACKAGE = Path(phasorlab.__file__).parent
+# the code that stands for a real caller: the package, a script, the benchmark and the
+# acceptance tests, not the unit tests
+REACH_SOURCES = [*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py"), *(ROOT / "bench").glob("*.py"),
+                 ROOT / "tests" / "test_acceptance.py"]
+
+
 def test_every_public_name_is_reached():
-    # a name is reached when some line outside its own definition names it: in the
-    # package, a script, the benchmark or the acceptance tests, not in its unit tests
-    package = Path(phasorlab.__file__).parent
-    sources = [*package.glob("*.py"), *SCRIPTS.glob("*.py"), *(ROOT / "bench").glob("*.py"),
-               ROOT / "tests" / "test_acceptance.py"]
-    lines = {path: path.read_text().splitlines() for path in sources}
+    # a name is reached when some line outside its own definition names it
+    lines = {path: path.read_text().splitlines() for path in REACH_SOURCES}
     unreached = []
-    for module in sorted(package.glob("*.py")):
+    for module in sorted(PACKAGE.glob("*.py")):
         for name, pattern, first, last in public_definitions(module):
             word = re.compile(pattern)
             if not any(word.search(line) for path, text in lines.items()
@@ -155,3 +160,72 @@ def test_every_public_name_is_reached():
                        if not (path == module and first <= number <= last)):
                 unreached.append(f"{module.stem}.{name}")
     assert unreached == []
+
+
+def defaulted_parameters(body, prefix=""):
+    """(callable, parameter, position, node) of each parameter or field with a default.
+
+    Covers every function, method, dataclass and NamedTuple under ``body``, public and
+    private alike, but no dunder method and no ``self`` or ``cls``.  ``position`` is
+    the parameter's place among the positional arguments of a call, or None when it
+    can only be passed by keyword.
+    """
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and not re.fullmatch(r"__\w+__", node.name):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaults = positional[len(positional) - len(args.defaults):]
+            skip = 1 if positional[:1] in (["self"], ["cls"]) else 0
+            for name in defaults:
+                yield prefix + node.name, name, positional.index(name) - skip, node
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield prefix + node.name, arg.arg, None, node
+            yield from defaulted_parameters(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+                    isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases):
+                position = 0
+                for member in node.body:
+                    if not isinstance(member, ast.AnnAssign):
+                        continue
+                    value = member.value
+                    keywords = ({k.arg for k in value.keywords} if isinstance(value, ast.Call)
+                                and getattr(value.func, "id", None) == "field" else {"default"})
+                    keyword_only = "kw_only" in keywords
+                    if value is not None and keywords & {"default", "default_factory"}:
+                        yield (prefix + node.name, member.target.id,
+                               None if keyword_only else position, node)
+                    position += not keyword_only
+            yield from defaulted_parameters(node.body, f"{prefix}{node.name}.")
+
+
+def passes(call, parameter, position):
+    """Whether ``call`` names ``parameter``, reaches its position, or spreads into it."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no real caller overrides is a constant in disguise: each parameter or
+    # field with a default is passed by some call outside its own definition, matched by
+    # the callee's name as the name gate matches it
+    callees = {}
+    for path in REACH_SOURCES:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                callees.setdefault(name, []).append((path, call))
+    unpassed = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for qualified, parameter, position, node in defaulted_parameters(
+                ast.parse(module.read_text()).body):
+            name = qualified.rsplit(".", 1)[-1]
+            if not any(passes(call, parameter, position)
+                       for path, call in callees.get(name, [])
+                       if not (path == module and node.lineno <= call.lineno <= node.end_lineno)):
+                unpassed.append(f"{module.stem}.{qualified}({parameter})")
+    assert unpassed == []

@@ -124,8 +124,9 @@ def test_zero_hamiltonian_is_identity():
 
 
 def test_diagonal_phase_advance():
+    # energies 0.7 and -1.3 at hbar = 2 are 0.35 and -0.65 in units of hbar
     e1, e2 = 0.7, -1.3
-    h = ss.HamiltonianOperator(np.diag([e1, e2]).astype(complex), hbar=2.0)
+    h = ss.HamiltonianOperator(np.diag([e1 / 2.0, e2 / 2.0]).astype(complex))
     psi = ss.schrodinger_propagate(h, np.array([1.0, 1.0]) / math.sqrt(2), 0.05, 40)
     t = 0.05 * 40
     expected = np.array([np.exp(-1j * e1 * t / 2.0), np.exp(-1j * e2 * t / 2.0)])
@@ -134,8 +135,7 @@ def test_diagonal_phase_advance():
 
 def test_rabi_full_population_transfer():
     omega = 3.0
-    hbar = 1.0
-    h = ss.HamiltonianOperator(hbar * omega / 2 * np.array([[0, 1], [1, 0]]), hbar)
+    h = ss.HamiltonianOperator(omega / 2 * np.array([[0, 1], [1, 0]]))
     t_flip = math.pi / omega
     psi = ss.schrodinger_propagate(h, np.array([1.0, 0.0]), t_flip / 500, 500)
     assert abs(abs(psi[1]) ** 2 - 1.0) < 1e-9
