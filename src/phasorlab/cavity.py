@@ -31,8 +31,6 @@ import numpy as np
 
 from .seeding import derive_rng
 
-# e^{-x} underflows past this point; the closed form is reported as 0.
-PLANCK_UNDERFLOW_X = 700.0
 # steps in a sweep's work buffers, shared by a block's chains: O(CHUNK) memory, not O(steps)
 CHUNK = 2 ** 16
 # a sweep runs at most this many steps over all its chains (about 20 s at 20 ns/step on one CPU)
@@ -89,16 +87,17 @@ class PlanckEnergy(NamedTuple):
 def planck_expectation(frequency: float, bath: ThermalBath) -> PlanckEnergy:
     """Closed-form equilibrium energy hf / (e^{hf/k_B T} - 1).
 
-    Overflow-safe: past hf/k_B T = 700 the value underflows to 0 instead of
-    raising.
+    Where e^{hf/k_B T} overflows it is hf e^{-hf/k_B T}, as two half-exponent
+    factors that keep its ulps, and 0 only where that product underflows.  A
+    lobe energy hf that is not positive and finite is refused.
     """
-    if not frequency > 0.0:
-        raise ValueError("frequency must be positive")
+    hf = ModeFamily.in_bath(frequency, bath).lobe_energy
     x = bath.beta_hf(frequency)
-    hf = bath.planck_h * frequency
-    if x > PLANCK_UNDERFLOW_X:
-        return PlanckEnergy(0.0)
-    return PlanckEnergy(hf / math.expm1(x))
+    try:
+        return PlanckEnergy(hf / math.expm1(x))
+    except OverflowError:
+        half = math.exp(-x / 2.0)
+        return PlanckEnergy(hf * half * half)
 
 
 def acceptance_probability(family: ModeFamily, bath: ThermalBath,

@@ -79,7 +79,6 @@ class AliasSet:
     """Disjoint ascending half-open intervals, one (lo, hi) row each."""
 
     intervals: np.ndarray
-    domain: tuple[float, float]
     edge_tol: float
     granularity: float
 
@@ -92,8 +91,6 @@ class AliasSet:
         return bool(np.any((lo - self.edge_tol <= z) & (z <= hi + self.edge_tol)))
 
     def intersect(self, other: "AliasSet") -> "AliasSet":
-        if self.domain != other.domain:
-            raise ValueError("alias sets cover different domains")
         tol = max(self.edge_tol, other.edge_tol)
         a, b = self.intervals, other.intervals
         # both sets ascend, so row i of a overlaps the counts[i] rows of b from first[i]
@@ -105,7 +102,7 @@ class AliasSet:
         # where() fixes which of two equal zeros of opposite sign is kept; maximum() does not
         lo = np.where(y[:, 0] > x[:, 0], y[:, 0], x[:, 0])
         hi = np.where(y[:, 1] < x[:, 1], y[:, 1], x[:, 1])
-        return AliasSet(np.column_stack([lo, hi])[hi - lo > tol], self.domain, tol,
+        return AliasSet(np.column_stack([lo, hi])[hi - lo > tol], tol,
                         min(self.granularity, other.granularity))
 
 
@@ -170,7 +167,7 @@ def alias_intervals(bit: DetectionBit, domain: tuple[float, float]) -> AliasSet:
     hi = z_d + (alpha - m * math.pi) / k
     lo = np.where(lo_d > lo, lo_d, lo)
     hi = np.where(hi_d < hi, hi_d, hi)
-    return AliasSet(np.column_stack([lo, hi])[hi - lo > tol], domain, tol, lam / 2.0)
+    return AliasSet(np.column_stack([lo, hi])[hi - lo > tol], tol, lam / 2.0)
 
 
 def localize_prefixes(bits: Sequence[DetectionBit], domain: tuple[float, float],

@@ -137,8 +137,9 @@ def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
 class HamiltonianOperator:
     """Hermitian generator H in units of hbar (energies over hbar, per unit time).
 
-    Hermiticity is enforced at construction, so everything downstream may
-    assume a real spectrum and a unitary propagator.
+    A finite H, Hermitian within 1e-12 of max|H| at any scale, is enforced at
+    construction, so everything downstream may assume a real spectrum and a
+    unitary propagator.
     """
 
     matrix: np.ndarray
@@ -147,9 +148,10 @@ class HamiltonianOperator:
         h = np.asarray(self.matrix, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be a square matrix")
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
-            raise ValueError("Hamiltonian must be Hermitian within 1e-12")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("Hamiltonian must be finite")
+        if np.max(np.abs(h - h.conj().T)) > 1e-12 * np.max(np.abs(h)):
+            raise ValueError("Hamiltonian must be Hermitian within 1e-12 of max|H|")
         object.__setattr__(self, "matrix", h)
 
 

@@ -3,12 +3,15 @@
 Test-only, and independent of the package: built on the stdlib (and numpy, where an
 engine's closed form needs it).  Each oracle takes a run's resolved options
 (``cli.resolve_options``) and its stdout, and returns the worst deviation of the
-printed numbers from a closed form that does not share the engine's code.
+printed numbers from a closed form that does not share the engine's code, in the
+units its docstring names.
 """
 
 import itertools
 import json
 import math
+
+import numpy as np
 
 
 def printed_rows(opts, stdout):
@@ -45,4 +48,65 @@ def epr_deviation(opts, stdout):
         want = {"E": sign * math.cos(2.0 * s), "P_xx": along, "P_yy": along,
                 "P_xy": across, "P_yx": across}
         worst = max(worst, *(abs(row[key] - value) for key, value in want.items()))
+    return worst
+
+
+# an hj row's round-off allowance is this many eps of its terms' scale |E| + |alpha q| + p^2/2m,
+# times the stencil's gain 1 + (max|q| + |W|/|p|)/dq; calibrated as logged in CHANGES.md
+HJ_ROUNDOFF = 4.0
+
+
+def _over(deviation, tolerance):
+    """``deviation`` in multiples of ``tolerance``: 0 when it is 0, inf when only the tolerance is."""
+    if deviation == 0.0:
+        return 0.0
+    return deviation / tolerance if tolerance > 0.0 else math.inf
+
+
+def hj_deviation(opts, stdout):
+    """Worst deviation of an hj table, each check in multiples of its own tolerance (<= 1 holds).
+
+    The q column must be the interior of ``linspace(q-min, q-max, points)``, ``rhs_re``
+    0 and ``regime_flag`` |bcp_ratio| < 0.01 * 2 pi, exactly.  A free particle
+    (E = p^2/2m) has ``rhs_im`` and ``bcp_ratio`` exactly 0.  On the linear system,
+    with gap = E - alpha q = p^2/2m, ``lhs_re`` stays within twice the central
+    difference's leading term m alpha^2 dq^2 / (6 p^2) = alpha^2 dq^2 / (12 gap); and
+    where E and alpha q are at most 4 times the gap and the stencil's own relative
+    error (7/12)(dq m alpha / p^2)^2 is at most 1e-6, ``bcp_ratio`` is within 1e-3 of
+    -2 pi hbar m alpha / p^3.  Both systems' ``lhs_re`` may add ``HJ_ROUNDOFF`` eps
+    times the row's scale |E| + |alpha q| + gap, and times the gain
+    1 + (max|q| + |W|/|p|)/dq with which the first difference passes the round-off of
+    q and W on: |W|/|p| is |q| for a free particle and p^2 / (3 m |alpha|) on the
+    linear system.  An exact check that fails deviates by inf.
+    """
+    rows = printed_rows(opts, stdout)
+    q_min, q_max, points = opts["q-min"], opts["q-max"], opts["points"]
+    if [row["q"] for row in rows] != np.linspace(q_min, q_max, points)[1:-1].tolist():
+        return math.inf
+    m, dq, eps = opts["mass"], (q_max - q_min) / (points - 1), 2.0 ** -52
+    reach = max(abs(q_min), abs(q_max))
+    free = opts["system"] == "free"
+    worst = 0.0
+    for row in rows:
+        q, ratio = row["q"], row["bcp_ratio"]
+        if row["rhs_re"] != 0.0 or row["regime_flag"] != (abs(ratio) < 0.01 * math.tau):
+            return math.inf
+        if free:
+            if row["rhs_im"] != 0.0 or ratio != 0.0:
+                return math.inf
+            energy = gap = opts["momentum"] * opts["momentum"] / (2.0 * m)
+            v, w_over_p, truncation = 0.0, abs(q), 0.0
+        else:
+            alpha, energy = opts["alpha"], opts["energy"]
+            v = alpha * q
+            gap = energy - v
+            drop = alpha * dq / gap  # the gap's relative change over one step, 2 dq m alpha / p^2
+            w_over_p, truncation = 2.0 * gap / (3.0 * abs(alpha)), alpha * dq * drop / 6.0
+            if max(abs(energy), abs(v)) <= 4.0 * gap and 7.0 / 48.0 * drop * drop <= 1e-6:
+                p_squared = 2.0 * m * gap
+                closed = -math.tau * opts["hbar"] * m * alpha / (p_squared * math.sqrt(p_squared))
+                worst = max(worst, _over(abs(ratio - closed), 1e-3 * abs(closed)))
+        gain = 1.0 + (reach + w_over_p) / dq
+        roundoff = HJ_ROUNDOFF * eps * (abs(energy) + abs(v) + gap) * gain
+        worst = max(worst, _over(abs(row["lhs_re"]), truncation + roundoff))
     return worst

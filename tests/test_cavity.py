@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import signal
 import sys
@@ -268,9 +269,23 @@ def test_planck_expectation_reference_values():
     assert planck_expectation(5.0, BATH).energy == pytest.approx(5.0 * 6.783654906304231e-3, rel=1e-9)
 
 
-def test_planck_expectation_overflow_flag():
-    assert planck_expectation(701.0, BATH).energy == 0.0
-    assert planck_expectation(1.0, BATH).energy > 0.0
+def test_planck_expectation_matches_decimal_reference():
+    # hf / (e^x - 1) at hf = x to 50 digits; past x = 709.78 e^x overflows a float, and the
+    # value stays within a few ulps where it is normal and one subnormal step below that
+    for x in (1.0, 5.0, 700.5, 709.78, 712.0, 745.0):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            want = float(decimal.Decimal(x) / (decimal.Decimal(x).exp() - 1))
+        got = planck_expectation(x, BATH).energy
+        step = 4.0 * math.ulp(want) if want >= sys.float_info.min else math.ulp(0.0)
+        assert abs(got - want) <= step, (x, got, want)
+    assert planck_expectation(800.0, BATH).energy == 0.0
+
+
+def test_planck_expectation_refuses_an_overflowing_lobe_energy():
+    # h f = inf would make the closed form inf / inf; a mode family refuses it the same way
+    with pytest.raises(ValueError, match="lobe energy must be positive and finite"):
+        planck_expectation(1e300, ThermalBath(1.0, planck_h=1e300))
 
 
 def test_planck_monotone_in_frequency_and_temperature():

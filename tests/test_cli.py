@@ -985,6 +985,13 @@ def test_holo_edge_source_is_kept(source, capsys):
     assert capsys.readouterr().out.count("\n") == 9
 
 
+@pytest.mark.xfail(strict=True, reason="alias_intervals clips the source's interval, which lies"
+                   " below the domain, to the point [0, 0], and its length filter drops it")
+def test_holo_source_on_the_domain_start_at_an_alias_edge_is_kept(capsys):
+    assert cli.run(["holo", "--channels", "1", "--source", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["contains_source"] is True
+
+
 def test_cavity_step_budget_exit_1(capsys):
     # 1e11 steps would run for about an hour; refused before the first chunk
     start = time.monotonic()
@@ -1191,6 +1198,22 @@ def test_cavity_underflowed_closed_form_prints_json_infinity(capsys):
     out = capsys.readouterr().out
     assert '  "rel_error": Infinity,\n' in out
     assert json.loads(out)[0]["rel_error"] == math.inf
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cavity_closed_form_past_hf_over_kt_700_is_not_cut_to_0(fmt, capsys):
+    # 705 e^-705 is a normal float; a fixed cut at hf/k_B T = 700 printed 0 and an inf error
+    argv = ["cavity", "--hf-over-kt", "705", "--steps", "1000", "--burn-in", "100",
+            "--format", fmt]
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        header, line = out.splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        assert (row["closed_form"], row["rel_error"]) == ("4.6835954475885559e-304", "1")
+    else:
+        row, = json.loads(out)
+        assert (row["closed_form"], row["rel_error"]) == (4.6835954475885559e-304, 1.0)
 
 
 # --- fresh interpreters ---------------------------------------------------------------

@@ -27,9 +27,9 @@ def bruteforce_mask(bits, domain, resolution):
     return z, ok
 
 
-def assert_members_match_oracle(result, bits, resolution):
-    """Membership equals the brute-force parity scan away from interval edges."""
-    z, ok = bruteforce_mask(bits, result.domain, resolution)
+def assert_members_match_oracle(result, bits, domain, resolution):
+    """Membership equals the brute-force parity scan of the domain away from interval edges."""
+    z, ok = bruteforce_mask(bits, domain, resolution)
     member = np.array([result.contains(v) for v in z])
     edges = np.zeros(z.size, dtype=bool)
     for lo, hi in result.intervals:
@@ -243,7 +243,7 @@ def test_two_channel_localization_refines():
     assert double.granularity == pytest.approx(CH2.wavelength / 2)
 
     # brute-force oracle at lambda/1000 resolution agrees on the member set
-    assert_members_match_oracle(double, bits12, CH2.wavelength / 1000)
+    assert_members_match_oracle(double, bits12, DOMAIN, CH2.wavelength / 1000)
 
 
 def test_adding_channels_never_increases_measure():
@@ -390,7 +390,7 @@ def test_bits_keep_their_own_wavelength_and_alpha():
     bits = [holo.forward_bit(z_s, 0.0, c, alpha) for c in channels for alpha in (0.0, 0.9)]
     result = holo.localize(bits, DOMAIN)
     assert result.contains(z_s)
-    assert_members_match_oracle(result, bits, CH2.wavelength / 1000)
+    assert_members_match_oracle(result, bits, DOMAIN, CH2.wavelength / 1000)
 
 
 # --- two-detector coincidence ---------------------------------------------------

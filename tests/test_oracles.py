@@ -1,8 +1,10 @@
 """Exit 0 means right: properties that hold each fuzzed run's printed table to the
 closed-form oracle of its engine (``oracles``)."""
 
+import ast
 import contextlib
 import io
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -45,3 +47,53 @@ def test_epr_exit_0_prints_the_closed_form(theta1, theta2, parity, convention, f
     code, stdout, opts = run_cli(argv)
     assume(code == 0)
     assert oracles.epr_deviation(opts, stdout) <= 1e-12
+
+
+def power(low, high):
+    """10 to a power drawn from [low, high]."""
+    return st.floats(low, high).map(lambda exponent: 10.0 ** exponent)
+
+
+@st.composite
+def hj_argv(draw):
+    """An hj argv over the physically typical ranges: both systems, both formats."""
+    system = draw(st.sampled_from(["free", "linear"]))
+    q0, span = draw(st.sampled_from([0.0, 1.0]) | st.floats(-50, 50)), draw(power(-3, 2))
+    argv = ["hj", "--system", system, "--mass", repr(draw(power(-3, 3))),
+            "--hbar", repr(draw(power(-3, 3))), "--q-min", repr(q0), "--q-max", repr(q0 + span),
+            "--points", str(draw(st.integers(5, 2000))),
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if system == "free":
+        return argv + ["--momentum", repr(sign * draw(power(-3, 3)))]
+    alpha = sign * draw(power(-5, 3))
+    energy = max(alpha * q0, alpha * (q0 + span)) + abs(alpha) * span * draw(power(-2, 4))
+    return argv + ["--alpha", repr(alpha), "--energy", repr(energy)]
+
+
+def test_hj_oracle_sees_a_scaled_bcp_ratio():
+    code, stdout, opts = run_cli(["hj", "--system", "linear"])
+    assert code == 0
+    assert oracles.hj_deviation(opts, stdout) <= 1.0
+    rows = [line.split(",") for line in stdout.splitlines()]
+    for cells in rows[1:]:
+        cells[4] = repr(1.01 * float(cells[4]))
+    assert oracles.hj_deviation(opts, "\n".join(map(",".join, rows))) > 1.0
+
+
+@settings(deadline=None, max_examples=120, derandomize=True)
+@given(hj_argv())
+def test_hj_exit_0_holds_to_the_closed_forms(argv):
+    code, stdout, opts = run_cli(argv)
+    assume(code == 0)
+    assert oracles.hj_deviation(opts, stdout) <= 1.0
+
+
+def test_oracles_import_nothing_from_the_package():
+    # an oracle that shared the engines' code would agree with their faults
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.split(".")[0] in ("phasorlab", "")] == []

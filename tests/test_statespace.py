@@ -158,8 +158,30 @@ def test_unitarity_and_energy_conservation(dim, seed):
 
 
 def test_non_hermitian_rejected():
-    with pytest.raises(ValueError):
-        ss.HamiltonianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a tolerance floored at 1 let the second through, to an identity propagator
+    for matrix in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1e-14], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="Hermitian"):
+            ss.HamiltonianOperator(np.array(matrix))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_hamiltonian_rejected(value):
+    with pytest.raises(ValueError, match="finite"):
+        ss.HamiltonianOperator(np.array([[value, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("exponent", [-300, -100, 0, 100, 300])
+def test_hermiticity_tolerance_scales_with_max_abs_h(exponent):
+    # a tolerance of 1e-12 max(1, max|H|) let every matrix below scale 1e-12 through
+    rng = np.random.default_rng(exponent + 300)
+    raw = 10.0 ** exponent * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    hermitian = (raw + raw.conj().T) / 2
+    ss.HamiltonianOperator(hermitian)
+    skew = np.zeros((4, 4))
+    skew[0, 1] = np.max(np.abs(hermitian))
+    ss.HamiltonianOperator(hermitian + 1e-14 * skew)
+    with pytest.raises(ValueError, match="Hermitian"):
+        ss.HamiltonianOperator(hermitian + 1e-10 * skew)
 
 
 def test_state_dimension_checked():
