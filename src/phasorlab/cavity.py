@@ -11,11 +11,11 @@ of the wavelength.
 Every step takes one uniform u: u < q/2 moves up, u >= 1/2 moves down
 (refused at n = 0), anything else stays, with q = e^{-hf/k_B T}.  One
 kernel runs a block of chains side by side through the reflected-walk
-(Lindley) recursion, step-for-step identical to looping ``jitter_step``
-over the same uniforms, and adds the kept steps to exact integer tallies.
-``equilibrate`` is a one-row block that also keeps its chain;
-``spectrum_sweep`` runs its chains in blocks within O(CHUNK) memory per
-worker, one worker per usable CPU.
+(Lindley) recursion and adds the kept steps to exact integer tallies; the
+tests hold it step for step to the scalar move looped over the same
+uniforms.  Every chain starts at n = 0.  ``equilibrate`` is a one-row
+block that also keeps its chain; ``spectrum_sweep`` runs its chains in
+blocks within O(CHUNK) memory per worker, one worker per usable CPU.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -63,20 +63,17 @@ class ThermalBath:
 
 @dataclass(frozen=True)
 class ModeFamily:
-    """Harmonic family of lobe energy h f with member ``occupancy`` energized (0 = none)."""
+    """Harmonic family {f, 2f, 3f, ...} of lobe energy h f, which its chains walk from n = 0."""
 
-    occupancy: int = 0
-    lobe_energy: float = field(kw_only=True)
+    lobe_energy: float
 
     def __post_init__(self):
-        if self.occupancy < 0:
-            raise ValueError("occupancy must be non-negative")
         if not 0.0 < self.lobe_energy < math.inf:
             raise ValueError(f"lobe energy must be positive and finite, got {self.lobe_energy:g}")
 
     @classmethod
     def in_bath(cls, frequency: float, bath: ThermalBath) -> "ModeFamily":
-        """The unenergized family of ``frequency``; a frequency that is not positive is refused."""
+        """The family of ``frequency``; a frequency that is not positive is refused."""
         return cls(lobe_energy=bath.planck_h * frequency)
 
 
@@ -85,45 +82,25 @@ class PlanckEnergy(NamedTuple):
 
 
 def planck_expectation(frequency: float, bath: ThermalBath) -> PlanckEnergy:
-    """Closed-form equilibrium energy hf / (e^{hf/k_B T} - 1).
+    """Closed-form equilibrium energy hf / (e^{hf/k_B T} - 1) (``_planck_energy``).
 
-    Where e^{hf/k_B T} overflows it is hf e^{-hf/k_B T}, as two half-exponent
-    factors that keep its ulps, and 0 only where that product underflows.  A
-    lobe energy hf that is not positive and finite is refused.
+    A lobe energy hf that is not positive and finite is refused.
     """
     hf = ModeFamily.in_bath(frequency, bath).lobe_energy
-    x = bath.beta_hf(frequency)
+    return PlanckEnergy(_planck_energy(hf, bath.beta_hf(frequency)))
+
+
+def _planck_energy(hf: float, x: float) -> float:
+    """hf / (e^x - 1) at x = hf/k_B T, by ``math.expm1``.
+
+    Where e^x overflows it is hf e^{-x}, as two half-exponent factors that
+    keep its ulps, and 0 only where that product underflows.
+    """
     try:
-        return PlanckEnergy(hf / math.expm1(x))
+        return hf / math.expm1(x)
     except OverflowError:
         half = math.exp(-x / 2.0)
-        return PlanckEnergy(hf * half * half)
-
-
-def acceptance_probability(family: ModeFamily, bath: ThermalBath,
-                           delta: int) -> float:
-    """Metropolis acceptance min(1, e^{-dE/k_B T}) for occupancy += delta."""
-    if delta not in (-1, 1):
-        raise ValueError("only single-antinode moves are proposed")
-    if delta == -1 and family.occupancy == 0:
-        return 0.0
-    d_energy = delta * family.lobe_energy
-    return min(1.0, math.exp(-d_energy / (bath.boltzmann_k * bath.temperature)))
-
-
-def jitter_step(family: ModeFamily, bath: ThermalBath,
-                rng: np.random.Generator) -> ModeFamily:
-    """One wall-jitter move from one uniform u: propose n -> n +- 1, accept per Metropolis.
-
-    u < 1/2 proposes n + 1 with 2u as its Metropolis uniform; u >= 1/2
-    proposes n - 1 with 2u - 1, so downhill moves always pass and the
-    n -> -1 proposal is rejected outright, leaving the family unchanged.
-    """
-    u = rng.random()
-    delta, metropolis_u = (1, 2.0 * u) if u < 0.5 else (-1, 2.0 * u - 1.0)
-    if metropolis_u < acceptance_probability(family, bath, delta):
-        return ModeFamily(family.occupancy + delta, lobe_energy=family.lobe_energy)
-    return family
+        return hf * half * half
 
 
 @dataclass(frozen=True)
@@ -241,7 +218,7 @@ def _statistics(sums: _ChainSums, steps: int, burn_in: int) -> tuple[np.ndarray,
 
 def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
                 burn_in: int, rng: np.random.Generator) -> ChainStatistics:
-    """Run the jitter chain from ``family`` and keep its steps after the burn-in.
+    """Run the jitter chain of ``family`` from n = 0 and keep its steps after the burn-in.
 
     The occupancy histogram converges to the geometric law
     P(n) = (1 - q) q^n with q = e^{-hf/k_B T}, and the mean energy to the
@@ -251,9 +228,8 @@ def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
     """
     kept = _kept_steps(steps, burn_in)
     buf = _ChainBuffers(1, max(burn_in, kept))
-    # the uphill acceptance of the scalar reference, not a re-derivation of it
-    q = acceptance_probability(family, bath, 1)
-    sums = _run_chains([q], [family.occupancy], steps, burn_in, [rng], buf)
+    q = math.exp(-family.lobe_energy / (bath.boltzmann_k * bath.temperature))
+    sums = _run_chains([q], [0], steps, burn_in, [rng], buf)
     mean = (sums.total / kept).item()
     occupancies = buf.walk[0, :kept]
     return ChainStatistics(steps, occupancies, np.bincount(occupancies),
@@ -331,8 +307,10 @@ def _on_usable_cpus(task: Callable, items: Sequence, scratch: Callable) -> list:
 
 def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
                    burn_in: int, master_seed: int) -> SweepColumns:
-    """One equilibrated chain per frequency, compared to the closed form.
+    """One equilibrated chain per frequency from n = 0, compared to the closed form.
 
+    Each frequency's x = hf/k_B T is taken once: the uphill acceptance
+    q = e^{-x} and the closed form (``_planck_energy``) both come from it.
     Chains are independent: replica i draws from the stream keyed by
     (master seed, "cavity", i), so duplicated frequencies give
     independent estimates of the same mean.  The chains run side by side
@@ -353,24 +331,26 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     if not all(f > 0.0 for f in frequencies):
         raise ValueError("frequencies must be positive")
     width = min(CHUNK, max(burn_in, _kept_steps(steps, burn_in)))
-    for f in frequencies:
-        if bath.beta_hf(f) == 0.0:
+    xs = [bath.beta_hf(f) for f in frequencies]
+    for f, x in zip(frequencies, xs):
+        if x == 0.0:
             raise ValueError(f"hf/k_B T of frequency {f:g} underflows to 0")
-    modes = [ModeFamily.in_bath(f, bath) for f in frequencies]
-    q = [acceptance_probability(fam, bath, 1) for fam in modes]
-    rngs = [derive_rng(master_seed, "cavity", i) for i in range(len(modes))]
+    hf = [bath.planck_h * f for f in frequencies]
+    ModeFamily(lobe_energy=max(hf))  # every hf > 0, as x > 0: this refuses one that overflows
+    q = [math.exp(-x) for x in xs]
+    rngs = [derive_rng(master_seed, "cavity", i) for i in range(len(frequencies))]
     block = CHUNK // width
-    starts = range(0, len(modes), block)
+    starts = range(0, len(frequencies), block)
 
     def run_block(lo: int, buf: _ChainBuffers, stop: threading.Event) -> _ChainSums | None:
-        return _run_chains(q[lo:lo + block], [fam.occupancy for fam in modes[lo:lo + block]],
-                           steps, burn_in, rngs[lo:lo + block], buf, stop)
+        rows = slice(lo, lo + block)
+        return _run_chains(q[rows], [0] * len(q[rows]), steps, burn_in, rngs[rows], buf, stop)
 
     blocks = _on_usable_cpus(run_block, starts, lambda: _ChainBuffers(block, width))
     sums = _ChainSums(*map(np.concatenate, zip(*blocks)))
     mean, stderr, acceptance = _statistics(sums, steps, burn_in)
-    lobes = np.array([fam.lobe_energy for fam in modes])
-    closed = np.array([planck_expectation(f, bath).energy for f in frequencies])
+    lobes = np.array(hf)
+    closed = np.array([_planck_energy(h, x) for h, x in zip(hf, xs)])
     with np.errstate(divide="ignore", invalid="ignore"):  # a closed form may underflow to 0
         rel = np.where(closed > 0.0, np.abs(mean * lobes - closed) / closed, math.inf)
     return SweepColumns(np.array(frequencies, dtype=float), mean * lobes, stderr * lobes,

@@ -1,10 +1,11 @@
-"""Closed-form oracles for the tables the CLI prints.
+"""Closed-form oracles for the tables the CLI prints, and the scalar cavity move.
 
 Test-only, and independent of the package: built on the stdlib (and numpy, where an
-engine's closed form needs it).  Each oracle takes a run's resolved options
+engine's closed form needs it).  Each table oracle takes a run's resolved options
 (``cli.resolve_options``) and its stdout, and returns the worst deviation of the
 printed numbers from a closed form that does not share the engine's code, in the
-units its docstring names.
+units its docstring names.  ``jitter_loop`` is the paper's wall-jitter move one step
+at a time, against which the cavity kernel is tested.
 """
 
 import itertools
@@ -110,3 +111,20 @@ def hj_deviation(opts, stdout):
         roundoff = HJ_ROUNDOFF * eps * (abs(energy) + abs(v) + gap) * gain
         worst = max(worst, _over(abs(row["lhs_re"]), truncation + roundoff))
     return worst
+
+
+def jitter_loop(n0, q, uniforms):
+    """Occupancy after each step of the wall-jitter walk from ``n0``, one uniform u a step.
+
+    u < 1/2 proposes n + 1 with 2u as its Metropolis uniform, accepted below the uphill
+    acceptance q = e^{-hf/k_B T}; u >= 1/2 proposes n - 1 with 2u - 1, accepted below
+    min(1, 1/q) = 1 downhill and below 0 at n = 0, so the n -> -1 proposal is refused.
+    """
+    n, occupancies = n0, []
+    for u in uniforms:
+        delta, metropolis_u = (1, 2.0 * u) if u < 0.5 else (-1, 2.0 * u - 1.0)
+        acceptance = q if delta == 1 else 1.0 if n > 0 else 0.0
+        if metropolis_u < acceptance:
+            n += delta
+        occupancies.append(n)
+    return occupancies

@@ -12,15 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from phasorlab import cavity
 from phasorlab.cavity import (
     ModeFamily,
     ThermalBath,
-    acceptance_probability,
     commutator_scale_check,
     equilibrate,
     geometric_chi_square,
-    jitter_step,
     planck_expectation,
     spectrum_sweep,
     transition_flow_ratios,
@@ -30,49 +29,32 @@ from phasorlab.seeding import derive_rng
 BATH = ThermalBath(1.0)  # natural units: hf/k_B T = f, and a family's lobe energy is f
 
 
-class QueuedRng:
-    """Deterministic stand-in feeding scripted uniforms to jitter_step."""
-
-    def __init__(self, uniforms):
-        self._uni = list(uniforms)
-
-    def random(self):
-        return self._uni.pop(0)
+def oracle_walk(n0, frequency, uniforms):
+    """``oracles.jitter_loop`` from ``n0`` at ``frequency`` in BATH (q = e^-f), as an array."""
+    return np.array(oracles.jitter_loop(n0, math.exp(-frequency), uniforms.tolist()))
 
 
-def jitter_loop(family, bath, uniforms):
-    """Occupancy after each step of a ``jitter_step`` loop over ``uniforms``."""
-    rng = QueuedRng(uniforms)
-    occ = np.empty(len(uniforms), dtype=np.int64)
-    state = family
-    for t in range(len(uniforms)):
-        state = jitter_step(state, bath, rng)
-        occ[t] = state.occupancy
-    return occ
+def run_block(n0s, frequencies, steps, burn_in, rngs, width):
+    """Chains at ``frequencies`` in BATH from ``n0s``, side by side in one kernel block.
 
-
-def run_block(families, steps, burn_in, rngs, width):
-    """The chains of ``families`` side by side in one kernel block ``width`` steps wide.
-
-    Returns each chain's mean occupancy, mean energy, its standard error and acceptance
-    rate, from the block's ``_statistics`` columns.
+    The block is ``width`` steps wide.  Returns each chain's mean occupancy, mean energy,
+    its standard error and acceptance rate, from the block's ``_statistics`` columns.
     """
-    sums = cavity._run_chains([acceptance_probability(f, BATH, 1) for f in families],
-                              [f.occupancy for f in families], steps, burn_in, rngs,
-                              cavity._ChainBuffers(len(families), width))
+    sums = cavity._run_chains([math.exp(-f) for f in frequencies], n0s, steps, burn_in, rngs,
+                              cavity._ChainBuffers(len(n0s), width))
     mean, stderr, acceptance = cavity._statistics(sums, steps, burn_in)
-    lobes = np.array([f.lobe_energy for f in families])
+    lobes = np.array(frequencies, dtype=float)
     return list(zip(mean.tolist(), (mean * lobes).tolist(), (stderr * lobes).tolist(),
                     acceptance.tolist()))
 
 
-def stream_chain(family, steps, burn_in, rng, width):
+def stream_chain(n0, frequency, steps, burn_in, rng, width):
     """One chain as a one-row block: its ``run_block`` statistics."""
-    return run_block([family], steps, burn_in, [rng], width)[0]
+    return run_block([n0], [frequency], steps, burn_in, [rng], width)[0]
 
 
-def loop_statistics(family, burn_in, occ):
-    """``run_block``'s statistics of the chain from ``family`` through the occupancies ``occ``.
+def loop_statistics(n0, frequency, burn_in, occ):
+    """``run_block``'s statistics of the chain from ``n0`` at ``frequency`` through ``occ``.
 
     The standard error is that of the means of min(32, kept) equal batches of the kept
     steps, the remainder dropped.
@@ -84,8 +66,8 @@ def loop_statistics(family, burn_in, occ):
     stderr = ((batches / batch_len).std(ddof=1) / math.sqrt(n_batches) if n_batches > 1
               else math.inf)
     mean = kept.sum() / kept.size
-    moves = np.count_nonzero(np.diff(occ, prepend=family.occupancy))
-    return mean, mean * family.lobe_energy, stderr * family.lobe_energy, moves / occ.size
+    moves = np.count_nonzero(np.diff(occ, prepend=n0))
+    return mean, mean * frequency, stderr * frequency, moves / occ.size
 
 
 def sweep_row(sweep, i):
@@ -99,8 +81,6 @@ def test_mode_family_harmonic_structure():
     bath = ThermalBath(2.0, boltzmann_k=3.0, planck_h=0.5)
     family = ModeFamily.in_bath(4.0, bath)
     assert family.lobe_energy == 0.5 * 4.0
-    assert family.occupancy == 0
-    assert ModeFamily(3, lobe_energy=2.0).occupancy == 3
     # lobe energy per unit frequency recovers h for every family
     for f in (0.5, 1.0, 7.25):
         assert ModeFamily.in_bath(f, bath).lobe_energy / f == pytest.approx(0.5)
@@ -111,71 +91,54 @@ def test_mode_family_validation():
     for frequency in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="lobe energy must be positive"):
             ModeFamily.in_bath(frequency, BATH)
-    with pytest.raises(ValueError):
-        ModeFamily(-1, lobe_energy=1.0)
     with pytest.raises(TypeError):  # the lobe energy has no default
-        ModeFamily(1)
+        ModeFamily()
     with pytest.raises(ValueError):
         ThermalBath(-1.0)
 
 
-# --- single jitter steps -------------------------------------------------------
+# --- the scalar move (oracles.jitter_loop) ----------------------------------------
 
 def test_downhill_always_accepted():
-    family = ModeFamily(3, lobe_energy=1.0)
     for u in (0.5, 0.999999):
-        assert jitter_step(family, BATH, QueuedRng([u])).occupancy == 2
+        assert oracles.jitter_loop(3, math.exp(-1), [u]) == [2]
 
 
 def test_floor_proposal_rejected_outright():
-    family = ModeFamily(0, lobe_energy=1.0)
-    stepped = jitter_step(family, BATH, QueuedRng([0.5]))
-    assert stepped.occupancy == 0
-    assert acceptance_probability(family, BATH, -1) == 0.0
+    assert oracles.jitter_loop(0, math.exp(-1), [0.5, 0.999999]) == [0, 0]
 
 
 def test_uphill_acceptance_probability():
-    family = ModeFamily(4, lobe_energy=1.0)
-    assert acceptance_probability(family, BATH, +1) == pytest.approx(math.exp(-1))
-    # uniforms below 1/2 propose n + 1; their accepted share brackets e^{-1}
-    accepted = sum(
-        jitter_step(family, BATH, QueuedRng([u])).occupancy == 5
-        for u in np.linspace(0.0005, 0.9995, 1000) / 2)
+    # uniforms below 1/2 propose n + 1; their accepted share brackets q = e^{-1}
+    accepted = sum(oracles.jitter_loop(4, math.exp(-1), [u]) == [5]
+                   for u in np.linspace(0.0005, 0.9995, 1000) / 2)
     assert accepted / 1000 == pytest.approx(math.exp(-1), abs=2e-3)
-    assert jitter_step(family, BATH, QueuedRng([0.4999])).occupancy == 4
+    assert oracles.jitter_loop(4, math.exp(-1), [0.4999]) == [4]
+    assert oracles.jitter_loop(1, math.exp(-2.5), [0.0]) == [2]  # u = 0 always moves up
 
 
 @pytest.mark.parametrize("lobe", [0.0, -1.0, -1e-300])
 def test_mode_family_refuses_non_positive_lobe_energy(lobe):
-    # the kernel accepts every downhill move, which jitter_step does only for a positive
+    # the kernel accepts every downhill move, which the scalar move does only for a positive
     # lobe: with lobe -1 the two walks part (n = 17 against n = 597 after 2000 steps)
     with pytest.raises(ValueError, match="lobe energy must be positive"):
-        ModeFamily(5, lobe_energy=lobe)
-
-
-def test_jitter_preserves_lobe_energy():
-    family = ModeFamily(1, lobe_energy=2.5)
-    stepped = jitter_step(family, BATH, QueuedRng([0.0]))
-    assert stepped.occupancy == 2
-    assert stepped.lobe_energy == family.lobe_energy
+        ModeFamily(lobe_energy=lobe)
 
 
 # --- vectorized kernel vs direct loop -------------------------------------------
 
 def test_vectorized_chain_matches_stepwise_loop():
-    # oracle: the paper's move, jitter_step, looped over the kernel's own uniforms
+    # oracle: the paper's move, looped over the kernel's own uniforms
     steps = 5000
-    for family, bath in [
-        (ModeFamily(2, lobe_energy=0.8), BATH),
-        # lobe energy 1 in a bath with h = 2: uphill moves pass with e^{-1}, not e^{-2}
-        (ModeFamily(2, lobe_energy=1.0), ThermalBath(1.0, planck_h=2.0)),
-    ]:
-        chain = equilibrate(family, bath, steps, 0, derive_rng(11, "cavity", 0))
-        occ_loop = jitter_loop(family, bath, derive_rng(11, "cavity", 0).random(steps))
-        assert np.array_equal(chain.occupancies, occ_loop)
-        # run_block takes q in BATH, whose k_B T is this bath's too
-        block = stream_chain(family, steps, 0, derive_rng(11, "cavity", 0), steps)
-        assert block == loop_statistics(family, 0, occ_loop)
+    uniforms = derive_rng(11, "cavity", 0).random(steps)
+    # lobe energy 1 in a bath with h = 2: uphill moves pass with e^{-1}, not e^{-2}
+    for lobe, bath in [(0.8, BATH), (1.0, ThermalBath(1.0, planck_h=2.0))]:
+        chain = equilibrate(ModeFamily(lobe_energy=lobe), bath, steps, 0,
+                            derive_rng(11, "cavity", 0))
+        assert np.array_equal(chain.occupancies, oracle_walk(0, lobe, uniforms))
+        # the kernel from n = 2, with q in BATH, whose k_B T is this bath's too
+        block = stream_chain(2, lobe, steps, 0, derive_rng(11, "cavity", 0), steps)
+        assert block == loop_statistics(2, lobe, 0, oracle_walk(2, lobe, uniforms))
 
 
 def test_equilibrate_uses_the_family_lobe_energy():
@@ -190,9 +153,8 @@ def test_equilibrate_uses_the_family_lobe_energy():
 @pytest.mark.parametrize("steps, chunk", [(1, cavity.CHUNK), (1000, 7),
                                           (2 * cavity.CHUNK + 3, cavity.CHUNK)])
 def test_chain_draws_one_uniform_per_step(steps, chunk):
-    family = ModeFamily.in_bath(0.7, BATH)
     rng = derive_rng(13, "cavity", 2)
-    stream_chain(family, steps, 0, rng, chunk)
+    stream_chain(0, 0.7, steps, 0, rng, chunk)
     reference = derive_rng(13, "cavity", 2)
     reference.random(steps)
     assert np.array_equal(rng.random(9), reference.random(9))
@@ -220,7 +182,7 @@ def test_equilibrate_histogram_mass_and_acceptance():
     family = ModeFamily.in_bath(1.0, BATH)
     chain = equilibrate(family, BATH, 200_000, 5_000, derive_rng(2, "cavity", 0))
     assert chain.occupancy_histogram.sum() == 200_000 - 5_000
-    _, _, stderr, acceptance = stream_chain(family, 200_000, 5_000, derive_rng(2, "cavity", 0),
+    _, _, stderr, acceptance = stream_chain(0, 1.0, 200_000, 5_000, derive_rng(2, "cavity", 0),
                                             cavity.CHUNK)
     assert 0.0 < acceptance < 1.0
     assert stderr > 0.0
@@ -254,9 +216,15 @@ def test_classical_limit_chain_ensemble():
     chains = 30_000
     length = 300
     n0 = rng.geometric(1.0 - q, size=chains) - 1
-    # one chain after another, each taking the shared stream's next draws
-    total = sum(int(equilibrate(ModeFamily(int(n), lobe_energy=x), BATH, length, 0,
-                                rng).occupancies[-1]) for n in n0)
+    # kernel blocks whose rows share the stream take its draws in row order, one chain
+    # after another; each row's final occupancy is the last column of the buffer
+    rows = cavity.CHUNK // length
+    buf, total = cavity._ChainBuffers(rows, length), 0
+    for lo in range(0, chains, rows):
+        block = n0[lo:lo + rows]
+        cavity._run_chains([q] * block.size, block, length, 0, [rng] * block.size, buf)
+        total += int(buf.walk[:block.size, -1].sum())
+    assert total == 2_984_048  # the total of 30,000 one-row chains on the same stream
     mean_energy = x * total / chains  # lobe energy x per occupancy unit
     assert abs(mean_energy - 1.0) < 0.03
 
@@ -379,29 +347,34 @@ CHUNK = cavity.CHUNK
 ])
 @pytest.mark.parametrize("frequency", [0.4, 2.0])
 def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
-    family = ModeFamily(n0, lobe_energy=frequency)
-    whole = equilibrate(family, BATH, steps, burn_in, derive_rng(21, "cavity", 4))
-    streamed = stream_chain(family, steps, burn_in, derive_rng(21, "cavity", 4), CHUNK)
+    streamed = stream_chain(n0, frequency, steps, burn_in, derive_rng(21, "cavity", 4), CHUNK)
     # equilibrate's layout: the burn-in and the kept steps one segment each
-    assert streamed == stream_chain(family, steps, burn_in, derive_rng(21, "cavity", 4),
+    assert streamed == stream_chain(n0, frequency, steps, burn_in, derive_rng(21, "cavity", 4),
                                     max(burn_in, steps - burn_in))
-    assert streamed[:2] == (whole.occupancies.sum() / (steps - burn_in), whole.mean_energy)
+    occ = oracle_walk(n0, frequency, derive_rng(21, "cavity", 4).random(steps))
+    assert streamed == loop_statistics(n0, frequency, burn_in, occ)
+    # equilibrate starts at n = 0
+    whole = equilibrate(ModeFamily(lobe_energy=frequency), BATH, steps, burn_in,
+                        derive_rng(21, "cavity", 4))
+    from_zero = stream_chain(0, frequency, steps, burn_in, derive_rng(21, "cavity", 4), CHUNK)
+    assert from_zero[:2] == (whole.occupancies.sum() / (steps - burn_in), whole.mean_energy)
     assert np.array_equal(whole.occupancy_histogram, np.bincount(whole.occupancies))
     assert whole.occupancy_histogram.sum() == steps - burn_in
 
 
 def check_chain_against_loop(n0, frequency, steps, burn_in, chunk):
-    """Streamed chain, whole chain and stepwise loop agree on one stream."""
-    family = ModeFamily(n0, lobe_energy=frequency)
+    """Streamed chain from ``n0``, whole chain from 0 and stepwise loops agree on one stream."""
     whole_rng, streamed_rng = derive_rng(17, "cavity", 3), derive_rng(17, "cavity", 3)
-    whole = equilibrate(family, BATH, steps, burn_in, whole_rng)
-    streamed = stream_chain(family, steps, burn_in, streamed_rng, chunk)
+    whole = equilibrate(ModeFamily(lobe_energy=frequency), BATH, steps, burn_in, whole_rng)
+    streamed = stream_chain(n0, frequency, steps, burn_in, streamed_rng, chunk)
 
     reference = derive_rng(17, "cavity", 3)
-    occ = jitter_loop(family, BATH, reference.random(steps))
+    uniforms = reference.random(steps)
+    assert streamed == loop_statistics(n0, frequency, burn_in,
+                                       oracle_walk(n0, frequency, uniforms))
+    occ = oracle_walk(0, frequency, uniforms)
     assert np.array_equal(whole.occupancies, occ[burn_in:])
-    assert streamed == loop_statistics(family, burn_in, occ)
-    assert whole.mean_energy == streamed[1]
+    assert whole.mean_energy == loop_statistics(0, frequency, burn_in, occ)[1]
     # both chains drew exactly ``steps`` uniforms
     after = reference.random(4)
     assert np.array_equal(whole_rng.random(4), after)
@@ -432,10 +405,10 @@ def test_spectrum_sweep_equals_equilibrate_per_replica():
     steps, burn_in = 2 * CHUNK + 3, 500
     sweep = spectrum_sweep([0.7, 0.7, 3.0], BATH, steps, burn_in, master_seed=9)
     for i, f in enumerate(sweep.frequency):
-        family = ModeFamily.in_bath(f, BATH)
-        chain = equilibrate(family, BATH, steps, burn_in, derive_rng(9, "cavity", i))
+        chain = equilibrate(ModeFamily.in_bath(f, BATH), BATH, steps, burn_in,
+                            derive_rng(9, "cavity", i))
         assert sweep.mc_mean_energy[i] == chain.mean_energy
-        assert sweep_row(sweep, i) == stream_chain(family, steps, burn_in,
+        assert sweep_row(sweep, i) == stream_chain(0, f, steps, burn_in,
                                                    derive_rng(9, "cavity", i), CHUNK)[1:]
 
 
@@ -449,16 +422,22 @@ def block_streams(count, shared):
 
 
 def check_block_against_loop(n0s, frequencies, steps, burn_in, width, shared=False):
-    """Each row of one kernel block equals ``equilibrate`` and a ``jitter_step`` loop."""
-    families = [ModeFamily(n, lobe_energy=f) for f, n in zip(frequencies, n0s)]
-    chains = run_block(families, steps, burn_in, block_streams(len(families), shared), width)
-    whole_rngs, loop_rngs = (block_streams(len(families), shared) for _ in range(2))
-    for c, (family, chain) in enumerate(zip(families, chains)):
-        whole = equilibrate(family, BATH, steps, burn_in, whole_rngs[c])
-        occ = jitter_loop(family, BATH, loop_rngs[c].random(steps))
-        assert whole.occupancies[-1] == occ[-1]
-        assert chain == loop_statistics(family, burn_in, occ)
-        assert whole.mean_energy == chain[1]
+    """Each row of one kernel block equals a stepwise loop, and ``equilibrate`` from 0 does.
+
+    ``equilibrate`` runs row by row on generators of its own, so rows that share a stream
+    take the same draws in it as in the block.
+    """
+    chains = run_block(n0s, frequencies, steps, burn_in, block_streams(len(n0s), shared), width)
+    whole_rngs, loop_rngs = (block_streams(len(n0s), shared) for _ in range(2))
+    for c, (n0, frequency, chain) in enumerate(zip(n0s, frequencies, chains)):
+        uniforms = loop_rngs[c].random(steps)
+        assert chain == loop_statistics(n0, frequency, burn_in,
+                                        oracle_walk(n0, frequency, uniforms))
+        whole = equilibrate(ModeFamily(lobe_energy=frequency), BATH, steps, burn_in,
+                            whole_rngs[c])
+        occ = oracle_walk(0, frequency, uniforms)
+        assert np.array_equal(whole.occupancies, occ[burn_in:])
+        assert whole.mean_energy == loop_statistics(0, frequency, burn_in, occ)[1]
     return chains
 
 
@@ -487,12 +466,12 @@ def test_sweep_blocks_that_do_not_divide_the_chain_count(monkeypatch):
     frequencies, steps, burn_in = [0.3, 0.9, 0.9, 2.0, 5.0], 50, 20
     sweep = spectrum_sweep(frequencies, BATH, steps, burn_in, master_seed=4)
     for i, f in enumerate(frequencies):
-        family = ModeFamily.in_bath(f, BATH)
-        chain = equilibrate(family, BATH, steps, burn_in, derive_rng(4, "cavity", i))
+        chain = equilibrate(ModeFamily.in_bath(f, BATH), BATH, steps, burn_in,
+                            derive_rng(4, "cavity", i))
         assert sweep.mc_mean_energy[i] == chain.mean_energy
-        assert sweep_row(sweep, i) == stream_chain(family, steps, burn_in,
+        assert sweep_row(sweep, i) == stream_chain(0, f, steps, burn_in,
                                                    derive_rng(4, "cavity", i), CHUNK)[1:]
-        occ = jitter_loop(family, BATH, derive_rng(4, "cavity", i).random(steps))
+        occ = oracle_walk(0, f, derive_rng(4, "cavity", i).random(steps))
         assert sweep.mc_mean_energy[i] == occ[burn_in:].sum() / (steps - burn_in) * f
 
 

@@ -1113,7 +1113,7 @@ UNIT_H = statespace.HamiltonianOperator(np.eye(2))
     lambda: cavity.ThermalBath(1.0, NAN),
     lambda: cavity.ThermalBath(1.0, 1.0, NAN),
     lambda: cavity.ModeFamily.in_bath(NAN, cavity.ThermalBath(1.0)),
-    lambda: cavity.ModeFamily(0, lobe_energy=NAN),
+    lambda: cavity.ModeFamily(lobe_energy=NAN),
     lambda: cavity.planck_expectation(NAN, cavity.ThermalBath(1.0)),
     lambda: holography.FrequencyChannel(1, NAN),
     lambda: hj.MechanicalSystem(NAN, np.zeros(5)),

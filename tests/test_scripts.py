@@ -111,14 +111,20 @@ def test_bench_jobs_pass_their_checks(workload, tmp_path):
         assert job.check(result.stdout.encode("utf-8")) == [], job.name
 
 
-def public_definitions(path):
-    """(name, pattern, first line, last line) of each public name that ``path`` defines.
+# the nodes through which code uses a name, each with the field that holds the name
+USES = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.keyword: "arg"}
+TOP_LEVEL_USES = (ast.Name, ast.Attribute, ast.alias)
+MEMBER_USES = (ast.Attribute, ast.keyword)
 
-    A top-level name is matched as a word; a method, property or annotated field of a
-    public class (dataclass and NamedTuple fields alike) as ``.name``, and it is
-    reported as ``Class.name``.
+
+def public_definitions(tree):
+    """(name, uses, first line, last line) of each public name that ``tree`` defines.
+
+    A top-level name is used through a name, an attribute or an import alias; a method,
+    property or annotated field of a public class (dataclass and NamedTuple fields
+    alike) through an attribute or a keyword, and it is reported as ``Class.name``.
     """
-    for node in ast.parse(path.read_text()).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -128,7 +134,7 @@ def public_definitions(path):
             continue
         for name in names:
             if not name.startswith("_"):
-                yield name, rf"\b{name}\b", node.lineno, node.end_lineno
+                yield name, TOP_LEVEL_USES, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
@@ -138,7 +144,7 @@ def public_definitions(path):
                 else:
                     continue
                 if not name.startswith("_"):
-                    yield f"{node.name}.{name}", rf"\.{name}\b", member.lineno, member.end_lineno
+                    yield f"{node.name}.{name}", MEMBER_USES, member.lineno, member.end_lineno
 
 
 PACKAGE = Path(phasorlab.__file__).parent
@@ -148,16 +154,26 @@ REACH_SOURCES = [*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py"), *(ROOT / "bench")
                  ROOT / "tests" / "test_acceptance.py"]
 
 
-def test_every_public_name_is_reached():
-    # a name is reached when some line outside its own definition names it
-    lines = {path: path.read_text().splitlines() for path in REACH_SOURCES}
+@pytest.fixture(scope="module")
+def reach_trees():
+    """One parse of each of ``REACH_SOURCES``, which both gates read."""
+    return {path: ast.parse(path.read_text()) for path in REACH_SOURCES}
+
+
+def test_every_public_name_is_reached(reach_trees):
+    # a name is reached when code outside its own definition uses it; a docstring or a
+    # comment that names it is not a use
+    uses = {}
+    for path, tree in reach_trees.items():
+        for node in ast.walk(tree):
+            if type(node) in USES:
+                uses.setdefault(getattr(node, USES[type(node)]), []).append((path, node))
     unreached = []
     for module in sorted(PACKAGE.glob("*.py")):
-        for name, pattern, first, last in public_definitions(module):
-            word = re.compile(pattern)
-            if not any(word.search(line) for path, text in lines.items()
-                       for number, line in enumerate(text, start=1)
-                       if not (path == module and first <= number <= last)):
+        for name, kinds, first, last in public_definitions(reach_trees[module]):
+            if not any(isinstance(node, kinds)
+                       and not (path == module and first <= node.lineno <= last)
+                       for path, node in uses.get(name.rsplit(".", 1)[-1], [])):
                 unreached.append(f"{module.stem}.{name}")
     assert unreached == []
 
@@ -209,20 +225,20 @@ def passes(call, parameter, position):
         position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def test_every_defaulted_parameter_is_passed():
+def test_every_defaulted_parameter_is_passed(reach_trees):
     # a default that no real caller overrides is a constant in disguise: each parameter or
     # field with a default is passed by some call outside its own definition, matched by
     # the callee's name as the name gate matches it
     callees = {}
-    for path in REACH_SOURCES:
-        for call in ast.walk(ast.parse(path.read_text())):
+    for path, tree in reach_trees.items():
+        for call in ast.walk(tree):
             if isinstance(call, ast.Call):
                 name = getattr(call.func, "id", getattr(call.func, "attr", None))
                 callees.setdefault(name, []).append((path, call))
     unpassed = []
     for module in sorted(PACKAGE.glob("*.py")):
         for qualified, parameter, position, node in defaulted_parameters(
-                ast.parse(module.read_text()).body):
+                reach_trees[module].body):
             name = qualified.rsplit(".", 1)[-1]
             if not any(passes(call, parameter, position)
                        for path, call in callees.get(name, [])
