@@ -319,12 +319,14 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     so memory does not grow with ``steps``.  The blocks run on every
     usable CPU (``_on_usable_cpus``); the streams are derived here, in
     replica order, and the blocks' tallies are joined in block order, so
-    no byte depends on the worker count.  A sweep of more than
+    no byte depends on the worker count.  A sweep of no frequency, of more than
     ``MAX_SWEEP_STEPS`` steps in all, with a frequency that is not
     positive (NaN included) or whose hf/k_B T underflows to 0 or whose
     lobe energy hf overflows, or with no kept step, is refused before any
     chain starts.
     """
+    if len(frequencies) == 0:
+        raise ValueError("a sweep needs at least one frequency")
     if len(frequencies) * steps > MAX_SWEEP_STEPS:
         raise ValueError(f"a sweep of {len(frequencies)} x {steps} steps exceeds the budget"
                          f" of {MAX_SWEEP_STEPS:.0e} steps")

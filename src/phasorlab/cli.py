@@ -1,12 +1,12 @@
 """Batch front-end: seeded runs of each engine with bit-exact emission.
 
-Subcommands ``epr``, ``holo``, ``cavity``, ``evolve`` and ``hj`` share the
-flags ``--config``, ``--seed``, ``--out`` and ``--format``; each flag takes one
-value (``parse_argv``).  A config file is flat UTF-8 text, one ``key = value``
-per line with ``#`` comments; keys are the long flag names and flags override
-the file.  Identical (config, seed) pairs produce byte-identical output: reals
-are printed with 17 significant digits, CSV uses '.' decimals and '\\n'
-newlines, and every RNG stream is derived from the master seed (see ``seeding``).
+Subcommands ``epr``, ``holo``, ``cavity``, ``evolve`` and ``hj`` share the flags
+``--config``, ``--out`` and ``--format``, and ``cavity`` adds ``--seed``; each
+flag takes one value (``parse_argv``).  A config file is flat UTF-8 text, one
+``key = value`` per line with ``#`` comments; keys are the long flag names and
+flags override the file.  Identical (config, seed) pairs produce byte-identical
+output: reals print with 17 significant digits, CSV uses '.' decimals and '\\n'
+newlines, and every RNG stream is derived from the seed (see ``seeding``).
 
 Exit codes: 0 success, 1 engine or I/O failure, 2 usage/config errors.
 
@@ -118,7 +118,6 @@ def _u64(s: str) -> int:
 
 
 COMMON_OPTIONS = {
-    "seed": (_u64, "0", "master seed (unsigned 64-bit)"),
     "out": (str, None, "output path (default: stdout)"),
     "format": (_choice("csv", "json"), "csv", "output format"),
 }
@@ -150,6 +149,7 @@ SUBCOMMAND_OPTIONS = {
         "boltzmann-k": (_float, None, "Boltzmann constant (with --frequencies; 1.0 if unset)"),
         "steps": (int, "100000", "Metropolis steps per chain"),
         "burn-in": (int, "10000", "discarded leading steps"),
+        "seed": (_u64, "0", "master seed (unsigned 64-bit)"),
     },
     "evolve": {
         "coefficients": (_complexes, "1,0,1", "a_0..a_n, ascending"),
@@ -387,8 +387,9 @@ def run_epr(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     t1_deg, t2_deg = np.meshgrid(opts["theta1"], opts["theta2"], indexing="ij")
     # fmod is exact; from |theta| = 1e17 degrees the quarter turn vanishes in radians' round-off
     t1, t2 = (np.radians(np.fmod(opts[key], 360.0)) for key in ("theta1", "theta2"))
-    p = epr.joint_probabilities(t1, t2, epr.PhotonPairState(opts["parity"]),
-                                mode=opts["mode"], convention=opts["convention"])
+    if opts["convention"] == "difference":  # detector 2 mirrored; negation is exact
+        t2 = -t2
+    p = epr.joint_probabilities(t1, t2, epr.PhotonPairState(opts["parity"]), mode=opts["mode"])
     corr = p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
     grids = [t1_deg, t2_deg, corr, p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1]]
     return header, [g.ravel() for g in grids]
@@ -424,6 +425,9 @@ def run_holo_csv(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 
 
 def run_holo_json(opts: dict) -> str:
+    if opts["sources"] is not None:
+        raise ConfigError("key 'sources' applies only with format 'csv';"
+                          " the JSON result checks one 'source'")
     import json
     from . import holography
     bits = _holo_setup(opts)

@@ -27,7 +27,6 @@ RIGHT_CIRCULAR = PolarizationPhasor(SQRT_HALF, 1j * SQRT_HALF)
 LEFT_CIRCULAR = PolarizationPhasor(SQRT_HALF, -1j * SQRT_HALF)
 
 PARITIES = ("plus", "minus")
-CONVENTIONS = ("sum", "difference")
 MODES = ("symbolic", "numeric")
 # grid density of the numeric path's sampled fields
 SAMPLES_PER_WAVELENGTH = 8
@@ -105,8 +104,8 @@ def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
     return total
 
 
-def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symbolic",
-                        convention: str = "sum") -> np.ndarray:
+def joint_probabilities(theta1, theta2, pair: PhotonPairState,
+                        mode: str = "symbolic") -> np.ndarray:
     """Coincidence probability tables over (along, perpendicular) outcomes per detector.
 
     Each angle may be a number or an array; the result has shape
@@ -116,18 +115,16 @@ def joint_probabilities(theta1, theta2, pair: PhotonPairState, mode: str = "symb
     pi, :func:`pair_amplitude` is the closed form (1/2)(e^{i(a+b)} +
     s e^{-i(a+b)}): cos(a+b) or i sin(a+b).  It depends on a+b alone, and
     turning both analyzers a quarter turn adds pi to it, so only the (x,x)
-    and (x,y) cells are evaluated; (y,y) and (y,x) are their copies.  The
-    ``difference`` convention mirrors detector 2 (theta2 -> -theta2), the
-    handedness choice left open by the correlation sign.  ``numeric`` mode
+    and (x,y) cells are evaluated; (y,y) and (y,x) are their copies.  This is
+    the sum convention; a caller mirrors detector 2 (the difference one, the
+    handedness the correlation sign leaves open) with -theta2.  ``numeric`` mode
     scales every amplitude by the carrier's squared self-overlap over
     ``WINDOW_WAVELENGTHS``.  That factor, like a field scale E^2, cancels here.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     t1, t2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
-    b = np.mod((t2 if convention == "sum" else -t2).reshape(-1, 1) + [0.0, math.pi / 2], math.pi)
+    b = np.mod(t2.reshape(-1, 1) + [0.0, math.pi / 2], math.pi)
     # (n1, n2, 2) phases: detector 1 along theta1, detector 2 along and across theta2.
     # ``cells`` is rebound at each step, so one intermediate at a time is alive.
     cells = np.mod(t1, math.pi).reshape(-1, 1, 1) + b

@@ -132,7 +132,9 @@ def linear_potential_S(alpha: float, energy: float, m: float,
     """Characteristic function for V = alpha q at fixed total energy.
 
     W(q) = int sqrt(2m(E - alpha q)) dq = -(2m(E - alpha q))^{3/2} / (3 m alpha),
-    valid while E - alpha q stays positive on the whole grid.
+    valid while E - alpha q stays positive on the whole grid.  The 3/2 power is
+    g sqrt(g), two correctly rounded operations, so its bits do not depend on
+    which SIMD kernel numpy dispatches for ``**`` on the CPU at hand.
     """
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero; use free_particle_S instead")
@@ -142,7 +144,8 @@ def linear_potential_S(alpha: float, energy: float, m: float,
     gap = energy - alpha * q
     if np.any(gap <= 0.0):
         raise ValueError("E - alpha q must stay positive on the grid")
-    w = -((2.0 * m * gap) ** 1.5) / (3.0 * m * alpha)
+    g = 2.0 * m * gap
+    w = -(g * np.sqrt(g)) / (3.0 * m * alpha)
     return PrincipalFunctionGrid(q, w, energy)
 
 

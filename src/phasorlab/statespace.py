@@ -90,12 +90,14 @@ def evolve_linear(spec: EvolutionSpec, initial: np.ndarray, t_final: float,
     steps 0, every, 2*every, ... are built.  Roots with negative real part
     decay as transients e^{-alpha t}; a step too large for the spectral
     radius raises ValueError up front, as do more than ``MAX_EVOLVE_STEPS``
-    steps.
+    steps and an ``every`` below 1.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
+    if every < 1:
+        raise ValueError("every must be at least 1")
     y = np.asarray(initial, dtype=complex)
     if y.shape != (spec.order,):
         raise ValueError(f"initial data must have length {spec.order}")

@@ -324,6 +324,12 @@ def test_spectrum_sweep_refuses_steps_over_budget():
     assert time.monotonic() - start < 1.0
 
 
+def test_spectrum_sweep_refuses_no_frequency_by_name():
+    # once ended in "max() arg is an empty sequence" (planck_sweep.py --points 0)
+    with pytest.raises(ValueError, match="at least one frequency"):
+        spectrum_sweep([], BATH, 1000, 10, master_seed=0)
+
+
 def test_spectrum_sweep_rejects_empty_sampling_window():
     # burn-in swallowing every step propagates equilibrate's usage error
     with pytest.raises(ValueError):

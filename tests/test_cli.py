@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import platform
 import shlex
 import signal
 import subprocess
@@ -16,11 +17,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
 from phasorlab import cavity, cli, epr, hj, holography, phasor, statespace
 from phasorlab.seeding import derive_rng, philox_key
 from test_cavity import split_blocks
 from test_golden import GOLDEN
+
+
+# the epr --convention choices; the CLI, not the kernel, applies the difference one
+EPR_CONVENTIONS = ("sum", "difference")
 
 
 def run_to_file(tmp_path, name, argv):
@@ -123,7 +129,7 @@ def assert_printed_table_symmetric(out):
 
 @settings(deadline=None, max_examples=60, derandomize=True)
 @given(st.floats(-1e308, 1e308, allow_nan=False), st.floats(-1e308, 1e308, allow_nan=False),
-       st.sampled_from(epr.PARITIES), st.sampled_from(epr.CONVENTIONS))
+       st.sampled_from(epr.PARITIES), st.sampled_from(EPR_CONVENTIONS))
 def test_epr_printed_table_is_symmetric(theta1, theta2, parity, convention):
     # degrees up to 1e308: P_xx and P_yy print the same string, and so do P_xy and P_yx
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -259,6 +265,16 @@ def test_holo_inconsistent_bits_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "inconsistent bits" in err
+
+
+def test_holo_json_refuses_sources(capsys):
+    # the JSON checks its one --source: with --sources 5.6,5.6,5.6 it printed "source": 2.3
+    # and "contains_source": false, though the alias set holds 5.6, where the bits came from
+    argv = ["holo", "--channels", "1,2,3", "--sources", "5.6,5.6,5.6", "--format", "json"]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr() == ("", "phasorlab: config error: key 'sources' applies only"
+                                   " with format 'csv'; the JSON result checks one 'source'\n")
+    assert cli.run(argv[:-2]) == 0  # CSV keeps the key
 
 
 def holo_opts(*argv):
@@ -446,8 +462,10 @@ def test_config_file_and_flag_override(tmp_path):
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
-    # field-scale and time were keys once; neither changed any output
-    for command, key in [("epr", "thetaX"), ("epr", "field-scale"), ("hj", "time")]:
+    # field-scale and time were keys once, and seed a key of every command; none changed
+    # these commands' output
+    for command, key in [("epr", "thetaX"), ("epr", "field-scale"), ("hj", "time"),
+                         *((command, "seed") for command in ("epr", "holo", "evolve", "hj"))]:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = 12\n")
         code = cli.run([command, "--config", str(cfg)])
@@ -497,10 +515,12 @@ def test_missing_subcommand_exit_2(capsys):
     ["evolve", "--t", "5"],      # keys match exactly: no abbreviation of --t-final
     ["epr", "--theta2", "0", "--theta1"],
     ["epr", "theta1", "0"],
-    ["epr", "--field-scale", "1"],  # removed keys: neither changed any output
+    ["epr", "--field-scale", "1"],  # removed keys: none changed any output
     ["hj", "--time", "1"],
+    *([command, "--seed", "3"] for command in ("epr", "holo", "evolve", "hj")),
 ], ids=["no-argv", "unknown-subcommand", "unknown-key", "abbreviated-key", "no-value",
-        "bare-word", "removed-field-scale", "removed-time"])
+        "bare-word", "removed-field-scale", "removed-time", "seed-epr", "seed-holo",
+        "seed-evolve", "seed-hj"])
 def test_usage_error_is_one_line(argv, capsys):
     assert cli.run(argv) == 2
     captured = capsys.readouterr()
@@ -568,23 +588,27 @@ def test_help_lists_every_key(capsys):
         assert f"--{key} " in text
 
 
+# the value of every --out in OPTION_CHANGES, a file in the test's working directory
+OUT = "option-gate.out"
+COMMON_CHANGES = {"format": "json", "out": OUT}
 # per subcommand, a base argv and an alternate value for each key; a key bound to one mode
 # (hj's system, cavity's frequency key) is changed under the base where that mode is on
 OPTION_CHANGES = [
     (["epr", "--theta1", "10", "--theta2", "20"],
      {"theta1": "11", "theta2": "21", "parity": "minus", "convention": "difference",
-      "mode": "numeric"}),
+      "mode": "numeric", **COMMON_CHANGES}),
     (["holo", "--channels", "1,2", "--detectors", "0,0.3"],
      {"base-wavelength": "1.5", "channels": "1,3", "detectors": "0,0.4", "source": "2.2",
-      "sources": "2.3,2.2", "alpha": "0.1", "domain": "0:9"}),
+      "sources": "2.3,2.2", "alpha": "0.1", "domain": "0:9", **COMMON_CHANGES}),
     (["cavity", "--hf-over-kt", "1", "--steps", "200", "--burn-in", "100"],
-     {"hf-over-kt": "2", "steps": "300", "burn-in": "50", "seed": "1"}),
+     {"hf-over-kt": "2", "steps": "300", "burn-in": "50", "seed": "1", **COMMON_CHANGES}),
     (["cavity", "--frequencies", "1", "--steps", "200", "--burn-in", "100"],
      {"frequencies": "2", "temperature": "2", "planck-h": "2", "boltzmann-k": "2"}),
     (["evolve", "--step", "0.01"],
-     {"coefficients": "1,0,2", "initial": "0,1", "t-final": "3", "step": "0.02", "every": "2"}),
+     {"coefficients": "1,0,2", "initial": "0,1", "t-final": "3", "step": "0.02", "every": "2",
+      **COMMON_CHANGES}),
     (["hj"], {"system": "linear", "momentum": "2", "mass": "2", "q-min": "0.5", "q-max": "2",
-              "points": "101"}),
+              "points": "101", **COMMON_CHANGES}),
     (["hj", "--system", "linear"], {"alpha": "0.4", "energy": "11", "hbar": "2"}),
 ]
 # the carrier overlap cancels in the normalization, so at this base the numeric table
@@ -592,7 +616,8 @@ OPTION_CHANGES = [
 SAME_OUTPUT = {("epr", "mode")}
 
 
-def test_every_option_changes_the_output(capsys):
+def test_every_option_changes_the_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     listed = {command: set() for command in cli.SUBCOMMAND_OPTIONS}
     for base, changes in OPTION_CHANGES:
         assert cli.run(base) == 0
@@ -602,8 +627,12 @@ def test_every_option_changes_the_output(capsys):
             changed = capsys.readouterr().out != before
             assert changed != ((base[0], key) in SAME_OUTPUT), (base, key)
             listed[base[0]].add(key)
-    assert ({command: keys - set(cli.COMMON_OPTIONS) for command, keys in listed.items()}
-            == {command: set(options) for command, options in cli.SUBCOMMAND_OPTIONS.items()})
+        if "out" in changes:  # --out moved the table from stdout to the file, byte for byte
+            assert Path(OUT).read_text(encoding="utf-8") == before
+    # a listed key the command does not take exits 2 above; here no key it takes is unlisted
+    unlisted = {command: {*options, *cli.COMMON_OPTIONS} - listed[command]
+                for command, options in cli.SUBCOMMAND_OPTIONS.items()}
+    assert unlisted == {command: set() for command in cli.SUBCOMMAND_OPTIONS}
 
 
 # values the grammar must carry through unchanged in either spelling
@@ -674,7 +703,7 @@ SWEEP = st.one_of(SCALAR, st.tuples(SCALAR, SCALAR, ints(-1, 4)).map(":".join))
 # each key's values; cavity's frequency key and evolve's other keys are drawn together
 ENGINE_VALUES = {
     "epr": {"theta1": SWEEP, "theta2": SWEEP, "parity": choice(*epr.PARITIES),
-            "convention": choice(*epr.CONVENTIONS), "mode": choice(*epr.MODES)},
+            "convention": choice(*EPR_CONVENTIONS), "mode": choice(*epr.MODES)},
     "holo": {"base-wavelength": st.one_of(st.sampled_from(["0", "-1", "1e-300", "1e-12", "1e300"]),
                                           st.floats(0.1, 100.0).map(repr)),
              "channels": listed(ints(-1, 30), 4, 1), "detectors": listed(SCALAR, 3, 1),
@@ -682,7 +711,7 @@ ENGINE_VALUES = {
              "domain": st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)).map(
                  lambda d: "%r:%r" % tuple(sorted(d)))},
     "cavity": {"temperature": POSITIVE, "planck-h": POSITIVE, "boltzmann-k": POSITIVE,
-               "steps": ints(-1, 2000), "burn-in": ints(-1, 2000)},
+               "steps": ints(-1, 2000), "burn-in": ints(-1, 2000), "seed": ints(0, 2 ** 64)},
     "evolve": {"every": ints(-1, 50)},
     "hj": {"system": choice("free", "linear"), "points": ints(-1, 200), "mass": POSITIVE,
            "hbar": POSITIVE, **{key: SCALAR for key in ("momentum", "alpha", "energy", "q-min",
@@ -690,10 +719,12 @@ ENGINE_VALUES = {
 }
 PAIRED_KEYS = {"cavity": {"hf-over-kt", "frequencies"},
                "evolve": {"coefficients", "initial", "step", "t-final"}}
-COMMON_VALUES = {"seed": ints(0, 2 ** 64), "format": choice("csv", "json")}
+# --out is left out: the cases print to stdout
+COMMON_VALUES = {"format": choice("csv", "json")}
 
 
 def test_engine_cases_draw_every_key():
+    assert {*COMMON_VALUES, "out"} == set(cli.COMMON_OPTIONS)
     for command, options in cli.SUBCOMMAND_OPTIONS.items():
         assert {*ENGINE_VALUES[command], *PAIRED_KEYS.get(command, ())} == set(options)
 
@@ -1331,9 +1362,11 @@ def test_bad_value_exits_2_without_loading_numpy(argv):
 
 
 @pytest.mark.parametrize("key, choices", [("parity", epr.PARITIES),
-                                          ("convention", epr.CONVENTIONS),
+                                          ("convention", EPR_CONVENTIONS),
                                           ("mode", epr.MODES)])
 def test_epr_choice_keys_accept_exactly_the_engine_choices(key, choices):
+    # the CLI resolves the convention itself (difference: theta2 -> -theta2), so its
+    # choices are its own, not an engine's
     convert = cli.SUBCOMMAND_OPTIONS["epr"][key][0]
     assert [convert(value) for value in choices] == list(choices)
     with pytest.raises(ValueError) as refused:
@@ -1346,6 +1379,40 @@ def test_epr_choice_keys_accept_exactly_the_engine_choices(key, choices):
 def test_golden_stdout_from_a_fresh_process(argv, digest):
     out = fresh_python("-m", "phasorlab.cli", *argv)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the features the child disables read as off; then each argv's stdout hash, one a line
+DISPATCH_CHILD = """
+import contextlib, hashlib, io, json, os, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from phasorlab import cli
+disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+assert not any(__cpu_features__[feature] for feature in disabled), disabled
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.run(argv) == 0, argv
+    print(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+"""
+HJ_GOLDEN = [(argv, digest) for argv, digest in GOLDEN if argv[0] == "hj"]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the reduced settings are x86-64 dispatch levels; other hosts"
+                           " are out of the byte-identity claim")
+@pytest.mark.parametrize("disabled", [__cpu_dispatch__[i:] for i in range(len(__cpu_dispatch__))],
+                         ids="+".join)
+def test_hj_goldens_hold_under_reduced_dispatch(disabled):
+    """Every hj golden prints its hash with numpy's SIMD dispatch cut from one level up.
+
+    The settings come from numpy's own dispatch list, each level disabled with every
+    level above it, so no hard-coded feature name can silently test nothing on another
+    numpy build.  The variable must be set before numpy loads, so each setting runs in
+    a new interpreter.  evolve's goldens stay out while its printed numbers go through
+    BLAS, whose kernels are chosen per CPU.
+    """
+    out = fresh_python("-c", DISPATCH_CHILD, json.dumps([argv for argv, _ in HJ_GOLDEN]),
+                       NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    assert out.split() == [digest for _, digest in HJ_GOLDEN]
 
 
 THREADS = ("import os, {module}; "

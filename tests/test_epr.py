@@ -138,7 +138,8 @@ def test_correlation_matches_cosine(theta1, theta2):
 @settings(deadline=None, max_examples=30)
 @given(angles, angles)
 def test_correlation_difference_convention(theta1, theta2):
-    p = epr.joint_probabilities(theta1, theta2, PLUS, convention="difference")
+    # detector 2 mirrored, as the CLI applies --convention difference
+    p = epr.joint_probabilities(theta1, -theta2, PLUS)
     got = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
     assert abs(got - math.cos(2 * (theta1 - theta2))) <= 1e-9
 
@@ -188,12 +189,16 @@ def test_pair_state_validation():
 
 # --- grid kernel against the scalar oracle -------------------------------------
 
+# the sign of detector 2's analyzer angles under each correlation convention
+THETA2_SIGN = {"sum": 1.0, "difference": -1.0}
+
+
 def oracle_tables(theta1, theta2, pair, mode, convention, field=1.0, **numeric_options):
     """Amplitude tables from four scalar pair_amplitude calls per grid point.
 
     The pair is built at unit field; at field amplitude E every entry scales as E^2.
     """
-    sign = 1.0 if convention == "sum" else -1.0
+    sign = THETA2_SIGN[convention]
     out = np.empty((len(theta1), len(theta2), 2, 2), dtype=complex)
     for p, t1 in enumerate(theta1):
         for q, t2 in enumerate(theta2):
@@ -209,19 +214,20 @@ def oracle_tables(theta1, theta2, pair, mode, convention, field=1.0, **numeric_o
 @pytest.mark.parametrize("mode, numeric_options",
                          [("symbolic", {}), ("numeric", {"window_wavelengths": 200})])
 @pytest.mark.parametrize("parity", epr.PARITIES)
-@pytest.mark.parametrize("convention", epr.CONVENTIONS)
+@pytest.mark.parametrize("convention", THETA2_SIGN)
 @pytest.mark.parametrize("field_scale", [1e-3, 1.0, 7.5, 1e20])
 def test_grid_kernel_matches_scalar_oracle(mode, numeric_options, parity, convention,
                                            field_scale):
     # the kernel works at unit field; the oracle's amplitudes at field E scale as E^2,
-    # which cancels in the probabilities
+    # which cancels in the probabilities.  The kernel is sum-convention only: a caller
+    # mirrors detector 2 by negating theta2
     rng = np.random.default_rng(len(parity) + 10 * len(convention))
     theta1 = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
     theta2 = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
     pair = epr.PhotonPairState(parity)
     want = oracle_tables(theta1, theta2, pair, mode, convention, field_scale, **numeric_options)
     weights = np.abs(want) ** 2
-    probs = epr.joint_probabilities(theta1, theta2, pair, mode, convention)
+    probs = epr.joint_probabilities(theta1, THETA2_SIGN[convention] * theta2, pair, mode)
     assert np.max(np.abs(probs - weights / weights.sum(axis=(2, 3), keepdims=True))) <= 1e-12
 
 
@@ -242,24 +248,23 @@ SPECIAL_ANGLES = [0.0, math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2, 1e-30
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
-@given(ANGLE_LISTS, ANGLE_LISTS, st.sampled_from(epr.PARITIES), st.sampled_from(epr.CONVENTIONS))
-def test_table_is_symmetric_bit_for_bit(theta1, theta2, parity, convention):
+@given(ANGLE_LISTS, ANGLE_LISTS, st.sampled_from(epr.PARITIES))
+def test_table_is_symmetric_bit_for_bit(theta1, theta2, parity):
     # both cells of a pair are cos^2 or sin^2 of the same a+b, so they are equal exactly;
     # numeric mode prints the same bytes (test_numeric_table_is_the_symbolic_one)
-    p = epr.joint_probabilities(theta1, theta2, epr.PhotonPairState(parity), "symbolic",
-                                convention)
+    p = epr.joint_probabilities(theta1, theta2, epr.PhotonPairState(parity), "symbolic")
     assert p[..., 0, 0].tobytes() == p[..., 1, 1].tobytes()
     assert p[..., 0, 1].tobytes() == p[..., 1, 0].tobytes()
 
 
 @settings(deadline=None, max_examples=30, derandomize=True)
-@given(ANGLE_LISTS, ANGLE_LISTS, st.sampled_from(epr.PARITIES), st.sampled_from(epr.CONVENTIONS))
-@example(SPECIAL_ANGLES, SPECIAL_ANGLES, "plus", "sum")
-@example(SPECIAL_ANGLES, SPECIAL_ANGLES, "minus", "difference")
-def test_numeric_table_is_the_symbolic_one(theta1, theta2, parity, convention):
+@given(ANGLE_LISTS, ANGLE_LISTS, st.sampled_from(epr.PARITIES))
+@example(SPECIAL_ANGLES, SPECIAL_ANGLES, "plus")
+@example(SPECIAL_ANGLES, [-a for a in SPECIAL_ANGLES], "minus")
+def test_numeric_table_is_the_symbolic_one(theta1, theta2, parity):
     # numeric mode scales every amplitude by o^2, the carrier's self-overlap squared; at
     # WINDOW_WAVELENGTHS |o^2|^2 is exactly 1.0 in float64, so the normalized tables agree
     pair = epr.PhotonPairState(parity)
-    symbolic = epr.joint_probabilities(theta1, theta2, pair, "symbolic", convention)
-    numeric = epr.joint_probabilities(theta1, theta2, pair, "numeric", convention)
+    symbolic = epr.joint_probabilities(theta1, theta2, pair, "symbolic")
+    numeric = epr.joint_probabilities(theta1, theta2, pair, "numeric")
     assert numeric.tobytes() == symbolic.tobytes()

@@ -49,11 +49,11 @@ GOLDEN = [
     (["hj", "--points", "21"],
      "e5b39b88e9246de452d9cbc383df9da94b9f98cbb04d4f48c8e177d1de923e70"),
     (["hj", "--system", "linear", "--points", "21", "--format", "json"],
-     "44cbb0764fc8d2f381c213a66af18f663e1b80cd03713a582a460e4988491b8b"),
+     "969580d33f55b07939b8e0cabcb898350aaeb62915b57dbb2013d85d544ad150"),
     # a default linear grid near the most points its span resolves (32,483), recorded
     # before hj refused the finer ones
     (["hj", "--system", "linear", "--points", "30001"],
-     "1c71d197dd6dfcd350afcb8b7cc9499d56d57b82c6ebdf6bd3373e72ee0817e4"),
+     "290b10ed89cc29c698edda7fdbd36b89372202e21da63af9bacb8a4a4e88632a"),
     # the benchmark's epr-grid shape: 120 x 120 angles from non-integer starts, so most
     # E and P values repeat many times across the 14,400 rows
     (["epr", "--theta1", "0.318532:180.318532:120", "--theta2", "0.734019:180.734019:120"],
@@ -99,3 +99,4 @@ def test_json_stdout_is_canonical(argv, capsys):
     canonical = json.dumps(json.loads(out), indent=1) + "\n"
     # compared line by line: pytest's diff of two long strings takes minutes
     assert out.split("\n") == canonical.split("\n")
+

@@ -93,6 +93,13 @@ def test_evolve_stability_guard():
         ss.evolve_linear(ss.EvolutionSpec((1.0, 1.0)), [1.0, 0.0], 1.0, 0.1)
 
 
+@pytest.mark.parametrize("every", [0, -1])
+def test_evolve_refuses_every_below_1_by_name(every):
+    # once ended in ZeroDivisionError; the CLI refuses the same value as a config error
+    with pytest.raises(ValueError, match="every must be at least 1"):
+        ss.evolve_linear(ss.EvolutionSpec((1.0, 0.0, 1.0)), [1.0, 0.0], 1.0, 0.1, every)
+
+
 def test_evolve_matches_root_superposition():
     # oracle: psi(t) = sum c_j e^{s_j t} with c from the Vandermonde system
     spec = ss.EvolutionSpec((2.0, 3.0, 1.0))  # roots -1, -2
