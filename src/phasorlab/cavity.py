@@ -25,7 +25,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -255,56 +255,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _on_usable_cpus(task: Callable, items: Sequence, scratch: Callable) -> list:
-    """``[task(item, s, stop) for item in items]``, on one worker per usable CPU, in item order.
-
-    The calling thread is one worker and ``threading.Thread``s are the
-    others; with one worker no thread starts.  Each worker makes its own
-    ``s = scratch()`` and takes the next item index from a shared iterator.
-    Threads run in a copy of the caller's context, so they see its numpy
-    ``errstate``.  ``stop`` is set only when a worker fails, the caller
-    included: the others stop at their next item, and a task that checks
-    ``stop`` may end sooner.  The first exception of a thread is raised
-    here; every thread is joined before this returns or raises.
-    """
-    results = [None] * len(items)
-    claim, indices, stop = threading.Lock(), iter(range(len(items))), threading.Event()
-    errors: list[BaseException] = []
-
-    def work():
-        s = scratch()
-        while not stop.is_set():
-            with claim:
-                i = next(indices, None)
-            if i is None:
-                return
-            results[i] = task(items[i], s, stop)
-
-    def helper():
-        try:
-            work()
-        except BaseException as exc:  # handed to the caller, not printed by the thread
-            errors.append(exc)
-            stop.set()
-
-    threads = []
-    try:
-        for _ in range(min(_usable_cpus(), len(items)) - 1):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-            thread.start()
-            threads.append(thread)
-        work()
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
                    burn_in: int, master_seed: int) -> SweepColumns:
     """One equilibrated chain per frequency from n = 0, compared to the closed form.
@@ -316,10 +266,16 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     independent estimates of the same mean.  The chains run side by side
     in blocks of ``CHUNK // width`` chains, with width = min(CHUNK,
     max(burn_in, kept)), through one buffer of ``CHUNK`` steps per worker,
-    so memory does not grow with ``steps``.  The blocks run on every
-    usable CPU (``_on_usable_cpus``); the streams are derived here, in
-    replica order, and the blocks' tallies are joined in block order, so
-    no byte depends on the worker count.  A sweep of no frequency, of more than
+    so memory does not grow with ``steps``.  The workers are the calling
+    thread and a ``threading.Thread`` per further usable CPU, at most one
+    per block, and each takes the next block from one shared counter.  The
+    streams are derived here, in replica order, and the blocks' tallies are
+    joined in block order, so no byte depends on the worker count.  Threads
+    run in a copy of the caller's context, so they see its numpy
+    ``errstate``.  The first worker to fail, the caller included, sets a
+    stop event that ends every block before its next segment; a helper's
+    exception is raised here, and every thread is joined before this
+    returns or raises.  A sweep of no frequency, of more than
     ``MAX_SWEEP_STEPS`` steps in all, with a frequency that is not
     positive (NaN included) or whose hf/k_B T underflows to 0 or whose
     lobe energy hf overflows, or with no kept step, is refused before any
@@ -342,13 +298,43 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     q = [math.exp(-x) for x in xs]
     rngs = [derive_rng(master_seed, "cavity", i) for i in range(len(frequencies))]
     block = CHUNK // width
-    starts = range(0, len(frequencies), block)
+    blocks: list[_ChainSums | None] = [None] * math.ceil(len(q) / block)
+    starts, claim, stop = iter(range(0, len(q), block)), threading.Lock(), threading.Event()
+    errors: list[BaseException] = []
 
-    def run_block(lo: int, buf: _ChainBuffers, stop: threading.Event) -> _ChainSums | None:
-        rows = slice(lo, lo + block)
-        return _run_chains(q[rows], [0] * len(q[rows]), steps, burn_in, rngs[rows], buf, stop)
+    def work():
+        buf = _ChainBuffers(block, width)
+        while not stop.is_set():
+            with claim:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            rows = slice(lo, lo + block)
+            blocks[lo // block] = _run_chains(q[rows], [0] * len(q[rows]), steps, burn_in,
+                                              rngs[rows], buf, stop)
 
-    blocks = _on_usable_cpus(run_block, starts, lambda: _ChainBuffers(block, width))
+    def helper():
+        try:
+            work()
+        except BaseException as exc:  # handed to the caller, not printed by the thread
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for _ in range(min(_usable_cpus(), len(blocks)) - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+            thread.start()
+            threads.append(thread)
+        work()
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     sums = _ChainSums(*map(np.concatenate, zip(*blocks)))
     mean, stderr, acceptance = _statistics(sums, steps, burn_in)
     lobes = np.array(hf)

@@ -11,8 +11,9 @@ newlines, and every RNG stream is derived from the seed (see ``seeding``).
 Exit codes: 0 success, 1 engine or I/O failure, 2 usage/config errors.
 
 A run loads only the engine its subcommand runs, and numpy only once it
-computes.  numpy starts one BLAS thread: no kernel here hands BLAS a matrix
-worth splitting, and an idle thread pool costs CPU time in every process.  A
+computes.  numpy starts one BLAS thread: no printed number goes through BLAS,
+only evolve's stability check (``eigvals`` of a small matrix) does, and an
+idle thread pool costs CPU time in every process.  A
 thread count the caller sets in the environment still wins.  The only threads
 a run starts are a cavity sweep's workers, one per usable CPU past the first,
 and the sweep joins them before it returns.  ``main``, the process entry
@@ -491,8 +492,9 @@ def run_evolve(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     re, im = traj.states.real, traj.states.imag
     header = ["t"] + [f"{part}_{k}" for k in range(spec.order) for part in ("re", "im")]
     columns = [traj.times] + [part[:, k] for k in range(spec.order) for part in (re, im)]
-    # per row, the sums np.linalg.norm takes of one state; norm(axis=1) rounds differently
-    columns.append(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)))
+    # per row, the sums np.linalg.norm takes of one state, in a fixed order without BLAS
+    squares = [np.einsum("ij,ij->i", part, part, optimize=False) for part in (re, im)]
+    columns.append(np.sqrt(squares[0] + squares[1]))
     return header + ["norm"], columns
 
 

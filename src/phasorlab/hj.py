@@ -51,7 +51,7 @@ class PrincipalFunctionGrid:
         if q.ndim != 1 or q.size < 2:
             raise ValueError("grid must be 1-D with at least two points")
         d = np.diff(q)
-        if np.any(d <= 0):
+        if not np.all(d > 0):  # NaN included
             raise ValueError("grid must be strictly increasing")
         # linspace round-off spreads the spacing by up to ~2.3 eps max|q|, or a subnormal step
         ulp = max(np.finfo(float).eps * max(abs(q[0]), abs(q[-1])), math.ulp(0.0))
@@ -123,6 +123,8 @@ def free_particle_S(p: float, m: float, q: np.ndarray) -> PrincipalFunctionGrid:
     """
     if not m > 0.0:
         raise ValueError("mass must be positive")
+    if not math.isfinite(p):
+        raise ValueError(f"momentum must be finite, got {p:g}")
     q = np.asarray(q, dtype=float)
     return PrincipalFunctionGrid(q, p * q, p * p / (2.0 * m))
 
@@ -142,7 +144,7 @@ def linear_potential_S(alpha: float, energy: float, m: float,
         raise ValueError("mass must be positive")
     q = np.asarray(q, dtype=float)
     gap = energy - alpha * q
-    if np.any(gap <= 0.0):
+    if not np.all(gap > 0.0):  # NaN included
         raise ValueError("E - alpha q must stay positive on the grid")
     g = 2.0 * m * gap
     w = -(g * np.sqrt(g)) / (3.0 * m * alpha)

@@ -44,7 +44,7 @@ class SampledField:
         v = np.asarray(self.values, dtype=complex)
         if z.ndim != 1 or z.size < 2:
             raise ValueError("grid must be 1-D with at least two points")
-        if np.any(np.diff(z) <= 0):
+        if not np.all(np.diff(z) > 0):  # NaN included
             raise ValueError("grid must be strictly ascending")
         if v.shape != (z.size, 2):
             raise ValueError(f"values must be ({z.size}, 2) on this grid, got {v.shape}")

@@ -539,7 +539,7 @@ DASH_VALUES = [
     (["holo", "--domain", "-5:5"],
      "ba111c6deced63404505ef9a17b8dba214efd48f26323e0b2c993e27fc9c8f02"),
     (["evolve", "--coefficients", "-1,0,1"],
-     "9237ce67467851f25fe7336750d7a3aec48331fdb044d2f5b446acf73123c6ab"),
+     "ee6dfebfd126219389ebd5bc6deaca4aa1f9eb20b65c6328702d05f8b3b07fd4"),
 ]
 
 
@@ -1139,27 +1139,38 @@ GRID = np.linspace(0.0, 1.0, 5)
 UNIT_H = statespace.HamiltonianOperator(np.eye(2))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: cavity.ThermalBath(NAN),
-    lambda: cavity.ThermalBath(1.0, NAN),
-    lambda: cavity.ThermalBath(1.0, 1.0, NAN),
-    lambda: cavity.ModeFamily.in_bath(NAN, cavity.ThermalBath(1.0)),
-    lambda: cavity.ModeFamily(lobe_energy=NAN),
-    lambda: cavity.planck_expectation(NAN, cavity.ThermalBath(1.0)),
-    lambda: holography.FrequencyChannel(1, NAN),
-    lambda: hj.MechanicalSystem(NAN, np.zeros(5)),
-    lambda: hj.MechanicalSystem(1.0, np.zeros(5), NAN),
-    lambda: hj.free_particle_S(1.0, NAN, GRID),
-    lambda: hj.linear_potential_S(0.5, 10.0, NAN, GRID),
-    lambda: statespace.schrodinger_propagate(UNIT_H, np.ones(2), NAN, 1),
-    lambda: phasor.cesaro_inner_product(
+@pytest.mark.parametrize("build, message", [
+    (lambda: cavity.ThermalBath(NAN), "positive"),
+    (lambda: cavity.ThermalBath(1.0, NAN), "positive"),
+    (lambda: cavity.ThermalBath(1.0, 1.0, NAN), "positive"),
+    (lambda: cavity.ModeFamily.in_bath(NAN, cavity.ThermalBath(1.0)), "positive"),
+    (lambda: cavity.ModeFamily(lobe_energy=NAN), "positive"),
+    (lambda: cavity.planck_expectation(NAN, cavity.ThermalBath(1.0)), "positive"),
+    (lambda: holography.FrequencyChannel(1, NAN), "positive"),
+    (lambda: hj.MechanicalSystem(NAN, np.zeros(5)), "positive"),
+    (lambda: hj.MechanicalSystem(1.0, np.zeros(5), NAN), "positive"),
+    (lambda: hj.free_particle_S(1.0, NAN, GRID), "positive"),
+    (lambda: hj.linear_potential_S(0.5, 10.0, NAN, GRID), "positive"),
+    (lambda: statespace.schrodinger_propagate(UNIT_H, np.ones(2), NAN, 1), "positive"),
+    (lambda: phasor.cesaro_inner_product(
         *[phasor.plane_wave(1.0, GRID, phasor.PolarizationPhasor(1.0, 0.0))] * 2, NAN),
+     "positive"),
+    (lambda: hj.PrincipalFunctionGrid(np.array([0.0, NAN, 1.0]), np.zeros(3), 1.0),
+     "strictly increasing"),
+    (lambda: hj.linear_potential_S(NAN, 10.0, 1.0, GRID), "stay positive"),
+    (lambda: hj.linear_potential_S(0.5, NAN, 1.0, GRID), "stay positive"),
+    (lambda: hj.free_particle_S(NAN, 1.0, GRID), "momentum must be finite"),
+    (lambda: phasor.SampledField(np.array([0.0, NAN, 1.0]), np.zeros((3, 2))),
+     "strictly ascending"),
+    (lambda: statespace.evolve_linear(statespace.EvolutionSpec((1, 0, 1)), [NAN, 0.0], 1.0,
+                                      0.1), "initial data must be finite"),
 ], ids=["bath-temperature", "bath-k", "bath-h", "family-frequency", "family-lobe",
         "planck-frequency", "channel-wavenumber", "system-mass", "system-hbar",
-        "free-mass", "linear-mass", "propagate-dt", "cesaro-window"])
-def test_engine_positivity_checks_refuse_nan(build):
+        "free-mass", "linear-mass", "propagate-dt", "cesaro-window", "grid-q", "linear-alpha",
+        "linear-energy", "free-momentum", "field-z", "evolve-initial"])
+def test_engine_positivity_checks_refuse_nan(build, message):
     # the CLI refuses NaN before any engine runs; each engine refuses it on its own too
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=message):
         build()
 
 
@@ -1381,38 +1392,57 @@ def test_golden_stdout_from_a_fresh_process(argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-# the features the child disables read as off; then each argv's stdout hash, one a line
-DISPATCH_CHILD = """
-import contextlib, hashlib, io, json, os, sys
+# the features the child disables read as off; then the name of the kernel numpy's bundled
+# OpenBLAS chose, or an empty line where it reports none, and each argv's stdout hash, one a line
+SETTING_CHILD = """
+import contextlib, ctypes, glob, hashlib, io, json, os, sys
+import numpy
 from numpy._core._multiarray_umath import __cpu_features__
 from phasorlab import cli
-disabled = os.environ["NPY_DISABLE_CPU_FEATURES"].split()
+disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
 assert not any(__cpu_features__[feature] for feature in disabled), disabled
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                              "*openblas*"))
+corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+if corename:
+    corename.restype = ctypes.c_char_p
+print(corename().decode() if corename else "")
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.run(argv) == 0, argv
     print(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
 """
-HJ_GOLDEN = [(argv, digest) for argv, digest in GOLDEN if argv[0] == "hj"]
+REDUCED_SETTINGS = (
+    [pytest.param({"NPY_DISABLE_CPU_FEATURES": " ".join(cut)}, id="+".join(cut))
+     for cut in (__cpu_dispatch__[i:] for i in range(len(__cpu_dispatch__)))]
+    + [pytest.param({"OPENBLAS_CORETYPE": core}, id=f"OPENBLAS_CORETYPE={core}")
+       for core in ("Haswell", "Prescott")])
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="the reduced settings are x86-64 dispatch levels; other hosts"
-                           " are out of the byte-identity claim")
-@pytest.mark.parametrize("disabled", [__cpu_dispatch__[i:] for i in range(len(__cpu_dispatch__))],
-                         ids="+".join)
-def test_hj_goldens_hold_under_reduced_dispatch(disabled):
-    """Every hj golden prints its hash with numpy's SIMD dispatch cut from one level up.
+                    reason="the reduced settings are x86-64 dispatch levels and BLAS kernels;"
+                           " other hosts are out of the byte-identity claim")
+@pytest.mark.parametrize("setting", REDUCED_SETTINGS)
+def test_goldens_hold_under_reduced_dispatch(setting):
+    """Every golden prints its hash with numpy's SIMD or OpenBLAS's kernel set below the host's.
 
-    The settings come from numpy's own dispatch list, each level disabled with every
+    numpy's settings come from its own dispatch list, each level disabled with every
     level above it, so no hard-coded feature name can silently test nothing on another
-    numpy build.  The variable must be set before numpy loads, so each setting runs in
-    a new interpreter.  evolve's goldens stay out while its printed numbers go through
-    BLAS, whose kernels are chosen per CPU.
+    numpy build.  The OpenBLAS settings name older x86-64 kernels; each must change the
+    kernel name the bundled OpenBLAS reports, or the case is skipped.  The variables
+    must be set before numpy loads, so each setting runs in a new interpreter.
     """
-    out = fresh_python("-c", DISPATCH_CHILD, json.dumps([argv for argv, _ in HJ_GOLDEN]),
-                       NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
-    assert out.split() == [digest for _, digest in HJ_GOLDEN]
+    core, *digests = fresh_python("-c", SETTING_CHILD, json.dumps([argv for argv, _ in GOLDEN]),
+                                  **setting).splitlines()
+    if "OPENBLAS_CORETYPE" in setting:
+        if not core:
+            pytest.skip("numpy's OpenBLAS reports no kernel name, so the setting cannot be"
+                        " shown to act")
+        default = fresh_python("-c", SETTING_CHILD, "[]",
+                               drop=(*cli.BLAS_THREAD_VARS, "OPENBLAS_CORETYPE")).strip()
+        if core == default:
+            pytest.skip(f"the setting leaves OpenBLAS on this host's own kernel, {core}")
+    assert digests == [digest for _, digest in GOLDEN]
 
 
 THREADS = ("import os, {module}; "

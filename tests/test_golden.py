@@ -42,10 +42,10 @@ GOLDEN = [
      "004bdfe2deaa13671e2dbce6b1461a4767cfcb399a58b8c9a2fd298239dbd8e8"),
     (["evolve", "--coefficients", "1,0,1", "--initial", "1,0", "--step", "0.01",
       "--every", "10"],
-     "444d5deede69c3b77799bb75f21cf7ada19252b7e00b3acd22fbb4da9b1bbc04"),
+     "f06b3ed836360cf6ab99d2bcfc8368f7630a9743562607e887567e34858f2747"),
     (["evolve", "--coefficients", "2,1+0.5j,1", "--initial", "1,0.5j",
       "--step", "0.001", "--every", "50", "--format", "json"],
-     "7570c92b3ac96d5e6e33187bea46170cba8ccb11c17860777630110ed48bab1d"),
+     "fcfdc036a61ce5a634e92fcaf211358eaae2324da10225342c3230db8dfafcc6"),
     (["hj", "--points", "21"],
      "e5b39b88e9246de452d9cbc383df9da94b9f98cbb04d4f48c8e177d1de923e70"),
     (["hj", "--system", "linear", "--points", "21", "--format", "json"],
