@@ -15,15 +15,12 @@ kernel runs a block of chains side by side through the reflected-walk
 tests hold it step for step to the scalar move looped over the same
 uniforms.  Every chain starts at n = 0.  ``equilibrate`` is a one-row
 block that also keeps its chain; ``spectrum_sweep`` runs its chains in
-blocks within O(CHUNK) memory per worker, one worker per usable CPU.
+blocks, one after another on the calling thread, within O(CHUNK) memory.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -33,7 +30,14 @@ from .seeding import derive_rng
 
 # steps in a sweep's work buffers, shared by a block's chains: O(CHUNK) memory, not O(steps)
 CHUNK = 2 ** 16
-# a sweep runs at most this many steps over all its chains (about 20 s at 20 ns/step on one CPU)
+# steps in a chunk of the kernel's scans: prefix sums and minima within +-64 fit int8, and
+# occupancies within 128 of the chunk's floor a byte
+SCAN_STEPS = 64
+_SCAN_SHIFTS = tuple(2 ** k for k in range(SCAN_STEPS.bit_length() - 1))  # 1, 2, ..., 32
+# Generator.random takes u = (w >> 11) 2^-53 from a Philox word w, so u >= 1/2 exactly when
+# w >= 2^63
+_DOWN_WORD = np.uint64(2 ** 63)
+# a sweep runs at most this many steps over all its chains (about 8 s at 7-8 ns/step)
 MAX_SWEEP_STEPS = 10 ** 9
 # transition_flow_ratios skips a level with fewer transitions than this either way
 FLOW_RATIO_MIN_COUNT = 25
@@ -114,20 +118,54 @@ class ChainStatistics:
 
 
 class _ChainBuffers:
-    """Work arrays of a block of up to ``chains`` chains, ``width`` steps a segment: 18 B a step."""
+    """Work arrays of a block of up to ``chains`` chains, ``width`` steps a segment: 6.5 B a step.
+
+    Each chain's up and down flags, in step order and padded with stays to whole chunks of
+    ``SCAN_STEPS``, 2 B a step; the up flags then hold the int8 increments.  Three
+    chunk-major int8 scan arrays, one column per chunk, 4.5 B a step: each has
+    ``SCAN_STEPS // 2`` rows of zeros above it, which the shifted operand of a scan
+    pass reads.  A segment's raw words, 8 B a step of one chain, come and go per chain.
+    """
 
     def __init__(self, chains: int, width: int):
-        self.arrays = [np.empty((chains, width), dtype=t) for t in (float, bool, bool, np.int64)]
-        self.walk = self.arrays[3]
+        chunks = -(-width // SCAN_STEPS)
+        self.width = width
+        self.flags = np.zeros((2, chains, chunks * SCAN_STEPS), dtype=bool)
+        self.scan = np.zeros((3, SCAN_STEPS // 2 + SCAN_STEPS, chains * chunks), dtype=np.int8)
+        self.kept = None  # the last kept segment's occupancies, lifts and length (_run_chains)
 
-    def segment(self, chains: int, width: int) -> list[np.ndarray]:
-        """Views for the uniforms, the up and down flags, the walk and its running minimum.
+    def walk(self) -> np.ndarray:
+        """The occupancies of the last kept segment, one row per chain in step order."""
+        occupancies, lift, steps = self.kept
+        chains, chunks = lift.shape
+        walk = np.empty((chains, chunks, SCAN_STEPS), dtype=np.int64)
+        np.add(occupancies.reshape(SCAN_STEPS, chains, chunks).transpose(1, 2, 0),
+               lift[:, :, None], out=walk)
+        return walk.reshape(chains, chunks * SCAN_STEPS)[:, :steps]
 
-        The last view reuses the uniforms' bytes, which are dead once the flags
-        are taken: it holds the widened increments, then the running minimum.
-        """
-        u, up, down, walk = (a[:chains, :width] for a in self.arrays)
-        return [u, up, down, walk, u.view(np.int64)]
+
+def _chunk_scan(op: np.ufunc, scan: np.ndarray, order: Sequence[int], columns: int) -> np.ndarray:
+    """Inclusive scan by ``op`` down the chunks of ``scan[order[0]]``, the first ``columns``.
+
+    Hillis & Steele: pass k combines each row with the one 2^k above it, from
+    ``scan[order[k]]`` into ``scan[order[k + 1]]``, and the last array holds the scan.
+    A row less than 2^k from the top combines with a head row of zeros, which
+    leaves a prefix sum as it is and floors a running minimum at 0.
+    """
+    head = SCAN_STEPS // 2
+    for shift, src, dst in zip(_SCAN_SHIFTS, order, order[1:]):
+        op(scan[src, head:, :columns], scan[src, head - shift:head - shift + SCAN_STEPS, :columns],
+           out=scan[dst, head:, :columns])
+    return scan[order[-1], head:, :columns]
+
+
+def _up_words(q: Sequence[float]) -> np.ndarray:
+    """Per chain, the bound below which a Philox word w moves up: u < fl(q/2) exactly.
+
+    ``Generator.random`` takes u = k 2^-53 from w, with k = w >> 11, so u < h
+    exactly when k < ceil(h 2^53), that is w < ceil(h 2^53) 2^11; h 2^53 is exact.
+    """
+    return np.array([math.ceil(math.ldexp(0.5 * x, 53)) << 11 for x in q], dtype=np.uint64)
 
 
 def _kept_steps(steps: int, burn_in: int) -> int:
@@ -145,61 +183,84 @@ class _ChainSums(NamedTuple):
 
 
 def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
-                rngs: Sequence[np.random.Generator], buf: _ChainBuffers,
-                stop: threading.Event | None = None) -> _ChainSums | None:
-    """Chains side by side: row c of ``buf`` walks from n0[c] with q[c] on rngs[c]'s uniforms.
+                rngs: Sequence[np.random.Generator], buf: _ChainBuffers) -> _ChainSums:
+    """Chains side by side: chain c walks from n0[c] with q[c] on rngs[c]'s raw words.
 
-    One loop runs the block in segments as wide as the buffer, cut at
-    ``burn_in``; rows that share a generator take its draws in row order.
-    The comparisons run once per segment over the block, the ``cumsum`` to
-    the unfloored walk S and its running minimum once per row.  Flooring at
-    zero is the reflected-walk (Lindley) recursion n_t = S_t - min(-n,
-    min_{j<=t} S_j), n the occupancy before the segment, and each -1
-    refused at the floor lowers that minimum one below -n.  A burn-in segment keeps only the last
-    occupancy and the moves; a kept segment adds to the integer tallies, so
-    they do not depend on the cuts.  The last kept segment stays in ``buf.walk``.
-    Once ``stop`` is set, the block ends before its next segment and returns None.
+    One loop runs the block in segments of ``buf.width`` steps, cut at
+    ``burn_in``; chains that share a generator take its draws in chain order.
+    Each step takes the 64-bit word ``Generator.random`` would turn into its
+    uniform u: it moves up below ``_up_words`` (u < q/2) and down from 2^63
+    (u >= 1/2).  The increments are copied once into chunk-major order, and
+    ``_chunk_scan`` gives each chunk's prefix sums P and running minima m.
+    Across chunks, in int64, the offset O of a chunk is the sum of the chunks
+    before it and the floor G the least of -n and their minima, n the occupancy
+    before the segment: the reflected-walk (Lindley) recursion n_t = S_t -
+    min(-n, min_{j<=t} S_j) makes the occupancy P - min(G - O, m), and each -1
+    refused at the floor lowers G one below -n.  As G - O <= 0, the floor of m
+    at 0 that ``_chunk_scan`` may add changes nothing.  |P| and |m| are at most
+    ``SCAN_STEPS``, so a G - O further below is clipped to -SCAN_STEPS and the
+    difference added back per chunk, and the occupancies stay within a byte.
+    A burn-in segment keeps only the last occupancy and the moves, and needs no
+    running minima; a kept segment adds its chunk sums, and partial chunk sums
+    at the batch edges, to the integer tallies, so they do not depend on the
+    cuts.  ``buf.walk()`` gives back the last kept segment.
     """
-    chains, width = len(rngs), buf.walk.shape[1]
+    chains, width = len(rngs), buf.width
     n_batches = min(32, steps - burn_in)
     batch_len = (steps - burn_in) // n_batches
-    half_q = 0.5 * np.asarray(q, dtype=float)[:, None]
+    up_words = _up_words(q)
     last = np.array(n0, dtype=np.int64)
     total, moves = np.zeros((2, chains), dtype=np.int64)
     batches = np.zeros((chains, n_batches), dtype=np.int64)
     cuts = [*range(0, burn_in, width), *range(burn_in, steps, width), steps]
     for start, end in zip(cuts, cuts[1:]):
-        if stop is not None and stop.is_set():
-            return None
-        u, up, down, s, low = buf.segment(chains, end - start)
-        for row, rng in zip(u, rngs):
-            rng.random(out=row)
-        up = np.less(u, half_q, out=up).view(np.int8)
-        increments = np.subtract(up, np.greater_equal(u, 0.5, out=down).view(np.int8), out=up)
-        # widened into the uniforms' dead bytes, then summed and minimized one row at a
-        # time from one buffer into the other: numpy releases the GIL through a 1-D
-        # accumulate out of place, not through an in-place, casting or 2-D one
-        np.copyto(low, increments)
-        for row, walk in zip(low, s):
-            np.cumsum(row, out=walk)
-        if start < burn_in:
-            floor = np.minimum(s.min(axis=1), -last)
-        else:
-            for walk, row in zip(s, low):
-                np.minimum.accumulate(walk, out=row)
-            np.minimum(low, -last[:, None], out=low)
-            floor = low[:, -1]
-        # row by row: count_nonzero(axis=1) casts the block to bool and sums it, 5x slower
-        moves += [np.count_nonzero(row) for row in increments] - (-last - floor)
-        last = s[:, -1] - floor
-        if start >= burn_in:
-            occ = np.subtract(s, low, out=s)
-            total += occ.sum(axis=1)
+        length, kept = end - start, start >= burn_in
+        chunks = -(-length // SCAN_STEPS)
+        columns = chains * chunks
+        up, down = buf.flags[:, :chains, :chunks * SCAN_STEPS]
+        for row, rng, bound in zip(range(chains), rngs, up_words):
+            words = rng.bit_generator.random_raw(length)
+            np.less(words, bound, out=up[row, :length])
+            np.greater_equal(words, _DOWN_WORD, out=down[row, :length])
+        up[:, length:] = down[:, length:] = False
+        increments = np.subtract(up.view(np.int8), down.view(np.int8), out=up.view(np.int8))
+        moves += [np.count_nonzero(row) for row in increments]
+        np.copyto(buf.scan[0, SCAN_STEPS // 2:, :columns].reshape(SCAN_STEPS, chains, chunks),
+                  increments.reshape(chains, chunks, SCAN_STEPS).transpose(2, 0, 1))
+        p = _chunk_scan(np.add, buf.scan, (0, 1, 0, 1, 0, 1, 0), columns)  # back in scan[0]
+        if kept:  # from scan[0], through scan[1] and scan[2], so P stays
+            m = _chunk_scan(np.minimum, buf.scan, (0, 1, 2, 1, 2, 1, 2), columns)
+        ends = np.cumsum(p[-1].reshape(chains, chunks), axis=1, dtype=np.int64)
+        offsets = ends - p[-1].reshape(chains, chunks)
+        floors = np.empty((chains, chunks + 1), dtype=np.int64)
+        floors[:, 0] = -last
+        np.add(offsets, (m[-1] if kept else p.min(axis=0)).reshape(chains, chunks),
+               out=floors[:, 1:])
+        np.minimum.accumulate(floors, axis=1, out=floors)
+        moves -= -last - floors[:, -1]
+        last = ends[:, -1] - floors[:, -1]
+        if kept:
+            gap = floors[:, :-1] - offsets
+            clipped = np.maximum(gap, -SCAN_STEPS)
+            lift = clipped - gap
+            np.minimum(m, clipped.astype(np.int8).reshape(columns), out=m)
+            occupancies = np.subtract(p, m, out=m).view(np.uint8)  # 0 to 2 SCAN_STEPS
+            chunk_sums = np.add.reduce(occupancies, axis=0, dtype=np.uint16).reshape(chains, chunks)
+            running = np.cumsum(chunk_sums + SCAN_STEPS * lift, axis=1)  # to each chunk's end
+            # the stays that pad the last chunk repeat the last occupancy
+            total += running[:, -1] - (chunks * SCAN_STEPS - length) * last
             i, j = start - burn_in, min(end - burn_in, n_batches * batch_len)  # kept indices
             if i < j:  # the segment reaches into the batches
-                edges = np.maximum(np.arange(i - i % batch_len, j, batch_len), i) - i
-                batches[:, i // batch_len:][:, :edges.size] += np.add.reduceat(
-                    occ[:, :j - i], edges, axis=1)
+                # the sum up to each batch edge: to the end of its chunk, less the chunk's rest
+                at = np.append(np.maximum(np.arange(i - i % batch_len, j, batch_len) - i, 0), j - i)
+                chunk = np.minimum(at // SCAN_STEPS, chunks - 1)
+                into = at - SCAN_STEPS * chunk
+                rest = occupancies.reshape(SCAN_STEPS, chains, chunks)[:, :, chunk] * (
+                    np.arange(SCAN_STEPS)[:, None, None] >= into)
+                upto = (running[:, chunk] - np.add.reduce(rest, axis=0, dtype=np.uint16)
+                        - (SCAN_STEPS - into) * lift[:, chunk])
+                batches[:, i // batch_len:][:, :at.size - 1] += np.diff(upto, axis=1)
+            buf.kept = occupancies, lift, length
     return _ChainSums(total, batches, moves)
 
 
@@ -231,7 +292,7 @@ def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
     q = math.exp(-family.lobe_energy / (bath.boltzmann_k * bath.temperature))
     sums = _run_chains([q], [0], steps, burn_in, [rng], buf)
     mean = (sums.total / kept).item()
-    occupancies = buf.walk[0, :kept]
+    occupancies = buf.walk()[0]
     return ChainStatistics(steps, occupancies, np.bincount(occupancies),
                            mean * family.lobe_energy)
 
@@ -247,14 +308,6 @@ class SweepColumns(NamedTuple):
     acceptance_rate: np.ndarray
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
                    burn_in: int, master_seed: int) -> SweepColumns:
     """One equilibrated chain per frequency from n = 0, compared to the closed form.
@@ -265,17 +318,12 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     (master seed, "cavity", i), so duplicated frequencies give
     independent estimates of the same mean.  The chains run side by side
     in blocks of ``CHUNK // width`` chains, with width = min(CHUNK,
-    max(burn_in, kept)), through one buffer of ``CHUNK`` steps per worker,
-    so memory does not grow with ``steps``.  The workers are the calling
-    thread and a ``threading.Thread`` per further usable CPU, at most one
-    per block, and each takes the next block from one shared counter.  The
-    streams are derived here, in replica order, and the blocks' tallies are
-    joined in block order, so no byte depends on the worker count.  Threads
-    run in a copy of the caller's context, so they see its numpy
-    ``errstate``.  The first worker to fail, the caller included, sets a
-    stop event that ends every block before its next segment; a helper's
-    exception is raised here, and every thread is joined before this
-    returns or raises.  A sweep of no frequency, of more than
+    max(burn_in, kept)), one block after another on the calling thread
+    through one buffer of ``CHUNK`` steps, so memory does not grow with
+    ``steps``.  A block derives its chains' streams when it starts, in
+    replica order, drops them when it ends and keeps its chains'
+    statistics, three floats a chain, so memory does not grow by a
+    generator or a tally a chain either.  A sweep of no frequency, of more than
     ``MAX_SWEEP_STEPS`` steps in all, with a frequency that is not
     positive (NaN included) or whose hf/k_B T underflows to 0 or whose
     lobe energy hf overflows, or with no kept step, is refused before any
@@ -296,47 +344,15 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     hf = [bath.planck_h * f for f in frequencies]
     ModeFamily(lobe_energy=max(hf))  # every hf > 0, as x > 0: this refuses one that overflows
     q = [math.exp(-x) for x in xs]
-    rngs = [derive_rng(master_seed, "cavity", i) for i in range(len(frequencies))]
     block = CHUNK // width
-    blocks: list[_ChainSums | None] = [None] * math.ceil(len(q) / block)
-    starts, claim, stop = iter(range(0, len(q), block)), threading.Lock(), threading.Event()
-    errors: list[BaseException] = []
-
-    def work():
-        buf = _ChainBuffers(block, width)
-        while not stop.is_set():
-            with claim:
-                lo = next(starts, None)
-            if lo is None:
-                return
-            rows = slice(lo, lo + block)
-            blocks[lo // block] = _run_chains(q[rows], [0] * len(q[rows]), steps, burn_in,
-                                              rngs[rows], buf, stop)
-
-    def helper():
-        try:
-            work()
-        except BaseException as exc:  # handed to the caller, not printed by the thread
-            errors.append(exc)
-            stop.set()
-
-    threads = []
-    try:
-        for _ in range(min(_usable_cpus(), len(blocks)) - 1):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-            thread.start()
-            threads.append(thread)
-        work()
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    sums = _ChainSums(*map(np.concatenate, zip(*blocks)))
-    mean, stderr, acceptance = _statistics(sums, steps, burn_in)
+    buf = _ChainBuffers(block, width)
+    mean, stderr, acceptance = np.empty((3, len(q)))
+    for lo in range(0, len(q), block):
+        rows = range(lo, min(lo + block, len(q)))
+        rngs = [derive_rng(master_seed, "cavity", i) for i in rows]
+        sums = _run_chains(q[lo:lo + block], [0] * len(rows), steps, burn_in, rngs, buf)
+        mean[lo:lo + block], stderr[lo:lo + block], acceptance[lo:lo + block] = _statistics(
+            sums, steps, burn_in)
     lobes = np.array(hf)
     closed = np.array([_planck_energy(h, x) for h, x in zip(hf, xs)])
     with np.errstate(divide="ignore", invalid="ignore"):  # a closed form may underflow to 0

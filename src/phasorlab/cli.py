@@ -13,12 +13,11 @@ Exit codes: 0 success, 1 engine or I/O failure, 2 usage/config errors.
 A run loads only the engine its subcommand runs, and numpy only once it
 computes.  numpy starts one BLAS thread: no printed number goes through BLAS,
 only evolve's stability check (``eigvals`` of a small matrix) does, and an
-idle thread pool costs CPU time in every process.  A
-thread count the caller sets in the environment still wins.  The only threads
-a run starts are a cavity sweep's workers, one per usable CPU past the first,
-and the sweep joins them before it returns.  ``main``, the process entry
-point, runs with the cyclic garbage collector off and freezes the heap before
-it exits, so exit skips collecting what numpy loaded; ``run`` leaves the
+idle thread pool costs CPU time in every process.  A thread count the caller
+sets in the environment still wins.  A run starts no thread of its own: a
+cavity sweep runs on the calling thread.  ``main``, the process entry point,
+runs with the cyclic garbage collector off and freezes the heap before it
+exits, so exit skips collecting what numpy loaded; ``run`` leaves the
 collector as it found it.
 """
 

@@ -160,6 +160,21 @@ def test_chain_draws_one_uniform_per_step(steps, chunk):
     assert np.array_equal(rng.random(9), reference.random(9))
 
 
+@pytest.mark.parametrize("q", [1 - 2 ** -53, math.exp(-1), 1e-10, 1e-300, 5e-324, 0.0])
+def test_raw_words_move_exactly_where_their_uniforms_do(q):
+    # Generator.random takes u = (w >> 11) 2^-53 from the Philox word w that the kernel reads
+    words = derive_rng(3, "cavity", 0).bit_generator.random_raw(1000).tolist()
+    assert [(w >> 11) * 2.0 ** -53 for w in words] == derive_rng(3, "cavity", 0).random(
+        1000).tolist()
+    # the words either side of each bound; at q = 5e-324, q/2 rounds to 0 and no word moves up
+    bound, down = int(cavity._up_words([q])[0]), 2 ** 63
+    near = {w + d for w in (0, bound, down, 2 ** 64 - 1) for d in (-2 ** 11, -1, 0, 1, 2 ** 11)}
+    w = np.array(sorted(x for x in near if 0 <= x < 2 ** 64), dtype=np.uint64)
+    u = (w >> np.uint64(11)).astype(float) * 2.0 ** -53
+    assert np.array_equal(np.less(w, cavity._up_words([q])), u < 0.5 * q)
+    assert np.array_equal(np.greater_equal(w, cavity._DOWN_WORD), u >= 0.5)
+
+
 # --- equilibrate ------------------------------------------------------------------
 
 def test_equilibrate_frozen_at_low_temperature():
@@ -217,13 +232,13 @@ def test_classical_limit_chain_ensemble():
     length = 300
     n0 = rng.geometric(1.0 - q, size=chains) - 1
     # kernel blocks whose rows share the stream take its draws in row order, one chain
-    # after another; each row's final occupancy is the last column of the buffer
+    # after another; each row's final occupancy is the last column of the block's walk
     rows = cavity.CHUNK // length
     buf, total = cavity._ChainBuffers(rows, length), 0
     for lo in range(0, chains, rows):
         block = n0[lo:lo + rows]
         cavity._run_chains([q] * block.size, block, length, 0, [rng] * block.size, buf)
-        total += int(buf.walk[:block.size, -1].sum())
+        total += int(buf.walk()[:, -1].sum())
     assert total == 2_984_048  # the total of 30,000 one-row chains on the same stream
     mean_energy = x * total / chains  # lobe energy x per occupancy unit
     assert abs(mean_energy - 1.0) < 0.03
@@ -387,9 +402,12 @@ def check_chain_against_loop(n0, frequency, steps, burn_in, chunk):
     assert np.array_equal(streamed_rng.random(4), after)
 
 
+# lobe energies in BATH: moderate ones, 1e-9 (q = 1 - 1e-9) and 800 (q = 0)
+LOBES = st.floats(0.05, 8.0) | st.sampled_from([1e-9, 800.0])
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.integers(0, 40), st.floats(0.05, 8.0), st.integers(1, 400),
-       st.integers(1, 64), st.data())
+@given(st.integers(0, 300), LOBES, st.integers(1, 400), st.integers(1, 300), st.data())
 def test_chain_matches_stepwise_loop_across_chunk_and_burn_in_cuts(n0, frequency, steps,
                                                                    chunk, data):
     burn_in = data.draw(st.integers(0, steps - 1), label="burn_in")
@@ -449,20 +467,24 @@ def check_block_against_loop(n0s, frequencies, steps, burn_in, width, shared=Fal
 
 def test_block_rows_sharing_one_stream_take_sequential_draws():
     # one segment per chain: row c takes the (c+1)-th run of 150 draws
-    check_block_against_loop([0, 3, 0, 9], [0.4, 0.4, 2.0, 1.1], 150, 0, 150, shared=True)
+    check_block_against_loop([0, 3, 0, 9, 300, 120], [0.4, 0.4, 2.0, 1.1, 1e-9, 800.0], 150, 0,
+                             150, shared=True)
 
 
 def test_block_width_below_the_burn_in():
     # five burn-in and eight kept segments per chain, each row from its own n0
-    check_block_against_loop([0, 4, 11], [0.3, 1.0, 2.5], 185, 70, 16)
+    check_block_against_loop([0, 4, 11, 200], [0.3, 1.0, 2.5, 1e-9], 185, 70, 16)
 
 
 def test_block_rows_start_from_their_own_occupancies():
-    check_block_against_loop([0, 1, 5, 20, 60], [0.8] * 5, 400, 37, 64)
+    # up to 300 above the floor, more than a scan chunk of 64 steps can reach down, on segments
+    # of 300 steps, which pad their last chunk
+    check_block_against_loop([0, 1, 5, 20, 60, 130, 300], [0.8] * 5 + [1e-9, 800.0], 700, 37,
+                             300)
 
 
 def test_block_of_one_kept_step_gives_infinite_stderr():
-    chains = check_block_against_loop([0, 2, 6], [0.5, 1.0, 4.0], 40, 39, 8)
+    chains = check_block_against_loop([0, 2, 6, 300], [0.5, 1.0, 4.0, 800.0], 40, 39, 8)
     assert all(stderr == math.inf for _, _, stderr, _ in chains)
 
 
@@ -481,166 +503,63 @@ def test_sweep_blocks_that_do_not_divide_the_chain_count(monkeypatch):
         assert sweep.mc_mean_energy[i] == occ[burn_in:].sum() / (steps - burn_in) * f
 
 
-@pytest.mark.parametrize("steps", [4_000_000, 16_000_000])
-def test_spectrum_sweep_memory_does_not_grow_with_steps(steps, monkeypatch):
-    monkeypatch.setattr(cavity, "_usable_cpus", lambda: 2)
-    # one chain on the calling thread, then four chains on two workers
-    for frequencies in ([1.0], [0.5, 1.0, 2.0, 5.0]):
-        tracemalloc.start()
-        try:
-            spectrum_sweep(frequencies, BATH, steps, 10_000, master_seed=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
-
-
-# --- sweeps on several workers ----------------------------------------------------------
-
-class CountingThread(threading.Thread):
-    """``threading.Thread`` that counts the threads started through it."""
-
-    started = 0
-
-    def start(self):
-        CountingThread.started += 1
-        super().start()
-
-
-def count_threads(monkeypatch, workers):
-    """Report ``workers`` usable CPUs to sweeps and count the threads they start."""
-    monkeypatch.setattr(cavity, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(CountingThread, "started", 0)
-    monkeypatch.setattr(cavity.threading, "Thread", CountingThread)
-
-
-def sweep_bytes(sweep):
-    return np.stack(sweep).tobytes()
-
-
-@pytest.mark.parametrize("chunk, frequencies, steps, burn_in", [
-    (64, [0.3, 0.9, 0.9, 2.0, 5.0], 50, 20),         # blocks of 2, 2 and 1 chains
-    (64, [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0], 200, 150),  # one chain a block, 4 segments
-    (CHUNK, [0.7, 0.7, 3.0], 2 * CHUNK + 3, 500),     # one chain a block, 3 segments
-])
-def test_sweep_rows_do_not_depend_on_the_worker_count(chunk, frequencies, steps, burn_in,
-                                                      monkeypatch):
-    monkeypatch.setattr(cavity, "CHUNK", chunk)
-    rows = {}
-    for workers in (1, 2, 3):
-        count_threads(monkeypatch, workers)
-        rows[workers] = sweep_bytes(spectrum_sweep(frequencies, BATH, steps, burn_in,
-                                                   master_seed=4))
-        assert CountingThread.started == workers - 1
-    assert rows[1] == rows[2] == rows[3]
-
-
-def test_many_workers_switching_often_take_each_block_once(monkeypatch):
-    # eight workers on forty one-chain blocks, switching threads every microsecond:
-    # a block run twice or not at all would change the rows
-    monkeypatch.setattr(cavity, "CHUNK", 64)
-    frequencies, rows = list(np.geomspace(0.3, 5.0, 40)), {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+def sweep_peak(frequencies, steps, burn_in):
+    """The tracemalloc peak of one sweep, in bytes."""
+    tracemalloc.start()
     try:
-        for workers in (1, 8):
-            count_threads(monkeypatch, workers)
-            rows[workers] = sweep_bytes(spectrum_sweep(frequencies, BATH, 200, 150,
-                                                       master_seed=8))
+        spectrum_sweep(frequencies, BATH, steps, burn_in, master_seed=2)
+        return tracemalloc.get_traced_memory()[1]
     finally:
-        sys.setswitchinterval(interval)
-    assert CountingThread.started == 7
-    assert rows[1] == rows[8]
+        tracemalloc.stop()
 
 
-@pytest.mark.parametrize("workers, frequencies", [(4, [1.0]), (1, [0.5, 1.0, 2.0])],
-                         ids=["one-block", "one-cpu"])
-def test_sweep_on_one_worker_starts_no_thread(workers, frequencies, monkeypatch):
-    count_threads(monkeypatch, workers)
-    spectrum_sweep(frequencies, BATH, CHUNK + 100, 100, master_seed=5)
-    assert CountingThread.started == 0
+@pytest.mark.parametrize("steps", [4_000_000, 16_000_000])
+def test_spectrum_sweep_memory_does_not_grow_with_steps(steps):
+    # one chain, then four chains one after another
+    for frequencies in ([1.0], [0.5, 1.0, 2.0, 5.0]):
+        assert sweep_peak(frequencies, steps, 10_000) < 8 * 2 ** 20
 
 
-def test_usable_cpus_counts_the_affinity_mask_or_the_machine(monkeypatch):
-    assert cavity._usable_cpus() >= 1
-    monkeypatch.delattr(cavity.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(cavity.os, "cpu_count", lambda: 3)
-    assert cavity._usable_cpus() == 3
+def test_spectrum_sweep_memory_does_not_grow_by_a_stream_a_chain():
+    # blocks of 65 chains: a block derives its streams when it starts, drops them when it ends
+    # and keeps three floats a chain, so 2,000 chains peak above 100 by no more than the sweep's
+    # per-frequency floats (about 130 B a chain), never by a generator (about 1 kB) or by a
+    # chain's 34 integer tallies (272 B) a chain
+    sweep_peak([1.0], 2000, 1000)  # the first call's one-time allocations
+    few, many = (sweep_peak(list(np.geomspace(0.5, 5.0, n)), 2000, 1000) for n in (100, 2000))
+    assert many - few < 1900 * 256
 
 
-def split_blocks(monkeypatch, on_caller=None, on_helper=None):
-    """Two workers on five one-chain blocks, each of which has taken a block before either runs.
+# --- sweeps on the calling thread ----------------------------------------------------
 
-    ``on_caller`` and ``on_helper`` take the place of ``_run_chains`` in the
-    calling thread and in the helper; each defaults to it.
-    """
-    caller, both_took_one = threading.get_ident(), threading.Barrier(2, timeout=10)
-    run_chains, first_calls = cavity._run_chains, set()
+def test_sweep_of_many_blocks_starts_no_thread(monkeypatch):
+    # forty one-chain blocks run one after another on the calling thread
+    started, start = [], threading.Thread.start
 
-    def patched(*args):
-        if threading.get_ident() not in first_calls:
-            first_calls.add(threading.get_ident())
-            both_took_one.wait()
-        return ((on_caller if threading.get_ident() == caller else on_helper)
-                or run_chains)(*args)
-    monkeypatch.setattr(cavity, "_run_chains", patched)
-    monkeypatch.setattr(cavity, "_usable_cpus", lambda: 2)
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
     monkeypatch.setattr(cavity, "CHUNK", 64)
-    return lambda: spectrum_sweep([0.5, 1.0, 1.5, 2.0, 3.0], BATH, 200, 150, master_seed=6)
-
-
-def test_sweep_joins_its_workers_after_success(monkeypatch):
-    before = threading.active_count()
-    sweep = split_blocks(monkeypatch)
-    assert sweep().frequency.size == 5
-    assert threading.active_count() == before
-
-
-def test_worker_error_reaches_the_caller(monkeypatch):
-    run_chains, caller_blocks, helpers, failed = cavity._run_chains, [], [], threading.Event()
-
-    def fail(*args):
-        helpers.append(threading.current_thread())
-        failed.set()
-        raise MemoryError("the helper ran out of memory")
-
-    def run_after_the_helper_ends(*args):
-        caller_blocks.append(args)
-        assert failed.wait(10)
-        helpers[0].join(10)
-        assert not helpers[0].is_alive()
-        return run_chains(*args)
-    before = threading.active_count()
-    sweep = split_blocks(monkeypatch, on_caller=run_after_the_helper_ends, on_helper=fail)
-    with pytest.raises(MemoryError, match="the helper ran out of memory"):
-        sweep()
-    assert threading.active_count() == before
-    # the caller ends the block it holds, as the helper has failed, and takes no other
-    assert len(caller_blocks) == 1
+    frequencies = list(np.geomspace(0.3, 5.0, 40))
+    sweep = spectrum_sweep(frequencies, BATH, 200, 150, master_seed=8)
+    assert started == []
+    for i in (0, 39):
+        assert sweep_row(sweep, i) == stream_chain(0, frequencies[i], 200, 150,
+                                                   derive_rng(8, "cavity", i), 64)[1:]
 
 
 class CaseTimeout(BaseException):
     """Stands for an alarm that interrupts the calling thread mid-sweep."""
 
 
-def test_interrupted_sweep_joins_its_workers(monkeypatch):
-    def interrupt(*args):
-        raise CaseTimeout
-    before = threading.active_count()
-    sweep = split_blocks(monkeypatch, on_caller=interrupt)
-    with pytest.raises(CaseTimeout):
-        sweep()
-    assert threading.active_count() == before
-
-
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs a POSIX interval timer")
-def test_alarm_stops_a_helper_within_one_segment(monkeypatch):
-    # two chains of 1e8 steps on two workers take seconds: the helper thread must stop within
-    # one segment of the alarm, not at the end of its chain
+def test_alarm_stops_a_helper_within_one_segment():
+    # two chains of 1e8 steps take over a second: the alarm must end the sweep within one
+    # segment, not at the end of a chain
     def alarm(signum, frame):
         raise CaseTimeout
 
-    monkeypatch.setattr(cavity, "_usable_cpus", lambda: 2)
     before, previous = threading.active_count(), signal.signal(signal.SIGALRM, alarm)
     started = time.perf_counter()
     signal.setitimer(signal.ITIMER_REAL, 0.1)
@@ -652,19 +571,6 @@ def test_alarm_stops_a_helper_within_one_segment(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - started < 0.5
     assert threading.active_count() == before
-
-
-def test_workers_see_the_callers_errstate(monkeypatch):
-    seen, run_chains = [], cavity._run_chains
-
-    def record(*args):
-        seen.append((threading.get_ident(), np.geterr()))
-        return run_chains(*args)
-    sweep = split_blocks(monkeypatch, on_caller=record, on_helper=record)
-    with np.errstate(all="ignore"):
-        sweep()
-    assert len({ident for ident, _ in seen}) == 2
-    assert all(set(err.values()) == {"ignore"} for _, err in seen)
 
 
 # --- stationary-law checks ----------------------------------------------------------

@@ -21,7 +21,6 @@ from numpy._core._multiarray_umath import __cpu_dispatch__
 
 from phasorlab import cavity, cli, epr, hj, holography, phasor, statespace
 from phasorlab.seeding import derive_rng, philox_key
-from test_cavity import split_blocks
 from test_golden import GOLDEN
 
 
@@ -1126,12 +1125,19 @@ def test_engine_arithmetic_and_memory_errors_exit_1(module, name, argv, error, m
 
 
 def test_cavity_worker_error_exits_1_with_one_line(monkeypatch, capsys):
-    # raised in a sweep's helper thread: the thread prints nothing, run prints one line
-    def fail(*args):
-        raise MemoryError("a helper ran out of memory")
-    split_blocks(monkeypatch, on_helper=fail)
+    # raised in a sweep's kernel, on its second block: run prints one line
+    run_chains, blocks = cavity._run_chains, []
+
+    def fail_on_the_second_block(*args):
+        blocks.append(args)
+        if len(blocks) == 2:
+            raise MemoryError("a block ran out of memory")
+        return run_chains(*args)
+    monkeypatch.setattr(cavity, "_run_chains", fail_on_the_second_block)
+    monkeypatch.setattr(cavity, "CHUNK", 64)
     assert_engine_failure(["cavity", "--hf-over-kt", "0.5,1,1.5,2,3", "--steps", "200",
-                           "--burn-in", "150"], "error: a helper ran out of memory", capsys)
+                           "--burn-in", "150"], "error: a block ran out of memory", capsys)
+    assert len(blocks) == 2
 
 
 NAN = float("nan")
