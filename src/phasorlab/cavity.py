@@ -16,6 +16,8 @@ tests hold it step for step to the scalar move looped over the same
 uniforms.  Every chain starts at n = 0.  ``equilibrate`` is a one-row
 block that also keeps its chain; ``spectrum_sweep`` runs its chains in
 blocks, one after another on the calling thread, within O(CHUNK) memory.
+The checks of the stationary law (flow ratios and a chi-square fit) are
+test oracles, and not part of the package.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ _SCAN_SHIFTS = tuple(2 ** k for k in range(SCAN_STEPS.bit_length() - 1))  # 1, 2
 _DOWN_WORD = np.uint64(2 ** 63)
 # a sweep runs at most this many steps over all its chains (about 8 s at 7-8 ns/step)
 MAX_SWEEP_STEPS = 10 ** 9
-# transition_flow_ratios skips a level with fewer transitions than this either way
-FLOW_RATIO_MIN_COUNT = 25
-# geometric_chi_square merges the bins whose expected count is below this into one tail
-CHI_SQUARE_MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -359,138 +357,3 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
         rel = np.where(closed > 0.0, np.abs(mean * lobes - closed) / closed, math.inf)
     return SweepColumns(np.array(frequencies, dtype=float), mean * lobes, stderr * lobes,
                         closed, rel, acceptance)
-
-
-class FlowRatio(NamedTuple):
-    level: int
-    ratio: float
-    log_sigma: float
-
-
-def transition_flow_ratios(occupancies: np.ndarray) -> list[FlowRatio]:
-    """Empirical detailed-balance check per adjacent occupancy pair.
-
-    For each level n, the ratio of the measured conditional rates
-    P(n -> n+1) / P(n+1 -> n); in equilibrium this is e^{-hf/k_B T}.
-    ``log_sigma`` is the delta-method error of log(ratio); levels with
-    fewer than ``FLOW_RATIO_MIN_COUNT`` transitions either way are skipped.
-    """
-    occ = np.asarray(occupancies)
-    prev, nxt = occ[:-1], occ[1:]
-    levels = int(occ.max()) + 1
-    # one pass: per level, the transitions by jump clipped to -2..2, so the
-    # table is 5 columns wide however many levels there are
-    jumps = np.bincount(5 * prev + np.clip(nxt - prev, -2, 2) + 2,
-                        minlength=5 * levels).reshape(levels, 5)
-    visits = jumps.sum(axis=1)
-    out = []
-    for n in range(levels - 1):
-        ups, downs = int(jumps[n, 3]), int(jumps[n + 1, 1])
-        if min(ups, downs) < FLOW_RATIO_MIN_COUNT:
-            continue
-        p_up = ups / int(visits[n])
-        p_down = downs / int(visits[n + 1])
-        sigma = math.sqrt((1.0 - p_up) / ups + (1.0 - p_down) / downs)
-        out.append(FlowRatio(n, p_up / p_down, sigma))
-    return out
-
-
-def geometric_chi_square(histogram: np.ndarray, q: float) -> tuple[float, float, int]:
-    """Chi-square goodness of fit of occupancy counts vs (1-q) q^n.
-
-    Pearson's statistic presumes independent draws, so counts taken from
-    a Metropolis chain must be thinned by a few autocorrelation times
-    before binning or the statistic is inflated.  Bins past the point
-    where the expected count drops under ``CHI_SQUARE_MIN_EXPECTED`` are
-    merged into one tail bin.  Returns (statistic, p-value, degrees of
-    freedom); q is fixed a priori, so dof = bins - 1.
-    """
-    counts = np.asarray(histogram, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empty histogram")
-    expected = total * np.array([(1 - q) * q ** n for n in range(counts.size)])
-
-    cut = counts.size
-    while cut > 1 and (expected[cut - 1] < CHI_SQUARE_MIN_EXPECTED
-                       or total * q ** cut < CHI_SQUARE_MIN_EXPECTED):
-        cut -= 1
-    obs = np.concatenate([counts[:cut], [counts[cut:].sum()]])
-    exp = np.concatenate([expected[:cut], [total * q ** cut]])
-    if obs.size < 2:
-        raise ValueError("too few occupancy levels for a chi-square test")
-    statistic = float(np.sum((obs - exp) ** 2 / exp))
-    dof = obs.size - 1
-    return statistic, _chi_square_sf(statistic, dof), dof
-
-
-def _chi_square_sf(statistic: float, dof: int) -> float:
-    """Chi-square survival function Q(dof/2, h), h = statistic/2, in closed form.
-
-    Abramowitz & Stegun 26.4.4-26.4.5: erfc(sqrt h) for odd dof, plus the
-    Poisson weights h^s e^-h / Gamma(s + 1) for s = 1/2 or 0 up to dof/2 - 1.
-    The largest weight is taken in log space and the rest by ratios outward
-    from it, so no weight that counts underflows, whatever the dof.
-    """
-    h = statistic / 2.0
-    s0, p = (0.5, math.erfc(math.sqrt(h))) if dof % 2 else (0.0, 0.0)
-    top = dof / 2.0 - 1.0
-    peak = min(top, s0 + math.floor(max(h - s0, 0.0)))
-    if h == 0.0 or peak < s0:
-        return 1.0 if h == 0.0 else p
-    if peak < 50.0:
-        log_peak = peak * math.log(h) - h - math.lgamma(peak + 1.0)
-    else:  # Stirling's series, with the deviance peak log(peak/h) + h - peak by log1p
-        log_peak = (peak - h - peak * math.log1p((peak - h) / h) - 0.5 * math.log(math.tau * peak)
-                    - (1 / 12 - (1 / 360 - 1 / (1260 * peak ** 2)) / peak ** 2) / peak)
-    peak_term = math.exp(log_peak)
-    for step in (-1.0, 1.0):  # down to s0, then up to top
-        term, s = peak_term, peak
-        while term > 0.0 and s0 <= s + step <= top:
-            term *= s / h if step < 0 else h / (s + 1.0)
-            s += step
-            p += term
-    return p + peak_term
-
-
-@dataclass(frozen=True)
-class ConjugatePairCheck:
-    """Commutator scales of two independent conjugate pairs."""
-
-    k1: complex
-    k2: complex
-    agreement: float
-    pattern_residual: float
-
-
-def _quadrature_pair(dim: int, rotation: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated ladder-built canonical pair (u, v) = (s*X_phi, P_phi/s), in units of hbar."""
-    a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    x = math.sqrt(0.5) * (a * np.exp(-1j * rotation) + a.conj().T * np.exp(1j * rotation))
-    p = math.sqrt(0.5) * (-1j * a * np.exp(-1j * rotation)
-                          + 1j * a.conj().T * np.exp(1j * rotation))
-    return scale * x, p / scale
-
-
-def commutator_scale_check(dim: int,
-                           scales: tuple[float, float] = (1.0, 1.0)) -> ConjugatePairCheck:
-    """Compare the commutator scale of two independent conjugate pairs.
-
-    Each pair is built from an N-truncated ladder, at rotations 0 and 0.6;
-    uv - vu equals K * identity on the leading (N-1)-dimensional block (the
-    truncation corrupts only the last diagonal entry), and both pairs share
-    the same K = i, in units of hbar, regardless of rotation or inverse
-    rescaling of (u, v).
-    """
-    if dim < 3:
-        raise ValueError("need dimension >= 3")
-    ks, residuals = [], []
-    for rotation, scale in zip((0.0, 0.6), scales):
-        u, v = _quadrature_pair(dim, rotation, scale)
-        comm = u @ v - v @ u
-        block = comm[:dim - 1, :dim - 1]
-        k = np.trace(block) / (dim - 1)
-        residuals.append(float(np.max(np.abs(block - k * np.eye(dim - 1)))))
-        ks.append(complex(k))
-    agreement = abs(ks[0] - ks[1]) / max(abs(ks[0]), abs(ks[1]))
-    return ConjugatePairCheck(ks[0], ks[1], agreement, max(residuals))

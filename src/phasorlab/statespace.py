@@ -6,6 +6,8 @@ exactly n complex roots (eigenvalues of the companion matrix), which is
 why the complex plane suffices to represent every evolution pattern.
 Hermitian generators, in units of hbar, evolve states through the exact
 one-step propagator exp(-i H dt), preserving norm and energy to round-off.
+Two independent conjugate pairs, built from truncated ladders, share the
+commutator scale i in units of hbar (``commutator_scale_check``).
 """
 
 from __future__ import annotations
@@ -187,3 +189,46 @@ def schrodinger_propagate(hamiltonian: HamiltonianOperator, psi0: np.ndarray,
     w, v = np.linalg.eigh(hamiltonian.matrix)
     phases = np.exp(-1j * w * dt * steps)
     return v @ (phases * (v.conj().T @ psi))
+
+
+@dataclass(frozen=True)
+class ConjugatePairCheck:
+    """Commutator scales of two independent conjugate pairs."""
+
+    k1: complex
+    k2: complex
+    agreement: float
+    pattern_residual: float
+
+
+def _quadrature_pair(dim: int, rotation: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated ladder-built canonical pair (u, v) = (s*X_phi, P_phi/s), in units of hbar."""
+    a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
+    x = math.sqrt(0.5) * (a * np.exp(-1j * rotation) + a.conj().T * np.exp(1j * rotation))
+    p = math.sqrt(0.5) * (-1j * a * np.exp(-1j * rotation)
+                          + 1j * a.conj().T * np.exp(1j * rotation))
+    return scale * x, p / scale
+
+
+def commutator_scale_check(dim: int,
+                           scales: tuple[float, float] = (1.0, 1.0)) -> ConjugatePairCheck:
+    """Compare the commutator scale of two independent conjugate pairs.
+
+    Each pair is built from an N-truncated ladder, at rotations 0 and 0.6;
+    uv - vu equals K * identity on the leading (N-1)-dimensional block (the
+    truncation corrupts only the last diagonal entry), and both pairs share
+    the same K = i, in units of hbar, regardless of rotation or inverse
+    rescaling of (u, v).
+    """
+    if dim < 3:
+        raise ValueError("need dimension >= 3")
+    ks, residuals = [], []
+    for rotation, scale in zip((0.0, 0.6), scales):
+        u, v = _quadrature_pair(dim, rotation, scale)
+        comm = u @ v - v @ u
+        block = comm[:dim - 1, :dim - 1]
+        k = np.trace(block) / (dim - 1)
+        residuals.append(float(np.max(np.abs(block - k * np.eye(dim - 1)))))
+        ks.append(complex(k))
+    agreement = abs(ks[0] - ks[1]) / max(abs(ks[0]), abs(ks[1]))
+    return ConjugatePairCheck(ks[0], ks[1], agreement, max(residuals))

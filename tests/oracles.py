@@ -1,16 +1,20 @@
-"""Closed-form oracles for the tables the CLI prints, and the scalar cavity move.
+"""Closed-form oracles for the tables the CLI prints, the scalar cavity move and the
+checks of a cavity chain's stationary law.
 
 Test-only, and independent of the package: built on the stdlib (and numpy, where an
-engine's closed form needs it).  Each table oracle takes a run's resolved options
+engine's closed form needs it, and scipy for a chi-square p-value).  Each table oracle takes a run's resolved options
 (``cli.resolve_options``) and its stdout, and returns the worst deviation of the
 printed numbers from a closed form that does not share the engine's code, in the
 units its docstring names.  ``jitter_loop`` is the paper's wall-jitter move one step
-at a time, against which the cavity kernel is tested.
+at a time, against which the cavity kernel is tested.  ``transition_flow_ratios``
+(detailed balance per level) and ``geometric_chi_square`` (Pearson's fit to the
+geometric law, its p-value from ``scipy.stats.chi2``) hold a chain to its law.
 """
 
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,3 +132,72 @@ def jitter_loop(n0, q, uniforms):
             n += delta
         occupancies.append(n)
     return occupancies
+
+
+# transition_flow_ratios skips a level with fewer transitions than this either way
+FLOW_RATIO_MIN_COUNT = 25
+# geometric_chi_square merges the bins whose expected count is below this into one tail
+CHI_SQUARE_MIN_EXPECTED = 5.0
+
+
+class FlowRatio(NamedTuple):
+    level: int
+    ratio: float
+    log_sigma: float
+
+
+def transition_flow_ratios(occupancies):
+    """Empirical detailed-balance check per adjacent occupancy pair, one scan of the chain a level.
+
+    For each level n, the ratio of the measured conditional rates
+    P(n -> n+1) / P(n+1 -> n); in equilibrium this is e^{-hf/k_B T}.
+    ``log_sigma`` is the delta-method error of log(ratio); levels with
+    fewer than ``FLOW_RATIO_MIN_COUNT`` transitions either way are skipped.
+    """
+    occ = np.asarray(occupancies)
+    prev, nxt = occ[:-1], occ[1:]
+    out = []
+    for n in range(int(occ.max())):
+        visits_n = int(np.sum(prev == n))
+        visits_n1 = int(np.sum(prev == n + 1))
+        ups = int(np.sum((prev == n) & (nxt == n + 1)))
+        downs = int(np.sum((prev == n + 1) & (nxt == n)))
+        if min(ups, downs) < FLOW_RATIO_MIN_COUNT:
+            continue
+        p_up = ups / visits_n
+        p_down = downs / visits_n1
+        sigma = math.sqrt((1.0 - p_up) / ups + (1.0 - p_down) / downs)
+        out.append(FlowRatio(n, p_up / p_down, sigma))
+    return out
+
+
+def geometric_chi_square(histogram, q):
+    """Chi-square goodness of fit of occupancy counts vs (1-q) q^n.
+
+    Pearson's statistic presumes independent draws, so counts taken from
+    a Metropolis chain must be thinned by a few autocorrelation times
+    before binning or the statistic is inflated.  Bins past the point
+    where the expected count drops under ``CHI_SQUARE_MIN_EXPECTED`` are
+    merged into one tail bin.  Returns (statistic, p-value, degrees of
+    freedom); q is fixed a priori, so dof = bins - 1, and the p-value is
+    ``scipy.stats.chi2``'s survival function.
+    """
+    from scipy import stats
+
+    counts = np.asarray(histogram, dtype=float)
+    total = counts.sum()
+    if total <= 0:
+        raise ValueError("empty histogram")
+    expected = total * np.array([(1 - q) * q ** n for n in range(counts.size)])
+
+    cut = counts.size
+    while cut > 1 and (expected[cut - 1] < CHI_SQUARE_MIN_EXPECTED
+                       or total * q ** cut < CHI_SQUARE_MIN_EXPECTED):
+        cut -= 1
+    obs = np.concatenate([counts[:cut], [counts[cut:].sum()]])
+    exp = np.concatenate([expected[:cut], [total * q ** cut]])
+    if obs.size < 2:
+        raise ValueError("too few occupancy levels for a chi-square test")
+    statistic = float(np.sum((obs - exp) ** 2 / exp))
+    dof = obs.size - 1
+    return statistic, float(stats.chi2.sf(statistic, dof)), dof

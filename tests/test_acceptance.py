@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from phasorlab import cavity, cli, epr, hj, holography, statespace
 from phasorlab.seeding import derive_rng
 
@@ -101,7 +102,7 @@ def test_criterion_4_planck_reproduction(cavity_chains):
         assert rel < 0.02, f"ratio {x}: relative error {rel:.4f}"
         # Pearson needs near-independent draws: thin by ~3 correlation times
         thinned = np.bincount(chain.occupancies[::8])
-        _, p_value, _ = cavity.geometric_chi_square(thinned, math.exp(-x))
+        _, p_value, _ = oracles.geometric_chi_square(thinned, math.exp(-x))
         assert p_value >= 0.01, f"ratio {x}: chi-square p {p_value:.4f}"
     elapsed = equilibration_time + (time.monotonic() - start)
     assert elapsed < 60.0
@@ -112,7 +113,7 @@ def test_criterion_4_planck_reproduction(cavity_chains):
 def test_criterion_5_detailed_balance(cavity_chains):
     _, chains, _ = cavity_chains
     for x in CAVITY_RATIOS:
-        ratios = cavity.transition_flow_ratios(chains[x].occupancies)
+        ratios = oracles.transition_flow_ratios(chains[x].occupancies)
         assert ratios, f"ratio {x}: no occupancy pair with enough transitions"
         for level in ratios:
             dev = abs(math.log(level.ratio) - (-x))
@@ -220,11 +221,11 @@ def test_criterion_7_state_space():
 
 
 def test_criterion_8_commutator_transitivity():
-    check = cavity.commutator_scale_check(16)
+    check = statespace.commutator_scale_check(16)
     assert check.agreement <= 1e-12
     assert check.pattern_residual <= 1e-12
 
-    rescaled = cavity.commutator_scale_check(16, scales=(2.0, 0.5))
+    rescaled = statespace.commutator_scale_check(16, scales=(2.0, 0.5))
     assert abs(rescaled.k1 - check.k1) <= 1e-12
     assert abs(rescaled.k2 - check.k2) <= 1e-12
     report(8, "K1 = K2 on the leading block; invariant under inverse rescaling")

@@ -17,12 +17,9 @@ from phasorlab import cavity
 from phasorlab.cavity import (
     ModeFamily,
     ThermalBath,
-    commutator_scale_check,
     equilibrate,
-    geometric_chi_square,
     planck_expectation,
     spectrum_sweep,
-    transition_flow_ratios,
 )
 from phasorlab.seeding import derive_rng
 
@@ -576,47 +573,10 @@ def test_alarm_stops_a_helper_within_one_segment():
 # --- stationary-law checks ----------------------------------------------------------
 
 
-def _flow_ratios_per_level(occupancies):
-    """Reference: rescan the chain once per level."""
-    occ = np.asarray(occupancies)
-    prev, nxt = occ[:-1], occ[1:]
-    out = []
-    for n in range(int(occ.max())):
-        visits_n = int(np.sum(prev == n))
-        visits_n1 = int(np.sum(prev == n + 1))
-        ups = int(np.sum((prev == n) & (nxt == n + 1)))
-        downs = int(np.sum((prev == n + 1) & (nxt == n)))
-        if min(ups, downs) < cavity.FLOW_RATIO_MIN_COUNT:
-            continue
-        p_up = ups / visits_n
-        p_down = downs / visits_n1
-        sigma = math.sqrt((1.0 - p_up) / ups + (1.0 - p_down) / downs)
-        out.append(cavity.FlowRatio(n, p_up / p_down, sigma))
-    return out
-
-
-def test_flow_ratios_match_per_level_reference():
-    rng = np.random.default_rng(8)
-    walk = equilibrate(ModeFamily.in_bath(0.5, BATH), BATH, 200_000, 0,
-                       derive_rng(8, "cavity", 0)).occupancies
-    chains = [
-        walk,
-        rng.integers(0, 7, size=20_000),              # jumps of any size
-        np.cumsum(rng.integers(0, 2, size=5_000)) % 9,
-        np.zeros(1000, dtype=np.int64),               # stuck at 0: no levels
-    ]
-    for occ in chains:
-        assert transition_flow_ratios(occ) == _flow_ratios_per_level(occ)
-    # the walk's rare top levels fall under the minimum count and are skipped
-    kept = {r.level for r in transition_flow_ratios(walk)}
-    assert kept and kept != set(range(int(walk.max())))
-    assert transition_flow_ratios(chains[-1]) == []
-
-
 def test_detailed_balance_flow_ratios():
     family = ModeFamily.in_bath(1.0, BATH)
     chain = equilibrate(family, BATH, 10 ** 6, 10 ** 4, derive_rng(1, "cavity", 0))
-    ratios = transition_flow_ratios(chain.occupancies)
+    ratios = oracles.transition_flow_ratios(chain.occupancies)
     assert len(ratios) >= 3
     q = math.exp(-1.0)
     for level in ratios:
@@ -628,7 +588,7 @@ def test_geometric_chi_square_goodness_of_fit():
     family = ModeFamily.in_bath(1.0, BATH)
     chain = equilibrate(family, BATH, 10 ** 6, 10 ** 4, derive_rng(4, "cavity", 0))
     hist = np.bincount(chain.occupancies[::16])
-    _, p_value, dof = geometric_chi_square(hist, math.exp(-1.0))
+    _, p_value, dof = oracles.geometric_chi_square(hist, math.exp(-1.0))
     assert dof >= 2
     assert p_value >= 0.01
 
@@ -637,59 +597,5 @@ def test_geometric_chi_square_rejects_wrong_law():
     family = ModeFamily.in_bath(1.0, BATH)
     chain = equilibrate(family, BATH, 200_000, 50_000, derive_rng(4, "cavity", 0))
     hist = np.bincount(chain.occupancies[::16])
-    _, p_value, _ = geometric_chi_square(hist, math.exp(-2.0))
+    _, p_value, _ = oracles.geometric_chi_square(hist, math.exp(-2.0))
     assert p_value < 1e-6
-
-
-def poisson_geometric(x):
-    """A Poisson-drawn 10^6-sample histogram of the law with q = e^-x, over 12/x levels."""
-    q = math.exp(-x)
-    return derive_rng(5, "chi-square", 0).poisson(10 ** 6 * (1 - q) * q ** np.arange(int(12 / x))), q
-
-
-@pytest.mark.parametrize("hist, q", [
-    ([620, 240, 90, 33, 12, 5], math.exp(-1.0)),
-    ([5000, 1800, 700, 250, 90, 30, 11, 6], math.exp(-1.0)),
-    ([400, 300, 200, 100, 50, 25, 10], math.exp(-2.0)),
-    ([90, 10, 6, 5], 0.1),
-    # good fits over 5300 and 2997 levels: e^(-statistic/2) underflows, p does not
-    poisson_geometric(1e-3),
-    poisson_geometric(2e-3),
-])
-def test_geometric_chi_square_p_value_matches_scipy_stats(hist, q):
-    from scipy import stats
-    statistic, p_value, dof = geometric_chi_square(np.array(hist), q)
-    assert p_value == pytest.approx(stats.chi2.sf(statistic, dof), rel=1e-12, abs=0.0)
-
-
-# --- commutator transitivity ----------------------------------------------------------
-
-def test_commutator_scales_agree_at_dim_16():
-    check = commutator_scale_check(16)
-    assert check.agreement < 1e-12
-    assert check.pattern_residual < 1e-12
-    assert check.k1 == pytest.approx(1j, abs=1e-12)
-
-
-def test_commutator_invariant_under_inverse_rescaling():
-    base = commutator_scale_check(12, scales=(1.0, 1.0))
-    scaled = commutator_scale_check(12, scales=(2.0, 1.0))
-    assert scaled.k1 == pytest.approx(base.k1, abs=1e-12)
-    assert scaled.agreement < 1e-12
-
-
-def test_commutator_minimal_dimension():
-    check = commutator_scale_check(3)
-    assert check.agreement < 1e-12
-    assert check.pattern_residual < 1e-12
-    with pytest.raises(ValueError):
-        commutator_scale_check(2)
-
-
-@settings(deadline=None, max_examples=20)
-@given(st.integers(3, 24), st.tuples(*[st.floats(0.1, 5.0, allow_nan=False)] * 2))
-def test_commutator_property_random_builds(dim, scales):
-    check = commutator_scale_check(dim, scales=scales)
-    assert check.agreement < 1e-10
-    assert abs(check.k1 - 1j) < 1e-10
-    assert abs(check.k2 - 1j) < 1e-10

@@ -1,16 +1,18 @@
 """Exit 0 means right: properties that hold each fuzzed run's printed table to the
-closed-form oracle of its engine (``oracles``)."""
+closed-form oracle of its engine (``oracles``), and the oracles' own edge cases."""
 
 import ast
 import contextlib
 import io
 from pathlib import Path
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from phasorlab import cli
+from phasorlab import cavity, cli
+from phasorlab.seeding import derive_rng
 
 ANGLE = st.floats(-1e308, 1e308, allow_nan=False)
 # one angle, or a small start:stop:count sweep; a sweep whose span overflows exits 2
@@ -97,3 +99,13 @@ def test_oracles_import_nothing_from_the_package():
     imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)]
     assert [name for name in imported if name.split(".")[0] in ("phasorlab", "")] == []
+
+
+def test_flow_ratios_skip_rare_levels_and_a_stuck_chain():
+    bath = cavity.ThermalBath(1.0)
+    walk = cavity.equilibrate(cavity.ModeFamily.in_bath(0.5, bath), bath, 200_000, 0,
+                              derive_rng(8, "cavity", 0)).occupancies
+    # the walk's rare top levels fall under the minimum count and are skipped
+    kept = {r.level for r in oracles.transition_flow_ratios(walk)}
+    assert kept and kept != set(range(int(walk.max())))
+    assert oracles.transition_flow_ratios(np.zeros(1000, dtype=np.int64)) == []

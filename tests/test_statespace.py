@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasorlab import statespace as ss
+from phasorlab.statespace import commutator_scale_check
 
 
 # --- characteristic roots ----------------------------------------------------
@@ -263,3 +264,36 @@ def test_sparse_rows_do_not_hold_the_trajectory():
         tracemalloc.stop()
     assert traj.states.shape == (629, 2)
     assert peak < 16 * 2 ** 20
+
+
+# --- commutator transitivity ----------------------------------------------------------
+
+def test_commutator_scales_agree_at_dim_16():
+    check = commutator_scale_check(16)
+    assert check.agreement < 1e-12
+    assert check.pattern_residual < 1e-12
+    assert check.k1 == pytest.approx(1j, abs=1e-12)
+
+
+def test_commutator_invariant_under_inverse_rescaling():
+    base = commutator_scale_check(12, scales=(1.0, 1.0))
+    scaled = commutator_scale_check(12, scales=(2.0, 1.0))
+    assert scaled.k1 == pytest.approx(base.k1, abs=1e-12)
+    assert scaled.agreement < 1e-12
+
+
+def test_commutator_minimal_dimension():
+    check = commutator_scale_check(3)
+    assert check.agreement < 1e-12
+    assert check.pattern_residual < 1e-12
+    with pytest.raises(ValueError):
+        commutator_scale_check(2)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(3, 24), st.tuples(*[st.floats(0.1, 5.0, allow_nan=False)] * 2))
+def test_commutator_property_random_builds(dim, scales):
+    check = commutator_scale_check(dim, scales=scales)
+    assert check.agreement < 1e-10
+    assert abs(check.k1 - 1j) < 1e-10
+    assert abs(check.k2 - 1j) < 1e-10
