@@ -6,7 +6,8 @@ adjacent members (one antinode at a time), so the occupancy performs a
 +-1 Metropolis walk with stationary weights e^{-n h f / k_B T}.  The
 equilibrium mean energy then reproduces the Planck form
 hf / (e^{hf/k_B T} - 1), with the antinodal lobe energy h*f independent
-of the wavelength.
+of the wavelength.  The engine works in units where h = k_B = 1, so a
+frequency is its lobe energy and a temperature is k_B T.
 
 Every step takes one uniform u: u < q/2 moves up, u >= 1/2 moves down
 (refused at n = 0), anything else stays, with q = e^{-hf/k_B T}.  One
@@ -23,6 +24,7 @@ test oracles, and not part of the package.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -45,22 +47,21 @@ MAX_SWEEP_STEPS = 10 ** 9
 
 @dataclass(frozen=True)
 class ThermalBath:
-    """Equilibrium context: temperature plus the two scale constants."""
+    """Equilibrium context in units where h = k_B = 1: the temperature is k_B T."""
 
     temperature: float
-    boltzmann_k: float = 1.0
-    planck_h: float = 1.0
 
     def __post_init__(self):
-        if not all(x > 0.0 for x in (self.temperature, self.boltzmann_k, self.planck_h)):
-            raise ValueError("temperature, k_B and h must all be positive")
-        if not 0.0 < self.boltzmann_k * self.temperature < math.inf:
-            raise ValueError(f"k_B T = {self.boltzmann_k:g} x {self.temperature:g} leaves the"
-                             " float range")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature:g}")
 
-    def beta_hf(self, frequency: float) -> float:
-        """Dimensionless lobe energy hf / k_B T."""
-        return self.planck_h * frequency / (self.boltzmann_k * self.temperature)
+    def beta_hf(self, lobe_energy: float) -> float:
+        """hf / k_B T of a positive lobe energy; one that underflows, to 0 or a subnormal, is
+        refused, as q = e^{-x} rounds to 1 there and the walk has no equilibrium."""
+        x = lobe_energy / self.temperature
+        if x < sys.float_info.min:
+            raise ValueError(f"hf/k_B T of frequency {lobe_energy:g} underflows to {x:g}")
+        return x
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,11 @@ class ModeFamily:
 
     @classmethod
     def in_bath(cls, frequency: float, bath: ThermalBath) -> "ModeFamily":
-        """The family of ``frequency``; a frequency that is not positive is refused."""
-        return cls(lobe_energy=bath.planck_h * frequency)
+        """The family of ``frequency``, refused where it is not positive and finite or where
+        its hf/k_B T underflows in ``bath``."""
+        family = cls(lobe_energy=frequency)
+        bath.beta_hf(frequency)
+        return family
 
 
 class PlanckEnergy(NamedTuple):
@@ -86,10 +90,10 @@ class PlanckEnergy(NamedTuple):
 def planck_expectation(frequency: float, bath: ThermalBath) -> PlanckEnergy:
     """Closed-form equilibrium energy hf / (e^{hf/k_B T} - 1) (``_planck_energy``).
 
-    A lobe energy hf that is not positive and finite is refused.
+    A frequency that is not positive and finite, or whose hf/k_B T underflows, is refused.
     """
     hf = ModeFamily.in_bath(frequency, bath).lobe_energy
-    return PlanckEnergy(_planck_energy(hf, bath.beta_hf(frequency)))
+    return PlanckEnergy(_planck_energy(hf, bath.beta_hf(hf)))
 
 
 def _planck_energy(hf: float, x: float) -> float:
@@ -283,11 +287,12 @@ def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
     P(n) = (1 - q) q^n with q = e^{-hf/k_B T}, and the mean energy to the
     Planck form.  The chain is a one-row block whose buffer of
     max(burn_in, steps - burn_in) steps runs the burn-in and the kept steps
-    as one segment each, which keeps the kept chain whole.
+    as one segment each, which keeps the kept chain whole.  A family whose
+    hf/k_B T underflows in ``bath`` is refused (``ThermalBath.beta_hf``).
     """
     kept = _kept_steps(steps, burn_in)
+    q = math.exp(-bath.beta_hf(family.lobe_energy))
     buf = _ChainBuffers(1, max(burn_in, kept))
-    q = math.exp(-family.lobe_energy / (bath.boltzmann_k * bath.temperature))
     sums = _run_chains([q], [0], steps, burn_in, [rng], buf)
     mean = (sums.total / kept).item()
     occupancies = buf.walk()[0]
@@ -323,9 +328,8 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
     statistics, three floats a chain, so memory does not grow by a
     generator or a tally a chain either.  A sweep of no frequency, of more than
     ``MAX_SWEEP_STEPS`` steps in all, with a frequency that is not
-    positive (NaN included) or whose hf/k_B T underflows to 0 or whose
-    lobe energy hf overflows, or with no kept step, is refused before any
-    chain starts.
+    positive and finite (NaN included) or whose hf/k_B T underflows,
+    or with no kept step, is refused before any chain starts.
     """
     if len(frequencies) == 0:
         raise ValueError("a sweep needs at least one frequency")
@@ -336,11 +340,7 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
         raise ValueError("frequencies must be positive")
     width = min(CHUNK, max(burn_in, _kept_steps(steps, burn_in)))
     xs = [bath.beta_hf(f) for f in frequencies]
-    for f, x in zip(frequencies, xs):
-        if x == 0.0:
-            raise ValueError(f"hf/k_B T of frequency {f:g} underflows to 0")
-    hf = [bath.planck_h * f for f in frequencies]
-    ModeFamily(lobe_energy=max(hf))  # every hf > 0, as x > 0: this refuses one that overflows
+    ModeFamily(lobe_energy=max(frequencies))  # refuses an infinite frequency
     q = [math.exp(-x) for x in xs]
     block = CHUNK // width
     buf = _ChainBuffers(block, width)
@@ -351,9 +351,8 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
         sums = _run_chains(q[lo:lo + block], [0] * len(rows), steps, burn_in, rngs, buf)
         mean[lo:lo + block], stderr[lo:lo + block], acceptance[lo:lo + block] = _statistics(
             sums, steps, burn_in)
-    lobes = np.array(hf)
-    closed = np.array([_planck_energy(h, x) for h, x in zip(hf, xs)])
+    lobes = np.array(frequencies, dtype=float)
+    closed = np.array([_planck_energy(f, x) for f, x in zip(frequencies, xs)])
     with np.errstate(divide="ignore", invalid="ignore"):  # a closed form may underflow to 0
         rel = np.where(closed > 0.0, np.abs(mean * lobes - closed) / closed, math.inf)
-    return SweepColumns(np.array(frequencies, dtype=float), mean * lobes, stderr * lobes,
-                        closed, rel, acceptance)
+    return SweepColumns(lobes, mean * lobes, stderr * lobes, closed, rel, acceptance)

@@ -142,11 +142,8 @@ SUBCOMMAND_OPTIONS = {
     },
     "cavity": {
         "hf-over-kt": (_floats, None, "dimensionless lobe energies (h=k_B=T=1)"),
-        "frequencies": (_floats, None, "mode family base frequencies, Hz"),
-        # the bath keys apply to 'frequencies' only, where each defaults to 1.0
-        "temperature": (_float, None, "bath temperature (with --frequencies; 1.0 if unset)"),
-        "planck-h": (_float, None, "Planck constant (with --frequencies; 1.0 if unset)"),
-        "boltzmann-k": (_float, None, "Boltzmann constant (with --frequencies; 1.0 if unset)"),
+        "frequencies": (_floats, None, "mode family frequencies, each its lobe energy (h=k_B=1)"),
+        "temperature": (_float, None, "bath temperature, k_B T (with --frequencies; 1.0 if unset)"),
         "steps": (int, "100000", "Metropolis steps per chain"),
         "burn-in": (int, "10000", "discarded leading steps"),
         "seed": (_u64, "0", "master seed (unsigned 64-bit)"),
@@ -462,14 +459,13 @@ def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     key = "frequencies" if ratios is None else "hf-over-kt"
     if not opts[key]:
         raise ConfigError(f"key '{key}' must list at least one value")
-    bath_keys = ("temperature", "boltzmann-k", "planck-h")
+    temperature = opts["temperature"]
     if ratios is not None:
-        for bath_key in bath_keys:
-            if opts[bath_key] is not None:
-                raise ConfigError(f"key '{bath_key}' applies only with 'frequencies';"
-                                  " 'hf-over-kt' already fixes h = k_B = T = 1")
+        if temperature is not None:
+            raise ConfigError("key 'temperature' applies only with 'frequencies';"
+                              " 'hf-over-kt' already fixes h = k_B = T = 1")
         freqs = ratios
-    bath = cavity.ThermalBath(*(1.0 if opts[k] is None else opts[k] for k in bath_keys))
+    bath = cavity.ThermalBath(1.0 if temperature is None else temperature)
     sweep = cavity.spectrum_sweep(freqs, bath, opts["steps"], opts["burn-in"], opts["seed"])
     header = ["f", "T", "mc_mean_energy", "mc_stderr", "closed_form",
               "rel_error", "acceptance_rate", "steps", "seed"]
