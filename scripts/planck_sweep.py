@@ -21,9 +21,7 @@ def main():
     args = parser.parse_args()
 
     ratios = np.logspace(-0.7, 0.9, args.points)
-    bath = cavity.ThermalBath(1.0)
-    sweep = cavity.spectrum_sweep(list(ratios), bath, args.steps, args.burn_in,
-                                  args.seed)
+    sweep = cavity.spectrum_sweep(list(ratios), args.steps, args.burn_in, args.seed)
 
     print("hf_over_kt,mc_mean_energy,mc_stderr,closed_form,rel_error,"
           "equipartition_kt,acceptance_rate")

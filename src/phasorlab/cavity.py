@@ -3,14 +3,15 @@
 A mode family is the harmonic ladder {f, 2f, 3f, ...} with exactly one
 member energized at a time; wall displacements move the family between
 adjacent members (one antinode at a time), so the occupancy performs a
-+-1 Metropolis walk with stationary weights e^{-n h f / k_B T}.  The
++-1 Metropolis walk with stationary weights e^{-n x}, x = hf/k_B T.  The
 equilibrium mean energy then reproduces the Planck form
 hf / (e^{hf/k_B T} - 1), with the antinodal lobe energy h*f independent
-of the wavelength.  The engine works in units where h = k_B = 1, so a
-frequency is its lobe energy and a temperature is k_B T.
+of the wavelength.  The law depends on f and T only through x, so the
+engine takes x alone and gives energies in units of k_B T, where the lobe
+energy is x.  ``_acceptance`` is the one place a ratio is checked.
 
 Every step takes one uniform u: u < q/2 moves up, u >= 1/2 moves down
-(refused at n = 0), anything else stays, with q = e^{-hf/k_B T}.  One
+(refused at n = 0), anything else stays, with q = e^{-x}.  One
 kernel runs a block of chains side by side through the reflected-walk
 (Lindley) recursion and adds the kept steps to exact integer tallies; the
 tests hold it step for step to the scalar move looped over the same
@@ -24,7 +25,6 @@ test oracles, and not part of the package.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -45,68 +45,37 @@ _DOWN_WORD = np.uint64(2 ** 63)
 MAX_SWEEP_STEPS = 10 ** 9
 
 
-@dataclass(frozen=True)
-class ThermalBath:
-    """Equilibrium context in units where h = k_B = 1: the temperature is k_B T."""
+def _acceptance(x: float) -> float:
+    """The uphill acceptance q = e^{-x} of a ratio x = hf/k_B T, once x is checked.
 
-    temperature: float
-
-    def __post_init__(self):
-        if not 0.0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature:g}")
-
-    def beta_hf(self, lobe_energy: float) -> float:
-        """hf / k_B T of a positive lobe energy; one that underflows, to 0 or a subnormal, is
-        refused, as q = e^{-x} rounds to 1 there and the walk has no equilibrium."""
-        x = lobe_energy / self.temperature
-        if x < sys.float_info.min:
-            raise ValueError(f"hf/k_B T of frequency {lobe_energy:g} underflows to {x:g}")
-        return x
-
-
-@dataclass(frozen=True)
-class ModeFamily:
-    """Harmonic family {f, 2f, 3f, ...} of lobe energy h f, which its chains walk from n = 0."""
-
-    lobe_energy: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lobe_energy < math.inf:
-            raise ValueError(f"lobe energy must be positive and finite, got {self.lobe_energy:g}")
-
-    @classmethod
-    def in_bath(cls, frequency: float, bath: ThermalBath) -> "ModeFamily":
-        """The family of ``frequency``, refused where it is not positive and finite or where
-        its hf/k_B T underflows in ``bath``."""
-        family = cls(lobe_energy=frequency)
-        bath.beta_hf(frequency)
-        return family
-
-
-class PlanckEnergy(NamedTuple):
-    energy: float
-
-
-def planck_expectation(frequency: float, bath: ThermalBath) -> PlanckEnergy:
-    """Closed-form equilibrium energy hf / (e^{hf/k_B T} - 1) (``_planck_energy``).
-
-    A frequency that is not positive and finite, or whose hf/k_B T underflows, is refused.
+    A ratio that is NaN, not positive or infinite is refused, and so is one
+    whose up-word bound (``_up_words``) reaches the down bound 2^63: there
+    q >= 1 - 2^-53, the walk moves up exactly as often as down and has no
+    equilibrium.  Where exp rounds correctly that band is x <= 1.5 2^-53
+    (1.665e-16), every subnormal x included.
     """
-    hf = ModeFamily.in_bath(frequency, bath).lobe_energy
-    return PlanckEnergy(_planck_energy(hf, bath.beta_hf(hf)))
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"hf/k_B T must be positive and finite, got {float(x)!r}")
+    q = math.exp(-x)
+    if _up_words([q])[0] >= _DOWN_WORD:
+        raise ValueError(f"hf/k_B T = {float(x)!r} is too small: e^-x rounds to within 2^-53 of 1,"
+                         " so the walk moves up as often as down and has no equilibrium")
+    return q
 
 
-def _planck_energy(hf: float, x: float) -> float:
-    """hf / (e^x - 1) at x = hf/k_B T, by ``math.expm1``.
+def planck_energy(x: float) -> float:
+    """Closed-form equilibrium energy x / (e^x - 1) in units of k_B T, by ``math.expm1``.
 
-    Where e^x overflows it is hf e^{-x}, as two half-exponent factors that
-    keep its ulps, and 0 only where that product underflows.
+    Where e^x overflows it is x e^{-x}, as two half-exponent factors that
+    keep its ulps, and 0 only where that product underflows.  A ratio
+    ``_acceptance`` refuses is refused.
     """
+    _acceptance(x)
     try:
-        return hf / math.expm1(x)
+        return x / math.expm1(x)
     except OverflowError:
         half = math.exp(-x / 2.0)
-        return hf * half * half
+        return x * half * half
 
 
 @dataclass(frozen=True)
@@ -279,31 +248,29 @@ def _statistics(sums: _ChainSums, steps: int, burn_in: int) -> tuple[np.ndarray,
     return sums.total / kept, stderr, sums.moves / steps
 
 
-def equilibrate(family: ModeFamily, bath: ThermalBath, steps: int,
-                burn_in: int, rng: np.random.Generator) -> ChainStatistics:
-    """Run the jitter chain of ``family`` from n = 0 and keep its steps after the burn-in.
+def equilibrate(x: float, steps: int, burn_in: int, rng: np.random.Generator) -> ChainStatistics:
+    """Run the jitter chain at ratio x = hf/k_B T from n = 0 and keep its steps after the burn-in.
 
     The occupancy histogram converges to the geometric law
-    P(n) = (1 - q) q^n with q = e^{-hf/k_B T}, and the mean energy to the
-    Planck form.  The chain is a one-row block whose buffer of
+    P(n) = (1 - q) q^n with q = e^{-x}, and the mean energy, in units of
+    k_B T, to the Planck form.  The chain is a one-row block whose buffer of
     max(burn_in, steps - burn_in) steps runs the burn-in and the kept steps
-    as one segment each, which keeps the kept chain whole.  A family whose
-    hf/k_B T underflows in ``bath`` is refused (``ThermalBath.beta_hf``).
+    as one segment each, which keeps the kept chain whole.  A ratio
+    ``_acceptance`` refuses is refused.
     """
     kept = _kept_steps(steps, burn_in)
-    q = math.exp(-bath.beta_hf(family.lobe_energy))
+    q = _acceptance(x)
     buf = _ChainBuffers(1, max(burn_in, kept))
     sums = _run_chains([q], [0], steps, burn_in, [rng], buf)
     mean = (sums.total / kept).item()
     occupancies = buf.walk()[0]
-    return ChainStatistics(steps, occupancies, np.bincount(occupancies),
-                           mean * family.lobe_energy)
+    return ChainStatistics(steps, occupancies, np.bincount(occupancies), mean * x)
 
 
 class SweepColumns(NamedTuple):
-    """A sweep's results, one float64 entry per frequency in the order given."""
+    """A sweep's results, one float64 entry per ratio in the order given; energies in k_B T."""
 
-    frequency: np.ndarray
+    frequency: np.ndarray  # the ratio hf/k_B T, which is hf at k_B T = 1
     mc_mean_energy: np.ndarray
     mc_stderr: np.ndarray
     closed_form: np.ndarray
@@ -311,37 +278,30 @@ class SweepColumns(NamedTuple):
     acceptance_rate: np.ndarray
 
 
-def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
-                   burn_in: int, master_seed: int) -> SweepColumns:
-    """One equilibrated chain per frequency from n = 0, compared to the closed form.
+def spectrum_sweep(ratios: Sequence[float], steps: int, burn_in: int,
+                   master_seed: int) -> SweepColumns:
+    """One equilibrated chain per ratio x = hf/k_B T from n = 0, compared to the closed form.
 
-    Each frequency's x = hf/k_B T is taken once: the uphill acceptance
-    q = e^{-x} and the closed form (``_planck_energy``) both come from it.
     Chains are independent: replica i draws from the stream keyed by
-    (master seed, "cavity", i), so duplicated frequencies give
-    independent estimates of the same mean.  The chains run side by side
-    in blocks of ``CHUNK // width`` chains, with width = min(CHUNK,
-    max(burn_in, kept)), one block after another on the calling thread
-    through one buffer of ``CHUNK`` steps, so memory does not grow with
-    ``steps``.  A block derives its chains' streams when it starts, in
-    replica order, drops them when it ends and keeps its chains'
-    statistics, three floats a chain, so memory does not grow by a
-    generator or a tally a chain either.  A sweep of no frequency, of more than
-    ``MAX_SWEEP_STEPS`` steps in all, with a frequency that is not
-    positive and finite (NaN included) or whose hf/k_B T underflows,
-    or with no kept step, is refused before any chain starts.
+    (master seed, "cavity", i), so duplicated ratios give independent
+    estimates of the same mean.  The chains run side by side in blocks of
+    ``CHUNK // width`` chains, with width = min(CHUNK, max(burn_in, kept)),
+    one block after another on the calling thread through one buffer of
+    ``CHUNK`` steps, so memory does not grow with ``steps``.  A block
+    derives its chains' streams when it starts, in replica order, drops
+    them when it ends and keeps its chains' statistics, three floats a
+    chain, so memory does not grow by a generator or a tally a chain
+    either.  A sweep of no ratio, of more than ``MAX_SWEEP_STEPS`` steps in
+    all, with a ratio ``_acceptance`` refuses, or with no kept step, is
+    refused before any chain starts.
     """
-    if len(frequencies) == 0:
-        raise ValueError("a sweep needs at least one frequency")
-    if len(frequencies) * steps > MAX_SWEEP_STEPS:
-        raise ValueError(f"a sweep of {len(frequencies)} x {steps} steps exceeds the budget"
+    if len(ratios) == 0:
+        raise ValueError("a sweep needs at least one ratio")
+    if len(ratios) * steps > MAX_SWEEP_STEPS:
+        raise ValueError(f"a sweep of {len(ratios)} x {steps} steps exceeds the budget"
                          f" of {MAX_SWEEP_STEPS:.0e} steps")
-    if not all(f > 0.0 for f in frequencies):
-        raise ValueError("frequencies must be positive")
+    q = [_acceptance(x) for x in ratios]
     width = min(CHUNK, max(burn_in, _kept_steps(steps, burn_in)))
-    xs = [bath.beta_hf(f) for f in frequencies]
-    ModeFamily(lobe_energy=max(frequencies))  # refuses an infinite frequency
-    q = [math.exp(-x) for x in xs]
     block = CHUNK // width
     buf = _ChainBuffers(block, width)
     mean, stderr, acceptance = np.empty((3, len(q)))
@@ -351,8 +311,8 @@ def spectrum_sweep(frequencies: Sequence[float], bath: ThermalBath, steps: int,
         sums = _run_chains(q[lo:lo + block], [0] * len(rows), steps, burn_in, rngs, buf)
         mean[lo:lo + block], stderr[lo:lo + block], acceptance[lo:lo + block] = _statistics(
             sums, steps, burn_in)
-    lobes = np.array(frequencies, dtype=float)
-    closed = np.array([_planck_energy(f, x) for f, x in zip(frequencies, xs)])
+    xs = np.array(ratios, dtype=float)
+    closed = np.array([planck_energy(x) for x in ratios])
     with np.errstate(divide="ignore", invalid="ignore"):  # a closed form may underflow to 0
-        rel = np.where(closed > 0.0, np.abs(mean * lobes - closed) / closed, math.inf)
-    return SweepColumns(lobes, mean * lobes, stderr * lobes, closed, rel, acceptance)
+        rel = np.where(closed > 0.0, np.abs(mean * xs - closed) / closed, math.inf)
+    return SweepColumns(xs, mean * xs, stderr * xs, closed, rel, acceptance)

@@ -1,8 +1,9 @@
 """Batch front-end: seeded runs of each engine with bit-exact emission.
 
 Subcommands ``epr``, ``holo``, ``cavity``, ``evolve`` and ``hj`` share the flags
-``--config``, ``--out`` and ``--format``, and ``cavity`` adds ``--seed``; each
-flag takes one value (``parse_argv``).  A config file is flat UTF-8 text, one
+``--config``, ``--out`` and ``--format``; ``cavity`` needs ``--hf-over-kt``, the
+ratio hf/k_B T of each mode family itself (h = k_B = T = 1), and adds ``--seed``.
+Each flag takes one value (``parse_argv``).  A config file is flat UTF-8 text, one
 ``key = value`` per line with ``#`` comments; keys are the long flag names and
 flags override the file.  Identical (config, seed) pairs produce byte-identical
 output: reals print with 17 significant digits, CSV uses '.' decimals and '\\n'
@@ -141,9 +142,7 @@ SUBCOMMAND_OPTIONS = {
         "domain": (_interval, "0:10", "search domain lo:hi"),
     },
     "cavity": {
-        "hf-over-kt": (_floats, None, "dimensionless lobe energies (h=k_B=T=1)"),
-        "frequencies": (_floats, None, "mode family frequencies, each its lobe energy (h=k_B=1)"),
-        "temperature": (_float, None, "bath temperature, k_B T (with --frequencies; 1.0 if unset)"),
+        "hf-over-kt": (_floats, None, "hf/k_B T per mode family (h=k_B=T=1), each > 1.5*2^-53"),
         "steps": (int, "100000", "Metropolis steps per chain"),
         "burn-in": (int, "10000", "discarded leading steps"),
         "seed": (_u64, "0", "master seed (unsigned 64-bit)"),
@@ -453,24 +452,14 @@ def run_holo_json(opts: dict) -> str:
 def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     import numpy as np
     from . import cavity
-    ratios, freqs = opts["hf-over-kt"], opts["frequencies"]
-    if (ratios is None) == (freqs is None):
-        raise ConfigError("provide exactly one of keys 'hf-over-kt' and 'frequencies'")
-    key = "frequencies" if ratios is None else "hf-over-kt"
-    if not opts[key]:
-        raise ConfigError(f"key '{key}' must list at least one value")
-    temperature = opts["temperature"]
-    if ratios is not None:
-        if temperature is not None:
-            raise ConfigError("key 'temperature' applies only with 'frequencies';"
-                              " 'hf-over-kt' already fixes h = k_B = T = 1")
-        freqs = ratios
-    bath = cavity.ThermalBath(1.0 if temperature is None else temperature)
-    sweep = cavity.spectrum_sweep(freqs, bath, opts["steps"], opts["burn-in"], opts["seed"])
+    ratios = opts["hf-over-kt"]
+    if not ratios:  # unset, or set to no value
+        raise ConfigError("key 'hf-over-kt' must list at least one value")
+    sweep = cavity.spectrum_sweep(ratios, opts["steps"], opts["burn-in"], opts["seed"])
     header = ["f", "T", "mc_mean_energy", "mc_stderr", "closed_form",
               "rel_error", "acceptance_rate", "steps", "seed"]
     n = sweep.frequency.size
-    return header, [sweep.frequency, np.full(n, bath.temperature), sweep.mc_mean_energy,
+    return header, [sweep.frequency, np.ones(n), sweep.mc_mean_energy,
                     sweep.mc_stderr, sweep.closed_form, sweep.relative_error,
                     sweep.acceptance_rate, np.full(n, opts["steps"]),
                     np.full(n, opts["seed"], dtype=np.uint64)]

@@ -27,13 +27,10 @@ def report(n, text):
 @pytest.fixture(scope="module")
 def cavity_chains():
     start = time.monotonic()
-    bath = cavity.ThermalBath(1.0)
     chains = {}
     for i, x in enumerate(CAVITY_RATIOS):
-        family = cavity.ModeFamily.in_bath(x, bath)
-        chains[x] = cavity.equilibrate(family, bath, 10 ** 6, 10 ** 4,
-                                       derive_rng(MASTER_SEED, "cavity", i))
-    return bath, chains, time.monotonic() - start
+        chains[x] = cavity.equilibrate(x, 10 ** 6, 10 ** 4, derive_rng(MASTER_SEED, "cavity", i))
+    return chains, time.monotonic() - start
 
 
 def test_criterion_1_amplitude_table():
@@ -94,10 +91,10 @@ def test_criterion_3_no_signaling():
 
 def test_criterion_4_planck_reproduction(cavity_chains):
     start = time.monotonic()
-    bath, chains, equilibration_time = cavity_chains
+    chains, equilibration_time = cavity_chains
     for x in CAVITY_RATIOS:
         chain = chains[x]
-        closed = cavity.planck_expectation(x, bath).energy
+        closed = cavity.planck_energy(x)
         rel = abs(chain.mean_energy - closed) / closed
         assert rel < 0.02, f"ratio {x}: relative error {rel:.4f}"
         # Pearson needs near-independent draws: thin by ~3 correlation times
@@ -111,7 +108,7 @@ def test_criterion_4_planck_reproduction(cavity_chains):
 
 
 def test_criterion_5_detailed_balance(cavity_chains):
-    _, chains, _ = cavity_chains
+    chains, _ = cavity_chains
     for x in CAVITY_RATIOS:
         ratios = oracles.transition_flow_ratios(chains[x].occupancies)
         assert ratios, f"ratio {x}: no occupancy pair with enough transitions"

@@ -14,25 +14,20 @@ from hypothesis import strategies as st
 
 import oracles
 from phasorlab import cavity
-from phasorlab.cavity import (
-    ModeFamily,
-    ThermalBath,
-    equilibrate,
-    planck_expectation,
-    spectrum_sweep,
-)
+from phasorlab.cavity import equilibrate, planck_energy, spectrum_sweep
 from phasorlab.seeding import derive_rng
 
-BATH = ThermalBath(1.0)  # natural units: hf/k_B T = f, and a family's lobe energy is f
+# the engine takes the ratio x = hf/k_B T alone, so a "frequency" below is x: the
+# frequency at h = k_B = T = 1, and the lobe energy in units of k_B T
 
 
 def oracle_walk(n0, frequency, uniforms):
-    """``oracles.jitter_loop`` from ``n0`` at ``frequency`` in BATH (q = e^-f), as an array."""
+    """``oracles.jitter_loop`` from ``n0`` at ``frequency`` (q = e^-frequency), as an array."""
     return np.array(oracles.jitter_loop(n0, math.exp(-frequency), uniforms.tolist()))
 
 
 def run_block(n0s, frequencies, steps, burn_in, rngs, width):
-    """Chains at ``frequencies`` in BATH from ``n0s``, side by side in one kernel block.
+    """Chains at ``frequencies`` from ``n0s``, side by side in one kernel block.
 
     The block is ``width`` steps wide.  Returns each chain's mean occupancy, mean energy,
     its standard error and acceptance rate, from the block's ``_statistics`` columns.
@@ -74,24 +69,6 @@ def sweep_row(sweep, i):
 
 # --- types -------------------------------------------------------------------
 
-def test_mode_family_harmonic_structure():
-    bath = ThermalBath(2.0)
-    # in units where h = 1 the lobe energy is the frequency, whatever the temperature
-    for f in (0.5, 1.0, 4.0, 7.25):
-        assert ModeFamily.in_bath(f, bath).lobe_energy == f
-
-
-def test_mode_family_validation():
-    # a frequency that is not positive gives a lobe energy that is not
-    for frequency in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="lobe energy must be positive"):
-            ModeFamily.in_bath(frequency, BATH)
-    with pytest.raises(TypeError):  # the lobe energy has no default
-        ModeFamily()
-    with pytest.raises(ValueError):
-        ThermalBath(-1.0)
-
-
 # --- the scalar move (oracles.jitter_loop) ----------------------------------------
 
 def test_downhill_always_accepted():
@@ -116,8 +93,8 @@ def test_uphill_acceptance_probability():
 def test_mode_family_refuses_non_positive_lobe_energy(lobe):
     # the kernel accepts every downhill move, which the scalar move does only for a positive
     # lobe: with lobe -1 the two walks part (n = 17 against n = 597 after 2000 steps)
-    with pytest.raises(ValueError, match="lobe energy must be positive"):
-        ModeFamily(lobe_energy=lobe)
+    with pytest.raises(ValueError, match="hf/k_B T must be positive"):
+        equilibrate(lobe, 2000, 0, derive_rng(0, "cavity", 0))
 
 
 # --- vectorized kernel vs direct loop -------------------------------------------
@@ -127,18 +104,17 @@ def test_vectorized_chain_matches_stepwise_loop():
     steps = 5000
     uniforms = derive_rng(11, "cavity", 0).random(steps)
     for lobe in (0.8, 1.0):
-        chain = equilibrate(ModeFamily(lobe_energy=lobe), BATH, steps, 0,
-                            derive_rng(11, "cavity", 0))
+        chain = equilibrate(lobe, steps, 0, derive_rng(11, "cavity", 0))
         assert np.array_equal(chain.occupancies, oracle_walk(0, lobe, uniforms))
         block = stream_chain(2, lobe, steps, 0, derive_rng(11, "cavity", 0), steps)
         assert block == loop_statistics(2, lobe, 0, oracle_walk(2, lobe, uniforms))
 
 
 def test_equilibrate_uses_the_family_lobe_energy():
-    # lobe energy 2 at k_B T = 2: the family's law has q = e^{-1}, in units of its lobe energy
-    family, bath = ModeFamily(lobe_energy=2.0), ThermalBath(2.0)
-    chain = equilibrate(family, bath, 10 ** 6, 10 ** 4, derive_rng(3, "cavity", 0))
-    closed = planck_expectation(2.0, bath).energy  # 2 / (e - 1) = 1.164
+    # the mean energy, in units of k_B T, is the mean occupancy times the lobe energy x
+    chain = equilibrate(2.0, 10 ** 6, 10 ** 4, derive_rng(3, "cavity", 0))
+    assert chain.mean_energy == chain.occupancies.sum() / chain.occupancies.size * 2.0
+    closed = planck_energy(2.0)  # 2 / (e^2 - 1) = 0.313
     assert abs(chain.mean_energy - closed) / closed < 0.02
 
 
@@ -171,23 +147,20 @@ def test_raw_words_move_exactly_where_their_uniforms_do(q):
 
 def test_equilibrate_frozen_at_low_temperature():
     # hf/k_B T = 50: the chain cannot leave n = 0 (third-law freeze-out)
-    family = ModeFamily.in_bath(50.0, BATH)
-    chain = equilibrate(family, BATH, 10 ** 6, 10 ** 4, derive_rng(5, "cavity", 0))
+    chain = equilibrate(50.0, 10 ** 6, 10 ** 4, derive_rng(5, "cavity", 0))
     assert not chain.occupancies.any()
     assert chain.mean_energy == 0.0
 
 
 def test_equilibrate_matches_planck_at_unit_ratio():
-    family = ModeFamily.in_bath(1.0, BATH)
-    chain = equilibrate(family, BATH, 10 ** 6, 10 ** 4, derive_rng(1, "cavity", 0))
-    closed = planck_expectation(1.0, BATH).energy
+    chain = equilibrate(1.0, 10 ** 6, 10 ** 4, derive_rng(1, "cavity", 0))
+    closed = planck_energy(1.0)
     assert closed == pytest.approx(1.0 / (math.e - 1.0))
     assert abs(chain.mean_energy - closed) / closed < 0.02
 
 
 def test_equilibrate_histogram_mass_and_acceptance():
-    family = ModeFamily.in_bath(1.0, BATH)
-    chain = equilibrate(family, BATH, 200_000, 5_000, derive_rng(2, "cavity", 0))
+    chain = equilibrate(1.0, 200_000, 5_000, derive_rng(2, "cavity", 0))
     assert chain.occupancy_histogram.sum() == 200_000 - 5_000
     _, _, stderr, acceptance = stream_chain(0, 1.0, 200_000, 5_000, derive_rng(2, "cavity", 0),
                                             cavity.CHUNK)
@@ -198,26 +171,24 @@ def test_equilibrate_histogram_mass_and_acceptance():
 
 
 def test_equilibrate_rejects_empty_sampling_window():
-    family = ModeFamily.in_bath(1.0, BATH)
     with pytest.raises(ValueError):
-        equilibrate(family, BATH, 100, 100, derive_rng(0, "cavity", 0))
+        equilibrate(1.0, 100, 100, derive_rng(0, "cavity", 0))
     with pytest.raises(ValueError):
-        equilibrate(family, BATH, 100, -1, derive_rng(0, "cavity", 0))
+        equilibrate(1.0, 100, -1, derive_rng(0, "cavity", 0))
 
 
 def test_equilibrate_refuses_an_underflowing_hf_over_kt():
     # q = e^{-1e-310} rounds to 1 and the walk is null recurrent: its peak occupancy grew
     # from 80 at 10^4 steps to 668 at 10^6, and the mean it returned estimated nothing
-    family, bath = ModeFamily(lobe_energy=1e-300), ThermalBath(1e10)
-    with pytest.raises(ValueError, match="hf/k_B T of frequency 1e-300 underflows to 1e-310"):
-        equilibrate(family, bath, 10 ** 4, 10, derive_rng(0, "cavity", 0))
-    with pytest.raises(ValueError, match="underflows"):
-        ModeFamily.in_bath(1e-300, bath)
+    with pytest.raises(ValueError, match="hf/k_B T = 1e-310 is too small"):
+        equilibrate(1e-310, 10 ** 4, 10, derive_rng(0, "cavity", 0))
+    with pytest.raises(ValueError, match="too small"):
+        planck_energy(1e-310)
 
 
 def test_classical_limit_of_planck_law():
     # hf/k_B T = 0.01 sits within 0.5% of equipartition k_B T
-    assert planck_expectation(0.01, BATH).energy == pytest.approx(1.0, rel=5.1e-3)
+    assert planck_energy(0.01) == pytest.approx(1.0, rel=5.1e-3)
 
 
 def test_classical_limit_chain_ensemble():
@@ -249,9 +220,9 @@ def test_classical_limit_chain_ensemble():
 # --- closed form ------------------------------------------------------------------
 
 def test_planck_expectation_reference_values():
-    assert planck_expectation(1.0, BATH).energy == pytest.approx(0.5819767068693265, abs=1e-12)
-    assert planck_expectation(5.0, BATH).energy == pytest.approx(5.0 / (math.exp(5.0) - 1.0), abs=1e-15)
-    assert planck_expectation(5.0, BATH).energy == pytest.approx(5.0 * 6.783654906304231e-3, rel=1e-9)
+    assert planck_energy(1.0) == pytest.approx(0.5819767068693265, abs=1e-12)
+    assert planck_energy(5.0) == pytest.approx(5.0 / (math.exp(5.0) - 1.0), abs=1e-15)
+    assert planck_energy(5.0) == pytest.approx(5.0 * 6.783654906304231e-3, rel=1e-9)
 
 
 def test_planck_expectation_matches_decimal_reference():
@@ -261,51 +232,46 @@ def test_planck_expectation_matches_decimal_reference():
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             want = float(decimal.Decimal(x) / (decimal.Decimal(x).exp() - 1))
-        got = planck_expectation(x, BATH).energy
+        got = planck_energy(x)
         step = 4.0 * math.ulp(want) if want >= sys.float_info.min else math.ulp(0.0)
         assert abs(got - want) <= step, (x, got, want)
-    assert planck_expectation(800.0, BATH).energy == 0.0
+    assert planck_energy(800.0) == 0.0
 
 
 def test_planck_expectation_refuses_an_overflowing_lobe_energy():
-    # h f = inf would make the closed form inf / inf; a mode family refuses it the same way
-    with pytest.raises(ValueError, match="lobe energy must be positive and finite"):
-        planck_expectation(math.inf, BATH)
+    # x = inf would make the closed form inf / inf; a chain refuses it the same way
+    with pytest.raises(ValueError, match="hf/k_B T must be positive and finite"):
+        planck_energy(math.inf)
 
 
-def test_planck_monotone_in_frequency_and_temperature():
-    freqs = np.linspace(0.05, 30.0, 120)
-    energies = [planck_expectation(f, BATH).energy for f in freqs]
+def test_planck_monotone_in_hf_over_kt():
+    energies = [planck_energy(x) for x in np.linspace(0.05, 30.0, 120)]
     assert all(b < a for a, b in zip(energies, energies[1:]))
-    temps = np.linspace(0.1, 20.0, 80)
-    at_fixed_f = [planck_expectation(2.0, ThermalBath(t)).energy for t in temps]
-    assert all(b > a for a, b in zip(at_fixed_f, at_fixed_f[1:]))
 
 
 # --- sweep -----------------------------------------------------------------------
 
 def test_spectrum_sweep_relative_errors():
-    sweep = spectrum_sweep([0.5, 1.0, 2.0, 5.0], BATH, 10 ** 6, 10 ** 4, master_seed=1)
+    sweep = spectrum_sweep([0.5, 1.0, 2.0, 5.0], 10 ** 6, 10 ** 4, master_seed=1)
     assert sweep.relative_error.shape == (4,)
     assert np.all(sweep.relative_error < 0.02)
 
 
 def test_spectrum_sweep_columns_are_float64_arrays_in_frequency_order():
     frequencies = [2.0, 0.5, 1]
-    sweep = spectrum_sweep(frequencies, BATH, 2000, 100, master_seed=1)
+    sweep = spectrum_sweep(frequencies, 2000, 100, master_seed=1)
     assert sweep._fields == ("frequency", "mc_mean_energy", "mc_stderr", "closed_form",
                              "relative_error", "acceptance_rate")
     for column in sweep:
         assert column.dtype == np.float64 and column.shape == (3,)
     assert sweep.frequency.tolist() == frequencies
-    assert sweep.closed_form.tolist() == [planck_expectation(f, BATH).energy
-                                          for f in frequencies]
+    assert sweep.closed_form.tolist() == [planck_energy(f) for f in frequencies]
 
 
 def test_spectrum_sweep_underflowed_closed_form_without_a_warning():
     # the closed form at hf/k_B T = 800 underflows to 0, and the chain never leaves n = 0:
     # 0 / 0 and x / 0 must not warn, which this suite turns into errors
-    sweep = spectrum_sweep([800.0, 1.0], BATH, 1000, 10, master_seed=0)
+    sweep = spectrum_sweep([800.0, 1.0], 1000, 10, master_seed=0)
     assert sweep.closed_form[0] == 0.0
     assert sweep.mc_mean_energy[0] == 0.0
     assert sweep.relative_error[0] == math.inf
@@ -313,7 +279,7 @@ def test_spectrum_sweep_underflowed_closed_form_without_a_warning():
 
 
 def test_spectrum_sweep_duplicate_frequency_consistency():
-    sweep = spectrum_sweep([1.0, 1.0], BATH, 400_000, 10_000, master_seed=3)
+    sweep = spectrum_sweep([1.0, 1.0], 400_000, 10_000, master_seed=3)
     a, b = sweep.mc_mean_energy
     sigma = math.hypot(*sweep.mc_stderr)
     assert abs(a - b) < 3.0 * sigma
@@ -322,7 +288,7 @@ def test_spectrum_sweep_duplicate_frequency_consistency():
 
 def test_spectrum_sweep_rejects_bad_frequency():
     with pytest.raises(ValueError):
-        spectrum_sweep([-1.0], BATH, 1000, 10, master_seed=0)
+        spectrum_sweep([-1.0], 1000, 10, master_seed=0)
 
 
 @pytest.mark.parametrize("frequencies", [[1.0, -1.0], [1.0, math.nan], [1.0, 0.0],
@@ -331,27 +297,27 @@ def test_spectrum_sweep_refuses_bad_frequency_before_any_chain(frequencies):
     # 10^8 steps a chain: running the first chain before the check would take seconds
     start = time.monotonic()
     with pytest.raises(ValueError, match="positive"):
-        spectrum_sweep(frequencies, BATH, 10 ** 8, 0, master_seed=0)
+        spectrum_sweep(frequencies, 10 ** 8, 0, master_seed=0)
     assert time.monotonic() - start < 1.0
 
 
 def test_spectrum_sweep_refuses_steps_over_budget():
     start = time.monotonic()
     with pytest.raises(ValueError, match="budget"):
-        spectrum_sweep([1.0, 2.0], BATH, cavity.MAX_SWEEP_STEPS // 2 + 1, 0, master_seed=0)
+        spectrum_sweep([1.0, 2.0], cavity.MAX_SWEEP_STEPS // 2 + 1, 0, master_seed=0)
     assert time.monotonic() - start < 1.0
 
 
 def test_spectrum_sweep_refuses_no_frequency_by_name():
     # once ended in "max() arg is an empty sequence" (planck_sweep.py --points 0)
-    with pytest.raises(ValueError, match="at least one frequency"):
-        spectrum_sweep([], BATH, 1000, 10, master_seed=0)
+    with pytest.raises(ValueError, match="at least one ratio"):
+        spectrum_sweep([], 1000, 10, master_seed=0)
 
 
 def test_spectrum_sweep_rejects_empty_sampling_window():
     # burn-in swallowing every step propagates equilibrate's usage error
     with pytest.raises(ValueError):
-        spectrum_sweep([1.0], BATH, 500, 500, master_seed=0)
+        spectrum_sweep([1.0], 500, 500, master_seed=0)
 
 
 # --- streamed chains --------------------------------------------------------------------
@@ -378,8 +344,7 @@ def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
     occ = oracle_walk(n0, frequency, derive_rng(21, "cavity", 4).random(steps))
     assert streamed == loop_statistics(n0, frequency, burn_in, occ)
     # equilibrate starts at n = 0
-    whole = equilibrate(ModeFamily(lobe_energy=frequency), BATH, steps, burn_in,
-                        derive_rng(21, "cavity", 4))
+    whole = equilibrate(frequency, steps, burn_in, derive_rng(21, "cavity", 4))
     from_zero = stream_chain(0, frequency, steps, burn_in, derive_rng(21, "cavity", 4), CHUNK)
     assert from_zero[:2] == (whole.occupancies.sum() / (steps - burn_in), whole.mean_energy)
     assert np.array_equal(whole.occupancy_histogram, np.bincount(whole.occupancies))
@@ -389,7 +354,7 @@ def test_streamed_chain_equals_equilibrate(steps, burn_in, n0, frequency):
 def check_chain_against_loop(n0, frequency, steps, burn_in, chunk):
     """Streamed chain from ``n0``, whole chain from 0 and stepwise loops agree on one stream."""
     whole_rng, streamed_rng = derive_rng(17, "cavity", 3), derive_rng(17, "cavity", 3)
-    whole = equilibrate(ModeFamily(lobe_energy=frequency), BATH, steps, burn_in, whole_rng)
+    whole = equilibrate(frequency, steps, burn_in, whole_rng)
     streamed = stream_chain(n0, frequency, steps, burn_in, streamed_rng, chunk)
 
     reference = derive_rng(17, "cavity", 3)
@@ -405,7 +370,7 @@ def check_chain_against_loop(n0, frequency, steps, burn_in, chunk):
     assert np.array_equal(streamed_rng.random(4), after)
 
 
-# lobe energies in BATH: moderate ones, 1e-9 (q = 1 - 1e-9) and 800 (q = 0)
+# lobe energies: moderate ones, 1e-9 (q = 1 - 1e-9) and 800 (q = 0)
 LOBES = st.floats(0.05, 8.0) | st.sampled_from([1e-9, 800.0])
 
 
@@ -430,10 +395,9 @@ def test_chain_matches_stepwise_loop_at_named_cuts(steps, burn_in, chunk, n0):
 
 def test_spectrum_sweep_equals_equilibrate_per_replica():
     steps, burn_in = 2 * CHUNK + 3, 500
-    sweep = spectrum_sweep([0.7, 0.7, 3.0], BATH, steps, burn_in, master_seed=9)
+    sweep = spectrum_sweep([0.7, 0.7, 3.0], steps, burn_in, master_seed=9)
     for i, f in enumerate(sweep.frequency):
-        chain = equilibrate(ModeFamily.in_bath(f, BATH), BATH, steps, burn_in,
-                            derive_rng(9, "cavity", i))
+        chain = equilibrate(f, steps, burn_in, derive_rng(9, "cavity", i))
         assert sweep.mc_mean_energy[i] == chain.mean_energy
         assert sweep_row(sweep, i) == stream_chain(0, f, steps, burn_in,
                                                    derive_rng(9, "cavity", i), CHUNK)[1:]
@@ -460,8 +424,7 @@ def check_block_against_loop(n0s, frequencies, steps, burn_in, width, shared=Fal
         uniforms = loop_rngs[c].random(steps)
         assert chain == loop_statistics(n0, frequency, burn_in,
                                         oracle_walk(n0, frequency, uniforms))
-        whole = equilibrate(ModeFamily(lobe_energy=frequency), BATH, steps, burn_in,
-                            whole_rngs[c])
+        whole = equilibrate(frequency, steps, burn_in, whole_rngs[c])
         occ = oracle_walk(0, frequency, uniforms)
         assert np.array_equal(whole.occupancies, occ[burn_in:])
         assert whole.mean_energy == loop_statistics(0, frequency, burn_in, occ)[1]
@@ -495,10 +458,9 @@ def test_sweep_blocks_that_do_not_divide_the_chain_count(monkeypatch):
     # a 64-step buffer holds two 30-step rows, so five chains run as blocks of 2, 2 and 1
     monkeypatch.setattr(cavity, "CHUNK", 64)
     frequencies, steps, burn_in = [0.3, 0.9, 0.9, 2.0, 5.0], 50, 20
-    sweep = spectrum_sweep(frequencies, BATH, steps, burn_in, master_seed=4)
+    sweep = spectrum_sweep(frequencies, steps, burn_in, master_seed=4)
     for i, f in enumerate(frequencies):
-        chain = equilibrate(ModeFamily.in_bath(f, BATH), BATH, steps, burn_in,
-                            derive_rng(4, "cavity", i))
+        chain = equilibrate(f, steps, burn_in, derive_rng(4, "cavity", i))
         assert sweep.mc_mean_energy[i] == chain.mean_energy
         assert sweep_row(sweep, i) == stream_chain(0, f, steps, burn_in,
                                                    derive_rng(4, "cavity", i), CHUNK)[1:]
@@ -510,7 +472,7 @@ def sweep_peak(frequencies, steps, burn_in):
     """The tracemalloc peak of one sweep, in bytes."""
     tracemalloc.start()
     try:
-        spectrum_sweep(frequencies, BATH, steps, burn_in, master_seed=2)
+        spectrum_sweep(frequencies, steps, burn_in, master_seed=2)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,7 +507,7 @@ def test_sweep_of_many_blocks_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     monkeypatch.setattr(cavity, "CHUNK", 64)
     frequencies = list(np.geomspace(0.3, 5.0, 40))
-    sweep = spectrum_sweep(frequencies, BATH, 200, 150, master_seed=8)
+    sweep = spectrum_sweep(frequencies, 200, 150, master_seed=8)
     assert started == []
     for i in (0, 39):
         assert sweep_row(sweep, i) == stream_chain(0, frequencies[i], 200, 150,
@@ -568,7 +530,7 @@ def test_alarm_stops_a_helper_within_one_segment():
     signal.setitimer(signal.ITIMER_REAL, 0.1)
     try:
         with pytest.raises(CaseTimeout):
-            spectrum_sweep([1.0, 2.0], BATH, 10 ** 8, 10_000, master_seed=1)
+            spectrum_sweep([1.0, 2.0], 10 ** 8, 10_000, master_seed=1)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -580,8 +542,7 @@ def test_alarm_stops_a_helper_within_one_segment():
 
 
 def test_detailed_balance_flow_ratios():
-    family = ModeFamily.in_bath(1.0, BATH)
-    chain = equilibrate(family, BATH, 10 ** 6, 10 ** 4, derive_rng(1, "cavity", 0))
+    chain = equilibrate(1.0, 10 ** 6, 10 ** 4, derive_rng(1, "cavity", 0))
     ratios = oracles.transition_flow_ratios(chain.occupancies)
     assert len(ratios) >= 3
     q = math.exp(-1.0)
@@ -591,8 +552,7 @@ def test_detailed_balance_flow_ratios():
 
 def test_geometric_chi_square_goodness_of_fit():
     # thin by ~3 autocorrelation times; Pearson assumes independent draws
-    family = ModeFamily.in_bath(1.0, BATH)
-    chain = equilibrate(family, BATH, 10 ** 6, 10 ** 4, derive_rng(4, "cavity", 0))
+    chain = equilibrate(1.0, 10 ** 6, 10 ** 4, derive_rng(4, "cavity", 0))
     hist = np.bincount(chain.occupancies[::16])
     _, p_value, dof = oracles.geometric_chi_square(hist, math.exp(-1.0))
     assert dof >= 2
@@ -600,8 +560,7 @@ def test_geometric_chi_square_goodness_of_fit():
 
 
 def test_geometric_chi_square_rejects_wrong_law():
-    family = ModeFamily.in_bath(1.0, BATH)
-    chain = equilibrate(family, BATH, 200_000, 50_000, derive_rng(4, "cavity", 0))
+    chain = equilibrate(1.0, 200_000, 50_000, derive_rng(4, "cavity", 0))
     hist = np.bincount(chain.occupancies[::16])
     _, p_value, _ = oracles.geometric_chi_square(hist, math.exp(-2.0))
     assert p_value < 1e-6

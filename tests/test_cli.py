@@ -8,6 +8,7 @@ import os
 import platform
 import shlex
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -171,14 +172,12 @@ def test_cavity_schema_has_nine_columns(tmp_path):
     assert len(row.split(",")) == 9
 
 
-def test_cavity_requires_exactly_one_frequency_spec(tmp_path):
-    code = cli.run(["cavity"])
-    assert code == 2
-    code = cli.run(["cavity", "--hf-over-kt", "1", "--frequencies", "2"])
-    assert code == 2
+def test_cavity_requires_exactly_one_frequency_spec(capsys):
+    # --hf-over-kt has no default: a cavity run without it names the key
+    assert_config_error(["cavity"], "key 'hf-over-kt' must list at least one value", capsys)
 
 
-@pytest.mark.parametrize("key", ["hf-over-kt", "frequencies"])
+@pytest.mark.parametrize("key", ["hf-over-kt"])
 @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
 def test_cavity_empty_frequency_list_exit_2(key, via_config, tmp_path, capsys):
     argv = ["cavity", f"--{key}="]
@@ -194,8 +193,7 @@ def test_cavity_empty_frequency_list_exit_2(key, via_config, tmp_path, capsys):
     assert f"'{key}' must list at least one value" in captured.err
 
 
-# temperature is a cavity key that needs 'frequencies'; planck-h and boltzmann-k are no
-# cavity keys at all (cavity works in units where h = k_B = 1), so they are refused as unknown
+# no bath key is a cavity key: --hf-over-kt is hf/k_B T itself, so each is refused as unknown
 BATH_KEYS = ["temperature", "planck-h", "boltzmann-k"]
 
 
@@ -206,10 +204,7 @@ def test_cavity_bath_flag_with_hf_over_kt_exit_2(key, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    if key == "temperature":
-        assert f"key '{key}' applies only with 'frequencies'" in captured.err
-    else:
-        assert f"unknown option '--{key}' for subcommand 'cavity'" in captured.err
+    assert f"unknown option '--{key}' for subcommand 'cavity'" in captured.err
 
 
 @pytest.mark.parametrize("key", BATH_KEYS)
@@ -220,31 +215,18 @@ def test_cavity_bath_key_in_config_with_hf_over_kt_exit_2(key, tmp_path, capsys)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    if key == "temperature":
-        assert f"key '{key}' applies only with 'frequencies'" in captured.err
-    else:
-        assert f"unknown config key '{key}' for subcommand 'cavity'" in captured.err
+    assert f"unknown config key '{key}' for subcommand 'cavity'" in captured.err
 
 
-@pytest.mark.parametrize("key", ["planck-h", "boltzmann-k"])
+@pytest.mark.parametrize("key", ["planck-h", "boltzmann-k", "frequencies", "temperature"])
 def test_cavity_scale_constants_are_not_keys_exit_2(key, tmp_path, capsys):
-    # cavity works in units where h = k_B = 1: --frequencies takes h f, --temperature k_B T
-    assert_config_error(["cavity", "--frequencies", "1", f"--{key}", "2"],
+    # Planck's law depends on f and T only through hf/k_B T, which --hf-over-kt takes itself
+    assert_config_error(["cavity", "--hf-over-kt", "1", f"--{key}", "2"],
                         f"unknown option '--{key}' for subcommand 'cavity'", capsys)
     config = tmp_path / "scale.cfg"
-    config.write_text(f"frequencies = 1\n{key} = 2\n", encoding="utf-8")
+    config.write_text(f"hf-over-kt = 1\n{key} = 2\n", encoding="utf-8")
     assert_config_error(["cavity", "--config", str(config)],
                         f"unknown config key '{key}' for subcommand 'cavity'", capsys)
-
-
-def test_cavity_bath_keys_default_to_one_with_frequencies(capsys):
-    argv = ["cavity", "--frequencies", "0.5,2", "--steps", "2000", "--burn-in", "100"]
-    assert cli.run(argv) == 0
-    unset = capsys.readouterr().out
-    assert cli.run(argv + ["--temperature", "1"]) == 0
-    assert capsys.readouterr().out == unset
-    assert cli.run(argv + ["--temperature", "300"]) == 0
-    assert {row.split(",")[1] for row in capsys.readouterr().out.split()[1:]} == {"300"}
 
 
 # --- holo subcommand ----------------------------------------------------------------
@@ -610,7 +592,7 @@ def test_help_lists_every_key(capsys):
 OUT = "option-gate.out"
 COMMON_CHANGES = {"format": "json", "out": OUT}
 # per subcommand, a base argv and an alternate value for each key; a key bound to one mode
-# (hj's system, cavity's frequency key) is changed under the base where that mode is on
+# (hj's system) is changed under the base where that mode is on
 OPTION_CHANGES = [
     (["epr", "--theta1", "10", "--theta2", "20"],
      {"theta1": "11", "theta2": "21", "parity": "minus", "convention": "difference",
@@ -620,8 +602,6 @@ OPTION_CHANGES = [
       "sources": "2.3,2.2", "alpha": "0.1", "domain": "0:9", **COMMON_CHANGES}),
     (["cavity", "--hf-over-kt", "1", "--steps", "200", "--burn-in", "100"],
      {"hf-over-kt": "2", "steps": "300", "burn-in": "50", "seed": "1", **COMMON_CHANGES}),
-    (["cavity", "--frequencies", "1", "--steps", "200", "--burn-in", "100"],
-     {"frequencies": "2", "temperature": "2"}),
     (["evolve", "--step", "0.01"],
      {"coefficients": "1,0,2", "initial": "0,1", "t-final": "3", "step": "0.02", "every": "2",
       **COMMON_CHANGES}),
@@ -718,7 +698,10 @@ def choice(*values):
 
 
 SWEEP = st.one_of(SCALAR, st.tuples(SCALAR, SCALAR, ints(-1, 4)).map(":".join))
-# each key's values; cavity's frequency key and evolve's other keys are drawn together
+# hf/k_B T just above the symmetric band, accepted, and three in it, refused; in this order
+# the 200 derandomized cases draw each of them
+SYMMETRIC_BAND = ["1.67e-16", "1e-16", "1e-300", "5e-324"]
+# each key's values; evolve's other keys are drawn together
 ENGINE_VALUES = {
     "epr": {"theta1": SWEEP, "theta2": SWEEP, "parity": choice(*epr.PARITIES),
             "convention": choice(*EPR_CONVENTIONS), "mode": choice(*epr.MODES)},
@@ -728,15 +711,14 @@ ENGINE_VALUES = {
              "source": SCALAR, "sources": listed(SCALAR, 4), "alpha": SCALAR,
              "domain": st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)).map(
                  lambda d: "%r:%r" % tuple(sorted(d)))},
-    "cavity": {"temperature": POSITIVE,
+    "cavity": {"hf-over-kt": listed(POSITIVE | st.sampled_from(SYMMETRIC_BAND), 3, 1),
                "steps": ints(-1, 2000), "burn-in": ints(-1, 2000), "seed": ints(0, 2 ** 64)},
     "evolve": {"every": ints(-1, 50)},
     "hj": {"system": choice("free", "linear"), "points": ints(-1, 200), "mass": POSITIVE,
            "hbar": POSITIVE, **{key: SCALAR for key in ("momentum", "alpha", "energy", "q-min",
                                                          "q-max")}},
 }
-PAIRED_KEYS = {"cavity": {"hf-over-kt", "frequencies"},
-               "evolve": {"coefficients", "initial", "step", "t-final"}}
+PAIRED_KEYS = {"evolve": {"coefficients", "initial", "step", "t-final"}}
 # --out is left out: the cases print to stdout
 COMMON_VALUES = {"format": choice("csv", "json")}
 
@@ -753,10 +735,9 @@ def engine_cases(draw):
     command = draw(st.sampled_from(list(cli.SUBCOMMAND_OPTIONS)))
     values = {**ENGINE_VALUES[command], **COMMON_VALUES}
     keys = draw(st.lists(st.sampled_from(list(values)), unique=True, max_size=5))
+    if command == "cavity" and "hf-over-kt" not in keys:  # so that most runs get going
+        keys = [*keys, "hf-over-kt"]
     pairs = [(key, draw(values[key], label=key)) for key in keys]
-    if command == "cavity":  # one of the two frequency keys, so that most runs get going
-        key = draw(st.sampled_from(sorted(PAIRED_KEYS[command])))
-        pairs.append((key, draw(listed(POSITIVE, 3, 1), label=key)))
     if command == "evolve":  # an order-n equation; t-final a multiple of the step, <= 300 steps
         order, step = draw(st.integers(1, 3)), draw(POSITIVE, label="step")
         pairs += [("coefficients", draw(listed(COMPLEX, order + 1, order + 1))),
@@ -1058,13 +1039,47 @@ def test_cavity_empty_or_negative_window_exit_1(extra, capsys):
 
 
 @pytest.mark.parametrize("extra, fragment", [
-    (["--frequencies", "1e-300", "--temperature", "1e100"],
-     "hf/k_B T of frequency 1e-300 underflows to 0"),
+    (["--hf-over-kt", "1e-310"], "hf/k_B T = 1e-310 is too small"),
 ], ids=["hf/k_B T underflow"])
 def test_cavity_inputs_outside_float_range_exit_1(extra, fragment, capsys):
     # each once ended in "float division by zero" or a NaN column
     assert_engine_failure(["cavity", *extra, "--steps", "100", "--burn-in", "10"], fragment,
                           capsys)
+
+
+def test_cavity_symmetric_walk_exit_1(capsys):
+    # e^-x rounds to 1 and to 1 - 2^-53: both walks move up as often as down, and once
+    # printed rel_error 1 and 0.99999999999992 under exit 0
+    assert_engine_failure(["cavity", "--hf-over-kt", "1e-300,1e-16", "--steps", "1000000",
+                           "--burn-in", "10"], "hf/k_B T = 1e-300 is too small", capsys)
+
+
+def symmetric_band_edge():
+    """The largest x whose up-word bound ceil(fl(e^-x / 2) 2^53) 2^11 reaches the down bound 2^63.
+
+    exp(-x) falls as x grows, so bisect over the bit patterns of the positive floats,
+    which order them, from 5e-324 (symmetric) to 1e-15 (not).
+    """
+    def symmetric(bits):
+        q = math.exp(-struct.unpack("<d", struct.pack("<Q", bits))[0])
+        return math.ceil(math.ldexp(0.5 * q, 53)) << 11 >= 2 ** 63
+
+    lo, hi = 1, struct.unpack("<Q", struct.pack("<d", 1e-15))[0]
+    assert symmetric(lo) and not symmetric(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if symmetric(mid) else (lo, mid)
+    return struct.unpack("<d", struct.pack("<Q", lo))[0]
+
+
+def test_cavity_symmetric_band_edge(capsys):
+    # the last ratio of the band is refused and the next float up runs
+    edge = symmetric_band_edge()
+    argv = ["--steps", "1000", "--burn-in", "10"]
+    assert_engine_failure(["cavity", "--hf-over-kt", repr(edge), *argv], "too small", capsys)
+    above = math.nextafter(edge, math.inf)
+    assert cli.run(["cavity", "--hf-over-kt", repr(above), *argv]) == 0
+    assert capsys.readouterr().out.split("\n")[1].startswith(f"{above:.17g},1,")
 
 
 @pytest.mark.parametrize("q_min, q_max, spacing", [("1e308", "1.7e308", "1.75e+307"),
@@ -1159,10 +1174,9 @@ UNIT_H = statespace.HamiltonianOperator(np.eye(2))
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: cavity.ThermalBath(NAN), "positive"),
-    (lambda: cavity.ModeFamily.in_bath(NAN, cavity.ThermalBath(1.0)), "positive"),
-    (lambda: cavity.ModeFamily(lobe_energy=NAN), "positive"),
-    (lambda: cavity.planck_expectation(NAN, cavity.ThermalBath(1.0)), "positive"),
+    (lambda: cavity.planck_energy(NAN), "positive"),
+    (lambda: cavity.equilibrate(NAN, 100, 10, derive_rng(0, "cavity", 0)), "positive"),
+    (lambda: cavity.spectrum_sweep([1.0, NAN], 100, 10, 0), "positive"),
     (lambda: holography.FrequencyChannel(1, NAN), "positive"),
     (lambda: hj.MechanicalSystem(NAN, np.zeros(5)), "positive"),
     (lambda: hj.MechanicalSystem(1.0, np.zeros(5), NAN), "positive"),
@@ -1181,10 +1195,9 @@ UNIT_H = statespace.HamiltonianOperator(np.eye(2))
      "strictly ascending"),
     (lambda: statespace.evolve_linear(statespace.EvolutionSpec((1, 0, 1)), [NAN, 0.0], 1.0,
                                       0.1), "initial data must be finite"),
-], ids=["bath-temperature", "family-frequency", "family-lobe",
-        "planck-frequency", "channel-wavenumber", "system-mass", "system-hbar",
-        "free-mass", "linear-mass", "propagate-dt", "cesaro-window", "grid-q", "linear-alpha",
-        "linear-energy", "free-momentum", "field-z", "evolve-initial"])
+], ids=["planck-frequency", "family-frequency", "sweep-frequency", "channel-wavenumber",
+        "system-mass", "system-hbar", "free-mass", "linear-mass", "propagate-dt", "cesaro-window",
+        "grid-q", "linear-alpha", "linear-energy", "free-momentum", "field-z", "evolve-initial"])
 def test_engine_positivity_checks_refuse_nan(build, message):
     # the CLI refuses NaN before any engine runs; each engine refuses it on its own too
     with pytest.raises(ValueError, match=message):

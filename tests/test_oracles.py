@@ -102,9 +102,7 @@ def test_oracles_import_nothing_from_the_package():
 
 
 def test_flow_ratios_skip_rare_levels_and_a_stuck_chain():
-    bath = cavity.ThermalBath(1.0)
-    walk = cavity.equilibrate(cavity.ModeFamily.in_bath(0.5, bath), bath, 200_000, 0,
-                              derive_rng(8, "cavity", 0)).occupancies
+    walk = cavity.equilibrate(0.5, 200_000, 0, derive_rng(8, "cavity", 0)).occupancies
     # the walk's rare top levels fall under the minimum count and are skipped
     kept = {r.level for r in oracles.transition_flow_ratios(walk)}
     assert kept and kept != set(range(int(walk.max())))
