@@ -8,7 +8,7 @@ equilibrium mean energy then reproduces the Planck form
 hf / (e^{hf/k_B T} - 1), with the antinodal lobe energy h*f independent
 of the wavelength.  The law depends on f and T only through x, so the
 engine takes x alone and gives energies in units of k_B T, where the lobe
-energy is x.  ``_acceptance`` is the one place a ratio is checked.
+energy is x.  ``_up_word`` checks a walk's ratio and gives the kernel its bound.
 
 Every step takes one uniform u: u < q/2 moves up, u >= 1/2 moves down
 (refused at n = 0), anything else stays, with q = e^{-x}.  One
@@ -45,32 +45,36 @@ _DOWN_WORD = np.uint64(2 ** 63)
 MAX_SWEEP_STEPS = 10 ** 9
 
 
-def _acceptance(x: float) -> float:
-    """The uphill acceptance q = e^{-x} of a ratio x = hf/k_B T, once x is checked.
+def _up_word(x: float) -> int:
+    """The bound below which a Philox word w moves the walk at ratio x = hf/k_B T up.
 
-    A ratio that is NaN, not positive or infinite is refused, and so is one
-    whose up-word bound (``_up_words``) reaches the down bound 2^63: there
-    q >= 1 - 2^-53, the walk moves up exactly as often as down and has no
-    equilibrium.  Where exp rounds correctly that band is x <= 1.5 2^-53
-    (1.665e-16), every subnormal x included.
+    A step moves up when its uniform u < fl(q/2), q = e^{-x}.  ``Generator.random``
+    takes u = k 2^-53 from w, with k = w >> 11, so u < h exactly when k < ceil(h 2^53),
+    that is w < ceil(h 2^53) 2^11; h 2^53 is exact.  A ratio that is NaN, not
+    positive or infinite is refused, and so is one whose bound reaches the down
+    bound 2^63: there q >= 1 - 2^-53, the walk moves up exactly as often as down
+    and has no equilibrium.  Where exp rounds correctly that band is
+    x <= 1.5 2^-53 (1.665e-16), every subnormal x included.
     """
     if not 0.0 < x < math.inf:
         raise ValueError(f"hf/k_B T must be positive and finite, got {float(x)!r}")
-    q = math.exp(-x)
-    if _up_words([q])[0] >= _DOWN_WORD:
+    word = math.ceil(math.ldexp(0.5 * math.exp(-x), 53)) << 11
+    if word >= _DOWN_WORD:
         raise ValueError(f"hf/k_B T = {float(x)!r} is too small: e^-x rounds to within 2^-53 of 1,"
                          " so the walk moves up as often as down and has no equilibrium")
-    return q
+    return word
 
 
 def planck_energy(x: float) -> float:
     """Closed-form equilibrium energy x / (e^x - 1) in units of k_B T, by ``math.expm1``.
 
     Where e^x overflows it is x e^{-x}, as two half-exponent factors that
-    keep its ulps, and 0 only where that product underflows.  A ratio
-    ``_acceptance`` refuses is refused.
+    keep its ulps, and 0 only where that product underflows.  A ratio that
+    is NaN, not positive or infinite is refused; in the band where
+    ``_up_word`` refuses a walk, the value is 1.0.
     """
-    _acceptance(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"hf/k_B T must be positive and finite, got {float(x)!r}")
     try:
         return x / math.expm1(x)
     except OverflowError:
@@ -130,15 +134,6 @@ def _chunk_scan(op: np.ufunc, scan: np.ndarray, order: Sequence[int], columns: i
     return scan[order[-1], head:, :columns]
 
 
-def _up_words(q: Sequence[float]) -> np.ndarray:
-    """Per chain, the bound below which a Philox word w moves up: u < fl(q/2) exactly.
-
-    ``Generator.random`` takes u = k 2^-53 from w, with k = w >> 11, so u < h
-    exactly when k < ceil(h 2^53), that is w < ceil(h 2^53) 2^11; h 2^53 is exact.
-    """
-    return np.array([math.ceil(math.ldexp(0.5 * x, 53)) << 11 for x in q], dtype=np.uint64)
-
-
 def _kept_steps(steps: int, burn_in: int) -> int:
     if burn_in < 0 or steps <= burn_in:
         raise ValueError("need steps > burn_in >= 0")
@@ -153,16 +148,17 @@ class _ChainSums(NamedTuple):
     moves: np.ndarray    # accepted moves over all the steps, burn-in included
 
 
-def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
+def _run_chains(up_words: Sequence[int], n0: Sequence[int], steps: int, burn_in: int,
                 rngs: Sequence[np.random.Generator], buf: _ChainBuffers) -> _ChainSums:
-    """Chains side by side: chain c walks from n0[c] with q[c] on rngs[c]'s raw words.
+    """Chains side by side: chain c walks from n0[c] on rngs[c]'s raw words.
 
     One loop runs the block in segments of ``buf.width`` steps, cut at
     ``burn_in``; chains that share a generator take its draws in chain order.
     Each step takes the 64-bit word ``Generator.random`` would turn into its
-    uniform u: it moves up below ``_up_words`` (u < q/2) and down from 2^63
-    (u >= 1/2).  The increments are copied once into chunk-major order, and
-    ``_chunk_scan`` gives each chunk's prefix sums P and running minima m.
+    uniform u: it moves up below up_words[c], the chain's ``_up_word``
+    (u < q/2), and down from 2^63 (u >= 1/2).  The increments are copied
+    once into chunk-major order, and ``_chunk_scan`` gives each chunk's
+    prefix sums P and running minima m.
     Across chunks, in int64, the offset O of a chunk is the sum of the chunks
     before it and the floor G the least of -n and their minima, n the occupancy
     before the segment: the reflected-walk (Lindley) recursion n_t = S_t -
@@ -179,7 +175,6 @@ def _run_chains(q: Sequence[float], n0: Sequence[int], steps: int, burn_in: int,
     chains, width = len(rngs), buf.width
     n_batches = min(32, steps - burn_in)
     batch_len = (steps - burn_in) // n_batches
-    up_words = _up_words(q)
     last = np.array(n0, dtype=np.int64)
     total, moves = np.zeros((2, chains), dtype=np.int64)
     batches = np.zeros((chains, n_batches), dtype=np.int64)
@@ -256,12 +251,12 @@ def equilibrate(x: float, steps: int, burn_in: int, rng: np.random.Generator) ->
     k_B T, to the Planck form.  The chain is a one-row block whose buffer of
     max(burn_in, steps - burn_in) steps runs the burn-in and the kept steps
     as one segment each, which keeps the kept chain whole.  A ratio
-    ``_acceptance`` refuses is refused.
+    ``_up_word`` refuses is refused.
     """
     kept = _kept_steps(steps, burn_in)
-    q = _acceptance(x)
+    up_word = _up_word(x)
     buf = _ChainBuffers(1, max(burn_in, kept))
-    sums = _run_chains([q], [0], steps, burn_in, [rng], buf)
+    sums = _run_chains([up_word], [0], steps, burn_in, [rng], buf)
     mean = (sums.total / kept).item()
     occupancies = buf.walk()[0]
     return ChainStatistics(steps, occupancies, np.bincount(occupancies), mean * x)
@@ -270,7 +265,7 @@ def equilibrate(x: float, steps: int, burn_in: int, rng: np.random.Generator) ->
 class SweepColumns(NamedTuple):
     """A sweep's results, one float64 entry per ratio in the order given; energies in k_B T."""
 
-    frequency: np.ndarray  # the ratio hf/k_B T, which is hf at k_B T = 1
+    ratio: np.ndarray  # hf/k_B T, which is hf at k_B T = 1
     mc_mean_energy: np.ndarray
     mc_stderr: np.ndarray
     closed_form: np.ndarray
@@ -292,27 +287,28 @@ def spectrum_sweep(ratios: Sequence[float], steps: int, burn_in: int,
     them when it ends and keeps its chains' statistics, three floats a
     chain, so memory does not grow by a generator or a tally a chain
     either.  A sweep of no ratio, of more than ``MAX_SWEEP_STEPS`` steps in
-    all, with a ratio ``_acceptance`` refuses, or with no kept step, is
-    refused before any chain starts.
+    all, with a ratio ``_up_word`` refuses, or with no kept step, is refused
+    before any chain starts, and each ratio's bound and closed form are taken
+    once.
     """
     if len(ratios) == 0:
         raise ValueError("a sweep needs at least one ratio")
     if len(ratios) * steps > MAX_SWEEP_STEPS:
         raise ValueError(f"a sweep of {len(ratios)} x {steps} steps exceeds the budget"
                          f" of {MAX_SWEEP_STEPS:.0e} steps")
-    q = [_acceptance(x) for x in ratios]
+    up_words = np.fromiter(map(_up_word, ratios), dtype=np.uint64, count=len(ratios))
+    closed = np.fromiter(map(planck_energy, ratios), dtype=np.float64, count=len(ratios))
     width = min(CHUNK, max(burn_in, _kept_steps(steps, burn_in)))
     block = CHUNK // width
     buf = _ChainBuffers(block, width)
-    mean, stderr, acceptance = np.empty((3, len(q)))
-    for lo in range(0, len(q), block):
-        rows = range(lo, min(lo + block, len(q)))
+    mean, stderr, acceptance = np.empty((3, len(ratios)))
+    for lo in range(0, len(ratios), block):
+        rows = range(lo, min(lo + block, len(ratios)))
         rngs = [derive_rng(master_seed, "cavity", i) for i in rows]
-        sums = _run_chains(q[lo:lo + block], [0] * len(rows), steps, burn_in, rngs, buf)
+        sums = _run_chains(up_words[lo:lo + block], [0] * len(rows), steps, burn_in, rngs, buf)
         mean[lo:lo + block], stderr[lo:lo + block], acceptance[lo:lo + block] = _statistics(
             sums, steps, burn_in)
     xs = np.array(ratios, dtype=float)
-    closed = np.array([planck_energy(x) for x in ratios])
     with np.errstate(divide="ignore", invalid="ignore"):  # a closed form may underflow to 0
         rel = np.where(closed > 0.0, np.abs(mean * xs - closed) / closed, math.inf)
     return SweepColumns(xs, mean * xs, stderr * xs, closed, rel, acceptance)

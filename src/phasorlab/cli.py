@@ -458,8 +458,8 @@ def run_cavity(opts: dict) -> tuple[list[str], list[np.ndarray]]:
     sweep = cavity.spectrum_sweep(ratios, opts["steps"], opts["burn-in"], opts["seed"])
     header = ["f", "T", "mc_mean_energy", "mc_stderr", "closed_form",
               "rel_error", "acceptance_rate", "steps", "seed"]
-    n = sweep.frequency.size
-    return header, [sweep.frequency, np.ones(n), sweep.mc_mean_energy,
+    n = sweep.ratio.size
+    return header, [sweep.ratio, np.ones(n), sweep.mc_mean_energy,
                     sweep.mc_stderr, sweep.closed_form, sweep.relative_error,
                     sweep.acceptance_rate, np.full(n, opts["steps"]),
                     np.full(n, opts["seed"], dtype=np.uint64)]

@@ -32,8 +32,8 @@ def run_block(n0s, frequencies, steps, burn_in, rngs, width):
     The block is ``width`` steps wide.  Returns each chain's mean occupancy, mean energy,
     its standard error and acceptance rate, from the block's ``_statistics`` columns.
     """
-    sums = cavity._run_chains([math.exp(-f) for f in frequencies], n0s, steps, burn_in, rngs,
-                              cavity._ChainBuffers(len(n0s), width))
+    sums = cavity._run_chains([cavity._up_word(f) for f in frequencies], n0s, steps, burn_in,
+                              rngs, cavity._ChainBuffers(len(n0s), width))
     mean, stderr, acceptance = cavity._statistics(sums, steps, burn_in)
     lobes = np.array(frequencies, dtype=float)
     return list(zip(mean.tolist(), (mean * lobes).tolist(), (stderr * lobes).tolist(),
@@ -134,12 +134,20 @@ def test_raw_words_move_exactly_where_their_uniforms_do(q):
     words = derive_rng(3, "cavity", 0).bit_generator.random_raw(1000).tolist()
     assert [(w >> 11) * 2.0 ** -53 for w in words] == derive_rng(3, "cavity", 0).random(
         1000).tolist()
-    # the words either side of each bound; at q = 5e-324, q/2 rounds to 0 and no word moves up
-    bound, down = int(cavity._up_words([q])[0]), 2 ** 63
+    # the chain at x = -ln q, whose e^-x is q within a few ulps (x = 800 for q = 0), on the
+    # words either side of each bound; at q = 5e-324, q/2 rounds to 0 and no word moves up
+    x = -math.log(q) if q > 0.0 else 800.0
+    q, down = math.exp(-x), 2 ** 63
+    if q >= 1 - 2 ** -53:  # every word below the down bound would move up: no equilibrium
+        with pytest.raises(ValueError, match="too small"):
+            cavity._up_word(x)
+        bound = down
+    else:
+        bound = cavity._up_word(x)
     near = {w + d for w in (0, bound, down, 2 ** 64 - 1) for d in (-2 ** 11, -1, 0, 1, 2 ** 11)}
-    w = np.array(sorted(x for x in near if 0 <= x < 2 ** 64), dtype=np.uint64)
+    w = np.array(sorted(word for word in near if 0 <= word < 2 ** 64), dtype=np.uint64)
     u = (w >> np.uint64(11)).astype(float) * 2.0 ** -53
-    assert np.array_equal(np.less(w, cavity._up_words([q])), u < 0.5 * q)
+    assert np.array_equal(np.less(w, bound), u < 0.5 * q)
     assert np.array_equal(np.greater_equal(w, cavity._DOWN_WORD), u >= 0.5)
 
 
@@ -182,8 +190,17 @@ def test_equilibrate_refuses_an_underflowing_hf_over_kt():
     # from 80 at 10^4 steps to 668 at 10^6, and the mean it returned estimated nothing
     with pytest.raises(ValueError, match="hf/k_B T = 1e-310 is too small"):
         equilibrate(1e-310, 10 ** 4, 10, derive_rng(0, "cavity", 0))
+
+
+def test_planck_energy_answers_where_the_walk_is_refused():
+    # x / expm1(x) is defined in the symmetric band and rounds to 1 there; only a walk is refused
+    assert planck_energy(1e-300) == planck_energy(5e-324) == 1.0
+    edge = 1.6653345369377348e-16  # the largest x of the band
+    assert planck_energy(edge) == edge / math.expm1(edge)
     with pytest.raises(ValueError, match="too small"):
-        planck_energy(1e-310)
+        equilibrate(1e-300, 10 ** 4, 10, derive_rng(0, "cavity", 0))
+    with pytest.raises(ValueError, match="too small"):
+        spectrum_sweep([1.0, 1e-300], 10 ** 4, 10, master_seed=0)
 
 
 def test_classical_limit_of_planck_law():
@@ -210,7 +227,8 @@ def test_classical_limit_chain_ensemble():
     buf, total = cavity._ChainBuffers(rows, length), 0
     for lo in range(0, chains, rows):
         block = n0[lo:lo + rows]
-        cavity._run_chains([q] * block.size, block, length, 0, [rng] * block.size, buf)
+        cavity._run_chains([cavity._up_word(x)] * block.size, block, length, 0,
+                           [rng] * block.size, buf)
         total += int(buf.walk()[:, -1].sum())
     assert total == 2_984_048  # the total of 30,000 one-row chains on the same stream
     mean_energy = x * total / chains  # lobe energy x per occupancy unit
@@ -260,11 +278,11 @@ def test_spectrum_sweep_relative_errors():
 def test_spectrum_sweep_columns_are_float64_arrays_in_frequency_order():
     frequencies = [2.0, 0.5, 1]
     sweep = spectrum_sweep(frequencies, 2000, 100, master_seed=1)
-    assert sweep._fields == ("frequency", "mc_mean_energy", "mc_stderr", "closed_form",
+    assert sweep._fields == ("ratio", "mc_mean_energy", "mc_stderr", "closed_form",
                              "relative_error", "acceptance_rate")
     for column in sweep:
         assert column.dtype == np.float64 and column.shape == (3,)
-    assert sweep.frequency.tolist() == frequencies
+    assert sweep.ratio.tolist() == frequencies
     assert sweep.closed_form.tolist() == [planck_energy(f) for f in frequencies]
 
 
@@ -396,7 +414,7 @@ def test_chain_matches_stepwise_loop_at_named_cuts(steps, burn_in, chunk, n0):
 def test_spectrum_sweep_equals_equilibrate_per_replica():
     steps, burn_in = 2 * CHUNK + 3, 500
     sweep = spectrum_sweep([0.7, 0.7, 3.0], steps, burn_in, master_seed=9)
-    for i, f in enumerate(sweep.frequency):
+    for i, f in enumerate(sweep.ratio):
         chain = equilibrate(f, steps, burn_in, derive_rng(9, "cavity", i))
         assert sweep.mc_mean_energy[i] == chain.mean_energy
         assert sweep_row(sweep, i) == stream_chain(0, f, steps, burn_in,
@@ -468,6 +486,26 @@ def test_sweep_blocks_that_do_not_divide_the_chain_count(monkeypatch):
         assert sweep.mc_mean_energy[i] == occ[burn_in:].sum() / (steps - burn_in) * f
 
 
+def test_spectrum_sweep_takes_each_bound_once(monkeypatch):
+    # every ratio's bound is taken before the first chain runs, and the chains run on them
+    up_word, run_chains, words, blocks = cavity._up_word, cavity._run_chains, [], []
+
+    def counted_up_word(x):
+        words.append(up_word(x))
+        return words[-1]
+
+    def recorded_run_chains(up_words, *args):
+        assert len(words) == 5
+        blocks.append(up_words.tolist())
+        return run_chains(up_words, *args)
+    monkeypatch.setattr(cavity, "_up_word", counted_up_word)
+    monkeypatch.setattr(cavity, "_run_chains", recorded_run_chains)
+    monkeypatch.setattr(cavity, "CHUNK", 64)  # blocks of 2, 2 and 1 chains of 30 steps
+    spectrum_sweep([0.3, 0.9, 0.9, 2.0, 5.0], 50, 20, master_seed=4)
+    assert len(blocks) == 3
+    assert [word for block in blocks for word in block] == words
+
+
 def sweep_peak(frequencies, steps, burn_in):
     """The tracemalloc peak of one sweep, in bytes."""
     tracemalloc.start()
@@ -488,11 +526,11 @@ def test_spectrum_sweep_memory_does_not_grow_with_steps(steps):
 def test_spectrum_sweep_memory_does_not_grow_by_a_stream_a_chain():
     # blocks of 65 chains: a block derives its streams when it starts, drops them when it ends
     # and keeps three floats a chain, so 2,000 chains peak above 100 by no more than the sweep's
-    # per-frequency floats (about 130 B a chain), never by a generator (about 1 kB) or by a
+    # columns, eight float64 values a chain, never by a generator (about 1 kB) or by a
     # chain's 34 integer tallies (272 B) a chain
     sweep_peak([1.0], 2000, 1000)  # the first call's one-time allocations
     few, many = (sweep_peak(list(np.geomspace(0.5, 5.0, n)), 2000, 1000) for n in (100, 2000))
-    assert many - few < 1900 * 256
+    assert many - few < 1900 * 64
 
 
 # --- sweeps on the calling thread ----------------------------------------------------
