@@ -20,7 +20,7 @@ def main():
 
     domain = (0.0, 10.0)
     indices = [int(j) for j in args.channels.split(",")]
-    channels = [holography.FrequencyChannel.harmonic(j, 1.0) for j in indices]
+    channels = [holography.FrequencyChannel(j) for j in indices]
 
     bits = [holography.forward_bit(args.source, args.detector, c, args.alpha)
             for c in channels]

@@ -1,6 +1,6 @@
 """Classical-wave simulation suite.
 
-Five engines built on a common phasor core:
+Five engines; ``epr`` builds on the phasor core (``phasor``):
 
 * ``epr`` -- coincidence amplitudes and CHSH correlations of an entangled
   photon pair reproduced with classical polarization phasors,

@@ -2,7 +2,8 @@
 
 Subcommands ``epr``, ``holo``, ``cavity``, ``evolve`` and ``hj`` share the flags
 ``--config``, ``--out`` and ``--format``; ``cavity`` needs ``--hf-over-kt``, the
-ratio hf/k_B T of each mode family itself (h = k_B = T = 1), and adds ``--seed``.
+ratio hf/k_B T of each mode family itself (h = k_B = T = 1), and adds ``--seed``;
+``holo`` positions and domains are in units of channel 1's wavelength.
 Each flag takes one value (``parse_argv``).  A config file is flat UTF-8 text, one
 ``key = value`` per line with ``#`` comments; keys are the long flag names and
 flags override the file.  Identical (config, seed) pairs produce byte-identical
@@ -133,8 +134,7 @@ SUBCOMMAND_OPTIONS = {
         "mode": (_choice("symbolic", "numeric"), "symbolic", "amplitude evaluation path"),
     },
     "holo": {
-        "base-wavelength": (_float, "1.0", "wavelength of harmonic channel 1"),
-        "channels": (_ints, "1", "harmonic channel indices, comma separated"),
+        "channels": (_ints, "1", "harmonic channel indices j (wavelength 1/j), comma separated"),
         "detectors": (_floats, "0.0", "detector positions, comma separated"),
         "source": (_float, "2.3", "true source position"),
         "sources": (_floats, None, "per-channel source override (bit generation)"),
@@ -393,13 +393,10 @@ def run_epr(opts: dict) -> tuple[list[str], list[np.ndarray]]:
 
 def _holo_setup(opts: dict):
     from . import holography
-    if opts["base-wavelength"] <= 0.0:
-        raise ConfigError("key 'base-wavelength' must be positive")
     for key in ("channels", "detectors"):
         if not opts[key]:
             raise ConfigError(f"key '{key}' must list at least one value")
-    channels = [holography.FrequencyChannel.harmonic(j, opts["base-wavelength"])
-                for j in opts["channels"]]
+    channels = [holography.FrequencyChannel(j) for j in opts["channels"]]
     sources = opts["sources"]
     if sources is not None and len(sources) != len(channels):
         raise ConfigError("key 'sources' must list one position per channel")

@@ -51,19 +51,6 @@ class PhotonPairState:
         return 1.0 if self.parity == "plus" else -1.0
 
 
-@dataclass(frozen=True)
-class AnalyzerSetting:
-    """Linear analyzer at one detector; the angle is axis-valued (mod pi)."""
-
-    detector_index: int
-    angle: float
-
-    def __post_init__(self):
-        if self.detector_index not in (1, 2):
-            raise ValueError("detector_index must be 1 or 2")
-        object.__setattr__(self, "angle", self.angle % math.pi)
-
-
 def analyzer_phasor(angle: float) -> PolarizationPhasor:
     """Unit linear-polarization phasor along the analyzer axis."""
     return PolarizationPhasor(math.cos(angle), math.sin(angle))
@@ -81,25 +68,24 @@ def _numeric_projection(bra: PolarizationPhasor, ket: PolarizationPhasor,
                                 plane_wave(WAVENUMBER, z, ket), window)
 
 
-def pair_amplitude(outcome1: AnalyzerSetting, outcome2: AnalyzerSetting,
-                   pair: PhotonPairState, mode: str = "symbolic", *,
+def pair_amplitude(theta1: float, theta2: float, pair: PhotonPairState,
+                   mode: str = "symbolic", *,
                    window_wavelengths: float = WINDOW_WAVELENGTHS) -> complex:
-    """Joint amplitude <theta1 theta2 | pair> for one analyzer outcome each.
+    """Joint amplitude <theta1 theta2 | pair> for detector 1 along theta1 and 2 along theta2.
 
-    ``mode`` selects symbolic plane-wave orthogonality or the numeric
+    An analyzer angle is axis-valued, so each is reduced mod pi.  ``mode``
+    selects symbolic plane-wave orthogonality or the numeric
     Cesaro-integration path over ``window_wavelengths`` of sampled field;
     the two agree within the windowed-average decay bound.
     """
-    if outcome1.detector_index == outcome2.detector_index:
-        raise ValueError("outcomes must come from two distinct detectors")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
 
+    analyzers = [analyzer_phasor(theta % math.pi) for theta in (theta1, theta2)]
     total = 0.0 + 0.0j
     for ket, weight in ((RIGHT_CIRCULAR, 1.0), (LEFT_CIRCULAR, pair.parity_sign)):
-        a1, a2 = (analyzer_phasor(o.angle).dot(ket) if mode == "symbolic" else
-                  _numeric_projection(analyzer_phasor(o.angle), ket, window_wavelengths)
-                  for o in (outcome1, outcome2))
+        a1, a2 = (bra.dot(ket) if mode == "symbolic" else
+                  _numeric_projection(bra, ket, window_wavelengths) for bra in analyzers)
         total += weight * a1 * a2
     return total
 

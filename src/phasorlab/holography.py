@@ -6,6 +6,7 @@ bit carries its channel and alpha, so it inverts on its own into a
 lambda-periodic union of length-lambda/2 intervals of candidate source
 positions; ``localize(bits, domain)`` intersects those of several channels
 and detectors, shrinking the candidate measure without excluding the source.
+Positions are in units of channel 1's wavelength, so channel j has lambda = 1/j.
 
 Intervals are half-open [lo, hi); parity flips exactly at interval edges,
 so containment queries honor an edge tolerance (1e-9 * min(lambda, domain
@@ -39,25 +40,21 @@ REFERENCE_SOURCE_FRACTION = 0.61803398875
 
 @dataclass(frozen=True)
 class FrequencyChannel:
-    """One query frequency: index j and wavenumber k_j."""
+    """Harmonic j of the ladder whose channel 1 has unit wavelength: k_j = 2 pi j."""
 
     index: int
-    wavenumber: float
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("channel index must be >= 1")
-        if not self.wavenumber > 0.0:
-            raise ValueError("wavenumber must be positive")
+
+    @property
+    def wavenumber(self) -> float:
+        return self.index * math.tau
 
     @property
     def wavelength(self) -> float:
         return math.tau / self.wavenumber
-
-    @classmethod
-    def harmonic(cls, index: int, base_wavelength: float) -> "FrequencyChannel":
-        """Channel j of the harmonic ladder built on a base wavelength."""
-        return cls(index, index * math.tau / base_wavelength)
 
 
 @dataclass(frozen=True)

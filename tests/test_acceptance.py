@@ -36,9 +36,9 @@ def cavity_chains():
 def test_criterion_1_amplitude_table():
     start = time.monotonic()
     plus, minus = epr.PhotonPairState("plus"), epr.PhotonPairState("minus")
-    x1 = epr.AnalyzerSetting(1, 0.0)
-    x2 = epr.AnalyzerSetting(2, 0.0)
-    y2 = epr.AnalyzerSetting(2, math.pi / 2)
+    x1 = 0.0
+    x2 = 0.0
+    y2 = math.pi / 2
 
     cases = [
         (x1, y2, plus, 0.0 + 0.0j),
@@ -130,7 +130,7 @@ def test_criterion_6_holography():
         detectors = rng.uniform(-5.0, 5.0, size=int(rng.integers(1, 4)))
         indices = sorted(set(map(int, rng.integers(1, 8, size=int(rng.integers(1, 5))))))
         alpha = float(rng.uniform(0.0, 2.0 * math.pi))
-        channels = [holography.FrequencyChannel.harmonic(j, 1.0) for j in indices]
+        channels = [holography.FrequencyChannel(j) for j in indices]
         bits = [holography.forward_bit(z_s, float(d), c, alpha)
                 for c in channels for d in detectors]
         result = holography.localize(bits, domain)
@@ -138,7 +138,7 @@ def test_criterion_6_holography():
 
     # alias measure never grows as channels accumulate
     z_s = 2.3
-    channels = [holography.FrequencyChannel.harmonic(j, 1.0) for j in (1, 2, 3, 5)]
+    channels = [holography.FrequencyChannel(j) for j in (1, 2, 3, 5)]
     previous = math.inf
     for k in range(1, len(channels) + 1):
         subset = channels[:k]
@@ -156,7 +156,7 @@ def test_criterion_6_holography():
         z_s = float(rng.uniform(0.05, 9.95))
         indices = sorted(set(map(int, rng.integers(1, 6, size=2))))
         alpha = float(rng.uniform(0.0, 2.0 * math.pi))
-        chans = [holography.FrequencyChannel.harmonic(j, 1.0) for j in indices]
+        chans = [holography.FrequencyChannel(j) for j in indices]
         bits = [holography.forward_bit(z_s, 0.0, c, alpha) for c in chans]
         result = holography.localize(bits, domain)
 

@@ -192,15 +192,24 @@ def test_cavity_empty_frequency_list_exit_2(via_config, tmp_path, capsys):
     assert "'hf-over-kt' must list at least one value" in captured.err
 
 
-@pytest.mark.parametrize("key", ["planck-h", "boltzmann-k", "frequencies", "temperature"])
-def test_cavity_scale_constants_are_not_keys_exit_2(key, tmp_path, capsys):
-    # Planck's law depends on f and T only through hf/k_B T, which --hf-over-kt takes itself
-    assert_config_error(["cavity", "--hf-over-kt", "1", f"--{key}", "2"],
-                        f"unknown option '--{key}' for subcommand 'cavity'", capsys)
+# removed scale keys, each with the keys its command needs besides it
+SCALE_KEYS = [*(("cavity", key, {"hf-over-kt": "1"})
+                for key in ("planck-h", "boltzmann-k", "frequencies", "temperature")),
+              ("holo", "base-wavelength", {})]
+
+
+@pytest.mark.parametrize("command, key, needed", SCALE_KEYS,
+                         ids=[key for _, key, _ in SCALE_KEYS])
+def test_cavity_scale_constants_are_not_keys_exit_2(command, key, needed, tmp_path, capsys):
+    # Planck's law depends on f and T only through hf/k_B T, which --hf-over-kt takes
+    # itself; holo positions are in units of channel 1's wavelength
+    keys = {**needed, key: "1"}
+    assert_config_error([command, *(arg for k, v in keys.items() for arg in ("--" + k, v))],
+                        f"unknown option '--{key}' for subcommand '{command}'", capsys)
     config = tmp_path / "scale.cfg"
-    config.write_text(f"hf-over-kt = 1\n{key} = 2\n", encoding="utf-8")
-    assert_config_error(["cavity", "--config", str(config)],
-                        f"unknown config key '{key}' for subcommand 'cavity'", capsys)
+    config.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()), encoding="utf-8")
+    assert_config_error([command, "--config", str(config)],
+                        f"unknown config key '{key}' for subcommand '{command}'", capsys)
 
 
 # --- holo subcommand ----------------------------------------------------------------
@@ -491,10 +500,11 @@ def test_missing_subcommand_exit_2(capsys):
     ["epr", "theta1", "0"],
     ["epr", "--field-scale", "1"],  # removed keys: none changed any output
     ["hj", "--time", "1"],
+    ["holo", "--base-wavelength", "1"],
     *([command, "--seed", "3"] for command in ("epr", "holo", "evolve", "hj")),
 ], ids=["no-argv", "unknown-subcommand", "unknown-key", "abbreviated-key", "no-value",
-        "bare-word", "removed-field-scale", "removed-time", "seed-epr", "seed-holo",
-        "seed-evolve", "seed-hj"])
+        "bare-word", "removed-field-scale", "removed-time", "removed-base-wavelength",
+        "seed-epr", "seed-holo", "seed-evolve", "seed-hj"])
 def test_usage_error_is_one_line(argv, capsys):
     assert cli.run(argv) == 2
     captured = capsys.readouterr()
@@ -572,7 +582,7 @@ OPTION_CHANGES = [
      {"theta1": "11", "theta2": "21", "parity": "minus", "convention": "difference",
       "mode": "numeric", **COMMON_CHANGES}),
     (["holo", "--channels", "1,2", "--detectors", "0,0.3"],
-     {"base-wavelength": "1.5", "channels": "1,3", "detectors": "0,0.4", "source": "2.2",
+     {"channels": "1,3", "detectors": "0,0.4", "source": "2.2",
       "sources": "2.3,2.2", "alpha": "0.1", "domain": "0:9", **COMMON_CHANGES}),
     (["cavity", "--hf-over-kt", "1", "--steps", "200", "--burn-in", "100"],
      {"hf-over-kt": "2", "steps": "300", "burn-in": "50", "seed": "1", **COMMON_CHANGES}),
@@ -679,9 +689,7 @@ SYMMETRIC_BAND = ["1.67e-16", "1e-16", "1e-300", "5e-324"]
 ENGINE_VALUES = {
     "epr": {"theta1": SWEEP, "theta2": SWEEP, "parity": choice(*epr.PARITIES),
             "convention": choice(*EPR_CONVENTIONS), "mode": choice(*epr.MODES)},
-    "holo": {"base-wavelength": st.one_of(st.sampled_from(["0", "-1", "1e-300", "1e-12", "1e300"]),
-                                          st.floats(0.1, 100.0).map(repr)),
-             "channels": listed(ints(-1, 30), 4, 1), "detectors": listed(SCALAR, 3, 1),
+    "holo": {"channels": listed(ints(-1, 30), 4, 1), "detectors": listed(SCALAR, 3, 1),
              "source": SCALAR, "sources": listed(SCALAR, 4), "alpha": SCALAR,
              "domain": st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)).map(
                  lambda d: "%r:%r" % tuple(sorted(d)))},
@@ -891,11 +899,11 @@ def test_evolve_unallocatable_grid_exit_1(capsys):
 
 
 def test_holo_alias_budget_exit_1(capsys):
-    # about 1e13 alias intervals per bit: refused before any is enumerated; source and
-    # detector at 0 keep the bit's own phase at 0, so the bit itself is accepted
+    # 1.01e7 alias intervals per bit: refused before any is enumerated; the bit itself,
+    # with source 2.3 and detector 0, is accepted
     start = time.monotonic()
-    assert_engine_failure(["holo", "--base-wavelength", "1e-12", "--domain", "0:10",
-                           "--source", "0"], "alias intervals", capsys)
+    assert_engine_failure(["holo", "--channels", "1", "--domain", "0:1.01e7"],
+                          "about 1.01e+07 alias intervals", capsys)
     assert time.monotonic() - start < 5.0
 
 
@@ -931,11 +939,12 @@ def test_holo_source_ulps_from_an_edge_is_kept(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["holo", "--domain", "0:1e-9", "--source", "5e-10"],
-    ["holo", "--base-wavelength", "1e10"],
+    ["holo", "--domain", "1000:1000.000001", "--source", "1000.0000005"],
 ])
 def test_holo_domain_shorter_than_tolerance_scale_keeps_its_interval(argv, capsys):
     # 1e-9 of the wavelength reaches the domain length: a wavelength-only tolerance
-    # dropped every interval and exited 1 with "inconsistent bits"
+    # dropped every interval and exited 1 with "inconsistent bits".  Away from the origin
+    # the round-off widening sets the tolerance and still keeps the interval
     assert cli.run(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -955,16 +964,6 @@ def test_evolve_overflowing_norm_exit_1(capsys):
 def test_hj_overflowing_bcp_ratio_exit_1(capsys):
     assert_engine_failure(["hj", "--system", "linear", "--hbar", "1e308", "--points", "5"],
                           "'bcp_ratio' is not finite", capsys)
-
-
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_holo_non_positive_base_wavelength_exit_2(value, capsys):
-    code = cli.run(["holo", f"--base-wavelength={value}"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "'base-wavelength' must be positive" in captured.err
 
 
 @pytest.mark.parametrize("key", ["channels", "detectors"])
@@ -1151,7 +1150,6 @@ UNIT_H = statespace.HamiltonianOperator(np.eye(2))
     (lambda: cavity.planck_energy(NAN), "positive"),
     (lambda: cavity.equilibrate(NAN, 100, 10, derive_rng(0, "cavity", 0)), "positive"),
     (lambda: cavity.spectrum_sweep([1.0, NAN], 100, 10, 0), "positive"),
-    (lambda: holography.FrequencyChannel(1, NAN), "positive"),
     (lambda: hj.MechanicalSystem(NAN, np.zeros(5)), "positive"),
     (lambda: hj.MechanicalSystem(1.0, np.zeros(5), NAN), "positive"),
     (lambda: hj.free_particle_S(1.0, NAN, GRID), "positive"),
@@ -1169,9 +1167,9 @@ UNIT_H = statespace.HamiltonianOperator(np.eye(2))
      "strictly ascending"),
     (lambda: statespace.evolve_linear(statespace.EvolutionSpec((1, 0, 1)), [NAN, 0.0], 1.0,
                                       0.1), "initial data must be finite"),
-], ids=["planck-ratio", "equilibrate-ratio", "sweep-ratio", "channel-wavenumber",
-        "system-mass", "system-hbar", "free-mass", "linear-mass", "propagate-dt", "cesaro-window",
-        "grid-q", "linear-alpha", "linear-energy", "free-momentum", "field-z", "evolve-initial"])
+], ids=["planck-ratio", "equilibrate-ratio", "sweep-ratio", "system-mass", "system-hbar",
+        "free-mass", "linear-mass", "propagate-dt", "cesaro-window", "grid-q", "linear-alpha",
+        "linear-energy", "free-momentum", "field-z", "evolve-initial"])
 def test_engine_positivity_checks_refuse_nan(build, message):
     # the CLI refuses NaN before any engine runs; each engine refuses it on its own too
     with pytest.raises(ValueError, match=message):

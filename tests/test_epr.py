@@ -10,9 +10,10 @@ from phasorlab import epr
 PLUS = epr.PhotonPairState("plus")
 MINUS = epr.PhotonPairState("minus")
 
-X1 = epr.AnalyzerSetting(1, 0.0)
-X2 = epr.AnalyzerSetting(2, 0.0)
-Y2 = epr.AnalyzerSetting(2, math.pi / 2)
+# analyzer angles: x at either detector, y at detector 2
+X1 = 0.0
+X2 = 0.0
+Y2 = math.pi / 2
 
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -44,10 +45,9 @@ def test_amplitude_table_symbolic():
 
 def test_amplitude_rotated_analyzers():
     # analytic expansion: cos(theta1 + theta2) for the plus pair
-    o1 = epr.AnalyzerSetting(1, math.pi / 6)
-    o2 = epr.AnalyzerSetting(2, math.pi / 6)
-    assert epr.pair_amplitude(o1, o2, PLUS) == pytest.approx(0.5, abs=1e-12)
-    numeric = epr.pair_amplitude(o1, o2, PLUS, "numeric", window_wavelengths=200)
+    theta = math.pi / 6
+    assert epr.pair_amplitude(theta, theta, PLUS) == pytest.approx(0.5, abs=1e-12)
+    numeric = epr.pair_amplitude(theta, theta, PLUS, "numeric", window_wavelengths=200)
     assert abs(numeric - 0.5) < 1e-2
 
 
@@ -55,25 +55,18 @@ def test_amplitude_rotated_analyzers():
 @given(angles, angles, st.sampled_from(["plus", "minus"]))
 def test_amplitude_matches_linear_basis_oracle(theta1, theta2, parity):
     pair = epr.PhotonPairState(parity)
-    o1 = epr.AnalyzerSetting(1, theta1)
-    o2 = epr.AnalyzerSetting(2, theta2)
-    got = epr.pair_amplitude(o1, o2, pair)
+    got = epr.pair_amplitude(theta1, theta2, pair)
     # the analyzer angle is axis-valued; reduction may flip both signs
-    want = oracle_amplitude(o1.angle, o2.angle, pair)
+    want = oracle_amplitude(theta1 % math.pi, theta2 % math.pi, pair)
     assert abs(got - want) <= 1e-12
 
 
 def test_numeric_mode_agrees_for_canonical_cases():
-    for outcome2, pair in [(Y2, PLUS), (Y2, MINUS), (X2, PLUS), (X2, MINUS)]:
-        symbolic = epr.pair_amplitude(X1, outcome2, pair)
-        numeric = epr.pair_amplitude(X1, outcome2, pair, "numeric",
+    for theta2, pair in [(Y2, PLUS), (Y2, MINUS), (X2, PLUS), (X2, MINUS)]:
+        symbolic = epr.pair_amplitude(X1, theta2, pair)
+        numeric = epr.pair_amplitude(X1, theta2, pair, "numeric",
                                      window_wavelengths=1e4)
         assert abs(numeric - symbolic) < 1e-2
-
-
-def test_same_detector_rejected():
-    with pytest.raises(ValueError, match="two distinct detectors"):
-        epr.pair_amplitude(X1, epr.AnalyzerSetting(1, 1.0), PLUS)
 
 
 def test_invalid_mode_rejected():
@@ -89,10 +82,10 @@ def test_numeric_mode_requires_positive_window():
 # --- probabilities ----------------------------------------------------------
 
 def test_coincidence_probability_crossed_and_aligned():
-    crossed = epr.joint_probabilities(X1.angle, Y2.angle, PLUS)[0, 0]
+    crossed = epr.joint_probabilities(X1, Y2, PLUS)[0, 0]
     assert crossed == pytest.approx(0.0, abs=1e-12)
     # |1|^2 / (|1|^2 + |-1|^2) over the four-outcome table
-    aligned = epr.joint_probabilities(X1.angle, X2.angle, PLUS)[0, 0]
+    aligned = epr.joint_probabilities(X1, X2, PLUS)[0, 0]
     assert aligned == pytest.approx(0.5, abs=1e-12)
 
 
@@ -176,10 +169,12 @@ def test_circular_ket_phasors():
 
 
 def test_analyzer_angle_reduced_mod_pi():
-    setting = epr.AnalyzerSetting(1, math.pi + 0.25)
-    assert setting.angle == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        epr.AnalyzerSetting(3, 0.0)
+    # an analyzer angle is axis-valued: a half turn of either detector leaves the amplitude
+    for pair, t in zip((PLUS, MINUS) * 2, (0.25, -1.0, 2.0, 40.0)):
+        assert abs(epr.pair_amplitude(t + math.pi, 0.7, pair)
+                   - epr.pair_amplitude(t, 0.7, pair)) <= 1e-12
+        assert abs(epr.pair_amplitude(0.7, t + math.pi, pair)
+                   - epr.pair_amplitude(0.7, t, pair)) <= 1e-12
 
 
 def test_pair_state_validation():
@@ -204,9 +199,9 @@ def oracle_tables(theta1, theta2, pair, mode, convention, field=1.0, **numeric_o
         for q, t2 in enumerate(theta2):
             for i in range(2):
                 for j in range(2):
-                    o1 = epr.AnalyzerSetting(1, t1 + i * math.pi / 2)
-                    o2 = epr.AnalyzerSetting(2, sign * t2 + j * math.pi / 2)
-                    out[p, q, i, j] = field ** 2 * epr.pair_amplitude(o1, o2, pair, mode,
+                    a1 = t1 + i * math.pi / 2
+                    a2 = sign * t2 + j * math.pi / 2
+                    out[p, q, i, j] = field ** 2 * epr.pair_amplitude(a1, a2, pair, mode,
                                                                       **numeric_options)
     return out
 
